@@ -42,7 +42,7 @@ from .exceptions import (
     ZeroVariance,
 )
 from .inference import TestResult, max_t_test, t_test
-from .linalg import eig_sym_extremes, inv_sqrt_spd, op_norm, psd_leq, solve_spd
+from .linalg import eig_sym_extremes, op_norm, psd_leq, solve_spd
 from .ols import Dataset, OlsFit, fit_ols, scores_at, target_from_moments
 from .simlab import (
     CoverageReport,
@@ -88,7 +88,6 @@ __all__ = [
     "fit_ols",
     "gen_weights",
     "influence_remainder",
-    "inv_sqrt_spd",
     "k_check",
     "max_t_test",
     "multiplier_draw",

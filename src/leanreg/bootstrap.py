@@ -12,14 +12,13 @@ are exactly normal with covariance k_check, which is what makes them the
 default weight choice; rademacher weights are offered for heavier-tailed
 experiments.
 
-Replicate b uses the generator seeded by the pair (seed, b), so results are
-bit-identical no matter how replicates are scheduled across threads.
+Replicate b uses the generator seeded by the pair (seed, b), so results
+depend only on the seed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,12 +99,11 @@ def run_bootstrap(
     m: int | None = None,
     dist: str = "gaussian",
     seed=0,
-    threads: int = 1,
 ) -> BootstrapDraws:
     """Generate B independent bootstrap replicates.
 
     Replicate i is computed from the generator seeded by (seed, i), so the
-    output is identical for any ``threads`` value and any execution order.
+    output depends only on the seed.
     The resample size ``m`` defaults to n; smaller m weakens the normal
     approximation and must be opted into explicitly.
     """
@@ -123,20 +121,12 @@ def run_bootstrap(
         m = None
 
     draws_t = np.empty((b, fit.p))
-
-    def fill(i: int) -> None:
+    for i in range(b):
         rng = np.random.default_rng(subseed(seed, i))
         if method == "multiplier":
             draws_t[i] = multiplier_draw(fit, gen_weights(dist, fit.n, rng))
         else:
             draws_t[i] = resample_draw(fit, m, rng)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(b)))
-    else:
-        for i in range(b):
-            fill(i)
 
     draws_u = linalg.solve_spd(fit.sigma_hat, draws_t.T).T
     return BootstrapDraws(
@@ -155,6 +145,15 @@ def _order_stat_quantile(values: np.ndarray, alpha: float) -> float:
     b = values.shape[0]
     k = min(math.ceil((1.0 - alpha) * (b + 1)), b)
     return float(np.sort(values)[k - 1])
+
+
+def max_abs_t(draws: BootstrapDraws, d: np.ndarray) -> np.ndarray:
+    """Per-replicate max_j |u_star_b[j]| / d[j], the max-|t| bootstrap reference.
+
+    ``d`` holds the per-coordinate studentizing scales sqrt(avar[j, j]);
+    callers check that none is zero.
+    """
+    return np.abs(draws.draws_u / d).max(axis=1)
 
 
 @dataclass(frozen=True)
@@ -198,8 +197,7 @@ def region_rectangle(
     d = np.sqrt(np.diag(var.avar))
     if np.any(d == 0.0):
         raise ZeroVariance("a coordinate has zero estimated variance")
-    max_t = np.abs(draws.draws_u / d).max(axis=1)
-    crit = _order_stat_quantile(max_t, alpha)
+    crit = _order_stat_quantile(max_abs_t(draws, d), alpha)
     if crit == 0.0:
         raise ZeroVariance("all bootstrap draws are zero; the region is degenerate")
     return ConfidenceRegion(

@@ -27,6 +27,7 @@ import numpy as np
 from .bootstrap import region_ellipsoid, region_rectangle, run_bootstrap
 from .diagnostics import det_inequality_check, influence_remainder
 from .exceptions import (
+    BadCoordinate,
     EmptyData,
     LeanRegError,
     MissingColumn,
@@ -70,6 +71,8 @@ def read_csv(path: str, response_column: str, add_intercept: bool = False) -> Da
         for r, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
+            if len(row) != len(header):
+                raise NonNumericCell(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
             parsed = []
             for c, cell in enumerate(row):
                 try:
@@ -83,8 +86,6 @@ def read_csv(path: str, response_column: str, add_intercept: bool = False) -> Da
                         f"{path}: non-finite value at row {r}, column {header[c]!r}"
                     )
                 parsed.append(value)
-            if len(parsed) != len(header):
-                raise NonNumericCell(f"{path}: row {r} has {len(parsed)} cells, expected {len(header)}")
             rows.append(parsed)
     if not rows:
         raise EmptyData(f"{path} has a header but no data rows")
@@ -242,13 +243,12 @@ def _cmd_test(config: RunConfig) -> Report:
     reference = _REFERENCE_FLAG[config.reference]
     draws = None
     if reference == "bootstrap":
-        draws = run_bootstrap(
-            fit, "multiplier", b=config.b, dist=config.weights,
-            seed=config.seed, threads=config.threads,
-        )
+        draws = run_bootstrap(fit, "multiplier", b=config.b, dist=config.weights, seed=config.seed)
     null = _parse_null(config, fit.p)
     warnings = [_FINITE_SAMPLE_WARNING]
     if config.coef is not None:
+        if not 0 <= config.coef < fit.p:
+            raise BadCoordinate(f"coordinate {config.coef} out of range for p={fit.p}")
         res = t_test(fit, var, config.coef, float(null[config.coef]), reference, draws=draws)
     else:
         res = max_t_test(fit, var, null, reference, draws=draws)
@@ -279,8 +279,7 @@ def _cmd_bootstrap(config: RunConfig) -> Report:
     var = _variance_for(fit, config.variance)
     method = "resample_m_of_n" if config.m is not None else "multiplier"
     draws = run_bootstrap(
-        fit, method, b=config.b, m=config.m, dist=config.weights,
-        seed=config.seed, threads=config.threads,
+        fit, method, b=config.b, m=config.m, dist=config.weights, seed=config.seed
     )
     rect = region_rectangle(fit, draws, var, config.alpha)
     ellip = region_ellipsoid(fit, draws, config.alpha)
@@ -320,7 +319,6 @@ def _cmd_simulate(config: RunConfig) -> Report:
         seed=config.seed,
         b=config.b,
         weight_dist=config.weights,
-        threads=config.threads,
     )
     results = {
         "scenario": report.scenario,
@@ -403,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common_flags(p):
         p.add_argument("--seed", type=int, default=None, help=f"RNG seed (or {SEED_ENV_VAR})")
         p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
-        p.add_argument("--threads", type=int, default=1, help="worker cap; never changes results")
+        p.add_argument("--threads", type=int, default=1, help="kept for replay; results depend only on the seed")
 
     p_fit = sub.add_parser("fit", help="fit OLS and report classical vs sandwich SEs")
     add_data_flags(p_fit)
@@ -482,22 +480,14 @@ def main(argv=None) -> int:
         report = run_command(config)
     except ValueError as exc:
         parser.exit(2, f"leanreg: config error: {exc}\n")
-    except _DATA_ERRORS as exc:
+    except _DATA_ERRORS + (LeanRegError,) as exc:
         payload = {
             "command": config.command,
             "config": _jsonable(dataclasses.asdict(config)),
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
         _emit(json.dumps(payload, sort_keys=True, indent=2), config.out)
-        return 3
-    except LeanRegError as exc:
-        payload = {
-            "command": config.command,
-            "config": _jsonable(dataclasses.asdict(config)),
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        _emit(json.dumps(payload, sort_keys=True, indent=2), config.out)
-        return 4
+        return 3 if isinstance(exc, _DATA_ERRORS) else 4
     text = report_json(report)
     _emit(text, config.out)
     if config.command == "simulate" and config.out:

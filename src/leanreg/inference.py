@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
-from .bootstrap import BootstrapDraws
+from .bootstrap import BootstrapDraws, max_abs_t
 from .exceptions import BadCoordinate, DimensionMismatch, ZeroVariance
 from .ols import OlsFit
 from .variance import VarianceEstimate
@@ -41,11 +41,6 @@ class TestResult:
     target_coord: int | None = None
     df: int | None = None
     b: int | None = None
-
-
-def _bootstrap_max_ref(var: VarianceEstimate, draws: BootstrapDraws) -> np.ndarray:
-    d = np.sqrt(np.diag(var.avar))
-    return np.abs(draws.draws_u / d).max(axis=1)
 
 
 def _smoothed_upper_p(ref: np.ndarray, observed: float) -> float:
@@ -79,12 +74,12 @@ def t_test(
 
     df = b = None
     if reference == "std_normal":
-        p_value = 2.0 * float(stats.norm.sf(abs(stat)))
+        p_value = 2.0 * float(special.ndtr(-abs(stat)))
     elif reference == "student_t":
         df = fit.n - fit.p
         if df < 1:
             raise ZeroVariance(f"student_t reference needs n > p, got n={fit.n}, p={fit.p}")
-        p_value = 2.0 * float(stats.t.sf(abs(stat), df))
+        p_value = 2.0 * float(special.stdtr(df, -abs(stat)))
     else:
         if draws is None:
             raise ValueError("bootstrap reference requires precomputed draws")
@@ -133,15 +128,15 @@ def max_t_test(
     if reference == "bootstrap":
         if draws is None:
             raise ValueError("bootstrap reference requires precomputed draws")
-        p_value = _smoothed_upper_p(_bootstrap_max_ref(var, draws), stat)
+        p_value = _smoothed_upper_p(max_abs_t(draws, np.sqrt(d2)), stat)
         b = draws.b
     elif reference == "std_normal":
-        p_value = min(1.0, fit.p * 2.0 * float(stats.norm.sf(stat)))
+        p_value = min(1.0, fit.p * 2.0 * float(special.ndtr(-stat)))
     else:
         df = fit.n - fit.p
         if df < 1:
             raise ZeroVariance(f"student_t reference needs n > p, got n={fit.n}, p={fit.p}")
-        p_value = min(1.0, fit.p * 2.0 * float(stats.t.sf(stat, df)))
+        p_value = min(1.0, fit.p * 2.0 * float(special.stdtr(df, -stat)))
     return TestResult(
         statistic=stat,
         reference=reference,

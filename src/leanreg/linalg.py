@@ -103,21 +103,3 @@ def psd_leq(a, b, tol: float = 0.0) -> bool:
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
     lo, _ = eig_sym_extremes(b - a)
     return lo >= -tol
-
-
-def inv_sqrt_spd(a) -> np.ndarray:
-    """Symmetric inverse square root ``m`` with m @ a @ m = identity.
-
-    Computed from the full spectral decomposition; eigenvalues at or below
-    the relative singularity threshold raise NotPositiveDefinite.
-    """
-    a = _as_square_symmetric(a, "a")
-    p = a.shape[0]
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence("symmetric eigenvalue iteration did not converge") from exc
-    if w[0] <= p * np.finfo(float).eps * max(w[-1], 0.0):
-        raise NotPositiveDefinite(f"eigenvalue {w[0]:.3e} at or below the singularity threshold")
-    m = (v / np.sqrt(w)) @ v.T
-    return (m + m.T) / 2.0

@@ -25,24 +25,22 @@ Canonical parameterizations (fixed so the acceptance numbers are stable):
   k_n is strictly below k_n_star.
 
 Replication r of any Monte Carlo run draws from the generator seeded by
-(seed, r), so reports are identical at any thread count.
+(seed, r), so reports depend only on the seed.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate, special
 
 from . import linalg
 from .bootstrap import WEIGHT_DISTS, region_ellipsoid, region_rectangle, run_bootstrap, subseed
 from .exceptions import IntegrationFailure, SingularDesign
 from .inference import max_t_test
 from .ols import Dataset, fit_ols
-from .variance import classical_avar, sandwich_avar
+from .variance import _sandwich, classical_avar, sandwich_avar
 
 DGP_KINDS = (
     "linear_homoscedastic",
@@ -144,12 +142,6 @@ def _fixed_design(dgp: Dgp, n: int):
     return x, mu, sd
 
 
-def _sandwich_pop(sigma: np.ndarray, meat: np.ndarray) -> np.ndarray:
-    inner = linalg.solve_spd(sigma, meat)
-    av = linalg.solve_spd(sigma, inner.T).T
-    return (av + av.T) / 2.0
-
-
 def population_targets(dgp: Dgp, n: int) -> PopulationTargets:
     """Exact moments, targets and score covariances for the scenario.
 
@@ -203,8 +195,8 @@ def population_targets(dgp: Dgp, n: int) -> PopulationTargets:
         gamma_n=gamma,
         k_n=k_n,
         k_n_star=k_star,
-        av_n=_sandwich_pop(sigma, k_n),
-        av_n_star=_sandwich_pop(sigma, k_star),
+        av_n=_sandwich(sigma, k_n),
+        av_n_star=_sandwich(sigma, k_star),
         score_means=score_means,
     )
 
@@ -288,7 +280,6 @@ def run_coverage(
     seed: int,
     b: int = 1000,
     weight_dist: str = "gaussian",
-    threads: int = 1,
 ) -> CoverageReport:
     """Measure empirical coverage (and null rejection rates) of the target.
 
@@ -296,7 +287,7 @@ def run_coverage(
     requested intervals/regions, and record whether beta_n is covered. The
     max_t_bootstrap method instead tests the true null beta = beta_n and
     records rejections. Replications whose design is singular are excluded
-    and counted. Output is independent of the thread count.
+    and counted.
     """
     methods = tuple(methods)
     for m in methods:
@@ -311,7 +302,7 @@ def run_coverage(
 
     pop = population_targets(dgp, n)
     beta_n = pop.beta_n
-    z = float(stats.norm.ppf(1.0 - alpha / 2.0))
+    z = float(special.ndtri(1.0 - alpha / 2.0))
     needs_boot = any(m.startswith("bootstrap") or m == "max_t_bootstrap" for m in methods)
     needs_sandwich = needs_boot or "sandwich_normal" in methods
 
@@ -348,15 +339,7 @@ def run_coverage(
                 rec[m] = (None, None, float(res.p_value <= alpha))
         return rec
 
-    records: list = [None] * replications
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for r, rec in zip(range(replications), pool.map(one, range(replications))):
-                records[r] = rec
-    else:
-        for r in range(replications):
-            records[r] = one(r)
-
+    records = [one(r) for r in range(replications)]
     kept = [rec for rec in records if rec is not None]
     excluded = replications - len(kept)
     if not kept:

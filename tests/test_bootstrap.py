@@ -144,12 +144,6 @@ class TestRunBootstrap:
         back = draws.draws_u @ het_fit.sigma_hat.T
         assert np.abs(back - draws.draws_t).max() <= 1e-10
 
-    def test_thread_count_does_not_change_bits(self, het_fit):
-        serial = run_bootstrap(het_fit, b=64, seed=123, threads=1)
-        threaded = run_bootstrap(het_fit, b=64, seed=123, threads=4)
-        np.testing.assert_array_equal(serial.draws_t, threaded.draws_t)
-        np.testing.assert_array_equal(serial.draws_u, threaded.draws_u)
-
     def test_resample_method_defaults_m_to_n(self, het_fit):
         draws = run_bootstrap(het_fit, "resample_m_of_n", b=16, seed=4)
         assert draws.m == het_fit.n

@@ -64,6 +64,14 @@ class TestReadCsv:
         with pytest.raises(NonNumericCell, match="'x'"):
             read_csv(str(path), "y")
 
+    def test_overlong_row_rejected(self, tmp_path):
+        from leanreg import NonNumericCell
+
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y\n2,3,abc\n")
+        with pytest.raises(NonNumericCell, match="row 2 has 3 cells, expected 2"):
+            read_csv(str(path), "y")
+
     def test_empty_file(self, tmp_path):
         from leanreg import EmptyData
 
@@ -117,6 +125,12 @@ class TestFitCommand:
 
 
 class TestTestCommand:
+    @pytest.mark.parametrize("coef", ["-1", "2"])
+    def test_coef_out_of_range_exits_4(self, example_csv, coef, capsys):
+        code, out = run_cli(["test", "--data", example_csv, "--response", "y", "--coef", coef], capsys)
+        assert code == 4
+        assert json.loads(out)["error"]["type"] == "BadCoordinate"
+
     def test_normal_reference_t_test(self, example_csv, capsys):
         payload = run_json(
             ["test", "--data", example_csv, "--response", "y", "--coef", "1", "--null", "0"],
@@ -252,3 +266,10 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+
+
+def test_cli_import_skips_scipy_stats():
+    code = "import sys, leanreg.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

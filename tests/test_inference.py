@@ -39,9 +39,15 @@ class TestTTest:
         beta0 = fit.beta_hat[j] - target_stat * np.sqrt(var.avar[j, j] / fit.n)
         res = t_test(fit, var, j, float(beta0))
         assert res.statistic == pytest.approx(target_stat, rel=1e-9)
-        # oracle: the normal CDF itself
-        assert res.p_value == pytest.approx(2.0 * stats.norm.sf(target_stat), abs=1e-12)
+        # oracle: the normal CDF itself, to the last bit
+        assert res.p_value == 2.0 * stats.norm.sf(abs(res.statistic))
         assert res.p_value == pytest.approx(0.05, abs=1e-4)
+
+    def test_student_t_cdf_oracle(self, het):
+        fit, var = het
+        res = t_test(fit, var, 1, 0.9, "student_t")
+        assert res.df == fit.n - fit.p
+        assert res.p_value == 2.0 * stats.t.sf(abs(res.statistic), res.df)
 
     def test_student_t_never_less_conservative(self, het):
         fit, var = het
@@ -115,8 +121,12 @@ class TestMaxTTest:
     def test_bonferroni_normal_reference(self, het):
         fit, var = het
         res = max_t_test(fit, var, [0.0, 0.0], reference="std_normal")
-        expected = min(1.0, fit.p * 2.0 * stats.norm.sf(res.statistic))
-        assert res.p_value == pytest.approx(expected, rel=1e-12)
+        assert res.p_value == min(1.0, fit.p * 2.0 * stats.norm.sf(res.statistic))
+
+    def test_bonferroni_student_t_reference(self, het):
+        fit, var = het
+        res = max_t_test(fit, var, [0.0, 0.9], reference="student_t")
+        assert res.p_value == min(1.0, fit.p * 2.0 * stats.t.sf(res.statistic, fit.n - fit.p))
 
     def test_bootstrap_p_value_range(self, het):
         fit, var = het

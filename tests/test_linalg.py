@@ -8,7 +8,6 @@ from leanreg import (
     NotPositiveDefinite,
     NotSymmetric,
     eig_sym_extremes,
-    inv_sqrt_spd,
     op_norm,
     psd_leq,
     solve_spd,
@@ -154,36 +153,3 @@ class TestPsdLeq:
         a, b, c = (np.diag([float(v), 0.0]) for v in (lo, mid, hi))
         if psd_leq(a, b, 0.0) and psd_leq(b, c, 0.0):
             assert psd_leq(a, c, 0.0)
-
-
-class TestInvSqrtSpd:
-    def test_identity(self):
-        np.testing.assert_allclose(inv_sqrt_spd(np.eye(2)), np.eye(2), atol=1e-12)
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            inv_sqrt_spd(np.diag([4.0, 9.0])), np.diag([0.5, 1.0 / 3.0]), atol=1e-12
-        )
-
-    def test_spectral_oracle(self):
-        a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        # oracle: eigenvectors (1, 1)/sqrt2 and (1, -1)/sqrt2 with eigenvalues 3 and 1
-        v_plus = np.array([1.0, 1.0]) / np.sqrt(2)
-        v_minus = np.array([1.0, -1.0]) / np.sqrt(2)
-        expected = np.outer(v_plus, v_plus) / np.sqrt(3.0) + np.outer(v_minus, v_minus)
-        np.testing.assert_allclose(inv_sqrt_spd(a), expected, atol=1e-12)
-
-    def test_contract_and_invariants(self):
-        rng = np.random.default_rng(2718)
-        for _ in range(200):
-            p = int(rng.integers(1, 9))
-            g = rng.standard_normal((p, p))
-            a = g.T @ g + 0.1 * np.eye(p)
-            m = inv_sqrt_spd(a)
-            assert np.abs(m - m.T).max() <= 1e-10
-            assert op_norm(m @ a @ m - np.eye(p)) <= 1e-8
-            assert op_norm(m @ a - a @ m) <= 1e-8
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
-            inv_sqrt_spd(np.diag([1.0, 0.0]))

@@ -181,18 +181,6 @@ class TestRunCoverage:
         for c, s in zip(rep.coverage["sandwich_normal"], rep.coverage_se["sandwich_normal"]):
             assert s == pytest.approx(np.sqrt(c * (1 - c) / 40))
 
-    def test_thread_count_invariance(self):
-        kwargs = dict(
-            dgp=Dgp("fixed_x_nonidentical_mean"), n=60, replications=12,
-            methods=("sandwich_normal", "bootstrap_rectangle", "bootstrap_ellipsoid", "max_t_bootstrap"),
-            alpha=0.1, seed=99, b=80,
-        )
-        rep1 = run_coverage(**kwargs, threads=1)
-        rep4 = run_coverage(**kwargs, threads=4)
-        assert rep1.coverage == rep4.coverage
-        assert rep1.mean_width == rep4.mean_width
-        assert rep1.rejection_rate == rep4.rejection_rate
-
     def test_singular_replications_are_excluded_and_counted(self, monkeypatch):
         real_fit = simlab.fit_ols
         calls = {"i": 0}
