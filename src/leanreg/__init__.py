@@ -17,11 +17,8 @@ targets.
 from .bootstrap import (
     BootstrapDraws,
     ConfidenceRegion,
-    gen_weights,
-    multiplier_draw,
     region_ellipsoid,
     region_rectangle,
-    resample_draw,
     run_bootstrap,
     subseed,
 )
@@ -86,18 +83,15 @@ __all__ = [
     "det_inequality_check",
     "eig_sym_extremes",
     "fit_ols",
-    "gen_weights",
     "influence_remainder",
     "k_check",
     "max_t_test",
-    "multiplier_draw",
     "op_norm",
     "population_score_means",
     "population_targets",
     "psd_leq",
     "region_ellipsoid",
     "region_rectangle",
-    "resample_draw",
     "run_bootstrap",
     "run_consistency",
     "run_coverage",

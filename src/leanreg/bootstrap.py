@@ -7,13 +7,14 @@ the observations themselves, so no bootstrap replicate ever has to solve a
     t_star = n^{-1/2} sum_i w_i s_i,   E[w]=0, E[w^2]=1,
 
 and the resampling statistic draws m score rows uniformly with replacement
-with m^{-1/2} scaling. Conditional on the data, gaussian multiplier draws
-are exactly normal with covariance k_check, which is what makes them the
+with m^{-1/2} scaling, which is the same sum with w_i the number of times
+row i was drawn. Conditional on the data, gaussian multiplier draws are
+exactly normal with covariance k_check, which is what makes them the
 default weight choice; rademacher weights are offered for heavier-tailed
 experiments.
 
-Replicate b uses the generator seeded by the pair (seed, b), so results
-depend only on the seed.
+Each run draws all its replicates, in order, from one generator keyed by
+the seed, so results depend only on the seed.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from .variance import VarianceEstimate, k_check
 
 WEIGHT_DISTS = ("gaussian", "rademacher")
 METHODS = ("multiplier", "resample_m_of_n")
+# Each block of replicates holds at most about this many weight or index
+# entries, so peak memory does not grow with B on tall data.
+_BLOCK_ENTRIES = 2**20
 
 
 def subseed(seed, *path) -> np.random.SeedSequence:
@@ -40,38 +44,6 @@ def subseed(seed, *path) -> np.random.SeedSequence:
     """
     entropy = tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
     return np.random.SeedSequence(entropy + tuple(int(i) for i in path))
-
-
-def gen_weights(dist: str, n: int, rng_state) -> np.ndarray:
-    """Draw n iid multiplier weights; deterministic given the seed.
-
-    ``rng_state`` may be an int seed, a SeedSequence, or a Generator.
-    """
-    if dist not in WEIGHT_DISTS:
-        raise ValueError(f"unknown weight distribution {dist!r}; choose from {WEIGHT_DISTS}")
-    if n < 1:
-        raise ValueError("need n >= 1 weights")
-    rng = np.random.default_rng(rng_state)
-    if dist == "gaussian":
-        return rng.standard_normal(n)
-    return rng.integers(0, 2, size=n) * 2.0 - 1.0
-
-
-def multiplier_draw(fit: OlsFit, weights) -> np.ndarray:
-    """One multiplier statistic n^{-1/2} sum_i w_i s_i."""
-    weights = np.asarray(weights, dtype=float).ravel()
-    if weights.shape[0] != fit.n:
-        raise DimensionMismatch(f"got {weights.shape[0]} weights for n={fit.n}")
-    return fit.scores_hat.T @ weights / math.sqrt(fit.n)
-
-
-def resample_draw(fit: OlsFit, m: int, rng_state) -> np.ndarray:
-    """One m-of-n statistic m^{-1/2} sum of m score rows drawn with replacement."""
-    if m < 1:
-        raise ValueError("resample size m must be >= 1")
-    rng = np.random.default_rng(rng_state)
-    idx = rng.integers(0, fit.n, size=m)
-    return fit.scores_hat[idx].sum(axis=0) / math.sqrt(m)
 
 
 @dataclass(frozen=True)
@@ -102,8 +74,11 @@ def run_bootstrap(
 ) -> BootstrapDraws:
     """Generate B independent bootstrap replicates.
 
-    Replicate i is computed from the generator seeded by (seed, i), so the
-    output depends only on the seed.
+    All replicates come, in order, from one generator seeded by ``seed``, so
+    the output depends only on the seed. They are filled in blocks of rows
+    as W @ scores_hat / sqrt(scale): W holds multiplier weights (scale n) or,
+    for the m-of-n bootstrap, how often each score row is among m rows drawn
+    with replacement (scale m).
     The resample size ``m`` defaults to n; smaller m weakens the normal
     approximation and must be opted into explicitly.
     """
@@ -120,13 +95,22 @@ def run_bootstrap(
     else:
         m = None
 
+    n = fit.n
+    rows = max(1, _BLOCK_ENTRIES // max(n, m or n))
+    rng = np.random.default_rng(subseed(seed))
     draws_t = np.empty((b, fit.p))
-    for i in range(b):
-        rng = np.random.default_rng(subseed(seed, i))
-        if method == "multiplier":
-            draws_t[i] = multiplier_draw(fit, gen_weights(dist, fit.n, rng))
+    for start in range(0, b, rows):
+        k = min(rows, b - start)
+        if m is not None:
+            idx = rng.integers(0, n, (k, m))
+            # shifting row r's indices by r * n lets one bincount count every row
+            idx += n * np.arange(k)[:, None]
+            w = np.bincount(idx.ravel(), minlength=k * n).reshape(k, n)
+        elif dist == "gaussian":
+            w = rng.standard_normal((k, n))
         else:
-            draws_t[i] = resample_draw(fit, m, rng)
+            w = rng.integers(0, 2, (k, n)) * 2.0 - 1.0
+        draws_t[start : start + k] = w @ fit.scores_hat / math.sqrt(m or n)
 
     draws_u = linalg.solve_spd(fit.sigma_hat, draws_t.T).T
     return BootstrapDraws(

@@ -204,6 +204,8 @@ def _parse_null(config: RunConfig, p: int) -> np.ndarray:
     if config.null is None:
         return np.zeros(p)
     parts = [float(v) for v in str(config.null).split(",")]
+    if not all(math.isfinite(v) for v in parts):
+        raise ValueError(f"--null must be finite, got {config.null!r}")
     if len(parts) == 1:
         return np.full(p, parts[0])
     if len(parts) != p:

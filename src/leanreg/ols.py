@@ -83,7 +83,6 @@ def fit_ols(data: Dataset) -> OlsFit:
     x, y = data.x, data.y
     n = data.n
     sigma_hat = x.T @ x / n
-    sigma_hat = (sigma_hat + sigma_hat.T) / 2.0
     gamma_hat = x.T @ y / n
     try:
         beta_hat = linalg.solve_spd(sigma_hat, gamma_hat)

@@ -152,14 +152,11 @@ def population_targets(dgp: Dgp, n: int) -> PopulationTargets:
     if dgp.is_fixed_design:
         x, mu, sd = _fixed_design(dgp, n)
         sigma = x.T @ x / n
-        sigma = (sigma + sigma.T) / 2.0
         gamma = x.T @ mu / n
         beta = linalg.solve_spd(sigma, gamma)
         resid = mu - x @ beta
         k_n = np.einsum("ij,ik,i->jk", x, x, sd**2) / n
         k_star = k_n + np.einsum("ij,ik,i->jk", x, x, resid**2) / n
-        k_n = (k_n + k_n.T) / 2.0
-        k_star = (k_star + k_star.T) / 2.0
         score_means = x * resid[:, None]
     elif dgp.kind == "linear_homoscedastic":
         p = dgp.p

@@ -57,8 +57,7 @@ def k_check(fit: OlsFit) -> np.ndarray:
     scores_hat.T @ scores_hat / n.
     """
     x = fit.data.x
-    k = np.einsum("ij,ik,i->jk", x, x, fit.residuals**2) / fit.n
-    return (k + k.T) / 2.0
+    return np.einsum("ij,ik,i->jk", x, x, fit.residuals**2) / fit.n
 
 
 def _sandwich(sigma_hat: np.ndarray, meat: np.ndarray) -> np.ndarray:

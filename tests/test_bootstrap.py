@@ -5,16 +5,12 @@ from scipy import stats
 from leanreg import (
     Dataset,
     Dgp,
-    DimensionMismatch,
     NotPositiveDefinite,
     ZeroVariance,
     fit_ols,
-    gen_weights,
     k_check,
-    multiplier_draw,
     region_ellipsoid,
     region_rectangle,
-    resample_draw,
     run_bootstrap,
     sample,
     sandwich_avar,
@@ -38,69 +34,77 @@ def perfect_fit():
     return fit_ols(Dataset(x=x, y=np.zeros(10)))
 
 
-class TestGenWeights:
-    def test_rademacher_support(self):
-        w = gen_weights("rademacher", 500, 1)
-        assert set(np.unique(w)) == {-1.0, 1.0}
-
-    def test_gaussian_law_of_large_numbers(self):
-        n = 100_000
-        w = gen_weights("gaussian", n, 2)
-        assert abs(w.mean()) <= 4.0 / np.sqrt(n)
-        assert abs(w.var() - 1.0) <= 0.05
-
-    def test_deterministic_given_seed(self):
-        for dist in ("gaussian", "rademacher"):
-            np.testing.assert_array_equal(
-                gen_weights(dist, 50, 99), gen_weights(dist, 50, 99)
-            )
-
-    def test_unknown_dist(self):
-        with pytest.raises(ValueError):
-            gen_weights("mammen", 10, 0)
+def weights_oracle(fit, b, dist, seed):
+    """W regenerated from a single generator keyed by the seed, as one matrix."""
+    rng = np.random.default_rng(subseed(seed))
+    if dist == "gaussian":
+        return rng.standard_normal((b, fit.n))
+    return rng.integers(0, 2, (b, fit.n)) * 2.0 - 1.0
 
 
 class TestMultiplierDraw:
-    def test_constant_weights_vanish(self, tiny_fit):
-        # scores sum to zero, so constant weights contribute nothing
+    @pytest.mark.parametrize("dist", ["gaussian", "rademacher"])
+    def test_explicit_sum_oracle(self, het_fit, dist):
+        draws = run_bootstrap(het_fit, b=300, dist=dist, seed=77)
+        w = weights_oracle(het_fit, 300, dist, 77)
         np.testing.assert_allclose(
-            multiplier_draw(tiny_fit, np.full(3, 2.5)), 0.0, atol=1e-14
+            draws.draws_t, w @ het_fit.scores_hat / np.sqrt(het_fit.n), rtol=1e-12, atol=1e-14
         )
 
-    def test_indicator_picks_one_score(self, tiny_fit):
-        got = multiplier_draw(tiny_fit, [1.0, 0.0, 0.0])
-        np.testing.assert_allclose(got, tiny_fit.scores_hat[0] / np.sqrt(3.0), atol=1e-14)
+    def test_rademacher_draws_are_signed_score_sums(self, het_fit):
+        draws = run_bootstrap(het_fit, b=50, dist="rademacher", seed=5)
+        plus = np.random.default_rng(subseed(5)).integers(0, 2, (50, het_fit.n)) == 1
+        s = het_fit.scores_hat
+        expected = np.stack([s[row].sum(axis=0) - s[~row].sum(axis=0) for row in plus])
+        np.testing.assert_allclose(draws.draws_t, expected / np.sqrt(het_fit.n), rtol=1e-12, atol=1e-14)
 
     def test_hand_sum_oracle(self, tiny_fit):
-        # oracle: hand sum of the score rows with weights (1, -1, 1):
-        # (1/3, 0) - (-2/3, -2/3) + (1/3, 2/3) = (4/3, 4/3)
-        got = multiplier_draw(tiny_fit, [1.0, -1.0, 1.0])
-        np.testing.assert_allclose(got, np.array([4.0 / 3.0, 4.0 / 3.0]) / np.sqrt(3.0), atol=1e-14)
+        # oracle: the score rows are (1/3, 0), (-2/3, -2/3), (1/3, 2/3), so each
+        # rademacher draw is one of the 8 signed hand sums over sqrt(3)
+        rows = np.array([[1.0, 0.0], [-2.0, -2.0], [1.0, 2.0]]) / 3.0
+        signs = np.array([[a, b, c] for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)])
+        sums = signs @ rows / np.sqrt(3.0)
+        draws = run_bootstrap(tiny_fit, b=200, dist="rademacher", seed=12)
+        gaps = np.abs(draws.draws_t[:, None, :] - sums[None, :, :]).max(axis=2)
+        assert gaps.min(axis=1).max() <= 1e-14
+        # the scores sum to zero, so all-plus and all-minus both give 0 and
+        # 200 draws hit the 7 distinct sums
+        assert len(np.unique(draws.draws_t.round(12), axis=0)) == 7
 
-    def test_weight_shift_invariance(self, het_fit):
-        # rademacher weights vs the same weights plus 2: identical statistic
-        w = gen_weights("rademacher", het_fit.n, 5)
-        t1 = multiplier_draw(het_fit, w)
-        t2 = multiplier_draw(het_fit, w + 2.0)
-        assert np.abs(t1 - t2).max() <= 1e-10
+    @pytest.mark.parametrize(
+        "method, dist",
+        [("multiplier", "gaussian"), ("multiplier", "rademacher"), ("resample_m_of_n", "gaussian")],
+    )
+    def test_fewer_replicates_are_a_prefix(self, het_fit, method, dist):
+        short = run_bootstrap(het_fit, method, b=10, dist=dist, seed=31)
+        long = run_bootstrap(het_fit, method, b=1000, dist=dist, seed=31)
+        # same weights; only the product's rounding may depend on the shape
+        np.testing.assert_allclose(short.draws_t, long.draws_t[:10], rtol=1e-13, atol=1e-15)
 
-    def test_dimension_mismatch(self, tiny_fit):
-        with pytest.raises(DimensionMismatch):
-            multiplier_draw(tiny_fit, [1.0, 2.0])
+    @pytest.mark.parametrize("dist", ["gaussian", "rademacher"])
+    def test_blocks_match_single_matrix_oracle(self, dist):
+        # 3e5 rows put 3 replicates in a block, so B=7 spans three blocks
+        n = 300_000
+        rng = np.random.default_rng(50)
+        x = np.column_stack([np.ones(n), rng.uniform(size=n)])
+        fit = fit_ols(Dataset(x=x, y=x[:, 1] ** 2 + 0.1 * rng.standard_normal(n)))
+        draws = run_bootstrap(fit, b=7, dist=dist, seed=8)
+        w = weights_oracle(fit, 7, dist, 8)
+        np.testing.assert_allclose(
+            draws.draws_t, w @ fit.scores_hat / np.sqrt(n), rtol=1e-10, atol=1e-12
+        )
 
 
 class TestResampleDraw:
     def test_single_zero_score(self):
         fit = fit_ols(Dataset(x=[[2.0]], y=[5.0]))
         for seed in range(5):
-            np.testing.assert_allclose(
-                resample_draw(fit, 7, np.random.default_rng(seed)), 0.0, atol=1e-14
-            )
+            draws = run_bootstrap(fit, "resample_m_of_n", b=3, m=7, seed=seed)
+            np.testing.assert_allclose(draws.draws_t, 0.0, atol=1e-14)
 
     def test_conditional_mean_and_covariance(self, het_fit):
-        b = 10_000
-        rng = np.random.default_rng(17)
-        draws = np.stack([resample_draw(het_fit, het_fit.n, rng) for _ in range(b)])
+        draws = run_bootstrap(het_fit, "resample_m_of_n", b=10_000, seed=17).draws_t
+        b = draws.shape[0]
         kmat = k_check(het_fit)
         scale = np.sqrt(np.diag(kmat))
         assert np.all(np.abs(draws.mean(axis=0)) <= 4.0 * scale / np.sqrt(b))
@@ -110,10 +114,14 @@ class TestResampleDraw:
 
 
 class TestRunBootstrap:
-    def test_b1_reproduces_multiplier_draw_with_subseed(self, het_fit):
-        draws = run_bootstrap(het_fit, "multiplier", b=1, dist="gaussian", seed=77)
-        w = gen_weights("gaussian", het_fit.n, np.random.default_rng(subseed(77, 0)))
-        np.testing.assert_array_equal(draws.draws_t[0], multiplier_draw(het_fit, w))
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"dist": "mammen"}, {"method": "wild"}, {"b": 0}, {"method": "resample_m_of_n", "m": 0}],
+        ids=["dist", "method", "b", "m"],
+    )
+    def test_rejects_bad_arguments(self, tiny_fit, kwargs):
+        with pytest.raises(ValueError):
+            run_bootstrap(tiny_fit, **kwargs)
 
     def test_gaussian_conditional_covariance_is_k_check(self, het_fit):
         draws = run_bootstrap(het_fit, b=10_000, seed=6)
@@ -150,10 +158,11 @@ class TestRunBootstrap:
         assert run_bootstrap(het_fit, "multiplier", b=4, seed=4).m is None
 
     def test_resample_replicates_match_resample_draw(self, het_fit):
-        draws = run_bootstrap(het_fit, "resample_m_of_n", b=3, m=40, seed=9)
-        for i in range(3):
-            expected = resample_draw(het_fit, 40, np.random.default_rng(subseed(9, i)))
-            np.testing.assert_array_equal(draws.draws_t[i], expected)
+        # m draws with replacement, summed row by row: the law the counts encode
+        draws = run_bootstrap(het_fit, "resample_m_of_n", b=30, m=40, seed=9)
+        idx = np.random.default_rng(subseed(9)).integers(0, het_fit.n, (30, 40))
+        expected = het_fit.scores_hat[idx].sum(axis=1) / np.sqrt(40.0)
+        np.testing.assert_allclose(draws.draws_t, expected, rtol=1e-12, atol=1e-14)
 
 
 class TestRegionRectangle:

@@ -131,6 +131,13 @@ class TestTestCommand:
         assert code == 4
         assert json.loads(out)["error"]["type"] == "BadCoordinate"
 
+    @pytest.mark.parametrize("null_args", [["--null", "nan"], ["--coef", "0", "--null", "inf"]])
+    def test_non_finite_null_exits_2(self, example_csv, null_args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["test", "--data", example_csv, "--response", "y", *null_args])
+        assert exc.value.code == 2
+        assert "--null must be finite" in capsys.readouterr().err
+
     def test_normal_reference_t_test(self, example_csv, capsys):
         payload = run_json(
             ["test", "--data", example_csv, "--response", "y", "--coef", "1", "--null", "0"],
