@@ -13,7 +13,6 @@ from scipy import stats
 from leanreg import (
     Dgp,
     fit_ols,
-    k_check,
     region_ellipsoid,
     region_rectangle,
     run_bootstrap,
@@ -27,7 +26,8 @@ data = sample(Dgp("heteroscedastic_iid"), n, np.random.default_rng(2))
 fit = fit_ols(data)
 
 draws = run_bootstrap(fit, method="multiplier", b=b, dist="gaussian", seed=7)
-kmat = k_check(fit)
+var = sandwich_avar(fit)
+kmat = var.meat  # the sandwich's meat is k_check
 quad = np.einsum("bi,ib->b", draws.draws_t, solve_spd(kmat, draws.draws_t.T))
 ks = stats.kstest(quad, "chi2", args=(fit.p,)).statistic
 print(f"KS distance of t' k_check^-1 t to chi2({fit.p}) over {b} draws: {ks:.4f}")
@@ -35,9 +35,10 @@ print(f"(the conditional law is exact for gaussian weights; compare 0.95 quantil
       f"{np.quantile(quad, 0.95):.3f} vs chi2 {stats.chi2.ppf(0.95, fit.p):.3f})")
 print()
 
-var = sandwich_avar(fit)
+# both regions take the sandwich estimate: the rectangle studentizes with its
+# standard errors, the ellipsoid reuses its meat k_check
 rect = region_rectangle(fit, draws, var, alpha=0.05)
-ellip = region_ellipsoid(fit, draws, alpha=0.05)
+ellip = region_ellipsoid(fit, draws, var, alpha=0.05)
 print("95% simultaneous rectangle:")
 for j in range(fit.p):
     lo = rect.center[j] - rect.half_widths[j]

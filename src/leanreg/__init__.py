@@ -40,7 +40,7 @@ from .exceptions import (
 )
 from .inference import TestResult, max_t_test, t_test
 from .linalg import eig_sym_extremes, op_norm, psd_leq, solve_spd
-from .ols import Dataset, OlsFit, fit_ols, scores_at, target_from_moments
+from .ols import Dataset, OlsFit, fit_ols, scores_at
 from .simlab import (
     CoverageReport,
     Dgp,
@@ -101,5 +101,4 @@ __all__ = [
     "solve_spd",
     "subseed",
     "t_test",
-    "target_from_moments",
 ]

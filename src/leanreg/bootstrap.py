@@ -27,7 +27,7 @@ import numpy as np
 from . import linalg
 from .exceptions import DimensionMismatch, ZeroVariance
 from .ols import OlsFit
-from .variance import VarianceEstimate, k_check
+from .variance import VarianceEstimate
 
 WEIGHT_DISTS = ("gaussian", "rademacher")
 METHODS = ("multiplier", "resample_m_of_n")
@@ -112,7 +112,7 @@ def run_bootstrap(
             w = rng.integers(0, 2, (k, n)) * 2.0 - 1.0
         draws_t[start : start + k] = w @ fit.scores_hat / math.sqrt(m or n)
 
-    draws_u = linalg.solve_spd(fit.sigma_hat, draws_t.T).T
+    draws_u = fit.solve(draws_t.T).T
     return BootstrapDraws(
         method=method, b=b, m=m, dist=dist, draws_t=draws_t, draws_u=draws_u, seed=seed
     )
@@ -193,20 +193,23 @@ def region_rectangle(
     )
 
 
-def region_ellipsoid(fit: OlsFit, draws: BootstrapDraws, alpha: float) -> ConfidenceRegion:
+def region_ellipsoid(
+    fit: OlsFit, draws: BootstrapDraws, var: VarianceEstimate, alpha: float
+) -> ConfidenceRegion:
     """Ellipsoid region from bootstrap quantiles of t_star' k_check^-1 t_star.
 
-    The quadratic form on coefficients is sigma_hat @ k_check^-1 @ sigma_hat,
-    so membership of beta is equivalent to the score statistic
-    sqrt(n) sigma_hat (beta_hat - beta) falling inside the corresponding
-    k_check ellipsoid.
+    ``var`` must be a sandwich estimate; its meat is k_check, which is
+    factored once here. The quadratic form on coefficients is
+    sigma_hat @ k_check^-1 @ sigma_hat, so membership of beta is equivalent
+    to the score statistic sqrt(n) sigma_hat (beta_hat - beta) falling inside
+    the corresponding k_check ellipsoid.
     """
-    kmat = k_check(fit)
-    solved = linalg.solve_spd(kmat, draws.draws_t.T)  # raises if k_check is singular
-    qvals = np.einsum("bi,ib->b", draws.draws_t, solved)
+    if not var.is_sandwich():
+        raise ValueError("ellipsoid regions are built on the sandwich meat k_check")
+    solve_k = linalg.spd_solver(var.meat)  # raises if k_check is singular
+    qvals = np.einsum("bi,ib->b", draws.draws_t, solve_k(draws.draws_t.T))
     radius = _order_stat_quantile(qvals, alpha)
-    inner = linalg.solve_spd(kmat, fit.sigma_hat)
-    quad_form = fit.sigma_hat @ inner
+    quad_form = fit.sigma_hat @ solve_k(fit.sigma_hat)
     return ConfidenceRegion(
         shape="ellipsoid",
         level=1.0 - alpha,

@@ -259,17 +259,7 @@ def _cmd_test(config: RunConfig) -> Report:
                 "max-|t| with a normal/t reference uses a Bonferroni bound; "
                 "the bootstrap reference is recommended"
             )
-    results = {
-        "statistic": res.statistic,
-        "p_value": res.p_value,
-        "reference": res.reference,
-        "conservative": res.conservative,
-        "target_coord": res.target_coord,
-        "null_value": res.null_value,
-        "df": res.df,
-        "b": res.b,
-        "variance_method": var.method,
-    }
+    results = dataclasses.asdict(res) | {"variance_method": var.method}
     return Report("test", dataclasses.asdict(config), results, warnings)
 
 
@@ -284,7 +274,7 @@ def _cmd_bootstrap(config: RunConfig) -> Report:
         fit, method, b=config.b, m=config.m, dist=config.weights, seed=config.seed
     )
     rect = region_rectangle(fit, draws, var, config.alpha)
-    ellip = region_ellipsoid(fit, draws, config.alpha)
+    ellip = region_ellipsoid(fit, draws, var, config.alpha)
     results = {
         "beta_hat": fit.beta_hat,
         "method": draws.method,
@@ -322,19 +312,9 @@ def _cmd_simulate(config: RunConfig) -> Report:
         b=config.b,
         weight_dist=config.weights,
     )
-    results = {
-        "scenario": report.scenario,
-        "n": report.n,
-        "replications": report.replications,
-        "alpha": report.alpha,
-        "methods": list(report.methods),
-        "coverage": report.coverage,
-        "coverage_se": report.coverage_se,
-        "mean_width": report.mean_width,
-        "rejection_rate": report.rejection_rate,
-        "rejection_se": report.rejection_se,
-        "excluded": report.excluded,
-    }
+    # the seed is echoed in the config; only run_consistency fills consistency
+    results = dataclasses.asdict(report)
+    del results["seed"], results["consistency"]
     warnings = []
     if report.excluded:
         warnings.append(f"{report.excluded} replication(s) excluded for singular designs")
@@ -455,8 +435,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     fields = {f.name for f in dataclasses.fields(RunConfig)}
     values = {k: v for k, v in vars(args).items() if k in fields}
     config = RunConfig(**values)
-    if config.seed is None and os.environ.get(SEED_ENV_VAR):
-        config.seed = int(os.environ[SEED_ENV_VAR])
+    env_seed = os.environ.get(SEED_ENV_VAR)
+    if config.seed is None and env_seed:
+        try:
+            config.seed = int(env_seed)
+        except ValueError:
+            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
     return config
 
 
@@ -477,8 +461,8 @@ def _emit(text: str, out: str | None) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
     try:
+        config = _config_from_args(args)
         report = run_command(config)
     except ValueError as exc:
         parser.exit(2, f"leanreg: config error: {exc}\n")

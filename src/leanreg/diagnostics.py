@@ -65,11 +65,12 @@ def det_inequality_check(sigma_hat, gamma_hat, sigma_pop, gamma_pop) -> DetCheck
     gamma_pop = np.asarray(gamma_pop, dtype=float).ravel()
 
     beta_hat = linalg.solve_spd(sigma_hat, gamma_hat)
-    beta_pop = linalg.solve_spd(sigma_pop, gamma_pop)
+    solve_pop = linalg.spd_solver(sigma_pop)
+    beta_pop = solve_pop(gamma_pop)
     lam, _ = linalg.eig_sym_extremes(sigma_pop)
     d2n = linalg.op_norm(sigma_hat - sigma_pop)
 
-    lin = linalg.solve_spd(sigma_pop, gamma_hat - sigma_hat @ beta_pop)
+    lin = solve_pop(gamma_hat - sigma_hat @ beta_pop)
     err = beta_hat - beta_pop
     err_norm = float(np.linalg.norm(err))
     lin_norm = float(np.linalg.norm(lin))

@@ -8,6 +8,8 @@ of falling back to a pseudo-inverse.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.linalg import cho_solve
 
@@ -49,10 +51,11 @@ def _cholesky_spd(a: np.ndarray) -> np.ndarray:
     return lower
 
 
-def solve_spd(a, b):
-    """Solve a @ x = b for symmetric positive definite ``a``.
+def spd_solver(a):
+    """Factor symmetric positive definite ``a`` once; return ``b -> a^-1 b``.
 
-    ``b`` may be a vector or a matrix of stacked right-hand sides.
+    The gates below run once, here; the solver takes a vector or a matrix of
+    stacked right-hand sides.
 
     Raises
     ------
@@ -62,14 +65,24 @@ def solve_spd(a, b):
         If the factorization fails or a pivot falls at or below
         p * eps * max-diagonal.
     DimensionMismatch
-        If shapes are incompatible.
+        If ``a`` is not square, or (from the solver) if the leading
+        dimension of ``b`` does not match.
     """
     a = _as_square_symmetric(a, "a")
+    # a partial of a module function, unlike a closure, pickles with the fit
+    return functools.partial(_apply_factor, _cholesky_spd(a))
+
+
+def _apply_factor(lower: np.ndarray, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
-    if b.shape[0] != a.shape[0]:
-        raise DimensionMismatch(f"b has leading dimension {b.shape[0]}, expected {a.shape[0]}")
-    lower = _cholesky_spd(a)
+    if b.shape[0] != lower.shape[0]:
+        raise DimensionMismatch(f"b has leading dimension {b.shape[0]}, expected {lower.shape[0]}")
     return cho_solve((lower, True), b)
+
+
+def solve_spd(a, b):
+    """Solve a @ x = b for symmetric positive definite ``a``; see spd_solver."""
+    return spd_solver(a)(b)
 
 
 def eig_sym_extremes(a) -> tuple[float, float]:

@@ -12,6 +12,7 @@ column themselves (the CLI offers a flag for this).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +63,8 @@ class OlsFit:
         zero coordinate-wise (the normal equations) and feed every bootstrap
         and variance routine.
     data : the dataset the fit was computed from.
+    solve : b -> sigma_hat^-1 b through the one factorization of sigma_hat;
+        the variance estimates and the bootstrap draws reuse it.
     """
 
     beta_hat: np.ndarray
@@ -72,6 +75,7 @@ class OlsFit:
     n: int
     p: int
     data: Dataset = field(repr=False)
+    solve: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
 
 def fit_ols(data: Dataset) -> OlsFit:
@@ -85,9 +89,10 @@ def fit_ols(data: Dataset) -> OlsFit:
     sigma_hat = x.T @ x / n
     gamma_hat = x.T @ y / n
     try:
-        beta_hat = linalg.solve_spd(sigma_hat, gamma_hat)
+        solve = linalg.spd_solver(sigma_hat)
     except NotPositiveDefinite as exc:
         raise SingularDesign("design second-moment matrix is not positive definite") from exc
+    beta_hat = solve(gamma_hat)
     residuals = y - x @ beta_hat
     return OlsFit(
         beta_hat=beta_hat,
@@ -98,6 +103,7 @@ def fit_ols(data: Dataset) -> OlsFit:
         n=n,
         p=data.p,
         data=data,
+        solve=solve,
     )
 
 
@@ -113,7 +119,3 @@ def scores_at(data: Dataset, beta) -> np.ndarray:
         raise DimensionMismatch(f"beta has length {beta.shape[0]}, expected {data.p}")
     return data.x * (data.y - data.x @ beta)[:, None]
 
-
-def target_from_moments(sigma, gamma) -> np.ndarray:
-    """Solve the population normal equations sigma @ beta = gamma."""
-    return linalg.solve_spd(sigma, np.asarray(gamma, dtype=float).ravel())

@@ -85,12 +85,12 @@ class Dgp:
             raise ValueError(f"{self.kind} is a canonical p=2 scenario")
         if self.noise_scale is None:
             object.__setattr__(self, "noise_scale", _DEFAULT_NOISE[self.kind])
-        if self.noise_scale <= 0.0:
-            raise ValueError("noise_scale must be positive")
+        if not (np.isfinite(self.noise_scale) and self.noise_scale > 0.0):
+            raise ValueError(f"noise_scale must be positive and finite, got {self.noise_scale}")
         if self.kind == "linear_homoscedastic":
             beta = tuple(float(c) for c in (self.beta or np.ones(self.p)))
-            if len(beta) != self.p:
-                raise ValueError(f"beta must have length p={self.p}")
+            if len(beta) != self.p or not np.all(np.isfinite(beta)):
+                raise ValueError(f"beta must have p={self.p} finite entries, got {beta}")
             object.__setattr__(self, "beta", beta)
         elif self.beta is not None:
             raise ValueError(f"{self.kind} has a fixed canonical mean; beta is not a parameter")
@@ -152,8 +152,9 @@ def population_targets(dgp: Dgp, n: int) -> PopulationTargets:
     if dgp.is_fixed_design:
         x, mu, sd = _fixed_design(dgp, n)
         sigma = x.T @ x / n
+        solve = linalg.spd_solver(sigma)
         gamma = x.T @ mu / n
-        beta = linalg.solve_spd(sigma, gamma)
+        beta = solve(gamma)
         resid = mu - x @ beta
         k_n = np.einsum("ij,ik,i->jk", x, x, sd**2) / n
         k_star = k_n + np.einsum("ij,ik,i->jk", x, x, resid**2) / n
@@ -165,6 +166,7 @@ def population_targets(dgp: Dgp, n: int) -> PopulationTargets:
         sigma[0, :] = sigma[:, 0] = 0.5
         sigma[0, 0] = 1.0
         np.fill_diagonal(sigma[1:, 1:], 1.0 / 3.0)
+        solve = linalg.spd_solver(sigma)
         beta = np.asarray(dgp.beta, dtype=float)
         gamma = sigma @ beta
         k_n = dgp.noise_scale**2 * sigma
@@ -173,8 +175,9 @@ def population_targets(dgp: Dgp, n: int) -> PopulationTargets:
     else:
         mu, sd, kink = _mean_sd_profiles(dgp)
         sigma = np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])
+        solve = linalg.spd_solver(sigma)
         gamma = np.array([_quad01(mu), _quad01(lambda u: u * mu(u))])
-        beta = linalg.solve_spd(sigma, gamma)
+        beta = solve(gamma)
 
         def second_moment(u):
             return (mu(u) - beta[0] - beta[1] * u) ** 2 + sd(u) ** 2
@@ -192,8 +195,8 @@ def population_targets(dgp: Dgp, n: int) -> PopulationTargets:
         gamma_n=gamma,
         k_n=k_n,
         k_n_star=k_star,
-        av_n=_sandwich(sigma, k_n),
-        av_n_star=_sandwich(sigma, k_star),
+        av_n=_sandwich(solve, k_n),
+        av_n_star=_sandwich(solve, k_star),
         score_means=score_means,
     )
 
@@ -329,7 +332,7 @@ def run_coverage(
                     2.0 * reg.half_widths,
                 )
             elif m == "bootstrap_ellipsoid":
-                reg = region_ellipsoid(fit, draws, alpha)
+                reg = region_ellipsoid(fit, draws, var_s, alpha)
                 rec[m] = (np.array([float(reg.contains(beta_n))]), None)
             else:  # max_t_bootstrap
                 res = max_t_test(fit, var_s, beta_n, reference="bootstrap", draws=draws)

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .exceptions import DegenerateDof, NotPositiveDefinite, SingularDesign
+from .exceptions import DegenerateDof
 from .ols import OlsFit
 
 #: method tags carried by VarianceEstimate
@@ -60,12 +59,9 @@ def k_check(fit: OlsFit) -> np.ndarray:
     return np.einsum("ij,ik,i->jk", x, x, fit.residuals**2) / fit.n
 
 
-def _sandwich(sigma_hat: np.ndarray, meat: np.ndarray) -> np.ndarray:
-    try:
-        inner = linalg.solve_spd(sigma_hat, meat)
-        avar = linalg.solve_spd(sigma_hat, inner.T).T
-    except NotPositiveDefinite as exc:
-        raise SingularDesign("design second-moment matrix is not positive definite") from exc
+def _sandwich(solve, meat: np.ndarray) -> np.ndarray:
+    """sigma^-1 @ meat @ sigma^-1, given ``solve``: b -> sigma^-1 b."""
+    avar = solve(solve(meat).T).T
     return (avar + avar.T) / 2.0
 
 
@@ -79,7 +75,7 @@ def sandwich_avar(fit: OlsFit, dof_correct: bool = False) -> VarianceEstimate:
     if dof_correct and fit.n <= fit.p:
         raise DegenerateDof(f"HC1 needs n > p, got n={fit.n}, p={fit.p}")
     meat = k_check(fit)
-    avar = _sandwich(fit.sigma_hat, meat)
+    avar = _sandwich(fit.solve, meat)
     if dof_correct:
         avar = avar * (fit.n / (fit.n - fit.p))
     return VarianceEstimate(
@@ -100,10 +96,7 @@ def classical_avar(fit: OlsFit) -> VarianceEstimate:
     if fit.n <= fit.p:
         raise DegenerateDof(f"classical variance needs n > p, got n={fit.n}, p={fit.p}")
     sigma2 = float(fit.residuals @ fit.residuals) / (fit.n - fit.p)
-    try:
-        inv = linalg.solve_spd(fit.sigma_hat, np.eye(fit.p))
-    except NotPositiveDefinite as exc:
-        raise SingularDesign("design second-moment matrix is not positive definite") from exc
+    inv = fit.solve(np.eye(fit.p))
     avar = sigma2 * (inv + inv.T) / 2.0
     return VarianceEstimate(
         method=CLASSICAL,

@@ -194,8 +194,9 @@ class TestRegionRectangle:
         from leanreg import classical_avar
 
         draws = run_bootstrap(het_fit, b=20, seed=0)
-        with pytest.raises(ValueError):
-            region_rectangle(het_fit, draws, classical_avar(het_fit), alpha=0.05)
+        for region in (region_rectangle, region_ellipsoid):
+            with pytest.raises(ValueError):
+                region(het_fit, draws, classical_avar(het_fit), alpha=0.05)
 
     def test_contains_center(self, het_fit):
         draws = run_bootstrap(het_fit, b=200, seed=2)
@@ -208,25 +209,26 @@ class TestRegionRectangle:
 class TestRegionEllipsoid:
     def test_radius_matches_chi2_quantile(self, het_fit):
         draws = run_bootstrap(het_fit, b=10_000, seed=21)
-        region = region_ellipsoid(het_fit, draws, alpha=0.05)
+        region = region_ellipsoid(het_fit, draws, sandwich_avar(het_fit), alpha=0.05)
         assert region.radius == pytest.approx(stats.chi2.ppf(0.95, 2), rel=0.05)
 
     def test_contains_center(self, het_fit):
         draws = run_bootstrap(het_fit, b=100, seed=22)
-        region = region_ellipsoid(het_fit, draws, alpha=0.05)
+        region = region_ellipsoid(het_fit, draws, sandwich_avar(het_fit), alpha=0.05)
         assert region.contains(het_fit.beta_hat)
         assert region.radius >= 0
 
     def test_radius_monotone_in_level(self, het_fit):
         draws = run_bootstrap(het_fit, b=500, seed=23)
-        radii = [region_ellipsoid(het_fit, draws, alpha).radius for alpha in (0.2, 0.1, 0.05)]
+        var = sandwich_avar(het_fit)
+        radii = [region_ellipsoid(het_fit, draws, var, alpha).radius for alpha in (0.2, 0.1, 0.05)]
         assert radii[0] <= radii[1] <= radii[2]
 
     def test_quad_form_is_sandwich_inverse(self, het_fit):
         # membership of beta must equal the score statistic falling in the
         # k_check ellipsoid: quad_form = sigma k_check^-1 sigma
         draws = run_bootstrap(het_fit, b=100, seed=24)
-        region = region_ellipsoid(het_fit, draws, alpha=0.05)
+        region = region_ellipsoid(het_fit, draws, sandwich_avar(het_fit), alpha=0.05)
         expected = het_fit.sigma_hat @ np.linalg.solve(k_check(het_fit), het_fit.sigma_hat)
         np.testing.assert_allclose(region.quad_form, expected, rtol=1e-10)
 
@@ -234,4 +236,4 @@ class TestRegionEllipsoid:
         fit = perfect_fit()
         draws = run_bootstrap(fit, b=10, seed=0)
         with pytest.raises(NotPositiveDefinite):
-            region_ellipsoid(fit, draws, alpha=0.05)
+            region_ellipsoid(fit, draws, sandwich_avar(fit), alpha=0.05)

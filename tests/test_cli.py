@@ -174,6 +174,15 @@ class TestTestCommand:
         assert payload["config"]["seed"] == 55
         assert payload["results"]["b"] == 99
 
+    @pytest.mark.parametrize("env_seed", ["abc", "1.5"])
+    def test_invalid_seed_env_exits_2(self, env_seed, capsys, monkeypatch):
+        # same exit and message kind as --seed -1, not a ValueError traceback
+        monkeypatch.setenv("LEANREG_SEED", env_seed)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--dgp", "quadratic_mean_iid", "--n", "50"])
+        assert exc.value.code == 2
+        assert "config error: LEANREG_SEED" in capsys.readouterr().err
+
 
 class TestBootstrapCommand:
     def test_replay_is_byte_identical(self, example_csv, capsys):
@@ -245,6 +254,14 @@ class TestSimulateCommand:
 
 
 class TestCheckCommand:
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_scale_exits_2(self, noise, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--dgp", "quadratic_mean_iid", "--n", "50", "--seed", "1",
+                  "--noise-scale", noise])
+        assert exc.value.code == 2
+        assert "config error: noise_scale" in capsys.readouterr().err
+
     def test_fixed_design_check_is_clean(self, capsys):
         payload = run_json(
             ["check", "--dgp", "fixed_x_nonidentical_mean", "--n", "80", "--seed", "2"], capsys

@@ -1,14 +1,14 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from leanreg import (
     Dataset,
     DimensionMismatch,
-    NotPositiveDefinite,
     SingularDesign,
     fit_ols,
     scores_at,
-    target_from_moments,
 )
 
 
@@ -89,6 +89,24 @@ class TestFitOls:
         with pytest.raises(SingularDesign):
             fit_ols(Dataset(x=[[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]], y=[1.0, 2.0, 3.0]))
 
+    @pytest.mark.parametrize("rhs_shape", [(3,), (3, 4)])
+    def test_solver_matches_dense_solve_oracle(self, rhs_shape):
+        # oracle: LAPACK's general LU solve on the same sigma_hat
+        rng = np.random.default_rng(6)
+        x = np.column_stack([np.ones(40), rng.random((40, 2))])
+        fit = fit_ols(Dataset(x=x, y=rng.standard_normal(40)))
+        b = rng.standard_normal(rhs_shape)
+        np.testing.assert_allclose(
+            fit.solve(b), np.linalg.solve(fit.sigma_hat, b), rtol=1e-12, atol=1e-12
+        )
+        with pytest.raises(DimensionMismatch):
+            fit.solve(np.ones(4))
+
+    def test_fit_pickles_with_its_solver(self, tiny):
+        fit = fit_ols(tiny)
+        copy = pickle.loads(pickle.dumps(fit))
+        np.testing.assert_array_equal(copy.solve(np.eye(2)), fit.solve(np.eye(2)))
+
     def test_affine_equivariance(self, tiny):
         rng = np.random.default_rng(4)
         fit = fit_ols(tiny)
@@ -127,31 +145,3 @@ class TestScoresAt:
         with pytest.raises(DimensionMismatch):
             scores_at(tiny, [1.0, 2.0, 3.0])
 
-
-class TestTargetFromMoments:
-    def test_identity(self):
-        g = np.array([0.3, -0.7])
-        np.testing.assert_array_equal(target_from_moments(np.eye(2), g), g)
-
-    def test_zero_gamma(self):
-        np.testing.assert_array_equal(
-            target_from_moments(np.array([[2.0, 0.5], [0.5, 1.0]]), [0.0, 0.0]), [0.0, 0.0]
-        )
-
-    def test_uniform_quadratic_moments(self):
-        # oracle: exact 2x2 solve of [[1, 1/2], [1/2, 1/3]] beta = (1/3, 1/4)
-        sigma = np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])
-        gamma = np.array([1.0 / 3.0, 0.25])
-        det = sigma[0, 0] * sigma[1, 1] - sigma[0, 1] ** 2
-        expected = np.array(
-            [
-                (gamma[0] * sigma[1, 1] - sigma[0, 1] * gamma[1]) / det,
-                (sigma[0, 0] * gamma[1] - gamma[0] * sigma[1, 0]) / det,
-            ]
-        )
-        np.testing.assert_allclose(expected, [-1.0 / 6.0, 1.0], atol=1e-14)
-        np.testing.assert_allclose(target_from_moments(sigma, gamma), expected, atol=1e-12)
-
-    def test_not_positive_definite(self):
-        with pytest.raises(NotPositiveDefinite):
-            target_from_moments(np.array([[1.0, 1.0], [1.0, 1.0]]), [1.0, 1.0])

@@ -1,8 +1,12 @@
+import collections
+
 import numpy as np
 import pytest
 from scipy import integrate
 
+import leanreg.bootstrap
 import leanreg.simlab as simlab
+import leanreg.variance
 from leanreg import (
     Dgp,
     SingularDesign,
@@ -33,8 +37,14 @@ class TestDgp:
         assert dgp.p == 4
 
     def test_noise_scale_must_be_positive(self):
+        for bad in (0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                Dgp("quadratic_mean_iid", noise_scale=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_beta_must_be_finite(self, bad):
         with pytest.raises(ValueError):
-            Dgp("quadratic_mean_iid", noise_scale=0.0)
+            Dgp("linear_homoscedastic", beta=(bad, 1.0))
 
 
 class TestPopulationTargets:
@@ -202,6 +212,49 @@ class TestRunCoverage:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             run_coverage(Dgp("quadratic_mean_iid"), 50, 2, ("pairs_bootstrap",), 0.05, 0)
+
+
+class TestFactorizationCounts:
+    """Each SPD matrix is factored once, by the code that builds it."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = collections.Counter()
+        real_cholesky, real_k_check = np.linalg.cholesky, leanreg.variance.k_check
+
+        def cholesky(a, *args, **kwargs):
+            counts["cholesky"] += 1
+            return real_cholesky(a, *args, **kwargs)
+
+        def k_check(fit):
+            counts["k_check"] += 1
+            return real_k_check(fit)
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        for module in (leanreg.variance, leanreg.bootstrap, simlab):
+            monkeypatch.setattr(module, "k_check", k_check, raising=False)
+        return counts
+
+    def test_all_methods_replication_factors_sigma_hat_and_k_check_once(self, counts):
+        def run(replications):
+            counts.clear()
+            run_coverage(
+                Dgp("fixed_x_nonidentical_mean"), n=60, replications=replications,
+                methods=simlab.COVERAGE_METHODS, alpha=0.05, seed=5, b=50,
+            )
+            return dict(counts)
+
+        one, three = run(1), run(3)
+        # two more replications: sigma_hat and k_check factored, k_check built, once each
+        assert three["cholesky"] - one["cholesky"] == 2 * 2
+        assert three["k_check"] - one["k_check"] == 2 * 1
+        # the one left over is sigma_n in population_targets
+        assert one == {"cholesky": 3, "k_check": 1}
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_population_targets_factors_sigma_n_at_most_once(self, counts, kind):
+        population_targets(Dgp(kind), 50)
+        assert counts["cholesky"] <= 1
 
 
 class TestRunConsistency:

@@ -1,0 +1,106 @@
+"""Byte-identity corpus for the leanreg CLI.
+
+    python tools/cli_digest.py > digest.txt
+
+Writes fixed-seed CSVs to a temporary directory, runs a fixed list of
+``fit``, ``test``, ``bootstrap``, ``simulate`` and ``check`` commands as
+``python -m leanreg`` against this checkout's ``src/`` with BLAS pinned to
+one thread, and prints one line per command:
+
+    <exit code> <sha256 of stdout> <command>
+
+Commands run inside the temporary directory and name the CSVs by relative
+path, so the echoed configs, and so the digests, do not depend on where the
+directory is. Compare the output of two checkouts with ``diff``: a changed
+line is a command whose exit code or stdout bytes changed. Uses only the
+standard library and numpy.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+DGPS = (
+    "linear_homoscedastic",
+    "quadratic_mean_iid",
+    "heteroscedastic_iid",
+    "fixed_x_heteroscedastic",
+    "fixed_x_nonidentical_mean",
+)
+
+
+def write_csvs(directory: pathlib.Path) -> None:
+    """Three CSVs of growing size, each from its own fixed seed; plus a collinear one."""
+    shapes = {"small": (300, 2, 1), "wide": (1000, 4, 2), "tall": (20000, 10, 3)}
+    for name, (n, p, seed) in shapes.items():
+        rng = np.random.default_rng(seed)
+        x = rng.random((n, p))
+        noise = (0.2 + x[:, 0]) * rng.standard_normal(n)
+        y = 1.0 + x @ np.linspace(1.0, -1.0, p) + x[:, 0] ** 2 + noise
+        header = ",".join([f"x{j}" for j in range(p)] + ["y"])
+        np.savetxt(
+            directory / f"{name}.csv", np.column_stack([x, y]),
+            delimiter=",", header=header, comments="", fmt="%.17g",
+        )
+    (directory / "collinear.csv").write_text("a,b,y\n1,2,1\n2,4,2\n3,6,5\n")
+
+
+def commands() -> list[list[str]]:
+    """The corpus, with data paths relative to the CSV directory."""
+    cmds = []
+    for name in ("small", "wide", "tall"):
+        data = ["--data", f"{name}.csv", "--response", "y"]
+        cmds += [
+            ["fit", *data],
+            ["fit", *data, "--add-intercept"],
+            ["test", *data, "--add-intercept", "--null", "0"],
+            ["test", *data, "--coef", "1", "--null", "0.5", "--reference", "t", "--variance", "classical"],
+            ["test", *data, "--add-intercept", "--reference", "bootstrap", "--B", "300", "--seed", "7"],
+            ["bootstrap", *data, "--add-intercept", "--B", "300", "--seed", "11"],
+            ["bootstrap", *data, "--B", "300", "--seed", "12", "--weights", "rademacher",
+             "--variance", "hc1", "--alpha", "0.1"],
+            ["bootstrap", *data, "--B", "200", "--seed", "13", "--m", "150"],
+        ]
+    cmds += [
+        ["fit", "--data", "collinear.csv", "--response", "y"],
+        ["test", "--data", "small.csv", "--response", "y", "--coef", "2"],
+        ["bootstrap", "--data", "small.csv", "--response", "y", "--B", "50", "--seed", "1",
+         "--variance", "classical"],
+    ]
+    for dgp in DGPS:
+        cmds += [
+            ["check", "--dgp", dgp, "--n", "500", "--seed", "3"],
+            ["simulate", "--dgp", dgp, "--n", "100", "--reps", "20", "--B", "200", "--seed", "5",
+             "--methods", "classical_normal,sandwich_normal,bootstrap_rectangle,"
+             "bootstrap_ellipsoid,max_t_bootstrap"],
+        ]
+    cmds.append(["simulate", "--dgp", "heteroscedastic_iid", "--n", "80", "--reps", "10",
+                 "--B", "100", "--seed", "6", "--weights", "rademacher"])
+    return cmds
+
+
+def main() -> int:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
+    env.pop("LEANREG_SEED", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_csvs(pathlib.Path(tmp))
+        for cmd in commands():
+            proc = subprocess.run(
+                [sys.executable, "-m", "leanreg", *cmd], capture_output=True, env=env, cwd=tmp
+            )
+            digest = hashlib.sha256(proc.stdout).hexdigest()
+            print(f"{proc.returncode} {digest} {' '.join(cmd)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
