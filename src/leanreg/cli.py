@@ -156,30 +156,15 @@ class Report:
     warnings: list
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):  # bool first: Python bools are ints
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+def _json_default(obj):
+    """numpy arrays and scalars as lists and Python numbers; json handles the rest."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def report_json(report: Report) -> str:
-    payload = {
-        "command": report.command,
-        "config": _jsonable(report.config),
-        "results": _jsonable(report.results),
-        "warnings": list(report.warnings),
-    }
-    return json.dumps(payload, sort_keys=True, indent=2)
+    return json.dumps(vars(report), sort_keys=True, indent=2, default=_json_default)
 
 
 def _variance_for(fit, kind: str):
@@ -469,7 +454,7 @@ def main(argv=None) -> int:
     except _DATA_ERRORS + (LeanRegError,) as exc:
         payload = {
             "command": config.command,
-            "config": _jsonable(dataclasses.asdict(config)),
+            "config": dataclasses.asdict(config),
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
         _emit(json.dumps(payload, sort_keys=True, indent=2), config.out)

@@ -24,6 +24,10 @@ Canonical parameterizations (fixed so the acceptance numbers are stable):
   per-observation score means are nonzero (averaging to zero) and
   k_n is strictly below k_n_star.
 
+Each p=2 kind's mean and sd profile is written once, in ``_profile``. A
+fixed design's target is the least squares fit of its mean vector: beta_n,
+the score means and k_n_star - k_n are that fit's beta_hat, scores_hat, k_check.
+
 Replication r of any Monte Carlo run draws from the generator seeded by
 (seed, r), so reports depend only on the seed.
 """
@@ -39,8 +43,8 @@ from . import linalg
 from .bootstrap import WEIGHT_DISTS, region_ellipsoid, region_rectangle, run_bootstrap, subseed
 from .exceptions import IntegrationFailure, SingularDesign
 from .inference import max_t_test
-from .ols import Dataset, fit_ols
-from .variance import _sandwich, classical_avar, sandwich_avar
+from .ols import Dataset, fit_ols, scores_at
+from .variance import _sandwich, classical_avar, k_check, sandwich_avar
 
 DGP_KINDS = (
     "linear_homoscedastic",
@@ -124,22 +128,25 @@ def _quad01(f, points=None) -> float:
     return value
 
 
-def _mean_sd_profiles(dgp: Dgp):
-    """Conditional mean and sd of y given the scalar covariate u, p=2 kinds."""
+def _profile(dgp: Dgp):
+    """Mean and sd of y given the scalar covariate u, and the sd's kinks (p=2)."""
     s = dgp.noise_scale
+    curved = dgp.kind in ("quadratic_mean_iid", "fixed_x_nonidentical_mean")
+    mean = (lambda u: u**2) if curved else (lambda u: 1.0 + u)
+    if dgp.is_fixed_design:
+        return mean, (lambda u: s * (0.1 + u)), None
     if dgp.kind == "quadratic_mean_iid":
-        return (lambda u: u**2), (lambda u: s + 0.0 * u), None
+        return mean, (lambda u: s + 0.0 * u), None
     if dgp.kind == "heteroscedastic_iid":
-        return (lambda u: 1.0 + u), (lambda u: s * (0.2 + np.abs(u - 0.5))), [0.5]
+        return mean, (lambda u: s * (0.2 + np.abs(u - 0.5))), [0.5]
     raise AssertionError(dgp.kind)
 
 
 def _fixed_design(dgp: Dgp, n: int):
+    """The least squares fit of the mean vector on the design u_i = i/n, and sd."""
     u = np.arange(1, n + 1) / n
-    x = np.column_stack([np.ones(n), u])
-    mu = 1.0 + u if dgp.kind == "fixed_x_heteroscedastic" else u**2
-    sd = dgp.noise_scale * (0.1 + u)
-    return x, mu, sd
+    mean, sd, _ = _profile(dgp)
+    return fit_ols(Dataset(x=np.column_stack([np.ones(n), u]), y=mean(u))), sd(u)
 
 
 def population_targets(dgp: Dgp, n: int) -> PopulationTargets:
@@ -147,18 +154,18 @@ def population_targets(dgp: Dgp, n: int) -> PopulationTargets:
 
     Closed forms are used where the integrands are polynomial in u; the
     heteroscedastic noise profile has a kink at u = 1/2 and is integrated by
-    adaptive quadrature split at the kink. Fixed designs are finite sums.
+    adaptive quadrature split at the kink. Fixed designs are finite sums: the
+    target is the least squares fit of the mean vector, k_n_star - k_n is that
+    fit's k_check and the score means are its score rows.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     if dgp.is_fixed_design:
-        x, mu, sd = _fixed_design(dgp, n)
-        sigma = x.T @ x / n
-        solve = linalg.spd_solver(sigma)
-        gamma = x.T @ mu / n
-        beta = solve(gamma)
-        resid = mu - x @ beta
-        k_n = np.einsum("ij,ik,i->jk", x, x, sd**2) / n
-        k_star = k_n + np.einsum("ij,ik,i->jk", x, x, resid**2) / n
-        score_means = x * resid[:, None]
+        fit, sd = _fixed_design(dgp, n)
+        sigma, gamma, beta, solve = fit.sigma_hat, fit.gamma_hat, fit.beta_hat, fit.solve
+        k_n = np.einsum("ij,ik,i->jk", fit.data.x, fit.data.x, sd**2) / n
+        k_star = k_n + k_check(fit)
+        score_means = fit.scores_hat
     elif dgp.kind == "linear_homoscedastic":
         p = dgp.p
         # E[u_j] = 1/2, E[u_j^2] = 1/3, E[u_j u_k] = 1/4 for j != k
@@ -173,7 +180,7 @@ def population_targets(dgp: Dgp, n: int) -> PopulationTargets:
         k_star = k_n.copy()
         score_means = np.zeros((n, p))
     else:
-        mu, sd, kink = _mean_sd_profiles(dgp)
+        mu, sd, kink = _profile(dgp)
         sigma = np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])
         solve = linalg.spd_solver(sigma)
         gamma = np.array([_quad01(mu), _quad01(lambda u: u * mu(u))])
@@ -210,8 +217,7 @@ def population_score_means(dgp: Dgp, n: int, beta) -> np.ndarray:
     """
     beta = np.asarray(beta, dtype=float).ravel()
     if dgp.is_fixed_design:
-        x, mu, _ = _fixed_design(dgp, n)
-        return x * (mu - x @ beta)[:, None]
+        return scores_at(_fixed_design(dgp, n)[0].data, beta)
     pop = population_targets(dgp, n)
     row = pop.gamma_n - pop.sigma_n @ beta
     return np.tile(row, (n, 1))
@@ -227,20 +233,15 @@ def sample(dgp: Dgp, n: int, rng_state) -> Dataset:
     if n < 1:
         raise ValueError("need n >= 1")
     rng = np.random.default_rng(rng_state)
-    if dgp.is_fixed_design:
-        x, mu, sd = _fixed_design(dgp, n)
-        y = mu + sd * rng.standard_normal(n)
-        return Dataset(x=x, y=y)
     if dgp.kind == "linear_homoscedastic":
         u = rng.random((n, dgp.p - 1))
         x = np.column_stack([np.ones(n), u])
         y = x @ np.asarray(dgp.beta) + dgp.noise_scale * rng.standard_normal(n)
         return Dataset(x=x, y=y)
-    u = rng.random(n)
-    x = np.column_stack([np.ones(n), u])
-    mu, sd, _ = _mean_sd_profiles(dgp)
-    y = mu(u) + sd(u) * rng.standard_normal(n)
-    return Dataset(x=x, y=y)
+    u = np.arange(1, n + 1) / n if dgp.is_fixed_design else rng.random(n)
+    mean, sd, _ = _profile(dgp)
+    y = mean(u) + sd(u) * rng.standard_normal(n)
+    return Dataset(x=np.column_stack([np.ones(n), u]), y=y)
 
 
 @dataclass(frozen=True)
@@ -306,59 +307,52 @@ def run_coverage(
     needs_boot = any(m.startswith("bootstrap") or m == "max_t_bootstrap" for m in methods)
     needs_sandwich = needs_boot or "sandwich_normal" in methods
 
-    def one(r: int):
-        rng = np.random.default_rng(subseed(seed, r))
-        data = sample(dgp, n, rng)
+    # per method, one entry per kept replication: covered coordinates (or the
+    # joint region, or a rejection of the true null) and interval widths
+    hits = {m: [] for m in methods}
+    widths = {m: [] for m in hits if m not in ("bootstrap_ellipsoid", "max_t_bootstrap")}
+    excluded = 0
+    for r in range(replications):
         try:
-            fit = fit_ols(data)
+            fit = fit_ols(sample(dgp, n, np.random.default_rng(subseed(seed, r))))
         except SingularDesign:
-            return None
+            excluded += 1
+            continue
         var_s = sandwich_avar(fit) if needs_sandwich else None
         draws = (
             run_bootstrap(fit, "multiplier", b=b, dist=weight_dist, seed=(seed, r, 1))
             if needs_boot
             else None
         )
-        rec = {}
-        for m in methods:
+        for m in hits:
             if m in ("classical_normal", "sandwich_normal"):
                 var = classical_avar(fit) if m == "classical_normal" else var_s
-                covered = np.abs(fit.beta_hat - beta_n) <= z * var.se
-                rec[m] = (covered.astype(float), 2.0 * z * var.se)
+                hits[m].append(np.abs(fit.beta_hat - beta_n) <= z * var.se)
+                widths[m].append(2.0 * z * var.se)
             elif m == "bootstrap_rectangle":
                 reg = region_rectangle(fit, draws, var_s, alpha)
-                rec[m] = (
-                    np.array([float(reg.contains(beta_n))]),
-                    2.0 * reg.half_widths,
-                )
+                hits[m].append([reg.contains(beta_n)])
+                widths[m].append(2.0 * reg.half_widths)
             elif m == "bootstrap_ellipsoid":
-                reg = region_ellipsoid(fit, draws, var_s, alpha)
-                rec[m] = (np.array([float(reg.contains(beta_n))]), None)
+                hits[m].append([region_ellipsoid(fit, draws, var_s, alpha).contains(beta_n)])
             else:  # max_t_bootstrap
                 res = max_t_test(fit, var_s, beta_n, reference="bootstrap", draws=draws)
-                rec[m] = (None, None, float(res.p_value <= alpha))
-        return rec
-
-    records = [one(r) for r in range(replications)]
-    kept = [rec for rec in records if rec is not None]
-    excluded = replications - len(kept)
-    if not kept:
+                hits[m].append(res.p_value <= alpha)
+    r_eff = replications - excluded
+    if not r_eff:
         raise SingularDesign("every replication produced a singular design")
-    r_eff = len(kept)
 
     coverage, coverage_se, mean_width, rejection, rejection_se = {}, {}, {}, {}, {}
-    for m in methods:
+    for m in hits:
+        prop = np.mean(np.array(hits[m], dtype=float), axis=0)
         if m == "max_t_bootstrap":
-            rate = float(np.mean([rec[m][2] for rec in kept]))
-            rejection[m] = rate
-            rejection_se[m] = float(_mc_se(np.array(rate), r_eff))
-            continue
-        cov = np.mean(np.stack([rec[m][0] for rec in kept]), axis=0)
-        coverage[m] = [float(c) for c in cov]
-        coverage_se[m] = [float(s) for s in _mc_se(cov, r_eff)]
-        widths = [rec[m][1] for rec in kept]
-        if widths[0] is not None:
-            mean_width[m] = [float(w) for w in np.mean(np.stack(widths), axis=0)]
+            rejection[m] = float(prop)
+            rejection_se[m] = float(_mc_se(prop, r_eff))
+        else:
+            coverage[m] = [float(c) for c in prop]
+            coverage_se[m] = [float(s) for s in _mc_se(prop, r_eff)]
+    for m in widths:
+        mean_width[m] = [float(w) for w in np.mean(widths[m], axis=0)]
 
     return CoverageReport(
         scenario=dgp.kind,

@@ -262,6 +262,19 @@ class TestCheckCommand:
         assert exc.value.code == 2
         assert "config error: noise_scale" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["check", "--dgp", "fixed_x_heteroscedastic", "--n", "0", "--seed", "1"],
+        ["simulate", "--dgp", "fixed_x_nonidentical_mean", "--n", "0", "--reps", "2", "--seed", "1"],
+    ], ids=["check", "simulate"])
+    def test_empty_sample_size_exits_2(self, command):
+        # a fresh interpreter, so numpy warnings reach stderr as a user sees them
+        proc = subprocess.run(
+            [sys.executable, "-m", "leanreg", *command], capture_output=True, text=True
+        )
+        assert proc.returncode == 2
+        assert "config error: need n >= 1" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_fixed_design_check_is_clean(self, capsys):
         payload = run_json(
             ["check", "--dgp", "fixed_x_nonidentical_mean", "--n", "80", "--seed", "2"], capsys

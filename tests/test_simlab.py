@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
@@ -99,15 +100,20 @@ class TestPopulationTargets:
         assert np.abs(pop.score_means).max() > 0.0
         np.testing.assert_allclose(pop.score_means.mean(axis=0), 0.0, atol=1e-10)
 
-    def test_fixed_design_oracle_finite_sums(self):
+    @pytest.mark.parametrize(
+        "kind, mean",
+        [("fixed_x_nonidentical_mean", lambda u: u**2), ("fixed_x_heteroscedastic", lambda u: 1.0 + u)],
+        ids=["fixed_x_nonidentical_mean", "fixed_x_heteroscedastic"],
+    )
+    def test_fixed_design_oracle_finite_sums(self, kind, mean):
         # oracle: direct loops over the design
         n = 40
-        pop = population_targets(Dgp("fixed_x_nonidentical_mean"), n)
+        pop = population_targets(Dgp(kind), n)
         u = np.arange(1, n + 1) / n
         x = np.column_stack([np.ones(n), u])
         sigma = sum(np.outer(x[i], x[i]) for i in range(n)) / n
         np.testing.assert_allclose(pop.sigma_n, sigma, atol=1e-14)
-        mu = u**2
+        mu = mean(u)
         sd = 0.1 + u
         beta = np.linalg.solve(sigma, x.T @ mu / n)
         np.testing.assert_allclose(pop.beta_n, beta, atol=1e-12)
@@ -131,16 +137,37 @@ class TestPopulationTargets:
         inv = np.linalg.inv(pop.sigma_n)
         np.testing.assert_allclose(pop.av_n, inv @ pop.k_n @ inv, atol=1e-10)
 
-    def test_score_means_at_arbitrary_beta(self):
-        dgp = Dgp("quadratic_mean_iid")
+    @pytest.mark.parametrize("kind", ["quadratic_mean_iid", "fixed_x_nonidentical_mean"])
+    def test_score_means_at_arbitrary_beta(self, kind):
+        dgp = Dgp(kind)
         pop = population_targets(dgp, 5)
         np.testing.assert_allclose(
             population_score_means(dgp, 5, pop.beta_n), pop.score_means, atol=1e-10
         )
         beta = np.array([0.3, -0.2])
         rows = population_score_means(dgp, 5, beta)
-        expected_row = pop.gamma_n - pop.sigma_n @ beta
-        np.testing.assert_allclose(rows, np.tile(expected_row, (5, 1)), atol=1e-12)
+        if dgp.is_fixed_design:
+            # oracle: x_i (mu_i - x_i' beta), looping over u_i = i/5 with mean u_i^2
+            expected = np.empty((5, 2))
+            for i in range(5):
+                u_i = (i + 1) / 5
+                x_i = np.array([1.0, u_i])
+                expected[i] = x_i * (u_i**2 - x_i @ beta)
+        else:
+            expected = np.tile(pop.gamma_n - pop.sigma_n @ beta, (5, 1))
+        np.testing.assert_allclose(rows, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_rejects_empty_sample_size(self, kind, n):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            population_targets(Dgp(kind), n)
+
+    @pytest.mark.parametrize("kind", ["fixed_x_heteroscedastic", "fixed_x_nonidentical_mean"])
+    def test_one_point_fixed_design_is_singular(self, kind):
+        # the target is a least squares fit on the design, which needs n >= p
+        with pytest.raises(SingularDesign):
+            population_targets(Dgp(kind), 1)
 
 
 class TestSample:
@@ -202,12 +229,34 @@ class TestRunCoverage:
             return real_fit(data)
 
         monkeypatch.setattr(simlab, "fit_ols", flaky_fit)
-        rep = run_coverage(
-            Dgp("quadratic_mean_iid"), n=50, replications=6,
-            methods=("sandwich_normal",), alpha=0.05, seed=8,
-        )
-        assert rep.excluded == 1
-        assert rep.replications == 6
+        # each method keeps its own tally, so each must drop the singular replication
+        for method in simlab.COVERAGE_METHODS:
+            calls["i"] = 0
+            rep = run_coverage(
+                Dgp("quadratic_mean_iid"), n=50, replications=6,
+                methods=(method,), alpha=0.05, seed=8, b=50,
+            )
+            assert rep.excluded == 1, method
+            assert rep.replications == 6, method
+            props = rep.coverage.get(method) or [rep.rejection_rate[method]]
+            ses = rep.coverage_se.get(method) or [rep.rejection_se[method]]
+            for c, se in zip(props, ses):
+                assert (c * 5).is_integer(), method
+                assert se == np.sqrt(c * (1.0 - c) / 5), method
+
+    def test_duplicated_methods_are_computed_once(self):
+        def report(methods):
+            return run_coverage(
+                Dgp("fixed_x_nonidentical_mean"), n=40, replications=5,
+                methods=methods, alpha=0.1, seed=3, b=50,
+            )
+
+        once = report(simlab.COVERAGE_METHODS)
+        twice = report(simlab.COVERAGE_METHODS + simlab.COVERAGE_METHODS[::-1])
+        assert twice.methods == simlab.COVERAGE_METHODS + simlab.COVERAGE_METHODS[::-1]
+        for f in dataclasses.fields(once):
+            if f.name != "methods":
+                assert getattr(twice, f.name) == getattr(once, f.name), f.name
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -248,8 +297,9 @@ class TestFactorizationCounts:
         # two more replications: sigma_hat and k_check factored, k_check built, once each
         assert three["cholesky"] - one["cholesky"] == 2 * 2
         assert three["k_check"] - one["k_check"] == 2 * 1
-        # the one left over is sigma_n in population_targets
-        assert one == {"cholesky": 3, "k_check": 1}
+        # population_targets adds one of each: it fits the mean vector on the
+        # fixed design (factoring sigma_n) and builds that fit's k_check
+        assert one == {"cholesky": 3, "k_check": 2}
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_population_targets_factors_sigma_n_at_most_once(self, counts, kind):

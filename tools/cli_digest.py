@@ -85,6 +85,15 @@ def commands() -> list[list[str]]:
         ]
     cmds.append(["simulate", "--dgp", "heteroscedastic_iid", "--n", "80", "--reps", "10",
                  "--B", "100", "--seed", "6", "--weights", "rademacher"])
+    # the smallest fixed design every method runs on (n = p + 1), and a method listed twice
+    cmds += [
+        ["check", "--dgp", "fixed_x_heteroscedastic", "--n", "3", "--seed", "3"],
+        ["simulate", "--dgp", "fixed_x_heteroscedastic", "--n", "3", "--reps", "8", "--B", "50",
+         "--seed", "4", "--methods", "classical_normal,sandwich_normal,bootstrap_rectangle,"
+         "bootstrap_ellipsoid,max_t_bootstrap"],
+        ["simulate", "--dgp", "quadratic_mean_iid", "--n", "40", "--reps", "6", "--B", "50",
+         "--seed", "5", "--methods", "sandwich_normal,max_t_bootstrap,sandwich_normal"],
+    ]
     return cmds
 
 
