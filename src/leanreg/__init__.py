@@ -28,7 +28,6 @@ from .exceptions import (
     DegenerateDof,
     DimensionMismatch,
     EmptyData,
-    IntegrationFailure,
     LeanRegError,
     MissingColumn,
     NoConvergence,
@@ -66,7 +65,6 @@ __all__ = [
     "Dgp",
     "DimensionMismatch",
     "EmptyData",
-    "IntegrationFailure",
     "LeanRegError",
     "MissingColumn",
     "NoConvergence",

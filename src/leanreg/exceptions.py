@@ -43,10 +43,6 @@ class BadCoordinate(LeanRegError):
     """A coordinate index is out of range."""
 
 
-class IntegrationFailure(LeanRegError):
-    """Numeric integration did not reach the required tolerance."""
-
-
 class MissingColumn(LeanRegError):
     """A named CSV column is absent."""
 

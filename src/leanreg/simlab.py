@@ -6,8 +6,8 @@ coefficients beta_n, the moment matrices sigma_n and gamma_n, the true score
 covariance k_n, its estimable upper bound k_n_star, and the corresponding
 coefficient-scale variances av_n and av_n_star. Random-covariate kinds keep
 all covariates supported on [0, 1], so every moment needed anywhere (sixth
-moments included) is finite by construction; moments without a convenient
-closed form are computed by adaptive quadrature to absolute tolerance 1e-10.
+moments included) is finite by construction; the moments are computed in exact
+rational arithmetic and rounded to float once.
 
 Canonical parameterizations (fixed so the acceptance numbers are stable):
 
@@ -34,14 +34,16 @@ Replication r of any Monte Carlo run draws from the generator seeded by
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from . import linalg
 from .bootstrap import WEIGHT_DISTS, region_ellipsoid, region_rectangle, run_bootstrap, subseed
-from .exceptions import IntegrationFailure, SingularDesign
+from .exceptions import DimensionMismatch, SingularDesign
 from .inference import max_t_test
 from .ols import Dataset, fit_ols, scores_at
 from .variance import _sandwich, classical_avar, k_check, sandwich_avar
@@ -87,8 +89,8 @@ class Dgp:
             raise ValueError("DGPs need p >= 2 (ones column plus at least one covariate)")
         if self.p > 2 and self.kind != "linear_homoscedastic":
             raise ValueError(f"{self.kind} is a canonical p=2 scenario")
-        if self.noise_scale is None:
-            object.__setattr__(self, "noise_scale", _DEFAULT_NOISE[self.kind])
+        noise = _DEFAULT_NOISE[self.kind] if self.noise_scale is None else float(self.noise_scale)
+        object.__setattr__(self, "noise_scale", noise)
         if not (np.isfinite(self.noise_scale) and self.noise_scale > 0.0):
             raise ValueError(f"noise_scale must be positive and finite, got {self.noise_scale}")
         if self.kind == "linear_homoscedastic":
@@ -118,45 +120,57 @@ class PopulationTargets:
     score_means: np.ndarray
 
 
-def _quad01(f, points=None) -> float:
-    """Integrate f over [0, 1] to absolute tolerance 1e-10 or raise."""
-    value, abserr = integrate.quad(
-        f, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200, points=points
-    )
-    if abserr > 1e-10:
-        raise IntegrationFailure(f"quadrature error estimate {abserr:.2e} exceeds 1e-10")
-    return value
-
-
-def _profile(dgp: Dgp):
-    """Mean and sd of y given the scalar covariate u, and the sd's kinks (p=2)."""
-    s = dgp.noise_scale
+def _profile(dgp: Dgp, num=float):
+    """Mean and sd of y given the scalar covariate u (p=2); constants of type num."""
+    s = num(dgp.noise_scale)
     curved = dgp.kind in ("quadratic_mean_iid", "fixed_x_nonidentical_mean")
-    mean = (lambda u: u**2) if curved else (lambda u: 1.0 + u)
+    mean = (lambda u: u**2) if curved else (lambda u: 1 + u)
     if dgp.is_fixed_design:
-        return mean, (lambda u: s * (0.1 + u)), None
+        return mean, (lambda u: s * (num(0.1) + u))
     if dgp.kind == "quadratic_mean_iid":
-        return mean, (lambda u: s + 0.0 * u), None
+        return mean, (lambda u: s + 0 * u)
     if dgp.kind == "heteroscedastic_iid":
-        return mean, (lambda u: s * (0.2 + np.abs(u - 0.5))), [0.5]
+        return mean, (lambda u: s * (num(0.2) + abs(u - num(0.5))))
     raise AssertionError(dgp.kind)
+
+
+# the closed 7-point Newton-Cotes rule, weights (41, 216, 27, 272, 27, 216, 41) / 840, on
+# [0, 1/2] and on [1/2, 1] at nodes i/12: exact for a polynomial of degree <= 7 on each half
+_NC_WEIGHTS = [Fraction(w, 1680) for w in (41, 216, 27, 272, 27, 216, 82, 216, 27, 272, 27, 216, 41)]
+
+
+def _integral01(f) -> Fraction:
+    return sum(w * f(Fraction(i, 12)) for i, w in enumerate(_NC_WEIGHTS))
+
+
+@functools.cache
+def _random_x_moments(dgp: Dgp):
+    """Exact gamma_n, beta_n and k_n of a random-x p=2 kind, as Fractions."""
+    # Fraction(float) is exact: these are the moments of the DGP that sample draws from
+    mu, sd = _profile(dgp, Fraction)
+    g0, g1 = _integral01(mu), _integral01(lambda u: u * mu(u))
+    b0, b1 = 4 * g0 - 6 * g1, 12 * g1 - 6 * g0  # sigma_n^-1 = (4, -6; -6, 12)
+    k00, k01, k11 = (
+        _integral01(lambda u: u**j * ((mu(u) - b0 - b1 * u) ** 2 + sd(u) ** 2)) for j in range(3)
+    )
+    return (g0, g1), (b0, b1), ((k00, k01), (k01, k11))
 
 
 def _fixed_design(dgp: Dgp, n: int):
     """The least squares fit of the mean vector on the design u_i = i/n, and sd."""
     u = np.arange(1, n + 1) / n
-    mean, sd, _ = _profile(dgp)
+    mean, sd = _profile(dgp)
     return fit_ols(Dataset(x=np.column_stack([np.ones(n), u]), y=mean(u))), sd(u)
 
 
 def population_targets(dgp: Dgp, n: int) -> PopulationTargets:
     """Exact moments, targets and score covariances for the scenario.
 
-    Closed forms are used where the integrands are polynomial in u; the
-    heteroscedastic noise profile has a kink at u = 1/2 and is integrated by
-    adaptive quadrature split at the kink. Fixed designs are finite sums: the
-    target is the least squares fit of the mean vector, k_n_star - k_n is that
-    fit's k_check and the score means are its score rows.
+    Random-x p=2 kinds integrate ``_profile`` exactly (each integrand is a
+    polynomial on either side of u = 1/2) and round once to float. Fixed
+    designs are finite sums: the target is the least squares fit of the mean
+    vector, k_n_star - k_n is that fit's k_check and the score means are its
+    score rows.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -166,35 +180,21 @@ def population_targets(dgp: Dgp, n: int) -> PopulationTargets:
         k_n = np.einsum("ij,ik,i->jk", fit.data.x, fit.data.x, sd**2) / n
         k_star = k_n + k_check(fit)
         score_means = fit.scores_hat
-    elif dgp.kind == "linear_homoscedastic":
-        p = dgp.p
+    else:
         # E[u_j] = 1/2, E[u_j^2] = 1/3, E[u_j u_k] = 1/4 for j != k
-        sigma = np.full((p, p), 0.25)
+        sigma = np.full((dgp.p, dgp.p), 0.25)
         sigma[0, :] = sigma[:, 0] = 0.5
         sigma[0, 0] = 1.0
         np.fill_diagonal(sigma[1:, 1:], 1.0 / 3.0)
+        if dgp.kind == "linear_homoscedastic":
+            beta = np.asarray(dgp.beta, dtype=float)
+            gamma = sigma @ beta
+            k_n = dgp.noise_scale**2 * sigma
+        else:
+            gamma, beta, k_n = (np.array(m, dtype=float) for m in _random_x_moments(dgp))
         solve = linalg.spd_solver(sigma)
-        beta = np.asarray(dgp.beta, dtype=float)
-        gamma = sigma @ beta
-        k_n = dgp.noise_scale**2 * sigma
         k_star = k_n.copy()
-        score_means = np.zeros((n, p))
-    else:
-        mu, sd, kink = _profile(dgp)
-        sigma = np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])
-        solve = linalg.spd_solver(sigma)
-        gamma = np.array([_quad01(mu), _quad01(lambda u: u * mu(u))])
-        beta = solve(gamma)
-
-        def second_moment(u):
-            return (mu(u) - beta[0] - beta[1] * u) ** 2 + sd(u) ** 2
-
-        k_n = np.empty((2, 2))
-        k_n[0, 0] = _quad01(second_moment, kink)
-        k_n[0, 1] = k_n[1, 0] = _quad01(lambda u: u * second_moment(u), kink)
-        k_n[1, 1] = _quad01(lambda u: u**2 * second_moment(u), kink)
-        k_star = k_n.copy()
-        score_means = np.zeros((n, 2))
+        score_means = np.zeros((n, dgp.p))
 
     return PopulationTargets(
         beta_n=beta,
@@ -215,7 +215,11 @@ def population_score_means(dgp: Dgp, n: int, beta) -> np.ndarray:
     iid kinds); elsewhere they pick up the projection misfit, which is what a
     negative-control check of the linear representation needs.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     beta = np.asarray(beta, dtype=float).ravel()
+    if beta.shape != (dgp.p,):
+        raise DimensionMismatch(f"beta has length {beta.size}, expected {dgp.p}")
     if dgp.is_fixed_design:
         return scores_at(_fixed_design(dgp, n)[0].data, beta)
     pop = population_targets(dgp, n)
@@ -239,7 +243,7 @@ def sample(dgp: Dgp, n: int, rng_state) -> Dataset:
         y = x @ np.asarray(dgp.beta) + dgp.noise_scale * rng.standard_normal(n)
         return Dataset(x=x, y=y)
     u = np.arange(1, n + 1) / n if dgp.is_fixed_design else rng.random(n)
-    mean, sd, _ = _profile(dgp)
+    mean, sd = _profile(dgp)
     y = mean(u) + sd(u) * rng.standard_normal(n)
     return Dataset(x=np.column_stack([np.ones(n), u]), y=y)
 

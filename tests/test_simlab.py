@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import leanreg.bootstrap
 import leanreg.simlab as simlab
 import leanreg.variance
 from leanreg import (
+    DimensionMismatch,
     Dgp,
     SingularDesign,
     eig_sym_extremes,
@@ -42,6 +44,12 @@ class TestDgp:
             with pytest.raises(ValueError):
                 Dgp("quadratic_mean_iid", noise_scale=bad)
 
+    def test_numpy_noise_scale_is_its_float_value(self):
+        # the exact moments convert noise_scale with Fraction, which takes no np.float32
+        narrow = Dgp("heteroscedastic_iid", noise_scale=np.float32(0.3))
+        assert narrow == Dgp("heteroscedastic_iid", noise_scale=float(np.float32(0.3)))
+        assert population_targets(narrow, 10).k_n.dtype == np.float64
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_beta_must_be_finite(self, bad):
         with pytest.raises(ValueError):
@@ -49,19 +57,23 @@ class TestDgp:
 
 
 class TestPopulationTargets:
-    def test_quadratic_closed_form_oracle(self):
+    @pytest.mark.parametrize("noise_scale", [None, 0.3, 7.7], ids=["default", "0.3", "7.7"])
+    def test_quadratic_closed_form_oracle(self, noise_scale):
         # oracle: exact uniform moments E[U^k] = 1/(k+1). The projection
         # residual g(u) = u^2 - u + 1/6 has E[g^2] = 1/180, E[U g^2] = 1/360,
         # E[U^2 g^2] = 2/945 (expanded polynomial, integrated term by term).
-        pop = population_targets(Dgp("quadratic_mean_iid"), 10)
-        np.testing.assert_allclose(pop.sigma_n, [[1.0, 0.5], [0.5, 1.0 / 3.0]], atol=1e-14)
-        np.testing.assert_allclose(pop.gamma_n, [1.0 / 3.0, 0.25], atol=1e-12)
-        np.testing.assert_allclose(pop.beta_n, [-1.0 / 6.0, 1.0], atol=1e-11)
-        s2 = 0.01
-        k_expected = np.array(
-            [[1.0 / 180.0 + s2, 1.0 / 360.0 + s2 / 2.0], [1.0 / 360.0 + s2 / 2.0, 2.0 / 945.0 + s2 / 3.0]]
-        )
-        np.testing.assert_allclose(pop.k_n, k_expected, atol=1e-11)
+        # Fraction(float) is the exact value of the float the DGP samples with.
+        dgp = Dgp("quadratic_mean_iid", noise_scale=noise_scale)
+        pop = population_targets(dgp, 10)
+        s2 = Fraction(dgp.noise_scale) ** 2
+        assert pop.sigma_n.tolist() == [[1.0, 0.5], [0.5, float(Fraction(1, 3))]]
+        assert pop.gamma_n.tolist() == [float(Fraction(1, 3)), 0.25]
+        assert pop.beta_n.tolist() == [float(Fraction(-1, 6)), 1.0]
+        k01 = float(Fraction(1, 360) + s2 / 2)
+        assert pop.k_n.tolist() == [
+            [float(Fraction(1, 180) + s2), k01],
+            [k01, float(Fraction(2, 945) + s2 / 3)],
+        ]
 
     def test_quadratic_against_quadrature_oracle(self):
         # independent numeric oracle for the same K entries
@@ -75,16 +87,21 @@ class TestPopulationTargets:
             val = integrate.quad(integrand, 0, 1, args=(j + k,))[0]
             assert pop.k_n[j, k] == pytest.approx(val, abs=1e-10)
 
-    def test_heteroscedastic_piecewise_oracle(self):
-        # oracle: piecewise closed forms for s(u) = (0.2 + |u - 1/2|)^2:
-        # E[s] = (2/3)(0.7^3 - 0.2^3), E[U s] = E[s]/2 by symmetry,
-        # E[U^2 s] = E[s]/4 + 2 int_0^(1/2) t^2 (0.2 + t)^2 dt
-        pop = population_targets(Dgp("heteroscedastic_iid"), 10)
-        np.testing.assert_allclose(pop.beta_n, [1.0, 1.0], atol=1e-11)
-        e_s = (2.0 / 3.0) * (0.7**3 - 0.2**3)
-        tail = 2.0 * (0.04 * 0.5**3 / 3.0 + 0.4 * 0.5**4 / 4.0 + 0.5**5 / 5.0)
-        k_expected = np.array([[e_s, e_s / 2.0], [e_s / 2.0, e_s / 4.0 + tail]])
-        np.testing.assert_allclose(pop.k_n, k_expected, atol=1e-10)
+    @pytest.mark.parametrize("noise_scale", [None, 0.3, 7.7], ids=["default", "0.3", "7.7"])
+    def test_heteroscedastic_piecewise_oracle(self, noise_scale):
+        # oracle: piecewise closed forms for g(u) = (a + |u - h|)^2 with a = 0.2,
+        # h = 0.5 as the DGP's floats: E[g] = (2/3)((a + h)^3 - a^3), E[U g] =
+        # E[g]/2 by symmetry, E[U^2 g] = E[g]/4 + 2 int_0^h t^2 (a + t)^2 dt
+        dgp = Dgp("heteroscedastic_iid", noise_scale=noise_scale)
+        pop = population_targets(dgp, 10)
+        assert pop.beta_n.tolist() == [1.0, 1.0]
+        s2, a, h = Fraction(dgp.noise_scale) ** 2, Fraction(0.2), Fraction(0.5)
+        e_g = Fraction(2, 3) * ((a + h) ** 3 - a**3)
+        tail = 2 * (a**2 * h**3 / 3 + 2 * a * h**4 / 4 + h**5 / 5)
+        assert pop.k_n.tolist() == [
+            [float(s2 * e_g), float(s2 * e_g / 2)],
+            [float(s2 * e_g / 2), float(s2 * (e_g / 4 + tail))],
+        ]
 
     def test_linear_target_is_the_slope_for_every_n(self):
         dgp = Dgp("linear_homoscedastic", p=3, beta=(0.5, -1.0, 2.0))
@@ -162,6 +179,15 @@ class TestPopulationTargets:
     def test_rejects_empty_sample_size(self, kind, n):
         with pytest.raises(ValueError, match="need n >= 1"):
             population_targets(Dgp(kind), n)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_score_means_validate_n_and_beta_for_every_kind(self, kind):
+        dgp = Dgp(kind)
+        for n in (0, -2):
+            with pytest.raises(ValueError, match="need n >= 1"):
+                population_score_means(dgp, n, [0.0, 0.0])
+        with pytest.raises(DimensionMismatch, match="beta has length 3, expected 2"):
+            population_score_means(dgp, 5, [0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("kind", ["fixed_x_heteroscedastic", "fixed_x_nonidentical_mean"])
     def test_one_point_fixed_design_is_singular(self, kind):

@@ -85,6 +85,11 @@ def commands() -> list[list[str]]:
         ]
     cmds.append(["simulate", "--dgp", "heteroscedastic_iid", "--n", "80", "--reps", "10",
                  "--B", "100", "--seed", "6", "--weights", "rademacher"])
+    # non-default noise scales reach the population moments of the random-x kinds
+    cmds += [
+        ["check", "--dgp", "heteroscedastic_iid", "--noise-scale", "0.3", "--n", "500", "--seed", "3"],
+        ["check", "--dgp", "quadratic_mean_iid", "--noise-scale", "7.7", "--n", "500", "--seed", "3"],
+    ]
     # the smallest fixed design every method runs on (n = p + 1), and a method listed twice
     cmds += [
         ["check", "--dgp", "fixed_x_heteroscedastic", "--n", "3", "--seed", "3"],
