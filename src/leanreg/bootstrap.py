@@ -131,13 +131,17 @@ def _order_stat_quantile(values: np.ndarray, alpha: float) -> float:
     return float(np.sort(values)[k - 1])
 
 
-def max_abs_t(draws: BootstrapDraws, d: np.ndarray) -> np.ndarray:
-    """Per-replicate max_j |u_star_b[j]| / d[j], the max-|t| bootstrap reference.
+def studentizer(var: VarianceEstimate, coords=slice(None)) -> np.ndarray:
+    """Studentizing scales d = sqrt(diag(avar)[coords]); the one zero-variance gate."""
+    d2 = np.diag(var.avar)[coords]
+    if np.any(d2 <= 0.0):
+        raise ZeroVariance("a coordinate has zero estimated variance")
+    return np.sqrt(d2)
 
-    ``d`` holds the per-coordinate studentizing scales sqrt(avar[j, j]);
-    callers check that none is zero.
-    """
-    return np.abs(draws.draws_u / d).max(axis=1)
+
+def max_abs_t(u: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Per-replicate max_j |u[b, j]| / d[j] over columns of ``draws_u``: the max-|t| reference."""
+    return np.abs(u / d).max(axis=1)
 
 
 @dataclass(frozen=True)
@@ -178,10 +182,8 @@ def region_rectangle(
     """
     if not var.is_sandwich():
         raise ValueError("rectangle regions studentize with a sandwich variance estimate")
-    d = np.sqrt(np.diag(var.avar))
-    if np.any(d == 0.0):
-        raise ZeroVariance("a coordinate has zero estimated variance")
-    crit = _order_stat_quantile(max_abs_t(draws, d), alpha)
+    d = studentizer(var)
+    crit = _order_stat_quantile(max_abs_t(draws.draws_u, d), alpha)
     if crit == 0.0:
         raise ZeroVariance("all bootstrap draws are zero; the region is degenerate")
     return ConfidenceRegion(

@@ -57,7 +57,7 @@ def read_csv(path: str, response_column: str, add_intercept: bool = False) -> Da
     order, optionally behind a prepended ones column. Cells must parse as
     finite numbers; the offending row and column are reported otherwise.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -251,8 +251,6 @@ def _cmd_test(config: RunConfig) -> Report:
 def _cmd_bootstrap(config: RunConfig) -> Report:
     data = _load_dataset(config)
     fit = fit_ols(data)
-    if config.variance == "classical":
-        raise ValueError("bootstrap regions studentize with a sandwich variance; use hc0 or hc1")
     var = _variance_for(fit, config.variance)
     method = "resample_m_of_n" if config.m is not None else "multiplier"
     draws = run_bootstrap(

@@ -10,7 +10,8 @@ so referencing the standard normal gives an (asymptotically) conservative
 test; a student-t reference adds further conservativeness through heavier
 tails. The full-vector test uses the max-|t| statistic; its recommended
 reference is the bootstrap distribution of the same max over studentized
-draws, with a Bonferroni normal bound as the no-bootstrap fallback.
+draws, with a Bonferroni normal bound as the no-bootstrap fallback. The
+single-coefficient test is the same max-|t| test over the coordinates {j}.
 
 Asymptotically conservative does not mean conservative at every finite n;
 the normal approximation error can push finite-sample size above nominal.
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .bootstrap import BootstrapDraws, max_abs_t
-from .exceptions import BadCoordinate, DimensionMismatch, ZeroVariance
+from .bootstrap import BootstrapDraws, max_abs_t, studentizer
+from .exceptions import BadCoordinate, DegenerateDof, DimensionMismatch
 from .ols import OlsFit
 from .variance import VarianceEstimate
 
@@ -43,9 +44,38 @@ class TestResult:
     b: int | None = None
 
 
-def _smoothed_upper_p(ref: np.ndarray, observed: float) -> float:
-    # add-one smoothing keeps bootstrap p-values off exact zero
-    return float((1 + np.sum(ref >= observed)) / (ref.shape[0] + 1))
+def _max_t(fit: OlsFit, var: VarianceEstimate, coords, beta0, reference: str, draws):
+    """(t over ``coords``, p-value of max_j |t_j|, df, b) for one reference law.
+
+    A normal or student-t reference gives min(1, k * two-sided tail) over the
+    k coordinates, which for k = 1 is the exact two-sided p-value.
+    """
+    if reference not in REFERENCES:
+        raise ValueError(f"unknown reference {reference!r}; choose from {REFERENCES}")
+    if not np.all(np.isfinite(beta0)):
+        raise ValueError(f"null value must be finite, got {beta0!r}")
+    d = studentizer(var, coords)
+    t = np.sqrt(fit.n) * (fit.beta_hat[coords] - beta0) / d
+    stat = float(np.abs(t).max())
+
+    df = b = None
+    if reference == "bootstrap":
+        if draws is None:
+            raise ValueError("bootstrap reference requires precomputed draws")
+        ref = max_abs_t(draws.draws_u[:, coords], d)
+        # add-one smoothing keeps bootstrap p-values off exact zero
+        p_value = float((1 + np.sum(ref >= stat)) / (draws.b + 1))
+        b = draws.b
+    else:
+        if reference == "std_normal":
+            tail = special.ndtr(-stat)
+        else:
+            df = fit.n - fit.p
+            if df < 1:
+                raise DegenerateDof(f"student_t reference needs n > p, got n={fit.n}, p={fit.p}")
+            tail = special.stdtr(df, -stat)
+        p_value = min(1.0, t.size * 2.0 * float(tail))
+    return t, p_value, df, b
 
 
 def t_test(
@@ -56,40 +86,20 @@ def t_test(
     reference: str = "std_normal",
     draws: BootstrapDraws | None = None,
 ) -> TestResult:
-    """Two-sided test of beta_n[j] = beta0.
+    """Two-sided test of beta_n[j] = beta0: the max-|t| test over {j}.
 
     The default std_normal reference is the conservative choice; student_t
     uses n - p degrees of freedom for callers who want the extra tail mass.
     A classical variance estimate is accepted for comparison runs, but the
     conservativeness guarantee only holds for sandwich studentization.
     """
-    if reference not in REFERENCES:
-        raise ValueError(f"unknown reference {reference!r}; choose from {REFERENCES}")
     if not 0 <= j < fit.p:
         raise BadCoordinate(f"coordinate {j} out of range for p={fit.p}")
-    ajj = var.avar[j, j]
-    if ajj <= 0.0:
-        raise ZeroVariance(f"avar[{j},{j}] = {ajj}; cannot studentize")
-    stat = float(np.sqrt(fit.n) * (fit.beta_hat[j] - beta0) / np.sqrt(ajj))
-
-    df = b = None
-    if reference == "std_normal":
-        p_value = 2.0 * float(special.ndtr(-abs(stat)))
-    elif reference == "student_t":
-        df = fit.n - fit.p
-        if df < 1:
-            raise ZeroVariance(f"student_t reference needs n > p, got n={fit.n}, p={fit.p}")
-        p_value = 2.0 * float(special.stdtr(df, -abs(stat)))
-    else:
-        if draws is None:
-            raise ValueError("bootstrap reference requires precomputed draws")
-        ref = np.abs(draws.draws_u[:, j]) / np.sqrt(ajj)
-        p_value = _smoothed_upper_p(ref, abs(stat))
-        b = draws.b
+    t, p_value, df, b = _max_t(fit, var, [j], beta0, reference, draws)
     return TestResult(
-        statistic=stat,
+        statistic=float(t[0]),
         reference=reference,
-        p_value=min(p_value, 1.0),
+        p_value=p_value,
         conservative=var.is_sandwich(),
         null_value=float(beta0),
         target_coord=j,
@@ -113,32 +123,12 @@ def max_t_test(
     is conservative but ignores cross-coordinate dependence; the bootstrap
     reference is the recommended path.
     """
-    if reference not in REFERENCES:
-        raise ValueError(f"unknown reference {reference!r}; choose from {REFERENCES}")
     beta0 = np.asarray(beta0, dtype=float).ravel()
     if beta0.shape[0] != fit.p:
         raise DimensionMismatch(f"beta0 has length {beta0.shape[0]}, expected {fit.p}")
-    d2 = np.diag(var.avar)
-    if np.any(d2 <= 0.0):
-        raise ZeroVariance("a coordinate has zero estimated variance")
-    t_all = np.sqrt(fit.n) * (fit.beta_hat - beta0) / np.sqrt(d2)
-    stat = float(np.abs(t_all).max())
-
-    df = b = None
-    if reference == "bootstrap":
-        if draws is None:
-            raise ValueError("bootstrap reference requires precomputed draws")
-        p_value = _smoothed_upper_p(max_abs_t(draws, np.sqrt(d2)), stat)
-        b = draws.b
-    elif reference == "std_normal":
-        p_value = min(1.0, fit.p * 2.0 * float(special.ndtr(-stat)))
-    else:
-        df = fit.n - fit.p
-        if df < 1:
-            raise ZeroVariance(f"student_t reference needs n > p, got n={fit.n}, p={fit.p}")
-        p_value = min(1.0, fit.p * 2.0 * float(special.stdtr(df, -stat)))
+    t, p_value, df, b = _max_t(fit, var, slice(None), beta0, reference, draws)
     return TestResult(
-        statistic=stat,
+        statistic=float(np.abs(t).max()),
         reference=reference,
         p_value=p_value,
         conservative=var.is_sandwich(),

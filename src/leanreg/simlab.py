@@ -383,6 +383,8 @@ def run_consistency(dgp: Dgp, n_grid, replications: int, seed: int) -> CoverageR
     n_grid = [int(n) for n in n_grid]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or len(n_grid) < 1:
         raise ValueError("n_grid must be strictly increasing and non-empty")
+    if replications < 1:
+        raise ValueError("need at least one replication")
     medians = []
     for i, n in enumerate(n_grid):
         beta_n = population_targets(dgp, n).beta_n

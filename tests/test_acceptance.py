@@ -2,8 +2,8 @@
 
 Each test prints one PASS/FAIL line (visible with ``pytest -s`` or on
 failure). The two n=500, R=2000 bootstrap criteria share one Monte Carlo
-pass; everything else runs inline. Full suite wall time is dominated by that
-shared run (about two minutes).
+pass; everything else runs inline. That shared run dominates this module's
+wall time; the whole tier-1 suite takes about 45 s on 2 vCPUs.
 """
 
 import json

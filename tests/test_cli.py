@@ -42,6 +42,13 @@ class TestReadCsv:
         data = read_csv(str(path), "y", add_intercept=True)
         np.testing.assert_array_equal(data.x, [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
 
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfy,x\n0,0\n1,1\n4,2\n")
+        data = read_csv(str(path), "y")
+        np.testing.assert_array_equal(data.x, [[0.0], [1.0], [2.0]])
+        np.testing.assert_array_equal(data.y, [0.0, 1.0, 4.0])
+
     def test_missing_column(self, example_csv):
         from leanreg import MissingColumn
 

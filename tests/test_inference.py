@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -5,6 +7,7 @@ from scipy import stats
 from leanreg import (
     BadCoordinate,
     Dataset,
+    DegenerateDof,
     Dgp,
     ZeroVariance,
     classical_avar,
@@ -83,6 +86,17 @@ class TestTTest:
         assert 1.0 / 200.0 <= res.p_value <= 1.0
         assert res.b == 199
 
+    def test_bootstrap_explicit_sum_oracle(self, het):
+        fit, var = het
+        draws = run_bootstrap(fit, b=199, seed=7)
+        j, beta0 = 1, 0.9
+        res = t_test(fit, var, j, beta0, "bootstrap", draws=draws)
+        d = np.sqrt(np.diag(var.avar))
+        ref = [abs(u[j]) / d[j] for u in draws.draws_u]
+        t_abs = abs(np.sqrt(fit.n) * (fit.beta_hat[j] - beta0) / d[j])
+        assert res.p_value == (1 + sum(r >= t_abs for r in ref)) / (draws.b + 1)
+        assert 1.0 / 200.0 < res.p_value < 1.0
+
     def test_bad_coordinate(self, het):
         fit, var = het
         with pytest.raises(BadCoordinate):
@@ -108,15 +122,61 @@ class TestMaxTTest:
         assert res.statistic == 0.0
         assert res.p_value == pytest.approx(1.0)
 
-    def test_p_equals_one_coordinate_t(self):
+    @pytest.mark.parametrize("reference", ["std_normal", "student_t", "bootstrap"])
+    def test_p_equals_one_coordinate_t(self, reference):
         x = np.column_stack([np.linspace(1.0, 2.0, 50)])
         rng = np.random.default_rng(3)
         fit = fit_ols(Dataset(x=x, y=2.0 * x[:, 0] + 0.2 * rng.standard_normal(50)))
         var = sandwich_avar(fit)
-        single = t_test(fit, var, 0, 1.5)
-        joint = max_t_test(fit, var, [1.5], reference="std_normal")
-        assert joint.statistic == pytest.approx(abs(single.statistic), rel=1e-12)
-        assert joint.p_value == pytest.approx(single.p_value, rel=1e-12)
+        draws = run_bootstrap(fit, b=199, seed=9)
+        single = t_test(fit, var, 0, 1.97, reference, draws=draws)
+        joint = max_t_test(fit, var, [1.97], reference, draws=draws)
+        assert joint.statistic == abs(single.statistic)
+        assert joint.p_value == single.p_value
+        assert 0.0 < joint.p_value < 1.0
+
+    def test_bootstrap_explicit_sum_oracle(self, het):
+        fit, var = het
+        draws = run_bootstrap(fit, b=199, seed=7)
+        beta0 = fit.beta_hat - 2.0 * var.se * np.array([1.0, -0.5])
+        res = max_t_test(fit, var, beta0, "bootstrap", draws=draws)
+        d = np.sqrt(np.diag(var.avar))
+        ref = [max(abs(u[j]) / d[j] for j in range(fit.p)) for u in draws.draws_u]
+        stat = max(abs(np.sqrt(fit.n) * (fit.beta_hat[j] - beta0[j]) / d[j]) for j in range(fit.p))
+        assert res.statistic == stat
+        assert res.p_value == (1 + sum(r >= stat for r in ref)) / (draws.b + 1)
+        assert 1.0 / 200.0 < res.p_value < 1.0
+
+    def test_bootstrap_tie_counts_as_extreme(self, het):
+        fit, var = het
+        # unit scales make ref_b == |u_b[j]| exactly, so a replicate can tie |t|
+        var = dataclasses.replace(var, avar=np.eye(fit.p))
+        t = t_test(fit, var, 1, 0.9).statistic
+        u = np.zeros((9, fit.p))
+        u[0, 1] = t
+        draws = dataclasses.replace(run_bootstrap(fit, b=9, seed=7), draws_u=u)
+        assert t_test(fit, var, 1, 0.9, "bootstrap", draws=draws).p_value == 2 / 10
+        joint = max_t_test(fit, var, [fit.beta_hat[0], 0.9], "bootstrap", draws=draws)
+        assert joint.p_value == 2 / 10
+
+    @pytest.mark.parametrize("reference", ["std_normal", "student_t", "bootstrap"])
+    def test_non_finite_null_rejected(self, het, reference):
+        fit, var = het
+        draws = run_bootstrap(fit, b=9, seed=1)
+        with pytest.raises(ValueError, match="finite"):
+            t_test(fit, var, 0, float("nan"), reference, draws=draws)
+        with pytest.raises(ValueError, match="finite"):
+            max_t_test(fit, var, [0.0, float("inf")], reference, draws=draws)
+
+    def test_student_t_needs_n_above_p(self):
+        fit = fit_ols(Dataset(x=[[1.0, 0.1], [1.0, 0.7]], y=[0.3, 0.2]))
+        # a unit avar keeps the zero-variance gate out of the way; an exact
+        # interpolation leaves only rounding residuals
+        var = dataclasses.replace(sandwich_avar(fit), avar=np.eye(2))
+        with pytest.raises(DegenerateDof, match="n > p"):
+            t_test(fit, var, 1, 0.0, "student_t")
+        with pytest.raises(DegenerateDof, match="n > p"):
+            max_t_test(fit, var, [0.0, 0.0], "student_t")
 
     def test_bonferroni_normal_reference(self, het):
         fit, var = het

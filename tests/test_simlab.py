@@ -354,3 +354,8 @@ class TestRunConsistency:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
             run_consistency(Dgp("quadratic_mean_iid"), [100, 100], 2, seed=0)
+
+    @pytest.mark.parametrize("replications", [0, -1])
+    def test_needs_a_replication(self, replications):
+        with pytest.raises(ValueError, match="need at least one replication"):
+            run_consistency(Dgp("quadratic_mean_iid"), [10, 20], replications, seed=1)

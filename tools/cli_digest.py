@@ -39,7 +39,7 @@ DGPS = (
 
 
 def write_csvs(directory: pathlib.Path) -> None:
-    """Three CSVs of growing size, each from its own fixed seed; plus a collinear one."""
+    """Three CSVs of growing size, each from its own fixed seed; plus three tiny edge cases."""
     shapes = {"small": (300, 2, 1), "wide": (1000, 4, 2), "tall": (20000, 10, 3)}
     for name, (n, p, seed) in shapes.items():
         rng = np.random.default_rng(seed)
@@ -52,6 +52,10 @@ def write_csvs(directory: pathlib.Path) -> None:
             delimiter=",", header=header, comments="", fmt="%.17g",
         )
     (directory / "collinear.csv").write_text("a,b,y\n1,2,1\n2,4,2\n3,6,5\n")
+    # y = 1 + 2x exactly, so with an intercept every residual and avar entry is zero
+    (directory / "exact.csv").write_text("x,y\n" + "".join(f"{x},{1 + 2 * x}\n" for x in range(8)))
+    # n == p with an intercept, so a student_t reference has no degrees of freedom
+    (directory / "tworow.csv").write_text("x,y\n0.1,0.3\n0.7,0.2\n")
 
 
 def commands() -> list[list[str]]:
@@ -75,6 +79,18 @@ def commands() -> list[list[str]]:
         ["test", "--data", "small.csv", "--response", "y", "--coef", "2"],
         ["bootstrap", "--data", "small.csv", "--response", "y", "--B", "50", "--seed", "1",
          "--variance", "classical"],
+    ]
+    small = ["--data", "small.csv", "--response", "y", "--add-intercept"]
+    exact = ["--data", "exact.csv", "--response", "y", "--add-intercept"]
+    cmds += [
+        ["test", *small, "--coef", "1", "--reference", "bootstrap", "--B", "300", "--seed", "7"],
+        ["test", *small, "--reference", "t"],
+        ["test", *small, "--coef", "0", "--null", "1", "--variance", "hc1"],
+        ["test", *exact, "--coef", "0"],
+        ["test", *exact],
+        ["bootstrap", *exact, "--B", "50", "--seed", "1"],
+        ["test", "--data", "tworow.csv", "--response", "y", "--add-intercept", "--coef", "1",
+         "--reference", "t"],
     ]
     for dgp in DGPS:
         cmds += [
