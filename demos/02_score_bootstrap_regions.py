@@ -25,7 +25,7 @@ n, b = 400, 10_000
 data = sample(Dgp("heteroscedastic_iid"), n, np.random.default_rng(2))
 fit = fit_ols(data)
 
-draws = run_bootstrap(fit, method="multiplier", b=b, dist="gaussian", seed=7)
+draws = run_bootstrap(fit, b=b, dist="gaussian", seed=7)
 var = sandwich_avar(fit)
 kmat = var.meat  # the sandwich's meat is k_check
 quad = np.einsum("bi,ib->b", draws.draws_t, solve_spd(kmat, draws.draws_t.T))
@@ -48,7 +48,7 @@ print(f"95% ellipsoid radius: {ellip.radius:.3f}")
 print()
 
 # the m-of-n resampling bootstrap targets the same conditional covariance
-res_draws = run_bootstrap(fit, method="resample_m_of_n", b=b, seed=8)
+res_draws = run_bootstrap(fit, b=b, m=fit.n, seed=8)
 cov_multiplier = np.cov(draws.draws_t.T, bias=True)
 cov_resample = np.cov(res_draws.draws_t.T, bias=True)
 rel = np.linalg.norm(cov_resample - kmat, 2) / np.linalg.norm(kmat, 2)
@@ -57,5 +57,5 @@ print(f"  multiplier: {np.linalg.norm(cov_multiplier - kmat, 2) / np.linalg.norm
 print(f"  resampling: {rel:.3f}")
 
 # rademacher weights as the heavier-tailed alternative
-rad = run_bootstrap(fit, method="multiplier", b=b, dist="rademacher", seed=9)
+rad = run_bootstrap(fit, b=b, dist="rademacher", seed=9)
 print(f"  rademacher: {np.linalg.norm(np.cov(rad.draws_t.T, bias=True) - kmat, 2) / np.linalg.norm(kmat, 2):.3f}")

@@ -13,8 +13,11 @@ exactly normal with covariance k_check, which is what makes them the
 default weight choice; rademacher weights are offered for heavier-tailed
 experiments.
 
-Each run draws all its replicates, in order, from one generator keyed by
-the seed, so results depend only on the seed.
+The resample size m alone picks the scheme: ``m=None`` gives the multiplier
+bootstrap with gaussian or rademacher weights, an integer m the m-of-n
+resampling bootstrap, whose counts follow no weight law. Each run draws all
+its replicates, in order, from one generator keyed by the seed, so results
+depend only on the seed.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .ols import OlsFit
 from .variance import VarianceEstimate
 
 WEIGHT_DISTS = ("gaussian", "rademacher")
-METHODS = ("multiplier", "resample_m_of_n")
 # Each block of replicates holds at most about this many weight or index
 # entries, so peak memory does not grow with B on tall data.
 _BLOCK_ENTRIES = 2**20
@@ -52,21 +54,25 @@ class BootstrapDraws:
 
     ``draws_t`` holds the raw statistics (rows t_star_b); ``draws_u`` holds
     sigma_hat^-1 @ t_star_b, the same draws moved to the coefficient scale,
-    which is what confidence regions for the target are built from.
+    which is what confidence regions for the target are built from. ``m`` is
+    the resample size of an m-of-n run and None for a multiplier run, whose
+    weight law ``dist`` names; ``method`` is derived from ``m``.
     """
 
-    method: str
     b: int
     m: int | None
-    dist: str
+    dist: str | None
     draws_t: np.ndarray
     draws_u: np.ndarray
     seed: object
 
+    @property
+    def method(self) -> str:
+        return "multiplier" if self.m is None else "resample_m_of_n"
+
 
 def run_bootstrap(
     fit: OlsFit,
-    method: str = "multiplier",
     b: int = 1000,
     m: int | None = None,
     dist: str = "gaussian",
@@ -79,21 +85,18 @@ def run_bootstrap(
     as W @ scores_hat / sqrt(scale): W holds multiplier weights (scale n) or,
     for the m-of-n bootstrap, how often each score row is among m rows drawn
     with replacement (scale m).
-    The resample size ``m`` defaults to n; smaller m weakens the normal
-    approximation and must be opted into explicitly.
+    ``m=None`` runs the multiplier bootstrap with weight law ``dist``; an
+    integer ``m`` runs the m-of-n bootstrap, which ignores ``dist`` and
+    records ``dist=None``. m below n weakens the normal approximation.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown bootstrap method {method!r}; choose from {METHODS}")
     if dist not in WEIGHT_DISTS:
         raise ValueError(f"unknown weight distribution {dist!r}; choose from {WEIGHT_DISTS}")
     if b < 1:
         raise ValueError("need at least one replicate")
-    if method == "resample_m_of_n":
-        m = fit.n if m is None else int(m)
+    if m is not None:
+        m, dist = int(m), None
         if m < 1:
             raise ValueError("resample size m must be >= 1")
-    else:
-        m = None
 
     n = fit.n
     rows = max(1, _BLOCK_ENTRIES // max(n, m or n))
@@ -113,9 +116,7 @@ def run_bootstrap(
         draws_t[start : start + k] = w @ fit.scores_hat / math.sqrt(m or n)
 
     draws_u = fit.solve(draws_t.T).T
-    return BootstrapDraws(
-        method=method, b=b, m=m, dist=dist, draws_t=draws_t, draws_u=draws_u, seed=seed
-    )
+    return BootstrapDraws(b=b, m=m, dist=dist, draws_t=draws_t, draws_u=draws_u, seed=seed)
 
 
 def _order_stat_quantile(values: np.ndarray, alpha: float) -> float:

@@ -6,9 +6,12 @@ in header order, and an explicit flag prepends an intercept column (the
 library never adds one silently). Reports are JSON with the full config
 echoed, so any stochastic command can be replayed bit-exactly from its own
 output; coverage tables are additionally written as CSV for plotting.
+``bootstrap`` runs the multiplier bootstrap unless ``--m`` is given, which
+alone switches to the m-of-n resampling bootstrap.
 
-Exit codes: 0 success, 2 usage or config error, 3 data error, 4 numerical
-error (singular design and friends).
+Exit codes: 0 success, 2 usage or config error, 3 data error (including a
+missing, unreadable or non-UTF-8 data file), 4 numerical error (singular
+design and friends).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .variance import classical_avar, sandwich_avar
 
 SEED_ENV_VAR = "LEANREG_SEED"
 
-_DATA_ERRORS = (MissingColumn, NonNumericCell, EmptyData, FileNotFoundError)
+_DATA_ERRORS = (MissingColumn, NonNumericCell, EmptyData, OSError, UnicodeDecodeError)
 
 _REFERENCE_FLAG = {"normal": "std_normal", "t": "student_t", "bootstrap": "bootstrap"}
 
@@ -54,8 +57,9 @@ def read_csv(path: str, response_column: str, add_intercept: bool = False) -> Da
     """Load a header-prefixed CSV into a Dataset.
 
     The response column becomes y; all other columns become x in header
-    order, optionally behind a prepended ones column. Cells must parse as
-    finite numbers; the offending row and column are reported otherwise.
+    order, optionally behind a prepended ones column. The response must name
+    exactly one header column, and cells must parse as finite numbers; the
+    offending row and column are reported otherwise.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -64,8 +68,10 @@ def read_csv(path: str, response_column: str, add_intercept: bool = False) -> Da
         except StopIteration:
             raise EmptyData(f"{path} is empty") from None
         header = [h.strip() for h in header]
-        if response_column not in header:
-            raise MissingColumn(f"response column {response_column!r} not in header {header}")
+        if header.count(response_column) != 1:
+            raise MissingColumn(
+                f"response column {response_column!r} must appear exactly once in header {header}"
+            )
         y_idx = header.index(response_column)
         rows = []
         for r, row in enumerate(reader, start=2):
@@ -173,18 +179,6 @@ def _variance_for(fit, kind: str):
     return sandwich_avar(fit, dof_correct=(kind == "hc1"))
 
 
-def _load_dataset(config: RunConfig) -> Dataset:
-    if config.data is None or config.response is None:
-        raise ValueError(f"command {config.command!r} requires --data and --response")
-    return read_csv(config.data, config.response, config.add_intercept)
-
-
-def _make_dgp(config: RunConfig) -> Dgp:
-    if config.dgp is None:
-        raise ValueError(f"command {config.command!r} requires --dgp")
-    return Dgp(kind=config.dgp, noise_scale=config.noise_scale)
-
-
 def _parse_null(config: RunConfig, p: int) -> np.ndarray:
     if config.null is None:
         return np.zeros(p)
@@ -198,9 +192,8 @@ def _parse_null(config: RunConfig, p: int) -> np.ndarray:
     return np.asarray(parts)
 
 
-def _cmd_fit(config: RunConfig) -> Report:
-    data = _load_dataset(config)
-    fit = fit_ols(data)
+def _cmd_fit(config: RunConfig) -> tuple[dict, list]:
+    fit = fit_ols(read_csv(config.data, config.response, config.add_intercept))
     sand = sandwich_avar(fit)
     results = {
         "n": fit.n,
@@ -220,17 +213,16 @@ def _cmd_fit(config: RunConfig) -> Report:
     else:
         results["se_classical"] = None
         warnings.append("n == p: classical and HC1 standard errors are undefined")
-    return Report("fit", dataclasses.asdict(config), results, warnings)
+    return results, warnings
 
 
-def _cmd_test(config: RunConfig) -> Report:
-    data = _load_dataset(config)
-    fit = fit_ols(data)
+def _cmd_test(config: RunConfig) -> tuple[dict, list]:
+    fit = fit_ols(read_csv(config.data, config.response, config.add_intercept))
     var = _variance_for(fit, config.variance)
     reference = _REFERENCE_FLAG[config.reference]
     draws = None
     if reference == "bootstrap":
-        draws = run_bootstrap(fit, "multiplier", b=config.b, dist=config.weights, seed=config.seed)
+        draws = run_bootstrap(fit, b=config.b, dist=config.weights, seed=config.seed)
     null = _parse_null(config, fit.p)
     warnings = [_FINITE_SAMPLE_WARNING]
     if config.coef is not None:
@@ -244,18 +236,13 @@ def _cmd_test(config: RunConfig) -> Report:
                 "max-|t| with a normal/t reference uses a Bonferroni bound; "
                 "the bootstrap reference is recommended"
             )
-    results = dataclasses.asdict(res) | {"variance_method": var.method}
-    return Report("test", dataclasses.asdict(config), results, warnings)
+    return dataclasses.asdict(res) | {"variance_method": var.method}, warnings
 
 
-def _cmd_bootstrap(config: RunConfig) -> Report:
-    data = _load_dataset(config)
-    fit = fit_ols(data)
+def _cmd_bootstrap(config: RunConfig) -> tuple[dict, list]:
+    fit = fit_ols(read_csv(config.data, config.response, config.add_intercept))
     var = _variance_for(fit, config.variance)
-    method = "resample_m_of_n" if config.m is not None else "multiplier"
-    draws = run_bootstrap(
-        fit, method, b=config.b, m=config.m, dist=config.weights, seed=config.seed
-    )
+    draws = run_bootstrap(fit, b=config.b, m=config.m, dist=config.weights, seed=config.seed)
     rect = region_rectangle(fit, draws, var, config.alpha)
     ellip = region_ellipsoid(fit, draws, var, config.alpha)
     results = {
@@ -273,20 +260,17 @@ def _cmd_bootstrap(config: RunConfig) -> Report:
         "k_check": var.meat,
         "se_used": var.se,
     }
-    return Report("bootstrap", dataclasses.asdict(config), results, [])
+    return results, []
 
 
-def _cmd_simulate(config: RunConfig) -> Report:
-    dgp = _make_dgp(config)
-    if config.n is None or config.reps is None:
-        raise ValueError("simulate requires --n and --reps")
+def _cmd_simulate(config: RunConfig) -> tuple[dict, list]:
     methods = (
         tuple(m.strip() for m in config.methods.split(","))
         if config.methods
         else tuple(m for m in COVERAGE_METHODS if m != "max_t_bootstrap")
     )
     report = run_coverage(
-        dgp,
+        Dgp(kind=config.dgp, noise_scale=config.noise_scale),
         n=config.n,
         replications=config.reps,
         methods=methods,
@@ -301,7 +285,7 @@ def _cmd_simulate(config: RunConfig) -> Report:
     warnings = []
     if report.excluded:
         warnings.append(f"{report.excluded} replication(s) excluded for singular designs")
-    return Report("simulate", dataclasses.asdict(config), results, warnings)
+    return results, warnings
 
 
 def _coverage_csv_rows(results: dict):
@@ -320,10 +304,8 @@ def _coverage_csv_rows(results: dict):
     return rows
 
 
-def _cmd_check(config: RunConfig) -> Report:
-    dgp = _make_dgp(config)
-    if config.n is None:
-        raise ValueError("check requires --n")
+def _cmd_check(config: RunConfig) -> tuple[dict, list]:
+    dgp = Dgp(kind=config.dgp, noise_scale=config.noise_scale)
     pop = population_targets(dgp, config.n)
     data = sample(dgp, config.n, np.random.default_rng(np.random.SeedSequence(config.seed)))
     fit = fit_ols(data)
@@ -339,7 +321,7 @@ def _cmd_check(config: RunConfig) -> Report:
     warnings = []
     if det.precondition_holds and not (det.sandwich_ok and det.remainder_ok):
         warnings.append("deterministic inequality violated beyond slack; this indicates a bug")
-    return Report("check", dataclasses.asdict(config), results, warnings)
+    return results, warnings
 
 
 _COMMANDS = {
@@ -358,56 +340,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_command(name, help):
+        # an absent flag stays out of the namespace, so RunConfig holds every default
+        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+
     def add_data_flags(p):
-        p.add_argument("--data", help="input CSV path (header row required)")
-        p.add_argument("--response", help="name of the response column")
+        p.add_argument("--data", required=True, help="input CSV path (header row required)")
+        p.add_argument("--response", required=True, help="name of the response column")
         p.add_argument("--add-intercept", action="store_true", help="prepend a ones column")
 
     def add_common_flags(p):
-        p.add_argument("--seed", type=int, default=None, help=f"RNG seed (or {SEED_ENV_VAR})")
-        p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
-        p.add_argument("--threads", type=int, default=1, help="kept for replay; results depend only on the seed")
+        p.add_argument("--seed", type=int, help=f"RNG seed (or {SEED_ENV_VAR})")
+        p.add_argument("--out", help="write the JSON report here instead of stdout")
+        p.add_argument("--threads", type=int, help="kept for replay; results depend only on the seed")
 
-    p_fit = sub.add_parser("fit", help="fit OLS and report classical vs sandwich SEs")
+    p_fit = add_command("fit", "fit OLS and report classical vs sandwich SEs")
     add_data_flags(p_fit)
     add_common_flags(p_fit)
 
-    p_test = sub.add_parser("test", help="conservative t or max-|t| test")
+    p_test = add_command("test", "conservative t or max-|t| test")
     add_data_flags(p_test)
-    p_test.add_argument("--coef", type=int, default=None, help="coordinate to test; omit for max-|t|")
-    p_test.add_argument("--null", default=None, help="null value(s), comma separated or scalar")
-    p_test.add_argument("--variance", choices=("classical", "hc0", "hc1"), default="hc0")
-    p_test.add_argument("--reference", choices=("normal", "t", "bootstrap"), default="normal")
-    p_test.add_argument("--weights", choices=("gaussian", "rademacher"), default="gaussian")
-    p_test.add_argument("--B", dest="b", type=int, default=1000, help="bootstrap replicates")
+    p_test.add_argument("--coef", type=int, help="coordinate to test; omit for max-|t|")
+    p_test.add_argument("--null", help="null value(s), comma separated or scalar")
+    p_test.add_argument("--variance", choices=("classical", "hc0", "hc1"))
+    p_test.add_argument("--reference", choices=("normal", "t", "bootstrap"))
+    p_test.add_argument("--weights", choices=("gaussian", "rademacher"))
+    p_test.add_argument("--B", dest="b", type=int, help="bootstrap replicates")
     add_common_flags(p_test)
 
-    p_boot = sub.add_parser("bootstrap", help="score bootstrap and confidence regions")
+    p_boot = add_command("bootstrap", "score bootstrap and confidence regions")
     add_data_flags(p_boot)
-    p_boot.add_argument("--variance", choices=("hc0", "hc1"), default="hc0")
-    p_boot.add_argument("--weights", choices=("gaussian", "rademacher"), default="gaussian")
-    p_boot.add_argument("--B", dest="b", type=int, default=1000)
+    p_boot.add_argument("--variance", choices=("hc0", "hc1"))
+    p_boot.add_argument("--weights", choices=("gaussian", "rademacher"))
+    p_boot.add_argument("--B", dest="b", type=int)
     p_boot.add_argument(
-        "--m", type=int, default=None,
-        help="resample size; passing it switches to the m-of-n resampling bootstrap",
+        "--m", type=int, help="resample size; passing it selects the m-of-n resampling bootstrap"
     )
-    p_boot.add_argument("--alpha", type=float, default=0.05)
+    p_boot.add_argument("--alpha", type=float)
     add_common_flags(p_boot)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo coverage / type-I error study")
+    p_sim = add_command("simulate", "Monte Carlo coverage / type-I error study")
     p_sim.add_argument("--dgp", required=True, help="scenario kind")
-    p_sim.add_argument("--noise-scale", dest="noise_scale", type=float, default=None)
+    p_sim.add_argument("--noise-scale", dest="noise_scale", type=float)
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--reps", type=int, required=True)
-    p_sim.add_argument("--alpha", type=float, default=0.05)
-    p_sim.add_argument("--B", dest="b", type=int, default=1000)
-    p_sim.add_argument("--weights", choices=("gaussian", "rademacher"), default="gaussian")
-    p_sim.add_argument("--methods", default=None, help="comma list; default all interval/region methods")
+    p_sim.add_argument("--alpha", type=float)
+    p_sim.add_argument("--B", dest="b", type=int)
+    p_sim.add_argument("--weights", choices=("gaussian", "rademacher"))
+    p_sim.add_argument("--methods", help="comma list; default all interval/region methods")
     add_common_flags(p_sim)
 
-    p_check = sub.add_parser("check", help="deterministic inequality and linear-representation check")
+    p_check = add_command("check", "deterministic inequality and linear-representation check")
     p_check.add_argument("--dgp", required=True)
-    p_check.add_argument("--noise-scale", dest="noise_scale", type=float, default=None)
+    p_check.add_argument("--noise-scale", dest="noise_scale", type=float)
     p_check.add_argument("--n", type=int, required=True)
     add_common_flags(p_check)
 
@@ -415,9 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    values = {k: v for k, v in vars(args).items() if k in fields}
-    config = RunConfig(**values)
+    config = RunConfig(**vars(args))
     env_seed = os.environ.get(SEED_ENV_VAR)
     if config.seed is None and env_seed:
         try:
@@ -428,9 +411,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def run_command(config: RunConfig) -> Report:
-    """Dispatch a validated config to its command implementation."""
+    """Validate the config, run its command and build its Report."""
     config.validate()
-    return _COMMANDS[config.command](config)
+    results, warnings = _COMMANDS[config.command](config)
+    return Report(config.command, dataclasses.asdict(config), results, warnings)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -447,8 +431,6 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         report = run_command(config)
-    except ValueError as exc:
-        parser.exit(2, f"leanreg: config error: {exc}\n")
     except _DATA_ERRORS + (LeanRegError,) as exc:
         payload = {
             "command": config.command,
@@ -457,6 +439,8 @@ def main(argv=None) -> int:
         }
         _emit(json.dumps(payload, sort_keys=True, indent=2), config.out)
         return 3 if isinstance(exc, _DATA_ERRORS) else 4
+    except ValueError as exc:
+        parser.exit(2, f"leanreg: config error: {exc}\n")
     text = report_json(report)
     _emit(text, config.out)
     if config.command == "simulate" and config.out:

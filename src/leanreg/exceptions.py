@@ -44,7 +44,7 @@ class BadCoordinate(LeanRegError):
 
 
 class MissingColumn(LeanRegError):
-    """A named CSV column is absent."""
+    """A named CSV column is absent or ambiguous."""
 
 
 class NonNumericCell(LeanRegError):

@@ -323,11 +323,7 @@ def run_coverage(
             excluded += 1
             continue
         var_s = sandwich_avar(fit) if needs_sandwich else None
-        draws = (
-            run_bootstrap(fit, "multiplier", b=b, dist=weight_dist, seed=(seed, r, 1))
-            if needs_boot
-            else None
-        )
+        draws = run_bootstrap(fit, b=b, dist=weight_dist, seed=(seed, r, 1)) if needs_boot else None
         for m in hits:
             if m in ("classical_normal", "sandwich_normal"):
                 var = classical_avar(fit) if m == "classical_normal" else var_s

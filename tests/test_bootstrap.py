@@ -76,8 +76,9 @@ class TestMultiplierDraw:
         [("multiplier", "gaussian"), ("multiplier", "rademacher"), ("resample_m_of_n", "gaussian")],
     )
     def test_fewer_replicates_are_a_prefix(self, het_fit, method, dist):
-        short = run_bootstrap(het_fit, method, b=10, dist=dist, seed=31)
-        long = run_bootstrap(het_fit, method, b=1000, dist=dist, seed=31)
+        m = het_fit.n if method == "resample_m_of_n" else None
+        short = run_bootstrap(het_fit, b=10, m=m, dist=dist, seed=31)
+        long = run_bootstrap(het_fit, b=1000, m=m, dist=dist, seed=31)
         # same weights; only the product's rounding may depend on the shape
         np.testing.assert_allclose(short.draws_t, long.draws_t[:10], rtol=1e-13, atol=1e-15)
 
@@ -99,11 +100,11 @@ class TestResampleDraw:
     def test_single_zero_score(self):
         fit = fit_ols(Dataset(x=[[2.0]], y=[5.0]))
         for seed in range(5):
-            draws = run_bootstrap(fit, "resample_m_of_n", b=3, m=7, seed=seed)
+            draws = run_bootstrap(fit, b=3, m=7, seed=seed)
             np.testing.assert_allclose(draws.draws_t, 0.0, atol=1e-14)
 
     def test_conditional_mean_and_covariance(self, het_fit):
-        draws = run_bootstrap(het_fit, "resample_m_of_n", b=10_000, seed=17).draws_t
+        draws = run_bootstrap(het_fit, b=10_000, m=het_fit.n, seed=17).draws_t
         b = draws.shape[0]
         kmat = k_check(het_fit)
         scale = np.sqrt(np.diag(kmat))
@@ -116,8 +117,8 @@ class TestResampleDraw:
 class TestRunBootstrap:
     @pytest.mark.parametrize(
         "kwargs",
-        [{"dist": "mammen"}, {"method": "wild"}, {"b": 0}, {"method": "resample_m_of_n", "m": 0}],
-        ids=["dist", "method", "b", "m"],
+        [{"dist": "mammen"}, {"b": 0}, {"m": 0}],
+        ids=["dist", "b", "m"],
     )
     def test_rejects_bad_arguments(self, tiny_fit, kwargs):
         with pytest.raises(ValueError):
@@ -152,14 +153,22 @@ class TestRunBootstrap:
         back = draws.draws_u @ het_fit.sigma_hat.T
         assert np.abs(back - draws.draws_t).max() <= 1e-10
 
-    def test_resample_method_defaults_m_to_n(self, het_fit):
-        draws = run_bootstrap(het_fit, "resample_m_of_n", b=16, seed=4)
-        assert draws.m == het_fit.n
-        assert run_bootstrap(het_fit, "multiplier", b=4, seed=4).m is None
+    def test_m_selects_the_scheme(self, het_fit):
+        draws = run_bootstrap(het_fit, b=16, m=het_fit.n, seed=4)
+        assert (draws.method, draws.m) == ("resample_m_of_n", het_fit.n)
+        draws = run_bootstrap(het_fit, b=4, seed=4)
+        assert (draws.method, draws.m, draws.dist) == ("multiplier", None, "gaussian")
+
+    def test_resampling_ignores_the_weight_law(self, het_fit):
+        # m-of-n counts follow no weight law, so dist neither changes nor labels the draws
+        rad = run_bootstrap(het_fit, b=30, m=40, dist="rademacher", seed=9)
+        gauss = run_bootstrap(het_fit, b=30, m=40, dist="gaussian", seed=9)
+        assert rad.dist is None and gauss.dist is None
+        np.testing.assert_array_equal(rad.draws_t, gauss.draws_t)
 
     def test_resample_replicates_match_resample_draw(self, het_fit):
         # m draws with replacement, summed row by row: the law the counts encode
-        draws = run_bootstrap(het_fit, "resample_m_of_n", b=30, m=40, seed=9)
+        draws = run_bootstrap(het_fit, b=30, m=40, seed=9)
         idx = np.random.default_rng(subseed(9)).integers(0, het_fit.n, (30, 40))
         expected = het_fit.scores_hat[idx].sum(axis=1) / np.sqrt(40.0)
         np.testing.assert_allclose(draws.draws_t, expected, rtol=1e-12, atol=1e-14)

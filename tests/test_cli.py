@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from leanreg import Dataset
+from leanreg import Dataset, fit_ols, max_t_test, sandwich_avar
 from leanreg.cli import main, read_csv, write_csv
 
 EXAMPLE_CSV = "x0,x1,y\n1,0,0\n1,1,1\n1,2,4\n"
@@ -54,6 +55,14 @@ class TestReadCsv:
 
         with pytest.raises(MissingColumn):
             read_csv(example_csv, "response")
+
+    def test_repeated_response_column(self, tmp_path):
+        from leanreg import MissingColumn
+
+        path = tmp_path / "twice.csv"
+        path.write_text("x,y,y\n0,1,2\n1,3,4\n2,5,7\n")
+        with pytest.raises(MissingColumn, match="exactly once"):
+            read_csv(str(path), "y")
 
     def test_nan_cell_rejected(self, tmp_path):
         from leanreg import NonNumericCell
@@ -113,10 +122,20 @@ class TestFitCommand:
         )
         assert payload["config"]["command"] == "fit"
 
-    def test_missing_file_exits_3(self, capsys):
-        code, out = run_cli(["fit", "--data", "/nonexistent.csv", "--response", "y"], capsys)
+    @pytest.mark.parametrize("kind, error", [
+        ("missing", "FileNotFoundError"),
+        ("directory", "IsADirectoryError"),
+        ("latin1", "UnicodeDecodeError"),
+    ], ids=["missing", "directory", "latin1"])
+    def test_missing_file_exits_3(self, tmp_path, kind, error, capsys):
+        path = tmp_path / "data.csv"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "latin1":
+            path.write_bytes("caf\u00e9,y\n1,2\n2,3\n3,5\n".encode("latin-1"))
+        code, out = run_cli(["fit", "--data", str(path), "--response", "y"], capsys)
         assert code == 3
-        assert json.loads(out)["error"]["type"] == "FileNotFoundError"
+        assert json.loads(out)["error"]["type"] == error
 
     def test_singular_design_exits_4(self, tmp_path, capsys):
         path = tmp_path / "collinear.csv"
@@ -181,6 +200,24 @@ class TestTestCommand:
         assert payload["config"]["seed"] == 55
         assert payload["results"]["b"] == 99
 
+    def test_null_vector_matches_library(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        x = rng.uniform(size=(40, 2))
+        data = Dataset(x=x, y=x @ [0.5, -0.5] + (0.5 + x[:, 0]) * rng.standard_normal(40))
+        path = tmp_path / "d.csv"
+        write_csv(data, str(path))
+        args = ["test", "--data", str(path), "--response", "y", "--add-intercept"]
+        res = run_json(args + ["--null", "0.2,0.5,-0.5"], capsys)["results"]
+        fit = fit_ols(read_csv(str(path), "y", add_intercept=True))
+        expected = max_t_test(fit, sandwich_avar(fit), np.array([0.2, 0.5, -0.5]), "std_normal")
+        assert res["statistic"] == expected.statistic
+        assert res["p_value"] == expected.p_value
+        assert res["null_value"] == [0.2, 0.5, -0.5]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--null", "1,2"])
+        assert exc.value.code == 2
+        assert "--null has 2 entries, expected 1 or 3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("env_seed", ["abc", "1.5"])
     def test_invalid_seed_env_exits_2(self, env_seed, capsys, monkeypatch):
         # same exit and message kind as --seed -1, not a ValueError traceback
@@ -215,11 +252,13 @@ class TestBootstrapCommand:
     def test_m_flag_switches_to_resampling(self, example_csv, capsys):
         payload = run_json(
             ["bootstrap", "--data", example_csv, "--response", "y",
-             "--B", "50", "--m", "2", "--seed", "1"],
+             "--B", "50", "--m", "2", "--seed", "1", "--weights", "rademacher"],
             capsys,
         )
         assert payload["results"]["method"] == "resample_m_of_n"
         assert payload["results"]["m"] == 2
+        # resampling counts follow no weight law, so none is reported
+        assert payload["results"]["weight_dist"] is None
 
 
 class TestSimulateCommand:
@@ -250,14 +289,19 @@ class TestSimulateCommand:
         out = tmp_path / "cov.json"
         code = main(
             ["simulate", "--dgp", "quadratic_mean_iid", "--n", "50", "--reps", "2",
-             "--methods", "sandwich_normal", "--seed", "3", "--out", str(out)]
+             "--methods", "sandwich_normal,max_t_bootstrap", "--B", "50", "--seed", "3",
+             "--out", str(out)]
         )
         assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["results"]["replications"] == 2
+        results = json.loads(out.read_text())["results"]
+        assert results["replications"] == 2
         csv_text = (tmp_path / "cov.csv").read_text()
         assert csv_text.startswith("method,metric,coordinate,value")
         assert "sandwich_normal" in csv_text
+        rows = list(csv.DictReader(csv_text.splitlines()))
+        for metric in ("rejection_rate", "rejection_se"):
+            side = {r["method"]: float(r["value"]) for r in rows if r["metric"] == metric}
+            assert side == results[metric] and "max_t_bootstrap" in side
 
 
 class TestCheckCommand:

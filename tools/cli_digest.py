@@ -39,7 +39,7 @@ DGPS = (
 
 
 def write_csvs(directory: pathlib.Path) -> None:
-    """Three CSVs of growing size, each from its own fixed seed; plus three tiny edge cases."""
+    """Three CSVs of growing size, each from its own fixed seed; plus five tiny edge cases."""
     shapes = {"small": (300, 2, 1), "wide": (1000, 4, 2), "tall": (20000, 10, 3)}
     for name, (n, p, seed) in shapes.items():
         rng = np.random.default_rng(seed)
@@ -56,6 +56,9 @@ def write_csvs(directory: pathlib.Path) -> None:
     (directory / "exact.csv").write_text("x,y\n" + "".join(f"{x},{1 + 2 * x}\n" for x in range(8)))
     # n == p with an intercept, so a student_t reference has no degrees of freedom
     (directory / "tworow.csv").write_text("x,y\n0.1,0.3\n0.7,0.2\n")
+    # a Latin-1 header is not UTF-8, and a header may name the response twice
+    (directory / "latin1.csv").write_bytes("caf\u00e9,y\n1,2\n2,3\n3,5\n".encode("latin-1"))
+    (directory / "twice.csv").write_text("x,y,y\n0,1,2\n1,3,4\n2,5,7\n")
 
 
 def commands() -> list[list[str]]:
@@ -91,6 +94,18 @@ def commands() -> list[list[str]]:
         ["bootstrap", *exact, "--B", "50", "--seed", "1"],
         ["test", "--data", "tworow.csv", "--response", "y", "--add-intercept", "--coef", "1",
          "--reference", "t"],
+    ]
+    # m-of-n ignores the weight law; a null vector of the right and of the wrong length;
+    # no --data, and --data files that cannot be read or name the response twice
+    cmds += [
+        ["bootstrap", "--data", "small.csv", "--response", "y", "--B", "200", "--seed", "13",
+         "--m", "150", "--weights", "rademacher"],
+        ["test", *small, "--null", "1,0.5,-0.5"],
+        ["test", *small, "--null", "1,2"],
+        ["fit", "--response", "y"],
+        ["fit", "--data", ".", "--response", "y"],
+        ["fit", "--data", "latin1.csv", "--response", "y"],
+        ["fit", "--data", "twice.csv", "--response", "y"],
     ]
     for dgp in DGPS:
         cmds += [
