@@ -18,7 +18,7 @@ from leanreg import (
     run_bootstrap,
     sample,
     sandwich_avar,
-    solve_spd,
+    spd_solver,
 )
 
 n, b = 400, 10_000
@@ -28,7 +28,7 @@ fit = fit_ols(data)
 draws = run_bootstrap(fit, b=b, dist="gaussian", seed=7)
 var = sandwich_avar(fit)
 kmat = var.meat  # the sandwich's meat is k_check
-quad = np.einsum("bi,ib->b", draws.draws_t, solve_spd(kmat, draws.draws_t.T))
+quad = np.einsum("bi,ib->b", draws.draws_t, spd_solver(kmat)(draws.draws_t.T))
 ks = stats.kstest(quad, "chi2", args=(fit.p,)).statistic
 print(f"KS distance of t' k_check^-1 t to chi2({fit.p}) over {b} draws: {ks:.4f}")
 print(f"(the conditional law is exact for gaussian weights; compare 0.95 quantile "

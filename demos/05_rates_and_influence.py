@@ -28,9 +28,9 @@ grid = [500, 1000, 2000, 4000]
 
 rep = run_consistency(dgp, grid, replications=150, seed=21)
 print("median ||beta_hat - beta_n|| per n:")
-for n, m in zip(grid, rep.consistency["median_error"]):
+for n, m in zip(grid, rep["median_error"]):
     print(f"  n={n:5d}: {m:.5f}")
-print(f"fitted log-log slope: {rep.consistency['loglog_slope']:.3f} (root-n is -0.5)")
+print(f"fitted log-log slope: {rep['loglog_slope']:.3f} (root-n is -0.5)")
 print()
 
 
@@ -53,7 +53,7 @@ beta_wrong = beta_true + 0.5
 
 def remainder(n, r, beta, means):
     fit = fit_ols(sample(dgp, n, np.random.default_rng(subseed(78, n, r))))
-    return influence_remainder(fit, population_targets(dgp, n).sigma_n, beta, means)
+    return influence_remainder(fit, population_targets(dgp, n).solve, beta, means)
 
 
 print("influence-representation remainder (median over 100 replications):")

@@ -38,7 +38,7 @@ from .exceptions import (
     ZeroVariance,
 )
 from .inference import TestResult, max_t_test, t_test
-from .linalg import eig_sym_extremes, op_norm, psd_leq, solve_spd
+from .linalg import eig_sym_extremes, op_norm, psd_leq, spd_solver
 from .ols import Dataset, OlsFit, fit_ols, scores_at
 from .simlab import (
     CoverageReport,
@@ -96,7 +96,7 @@ __all__ = [
     "sample",
     "sandwich_avar",
     "scores_at",
-    "solve_spd",
+    "spd_solver",
     "subseed",
     "t_test",
 ]

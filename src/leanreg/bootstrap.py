@@ -56,7 +56,8 @@ class BootstrapDraws:
     sigma_hat^-1 @ t_star_b, the same draws moved to the coefficient scale,
     which is what confidence regions for the target are built from. ``m`` is
     the resample size of an m-of-n run and None for a multiplier run, whose
-    weight law ``dist`` names; ``method`` is derived from ``m``.
+    weight law ``dist`` names; ``method`` is derived from ``m``. The caller
+    keeps the seed.
     """
 
     b: int
@@ -64,7 +65,6 @@ class BootstrapDraws:
     dist: str | None
     draws_t: np.ndarray
     draws_u: np.ndarray
-    seed: object
 
     @property
     def method(self) -> str:
@@ -116,7 +116,7 @@ def run_bootstrap(
         draws_t[start : start + k] = w @ fit.scores_hat / math.sqrt(m or n)
 
     draws_u = fit.solve(draws_t.T).T
-    return BootstrapDraws(b=b, m=m, dist=dist, draws_t=draws_t, draws_u=draws_u, seed=seed)
+    return BootstrapDraws(b=b, m=m, dist=dist, draws_t=draws_t, draws_u=draws_u)
 
 
 def _order_stat_quantile(values: np.ndarray, alpha: float) -> float:

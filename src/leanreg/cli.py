@@ -39,7 +39,7 @@ from .exceptions import (
 from .inference import max_t_test, t_test
 from .ols import Dataset, fit_ols
 from .simlab import COVERAGE_METHODS, Dgp, population_targets, run_coverage, sample
-from .variance import classical_avar, sandwich_avar
+from .variance import classical_avar, residual_variance, sandwich_avar
 
 SEED_ENV_VAR = "LEANREG_SEED"
 
@@ -59,40 +59,47 @@ def read_csv(path: str, response_column: str, add_intercept: bool = False) -> Da
     The response column becomes y; all other columns become x in header
     order, optionally behind a prepended ones column. The response must name
     exactly one header column, and cells must parse as finite numbers; the
-    offending row and column are reported otherwise.
+    offending row and column are reported otherwise, and a file that is not
+    UTF-8 raises UnicodeDecodeError naming its first undecodable line.
     """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyData(f"{path} is empty") from None
-        header = [h.strip() for h in header]
-        if header.count(response_column) != 1:
-            raise MissingColumn(
-                f"response column {response_column!r} must appear exactly once in header {header}"
-            )
-        y_idx = header.index(response_column)
-        rows = []
-        for r, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise NonNumericCell(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
-            parsed = []
-            for c, cell in enumerate(row):
-                try:
-                    value = float(cell)
-                except ValueError:
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise EmptyData(f"{path} is empty") from None
+            header = [h.strip() for h in header]
+            if header.count(response_column) != 1:
+                raise MissingColumn(
+                    f"response column {response_column!r} must appear exactly once "
+                    f"in header {header}"
+                )
+            y_idx = header.index(response_column)
+            rows = []
+            for r, row in enumerate(reader, start=2):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if len(row) != len(header):
                     raise NonNumericCell(
-                        f"{path}: cell {cell!r} at row {r}, column {header[c]!r} is not numeric"
-                    ) from None
-                if not math.isfinite(value):
-                    raise NonNumericCell(
-                        f"{path}: non-finite value at row {r}, column {header[c]!r}"
+                        f"{path}: row {r} has {len(row)} cells, expected {len(header)}"
                     )
-                parsed.append(value)
-            rows.append(parsed)
+                parsed = []
+                for c, cell in enumerate(row):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise NonNumericCell(
+                            f"{path}: cell {cell!r} at row {r}, column {header[c]!r} is not numeric"
+                        ) from None
+                    if not math.isfinite(value):
+                        raise NonNumericCell(
+                            f"{path}: non-finite value at row {r}, column {header[c]!r}"
+                        )
+                    parsed.append(value)
+                rows.append(parsed)
+    except UnicodeDecodeError as exc:
+        raise _undecodable_line(path, exc) from None
     if not rows:
         raise EmptyData(f"{path} has a header but no data rows")
     table = np.asarray(rows, dtype=float)
@@ -101,6 +108,22 @@ def read_csv(path: str, response_column: str, add_intercept: bool = False) -> Da
     if add_intercept:
         x = np.column_stack([np.ones(x.shape[0]), x])
     return Dataset(x=x, y=y)
+
+
+def _undecodable_line(path: str, exc: UnicodeDecodeError) -> UnicodeDecodeError:
+    """``exc`` restated for the first physical line of ``path`` that is not UTF-8.
+
+    A decoder error counts bytes from the start of a buffered chunk; this one
+    holds that line, so its position is the byte offset within the line.
+    """
+    with open(path, "rb") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as err:
+                reason = f"{err.reason} in {path}, line {lineno} (position is within the line)"
+                return UnicodeDecodeError(err.encoding, line, err.start, err.end, reason)
+    return exc
 
 
 def write_csv(dataset: Dataset, path: str, response_column: str = "y", feature_names=None) -> None:
@@ -208,7 +231,7 @@ def _cmd_fit(config: RunConfig) -> tuple[dict, list]:
     if fit.n > fit.p:
         classical = classical_avar(fit)
         results["se_classical"] = classical.se
-        results["sigma2_classical"] = float(classical.meat[0, 0] / fit.sigma_hat[0, 0])
+        results["sigma2_classical"] = residual_variance(fit)
         results["se_sandwich_hc1"] = sandwich_avar(fit, dof_correct=True).se
     else:
         results["se_classical"] = None
@@ -279,9 +302,9 @@ def _cmd_simulate(config: RunConfig) -> tuple[dict, list]:
         b=config.b,
         weight_dist=config.weights,
     )
-    # the seed is echoed in the config; only run_consistency fills consistency
+    # the seed is echoed in the config
     results = dataclasses.asdict(report)
-    del results["seed"], results["consistency"]
+    del results["seed"]
     warnings = []
     if report.excluded:
         warnings.append(f"{report.excluded} replication(s) excluded for singular designs")
@@ -310,7 +333,7 @@ def _cmd_check(config: RunConfig) -> tuple[dict, list]:
     data = sample(dgp, config.n, np.random.default_rng(np.random.SeedSequence(config.seed)))
     fit = fit_ols(data)
     det = det_inequality_check(fit.sigma_hat, fit.gamma_hat, pop.sigma_n, pop.gamma_n)
-    remainder = influence_remainder(fit, pop.sigma_n, pop.beta_n, pop.score_means)
+    remainder = influence_remainder(fit, pop.solve, pop.beta_n, pop.score_means)
     results = {
         "beta_hat": fit.beta_hat,
         "beta_n": pop.beta_n,

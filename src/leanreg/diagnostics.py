@@ -57,14 +57,15 @@ def _leq_with_slack(lhs: float, rhs: float) -> bool:
 def det_inequality_check(sigma_hat, gamma_hat, sigma_pop, gamma_pop) -> DetCheckReport:
     """Evaluate the deterministic sandwich and remainder inequalities.
 
-    Solves both normal-equation systems, so both sigma arguments must be SPD.
+    Solves both normal-equation systems, so both sigma arguments must be SPD;
+    raw pairs, not a fit and its targets, let it check pairs no fit produced.
     """
     sigma_hat = np.asarray(sigma_hat, dtype=float)
     sigma_pop = np.asarray(sigma_pop, dtype=float)
     gamma_hat = np.asarray(gamma_hat, dtype=float).ravel()
     gamma_pop = np.asarray(gamma_pop, dtype=float).ravel()
 
-    beta_hat = linalg.solve_spd(sigma_hat, gamma_hat)
+    beta_hat = linalg.spd_solver(sigma_hat)(gamma_hat)
     solve_pop = linalg.spd_solver(sigma_pop)
     beta_pop = solve_pop(gamma_pop)
     lam, _ = linalg.eig_sym_extremes(sigma_pop)
@@ -92,7 +93,7 @@ def det_inequality_check(sigma_hat, gamma_hat, sigma_pop, gamma_pop) -> DetCheck
     )
 
 
-def influence_remainder(fit: OlsFit, sigma_pop, beta_pop, score_means=None) -> float:
+def influence_remainder(fit: OlsFit, solve_pop, beta_pop, score_means=None) -> float:
     """Norm of the remainder in the linear representation of the error.
 
     Returns
@@ -100,7 +101,8 @@ def influence_remainder(fit: OlsFit, sigma_pop, beta_pop, score_means=None) -> f
         || sqrt(n)(beta_hat - beta) - n^{-1/2} sum_i sigma^-1 (s_i - mu_i) ||
 
     where s_i = x_i (y_i - x_i' beta) are the raw scores at ``beta_pop`` and
-    mu_i are their expectations (``score_means`` rows). Pass None for the
+    mu_i are their expectations (``score_means`` rows); ``solve_pop`` is
+    b -> sigma^-1 b, the factor a PopulationTargets carries. Pass None for the
     iid / random-covariate convention mu_i = 0; fixed-design scenarios have
     nonzero rows whose average vanishes. Any efficient regular estimator of
     the moment-defined target must make this remainder vanish in probability;
@@ -115,6 +117,6 @@ def influence_remainder(fit: OlsFit, sigma_pop, beta_pop, score_means=None) -> f
                 f"score_means has shape {score_means.shape}, expected {raw.shape}"
             )
         raw = raw - score_means
-    lin = linalg.solve_spd(sigma_pop, raw.sum(axis=0) / np.sqrt(fit.n))
+    lin = solve_pop(raw.sum(axis=0) / np.sqrt(fit.n))
     left = np.sqrt(fit.n) * (fit.beta_hat - beta_pop)
     return float(np.linalg.norm(left - lin))

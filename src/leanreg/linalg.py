@@ -80,11 +80,6 @@ def _apply_factor(lower: np.ndarray, b) -> np.ndarray:
     return cho_solve((lower, True), b)
 
 
-def solve_spd(a, b):
-    """Solve a @ x = b for symmetric positive definite ``a``; see spd_solver."""
-    return spd_solver(a)(b)
-
-
 def eig_sym_extremes(a) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a symmetric matrix."""
     a = _as_square_symmetric(a, "a")

@@ -35,6 +35,7 @@ Replication r of any Monte Carlo run draws from the generator seeded by
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -108,7 +109,10 @@ class Dgp:
 
 @dataclass(frozen=True)
 class PopulationTargets:
-    """Exact population quantities for one (dgp, n) scenario."""
+    """Exact population quantities for one (dgp, n) scenario.
+
+    ``solve`` is b -> sigma_n^-1 b through the one factorization of sigma_n.
+    """
 
     beta_n: np.ndarray
     sigma_n: np.ndarray
@@ -118,6 +122,7 @@ class PopulationTargets:
     av_n: np.ndarray
     av_n_star: np.ndarray
     score_means: np.ndarray
+    solve: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
 
 def _profile(dgp: Dgp, num=float):
@@ -205,6 +210,7 @@ def population_targets(dgp: Dgp, n: int) -> PopulationTargets:
         av_n=_sandwich(solve, k_n),
         av_n_star=_sandwich(solve, k_star),
         score_means=score_means,
+        solve=solve,
     )
 
 
@@ -258,9 +264,9 @@ class CoverageReport:
     """
 
     scenario: str
-    n: int | None
+    n: int
     replications: int
-    alpha: float | None
+    alpha: float
     seed: int
     methods: tuple[str, ...]
     coverage: dict = field(default_factory=dict)
@@ -269,7 +275,6 @@ class CoverageReport:
     rejection_rate: dict = field(default_factory=dict)
     rejection_se: dict = field(default_factory=dict)
     excluded: int = 0
-    consistency: dict | None = None
 
 
 def _mc_se(prop: np.ndarray, r: int) -> np.ndarray:
@@ -370,11 +375,12 @@ def run_coverage(
     )
 
 
-def run_consistency(dgp: Dgp, n_grid, replications: int, seed: int) -> CoverageReport:
+def run_consistency(dgp: Dgp, n_grid, replications: int, seed: int) -> dict:
     """Median estimation error per sample size, plus the fitted log-log slope.
 
-    The replication substream is keyed by (seed, grid-index, r) so adding a
-    grid point never perturbs the others.
+    Returns {"n_grid", "median_error", "loglog_slope"}. The replication
+    substream is keyed by (seed, grid-index, r) so adding a grid point never
+    perturbs the others.
     """
     n_grid = [int(n) for n in n_grid]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or len(n_grid) < 1:
@@ -393,12 +399,4 @@ def run_consistency(dgp: Dgp, n_grid, replications: int, seed: int) -> CoverageR
         slope = float(np.polyfit(np.log(n_grid), np.log(medians), 1)[0])
     else:
         slope = float("nan")
-    return CoverageReport(
-        scenario=dgp.kind,
-        n=None,
-        replications=replications,
-        alpha=None,
-        seed=seed,
-        methods=(),
-        consistency={"n_grid": n_grid, "median_error": medians, "loglog_slope": slope},
-    )
+    return {"n_grid": n_grid, "median_error": medians, "loglog_slope": slope}

@@ -34,16 +34,16 @@ SANDWICH_HC1 = "sandwich_hc1"
 class VarianceEstimate:
     """An estimate of the covariance of sqrt(n) * (beta_hat - beta_n).
 
-    ``avar`` is on the sqrt(n) scale; ``se[j] = sqrt(avar[j, j] / n)`` is the
-    plain standard error of beta_hat[j]. ``meat`` is the inner matrix:
-    k_check for sandwich methods, sigma2 * sigma_hat for the classical one.
+    ``avar`` is on the sqrt(n) scale, with n the fit's sample size;
+    ``se[j] = sqrt(avar[j, j] / n)`` is the plain standard error of beta_hat[j].
+    ``meat`` is the inner matrix: k_check for sandwich methods, sigma2 *
+    sigma_hat for the classical one.
     """
 
     method: str
     avar: np.ndarray
     se: np.ndarray
     meat: np.ndarray
-    n: int
 
     def is_sandwich(self) -> bool:
         return self.method in (SANDWICH_HC0, SANDWICH_HC1)
@@ -83,8 +83,14 @@ def sandwich_avar(fit: OlsFit, dof_correct: bool = False) -> VarianceEstimate:
         avar=avar,
         se=np.sqrt(np.diag(avar) / fit.n),
         meat=meat,
-        n=fit.n,
     )
+
+
+def residual_variance(fit: OlsFit) -> float:
+    """The classical error-variance estimator sigma2 = RSS/(n-p); needs n > p."""
+    if fit.n <= fit.p:
+        raise DegenerateDof(f"classical variance needs n > p, got n={fit.n}, p={fit.p}")
+    return float(fit.residuals @ fit.residuals) / (fit.n - fit.p)
 
 
 def classical_avar(fit: OlsFit) -> VarianceEstimate:
@@ -93,9 +99,7 @@ def classical_avar(fit: OlsFit) -> VarianceEstimate:
     This is what conventional regression output reports; it is wrong whenever
     the error variance depends on the covariates or the mean is nonlinear.
     """
-    if fit.n <= fit.p:
-        raise DegenerateDof(f"classical variance needs n > p, got n={fit.n}, p={fit.p}")
-    sigma2 = float(fit.residuals @ fit.residuals) / (fit.n - fit.p)
+    sigma2 = residual_variance(fit)
     inv = fit.solve(np.eye(fit.p))
     avar = sigma2 * (inv + inv.T) / 2.0
     return VarianceEstimate(
@@ -103,5 +107,4 @@ def classical_avar(fit: OlsFit) -> VarianceEstimate:
         avar=avar,
         se=np.sqrt(np.diag(avar) / fit.n),
         meat=sigma2 * fit.sigma_hat,
-        n=fit.n,
     )

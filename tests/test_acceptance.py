@@ -28,7 +28,7 @@ from leanreg import (
     run_consistency,
     run_coverage,
     sample,
-    solve_spd,
+    spd_solver,
     subseed,
 )
 from leanreg.cli import main
@@ -88,7 +88,7 @@ def test_criterion_2_gaussian_multiplier_exactness():
     assert (fit.n, fit.p) == (200, 3)
     draws = run_bootstrap(fit, b=10_000, dist="gaussian", seed=SEED)
     kmat = k_check(fit)
-    q = np.einsum("bi,ib->b", draws.draws_t, solve_spd(kmat, draws.draws_t.T))
+    q = np.einsum("bi,ib->b", draws.draws_t, spd_solver(kmat)(draws.draws_t.T))
     ks = stats.kstest(q, "chi2", args=(3,)).statistic
     ok = ks < 0.02
     report(2, "gaussian-multiplier chi-square exactness", ok, f"KS={ks:.4f} < 0.02")
@@ -152,7 +152,7 @@ def test_criterion_5_classical_vs_sandwich_separation():
 
 def test_criterion_6_target_consistency_rate():
     rep = run_consistency(Dgp("quadratic_mean_iid"), [500, 1000, 2000, 4000], 200, seed=SEED)
-    slope = rep.consistency["loglog_slope"]
+    slope = rep["loglog_slope"]
     ok = -0.65 <= slope <= -0.35
     report(6, "target consistency rate", ok, f"log-log slope {slope:.3f} in [-0.65, -0.35]")
     assert -0.65 <= slope <= -0.35
@@ -169,11 +169,11 @@ def test_criterion_8_influence_representation():
     dgp = Dgp("quadratic_mean_iid")
 
     def median_remainder(n: int, beta, score_means) -> float:
-        sigma = population_targets(dgp, n).sigma_n
+        solve = population_targets(dgp, n).solve
         vals = [
             influence_remainder(
                 fit_ols(sample(dgp, n, np.random.default_rng(subseed(SEED, 8, n, r)))),
-                sigma,
+                solve,
                 beta,
                 score_means,
             )

@@ -137,6 +137,34 @@ class TestFitCommand:
         assert code == 3
         assert json.loads(out)["error"]["type"] == error
 
+    def test_late_non_utf8_line_is_located(self, tmp_path, capsys):
+        path = tmp_path / "late.csv"
+        rng = np.random.default_rng(4)
+        rows = "".join(f"{a},{b}\n" for a, b in rng.random((5000, 2)).tolist())
+        path.write_bytes(("x,y\n" + rows + "caf\u00e9,1\n").encode("latin-1"))
+        code, out = run_cli(["fit", "--data", str(path), "--response", "y"], capsys)
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert error["type"] == "UnicodeDecodeError"
+        # the header is line 1, so the Latin-1 line is 5002; 0xe9 is its fourth byte
+        assert f"in position 3: invalid continuation byte in {path}, line 5002 " in error["message"]
+        with pytest.raises(UnicodeDecodeError) as exc:
+            read_csv(str(path), "y")
+        assert (exc.value.object, exc.value.start) == ("caf\u00e9,1\n".encode("latin-1"), 3)
+
+    def test_sigma2_classical_is_the_estimator(self, tmp_path, capsys):
+        # rss / (n - p) itself, not decoded back from the classical meat matrix
+        rng = np.random.default_rng(11)
+        x = rng.random((300, 2))
+        y = 1.0 + x @ [1.0, -1.0] + x[:, 0] ** 2 + (0.2 + x[:, 0]) * rng.standard_normal(300)
+        path = tmp_path / "resid.csv"
+        np.savetxt(path, np.column_stack([x, y]), delimiter=",", header="x0,x1,y", comments="",
+                   fmt="%.17g")
+        res = run_json(["fit", "--data", str(path), "--response", "y"], capsys)["results"]
+        fit = fit_ols(read_csv(str(path), "y"))
+        expected = fit.residuals @ fit.residuals / (fit.n - fit.p)
+        assert res["sigma2_classical"] == expected
+
     def test_singular_design_exits_4(self, tmp_path, capsys):
         path = tmp_path / "collinear.csv"
         path.write_text("a,b,y\n1,2,1\n2,4,2\n3,6,5\n")

@@ -10,16 +10,16 @@ from leanreg import (
     eig_sym_extremes,
     op_norm,
     psd_leq,
-    solve_spd,
+    spd_solver,
 )
 
 
 class TestSolveSpd:
     def test_identity(self):
-        np.testing.assert_allclose(solve_spd(np.eye(2), [3.0, -1.0]), [3.0, -1.0])
+        np.testing.assert_allclose(spd_solver(np.eye(2))([3.0, -1.0]), [3.0, -1.0])
 
     def test_diagonal(self):
-        np.testing.assert_allclose(solve_spd(np.diag([2.0, 4.0]), [2.0, 8.0]), [1.0, 2.0])
+        np.testing.assert_allclose(spd_solver(np.diag([2.0, 4.0]))([2.0, 8.0]), [1.0, 2.0])
 
     def test_2x2_cramer_oracle(self):
         a = np.array([[3.0, 3.0], [3.0, 5.0]])
@@ -33,31 +33,31 @@ class TestSolveSpd:
             ]
         )
         np.testing.assert_allclose(expected, [-1.0 / 3.0, 2.0])
-        np.testing.assert_allclose(solve_spd(a, b), expected, atol=1e-12)
+        np.testing.assert_allclose(spd_solver(a)(b), expected, atol=1e-12)
 
     def test_matrix_rhs(self):
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
         rhs = np.array([[1.0, 0.0], [0.0, 1.0]])
-        inv = solve_spd(a, rhs)
+        inv = spd_solver(a)(rhs)
         np.testing.assert_allclose(a @ inv, np.eye(2), atol=1e-12)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
-            solve_spd(np.array([[1.0, 2.0], [0.0, 1.0]]), [1.0, 1.0])
+            spd_solver(np.array([[1.0, 2.0], [0.0, 1.0]]))([1.0, 1.0])
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
-            solve_spd(np.array([[1.0, 0.0], [0.0, -1.0]]), [1.0, 1.0])
+            spd_solver(np.array([[1.0, 0.0], [0.0, -1.0]]))([1.0, 1.0])
 
     def test_rejects_singular(self):
         with pytest.raises(NotPositiveDefinite):
-            solve_spd(np.array([[1.0, 1.0], [1.0, 1.0]]), [1.0, 1.0])
+            spd_solver(np.array([[1.0, 1.0], [1.0, 1.0]]))([1.0, 1.0])
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(DimensionMismatch):
-            solve_spd(np.ones((2, 3)), [1.0, 1.0])
+            spd_solver(np.ones((2, 3)))([1.0, 1.0])
         with pytest.raises(DimensionMismatch):
-            solve_spd(np.eye(2), [1.0, 1.0, 1.0])
+            spd_solver(np.eye(2))([1.0, 1.0, 1.0])
 
     def test_fuzz_residual_bound(self):
         # post-condition ||a x - b|| <= 1e-8 (||a||_op ||x|| + ||b||) on random SPD
@@ -67,7 +67,7 @@ class TestSolveSpd:
             g = rng.standard_normal((p, p))
             a = g.T @ g + 0.1 * np.eye(p)
             b = rng.standard_normal(p)
-            x = solve_spd(a, b)
+            x = spd_solver(a)(b)
             bound = 1e-8 * (op_norm(a) * np.linalg.norm(x) + np.linalg.norm(b))
             assert np.linalg.norm(a @ x - b) <= bound
 

@@ -22,6 +22,7 @@ from leanreg import (
     run_coverage,
     sample,
 )
+from leanreg.cli import main
 
 ALL_KINDS = simlab.DGP_KINDS
 
@@ -153,6 +154,14 @@ class TestPopulationTargets:
         # av_n is the sandwich of k_n
         inv = np.linalg.inv(pop.sigma_n)
         np.testing.assert_allclose(pop.av_n, inv @ pop.k_n @ inv, atol=1e-10)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_solve_is_the_sigma_n_solve(self, kind):
+        pop = population_targets(Dgp(kind), 200)
+        rhs = np.random.default_rng(8).standard_normal((2, 3))
+        # oracle: numpy's general solver on sigma_n, for a vector and a matrix
+        np.testing.assert_allclose(pop.solve(rhs[:, 0]), np.linalg.solve(pop.sigma_n, rhs[:, 0]))
+        np.testing.assert_allclose(pop.solve(rhs), np.linalg.solve(pop.sigma_n, rhs))
 
     @pytest.mark.parametrize("kind", ["quadratic_mean_iid", "fixed_x_nonidentical_mean"])
     def test_score_means_at_arbitrary_beta(self, kind):
@@ -332,18 +341,31 @@ class TestFactorizationCounts:
         population_targets(Dgp(kind), 50)
         assert counts["cholesky"] <= 1
 
+    @pytest.mark.parametrize("kind", ["quadratic_mean_iid", "fixed_x_nonidentical_mean"])
+    def test_check_command_factors_four_matrices(self, counts, kind, capsys):
+        # sigma_n once (the targets carry it), sigma_hat once (the fit carries
+        # it), and det_inequality_check's own pair; influence_remainder none
+        assert main(["check", "--dgp", kind, "--n", "200", "--seed", "3"]) == 0
+        capsys.readouterr()
+        assert counts["cholesky"] == 4
+
 
 class TestRunConsistency:
+    def test_returns_exactly_its_three_keys(self):
+        rep = run_consistency(Dgp("quadratic_mean_iid"), [20, 40], replications=2, seed=3)
+        assert set(rep) == {"n_grid", "median_error", "loglog_slope"}
+        assert rep["n_grid"] == [20, 40]
+
     def test_noiseless_errors_vanish(self):
         dgp = Dgp("linear_homoscedastic", noise_scale=1e-12)
         rep = run_consistency(dgp, [50, 100], replications=10, seed=2)
-        assert all(m <= 1e-10 for m in rep.consistency["median_error"])
+        assert all(m <= 1e-10 for m in rep["median_error"])
 
     def test_root_n_rate_on_quadratic(self):
         rep = run_consistency(Dgp("quadratic_mean_iid"), [500, 1000, 2000, 4000], 120, seed=6)
-        slope = rep.consistency["loglog_slope"]
+        slope = rep["loglog_slope"]
         assert -0.65 <= slope <= -0.35
-        med = rep.consistency["median_error"]
+        med = rep["median_error"]
         # root-n rate: doubling n scales the median by 1/sqrt(2), quadrupling
         # halves it; both within 20 percent
         for a, b in zip(med, med[1:]):

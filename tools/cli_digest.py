@@ -39,8 +39,12 @@ DGPS = (
 
 
 def write_csvs(directory: pathlib.Path) -> None:
-    """Three CSVs of growing size, each from its own fixed seed; plus five tiny edge cases."""
-    shapes = {"small": (300, 2, 1), "wide": (1000, 4, 2), "tall": (20000, 10, 3)}
+    """Four CSVs, each from its own fixed seed; plus six tiny or late edge cases."""
+    # small, wide and tall grow in size; resid is one where RSS / (n - p) and a
+    # value decoded from the classical meat matrix differ in the last bit
+    shapes = {
+        "small": (300, 2, 1), "wide": (1000, 4, 2), "tall": (20000, 10, 3), "resid": (300, 2, 11),
+    }
     for name, (n, p, seed) in shapes.items():
         rng = np.random.default_rng(seed)
         x = rng.random((n, p))
@@ -59,6 +63,9 @@ def write_csvs(directory: pathlib.Path) -> None:
     # a Latin-1 header is not UTF-8, and a header may name the response twice
     (directory / "latin1.csv").write_bytes("caf\u00e9,y\n1,2\n2,3\n3,5\n".encode("latin-1"))
     (directory / "twice.csv").write_text("x,y,y\n0,1,2\n1,3,4\n2,5,7\n")
+    # 5000 valid rows, then a Latin-1 line: past the decoder's first buffered chunk
+    rows = "".join(f"{i},{i}\n" for i in range(5000))
+    (directory / "late.csv").write_bytes(("x,y\n" + rows + "caf\u00e9,1\n").encode("latin-1"))
 
 
 def commands() -> list[list[str]]:
@@ -106,6 +113,8 @@ def commands() -> list[list[str]]:
         ["fit", "--data", ".", "--response", "y"],
         ["fit", "--data", "latin1.csv", "--response", "y"],
         ["fit", "--data", "twice.csv", "--response", "y"],
+        ["fit", "--data", "resid.csv", "--response", "y"],
+        ["fit", "--data", "late.csv", "--response", "y"],
     ]
     for dgp in DGPS:
         cmds += [
