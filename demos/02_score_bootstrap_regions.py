@@ -56,6 +56,6 @@ print("conditional covariance of the draws vs k_check (operator-norm rel. error)
 print(f"  multiplier: {np.linalg.norm(cov_multiplier - kmat, 2) / np.linalg.norm(kmat, 2):.3f}")
 print(f"  resampling: {rel:.3f}")
 
-# rademacher weights as the heavier-tailed alternative
+# rademacher weights (bounded, kurtosis 1) as the lighter-tailed alternative
 rad = run_bootstrap(fit, b=b, dist="rademacher", seed=9)
 print(f"  rademacher: {np.linalg.norm(np.cov(rad.draws_t.T, bias=True) - kmat, 2) / np.linalg.norm(kmat, 2):.3f}")

@@ -10,8 +10,8 @@ and the resampling statistic draws m score rows uniformly with replacement
 with m^{-1/2} scaling, which is the same sum with w_i the number of times
 row i was drawn. Conditional on the data, gaussian multiplier draws are
 exactly normal with covariance k_check, which is what makes them the
-default weight choice; rademacher weights are offered for heavier-tailed
-experiments.
+default weight choice; rademacher weights (bounded, kurtosis 1 against the
+gaussian's 3) are offered as the lighter-tailed alternative.
 
 The resample size m alone picks the scheme: ``m=None`` gives the multiplier
 bootstrap with gaussian or rademacher weights, an integer m the m-of-n
@@ -84,7 +84,9 @@ def run_bootstrap(
     the output depends only on the seed. They are filled in blocks of rows
     as W @ scores_hat / sqrt(scale): W holds multiplier weights (scale n) or,
     for the m-of-n bootstrap, how often each score row is among m rows drawn
-    with replacement (scale m).
+    with replacement (scale m). A block of k rademacher rows takes
+    ceil(k*n/8) bytes from the generator and unpacks them most significant
+    bit first, row-major, into k*n signs: bit 1 is +1 and bit 0 is -1.
     ``m=None`` runs the multiplier bootstrap with weight law ``dist``; an
     integer ``m`` runs the m-of-n bootstrap, which ignores ``dist`` and
     records ``dist=None``. m below n weakens the normal approximation.
@@ -112,7 +114,8 @@ def run_bootstrap(
         elif dist == "gaussian":
             w = rng.standard_normal((k, n))
         else:
-            w = rng.integers(0, 2, (k, n)) * 2.0 - 1.0
+            bits = np.unpackbits(np.frombuffer(rng.bytes(-(-k * n // 8)), np.uint8), count=k * n)
+            w = bits.reshape(k, n) * 2.0 - 1.0
         draws_t[start : start + k] = w @ fit.scores_hat / math.sqrt(m or n)
 
     draws_u = fit.solve(draws_t.T).T

@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,12 @@ def read_csv(path: str, response_column: str, add_intercept: bool = False) -> Da
     exactly one header column, and cells must parse as finite numbers; the
     offending row and column are reported otherwise, and a file that is not
     UTF-8 raises UnicodeDecodeError naming its first undecodable line.
+
+    The data rows are parsed in one vectorized ``np.loadtxt`` pass, which
+    gives the same doubles as ``float()``. A file it cannot take whole, or
+    that parses to no rows, the wrong width or a non-finite value, is read
+    again by ``_table_by_rows``, which alone owns the per-cell messages and
+    the cells only ``float()`` accepts (quoted numbers, ``1_000``).
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -76,38 +83,54 @@ def read_csv(path: str, response_column: str, add_intercept: bool = False) -> Da
                     f"in header {header}"
                 )
             y_idx = header.index(response_column)
-            rows = []
-            for r, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) != len(header):
-                    raise NonNumericCell(
-                        f"{path}: row {r} has {len(row)} cells, expected {len(header)}"
-                    )
-                parsed = []
-                for c, cell in enumerate(row):
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise NonNumericCell(
-                            f"{path}: cell {cell!r} at row {r}, column {header[c]!r} is not numeric"
-                        ) from None
-                    if not math.isfinite(value):
-                        raise NonNumericCell(
-                            f"{path}: non-finite value at row {r}, column {header[c]!r}"
-                        )
-                    parsed.append(value)
-                rows.append(parsed)
+            try:
+                with warnings.catch_warnings():
+                    # a header-only file is the fallback's EmptyData, not a warning
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    # comments=None: the default '#' would truncate a cell like 1,2#3
+                    table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                table = np.empty((0, 0))
+            if table.shape[0] == 0 or table.shape[1] != len(header) or not np.isfinite(table).all():
+                handle.seek(0)
+                next(reader)
+                table = _table_by_rows(path, reader, header)
     except UnicodeDecodeError as exc:
         raise _undecodable_line(path, exc) from None
-    if not rows:
-        raise EmptyData(f"{path} has a header but no data rows")
-    table = np.asarray(rows, dtype=float)
     y = table[:, y_idx]
     x = np.delete(table, y_idx, axis=1)
     if add_intercept:
         x = np.column_stack([np.ones(x.shape[0]), x])
     return Dataset(x=x, y=y)
+
+
+def _table_by_rows(path: str, reader, header: list[str]) -> np.ndarray:
+    """The rows after the header, parsed cell by cell; rows of blank cells are skipped."""
+    rows = []
+    for r, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise NonNumericCell(
+                f"{path}: row {r} has {len(row)} cells, expected {len(header)}"
+            )
+        parsed = []
+        for c, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise NonNumericCell(
+                    f"{path}: cell {cell!r} at row {r}, column {header[c]!r} is not numeric"
+                ) from None
+            if not math.isfinite(value):
+                raise NonNumericCell(
+                    f"{path}: non-finite value at row {r}, column {header[c]!r}"
+                )
+            parsed.append(value)
+        rows.append(parsed)
+    if not rows:
+        raise EmptyData(f"{path} has a header but no data rows")
+    return np.asarray(rows, dtype=float)
 
 
 def _undecodable_line(path: str, exc: UnicodeDecodeError) -> UnicodeDecodeError:

@@ -34,12 +34,18 @@ def perfect_fit():
     return fit_ols(Dataset(x=x, y=np.zeros(10)))
 
 
+def packed_signs(rng, k, n):
+    """k x n rademacher signs from ceil(k*n/8) bytes, most significant bit first."""
+    bits = np.unpackbits(np.frombuffer(rng.bytes(-(-k * n // 8)), np.uint8), count=k * n)
+    return bits.reshape(k, n) * 2.0 - 1.0
+
+
 def weights_oracle(fit, b, dist, seed):
     """W regenerated from a single generator keyed by the seed, as one matrix."""
     rng = np.random.default_rng(subseed(seed))
     if dist == "gaussian":
         return rng.standard_normal((b, fit.n))
-    return rng.integers(0, 2, (b, fit.n)) * 2.0 - 1.0
+    return packed_signs(rng, b, fit.n)
 
 
 class TestMultiplierDraw:
@@ -53,7 +59,7 @@ class TestMultiplierDraw:
 
     def test_rademacher_draws_are_signed_score_sums(self, het_fit):
         draws = run_bootstrap(het_fit, b=50, dist="rademacher", seed=5)
-        plus = np.random.default_rng(subseed(5)).integers(0, 2, (50, het_fit.n)) == 1
+        plus = packed_signs(np.random.default_rng(subseed(5)), 50, het_fit.n) == 1
         s = het_fit.scores_hat
         expected = np.stack([s[row].sum(axis=0) - s[~row].sum(axis=0) for row in plus])
         np.testing.assert_allclose(draws.draws_t, expected / np.sqrt(het_fit.n), rtol=1e-12, atol=1e-14)
@@ -95,6 +101,23 @@ class TestMultiplierDraw:
             draws.draws_t, w @ fit.scores_hat / np.sqrt(n), rtol=1e-10, atol=1e-12
         )
 
+    def test_rademacher_blocks_start_on_fresh_bytes(self):
+        # 2**20 // 100_001 puts 10 replicates in a block, so B=25 spans blocks
+        # of 10, 10 and 5 rows; 10 * 100_001 bits is not a whole number of
+        # bytes, so each block's bits start a fresh rng.bytes call
+        n, rows, b = 100_001, 10, 25
+        rng = np.random.default_rng(51)
+        x = np.column_stack([np.ones(n), rng.uniform(size=n)])
+        fit = fit_ols(Dataset(x=x, y=x[:, 1] ** 2 + 0.1 * rng.standard_normal(n)))
+        draws = run_bootstrap(fit, b=b, dist="rademacher", seed=8)
+        gen = np.random.default_rng(subseed(8))
+        w = np.vstack([packed_signs(gen, min(rows, b - s), n) for s in range(0, b, rows)])
+        np.testing.assert_allclose(
+            draws.draws_t, w @ fit.scores_hat / np.sqrt(n), rtol=1e-10, atol=1e-12
+        )
+        # the one-matrix layout differs from the first block boundary on
+        assert not np.array_equal(w, weights_oracle(fit, b, "rademacher", 8))
+
 
 class TestResampleDraw:
     def test_single_zero_score(self):
@@ -130,6 +153,16 @@ class TestRunBootstrap:
         cov = np.cov(draws.draws_t.T, bias=True)
         assert np.linalg.norm(cov - kmat, 2) <= 0.05 * np.linalg.norm(kmat, 2)
         # empirical mean of gaussian draws shrinks like 1/sqrt(B)
+        assert np.all(
+            np.abs(draws.draws_t.mean(axis=0)) <= 4.0 * np.sqrt(np.diag(kmat)) / np.sqrt(draws.b)
+        )
+
+    def test_rademacher_conditional_covariance_is_k_check(self, het_fit):
+        # E[w^2] = 1 and independent signs give covariance k_check exactly
+        draws = run_bootstrap(het_fit, b=10_000, dist="rademacher", seed=6)
+        kmat = k_check(het_fit)
+        cov = np.cov(draws.draws_t.T, bias=True)
+        assert np.linalg.norm(cov - kmat, 2) <= 0.05 * np.linalg.norm(kmat, 2)
         assert np.all(
             np.abs(draws.draws_t.mean(axis=0)) <= 4.0 * np.sqrt(np.diag(kmat)) / np.sqrt(draws.b)
         )

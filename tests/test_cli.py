@@ -1,12 +1,24 @@
 import csv
 import json
+import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from leanreg import Dataset, fit_ols, max_t_test, sandwich_avar
+from leanreg import (
+    Dataset,
+    EmptyData,
+    MissingColumn,
+    NonNumericCell,
+    fit_ols,
+    max_t_test,
+    sandwich_avar,
+)
 from leanreg.cli import main, read_csv, write_csv
 
 EXAMPLE_CSV = "x0,x1,y\n1,0,0\n1,1,1\n1,2,4\n"
@@ -96,6 +108,15 @@ class TestReadCsv:
         with pytest.raises(EmptyData):
             read_csv(str(path), "y")
 
+    @pytest.mark.parametrize("body", ["", "\n\n\r\n", ",,\n,\n"], ids=["bare", "blank", "commas"])
+    def test_header_without_data_raises_without_warning(self, tmp_path, body):
+        path = tmp_path / "empty.csv"
+        path.write_text("x,y\n" + body, newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyData, match="has a header but no data rows"):
+                read_csv(str(path), "y")
+
     def test_round_trip_preserves_floats_exactly(self, tmp_path):
         rng = np.random.default_rng(2024)
         data = Dataset(x=rng.standard_normal((20, 3)) * 1e3, y=rng.standard_normal(20) / 1e7)
@@ -104,6 +125,96 @@ class TestReadCsv:
         back = read_csv(str(path), "y")
         np.testing.assert_array_equal(back.x, data.x)
         np.testing.assert_array_equal(back.y, data.y)
+
+
+def oracle_read_csv(path, response):
+    """read_csv's contract restated with csv.reader and float() alone: (x, y) or an error.
+
+    x carries the intercept column, so a file holding only the response is a dataset.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise EmptyData(f"{path} is empty")
+        header = [h.strip() for h in header]
+        if header.count(response) != 1:
+            raise MissingColumn(
+                f"response column {response!r} must appear exactly once in header {header}"
+            )
+        table = []
+        for r, row in enumerate(reader, start=2):
+            if all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise NonNumericCell(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
+            values = []
+            for name, cell in zip(header, row):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise NonNumericCell(
+                        f"{path}: cell {cell!r} at row {r}, column {name!r} is not numeric"
+                    ) from None
+                if not math.isfinite(values[-1]):
+                    raise NonNumericCell(f"{path}: non-finite value at row {r}, column {name!r}")
+            table.append(values)
+    if not table:
+        raise EmptyData(f"{path} has a header but no data rows")
+    table = np.array(table)
+    j = header.index(response)
+    return np.column_stack([np.ones(len(table)), np.delete(table, j, axis=1)]), table[:, j]
+
+
+FORMATS = (repr, "%.17g".__mod__, "%.6g".__mod__, "%.3e".__mod__, lambda v: f"  {v!r} ")
+# cells the vectorized pass parses, cells only float() takes, and cells no one takes
+PLAIN_CELL = st.builds(
+    lambda fmt, v: fmt(v), st.sampled_from(FORMATS), st.floats(allow_nan=False, allow_infinity=False)
+) | st.integers(-10**6, 10**6).map(str)
+FALLBACK_CELL = st.sampled_from(['"1.5"', '"-2e3"', "1_000", "\u0661\u0662", "\t2 ", ""])
+BAD_CELL = st.sampled_from(["  ", "1#2", "#", "inf", "-inf", "nan", "1e500", "abc", '"1,5"'])
+
+
+@st.composite
+def csv_texts(draw):
+    """A header naming "y" in the first, middle or last column, then rows of mixed cells."""
+    width = draw(st.integers(1, 4))
+    where = draw(st.sampled_from([0, width // 2, width - 1]))
+    header = [f"x{j}" for j in range(width - 1)]
+    header.insert(where, "y")
+    cell = st.one_of(*[PLAIN_CELL] * 6, FALLBACK_CELL, BAD_CELL)
+    # full-width rows twice as often as short or long ones and blank rows
+    row = st.one_of(
+        st.lists(cell, min_size=width, max_size=width),
+        st.lists(cell, min_size=width, max_size=width),
+        st.lists(cell, min_size=max(width - 1, 1), max_size=width + 1),
+        st.sampled_from([[], [""] * width, [""] * (width + 1)]),
+    )
+    rows = draw(st.lists(row, min_size=0, max_size=5))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(header)] + [",".join(r) for r in rows]
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+class TestReadCsvMatchesOracle:
+    @given(text=csv_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_values_or_error_match_csv_and_float(self, tmp_path_factory, text):
+        path = str(tmp_path_factory.getbasetemp() / "oracle.csv")
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            handle.write(text)
+        try:
+            expected = oracle_read_csv(path, "y")
+        except (EmptyData, MissingColumn, NonNumericCell) as exc:
+            with pytest.raises(type(exc)) as got:
+                read_csv(path, "y", add_intercept=True)
+            assert str(got.value) == str(exc)
+            return
+        data = read_csv(path, "y", add_intercept=True)
+        assert data.x.tobytes() == expected[0].tobytes()
+        assert data.y.tobytes() == expected[1].tobytes()
+        assert data.x.shape == expected[0].shape
 
 
 class TestFitCommand:

@@ -39,7 +39,7 @@ DGPS = (
 
 
 def write_csvs(directory: pathlib.Path) -> None:
-    """Four CSVs, each from its own fixed seed; plus six tiny or late edge cases."""
+    """Four CSVs, each from its own fixed seed; plus twelve tiny or late edge cases."""
     # small, wide and tall grow in size; resid is one where RSS / (n - p) and a
     # value decoded from the classical meat matrix differ in the last bit
     shapes = {
@@ -66,6 +66,16 @@ def write_csvs(directory: pathlib.Path) -> None:
     # 5000 valid rows, then a Latin-1 line: past the decoder's first buffered chunk
     rows = "".join(f"{i},{i}\n" for i in range(5000))
     (directory / "late.csv").write_bytes(("x,y\n" + rows + "caf\u00e9,1\n").encode("latin-1"))
+    # cells that only the row-by-row fallback reader parses: quoted numbers,
+    # underscores, CRLF with blank-cell rows, padding around a blank row; a '#'
+    # cell it rejects; and a byte-order mark, which the vectorized pass takes
+    (directory / "quoted.csv").write_text('x,y\n"0.5","1.25"\n"1.5",2\n2.5,"4.75"\n3,"5"\n')
+    (directory / "underscore.csv").write_text("x,y\n1_000,2\n2_000,3\n3_500,5\n4_000,4.5\n")
+    crlf = "x,y|0.1,1|,,|0.4,2.5|,,|0.9,3|1.2,3.25|".replace("|", "\r\n")
+    (directory / "crlf.csv").write_bytes(crlf.encode())
+    (directory / "padded.csv").write_text("x , y\n 0.25 , 1 \n  ,  \n 0.5,2\n0.75 , 2.5\n 1 ,3.5\n")
+    (directory / "hash.csv").write_text("x,y\n1,2\n2,3#4\n3,5\n")
+    (directory / "bom.csv").write_bytes(b"\xef\xbb\xbfx,y\n0.1,1\n0.4,2.5\n0.9,3\n1.2,3.25\n")
 
 
 def commands() -> list[list[str]]:
@@ -116,6 +126,8 @@ def commands() -> list[list[str]]:
         ["fit", "--data", "resid.csv", "--response", "y"],
         ["fit", "--data", "late.csv", "--response", "y"],
     ]
+    for name in ("quoted", "underscore", "crlf", "padded", "hash", "bom"):
+        cmds.append(["fit", "--data", f"{name}.csv", "--response", "y", "--add-intercept"])
     for dgp in DGPS:
         cmds += [
             ["check", "--dgp", dgp, "--n", "500", "--seed", "3"],
