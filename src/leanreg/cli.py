@@ -61,7 +61,9 @@ def read_csv(path: str, response_column: str, add_intercept: bool = False) -> Da
     order, optionally behind a prepended ones column. The response must name
     exactly one header column, and cells must parse as finite numbers; the
     offending row and column are reported otherwise, and a file that is not
-    UTF-8 raises UnicodeDecodeError naming its first undecodable line.
+    UTF-8 raises UnicodeDecodeError naming its first undecodable line. A cell
+    the csv module refuses (one over its field size limit) raises
+    NonNumericCell naming the line.
 
     The data rows are parsed in one vectorized ``np.loadtxt`` pass, which
     gives the same doubles as ``float()``. A file it cannot take whole, or
@@ -93,10 +95,14 @@ def read_csv(path: str, response_column: str, add_intercept: bool = False) -> Da
                 table = np.empty((0, 0))
             if table.shape[0] == 0 or table.shape[1] != len(header) or not np.isfinite(table).all():
                 handle.seek(0)
+                reader = csv.reader(handle)
                 next(reader)
                 table = _table_by_rows(path, reader, header)
     except UnicodeDecodeError as exc:
         raise _undecodable_line(path, exc) from None
+    except csv.Error as exc:
+        # e.g. a cell over the csv module's field size limit
+        raise NonNumericCell(f"{path}: line {reader.line_num}: {exc}") from None
     y = table[:, y_idx]
     x = np.delete(table, y_idx, axis=1)
     if add_intercept:

@@ -19,10 +19,10 @@ the normal approximation error can push finite-sample size above nominal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .bootstrap import BootstrapDraws, max_abs_t, studentizer
 from .exceptions import BadCoordinate, DegenerateDof, DimensionMismatch
@@ -68,12 +68,15 @@ def _max_t(fit: OlsFit, var: VarianceEstimate, coords, beta0, reference: str, dr
         b = draws.b
     else:
         if reference == "std_normal":
-            tail = special.ndtr(-stat)
+            tail = 0.5 * math.erfc(stat / math.sqrt(2.0))
         else:
             df = fit.n - fit.p
             if df < 1:
                 raise DegenerateDof(f"student_t reference needs n > p, got n={fit.n}, p={fit.p}")
-            tail = special.stdtr(df, -stat)
+            # imported here so that the default path never loads scipy
+            from scipy.special import stdtr
+
+            tail = stdtr(df, -stat)
         p_value = min(1.0, t.size * 2.0 * float(tail))
     return t, p_value, df, b
 

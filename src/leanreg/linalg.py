@@ -3,7 +3,9 @@
 All routines operate on small (p <= ~50) dense matrices, favour robustness
 over speed, and refuse bad input loudly: asymmetric matrices are rejected
 rather than symmetrized, and near-singular SPD factorizations raise instead
-of falling back to a pseudo-inverse.
+of falling back to a pseudo-inverse. Everything is numpy: an SPD solve is a
+Cholesky factorization followed by a p-step forward and back substitution
+over all right-hand-side columns at once.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .exceptions import DimensionMismatch, NoConvergence, NotPositiveDefinite, NotSymmetric
 
@@ -77,7 +78,16 @@ def _apply_factor(lower: np.ndarray, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape[0] != lower.shape[0]:
         raise DimensionMismatch(f"b has leading dimension {b.shape[0]}, expected {lower.shape[0]}")
-    return cho_solve((lower, True), b)
+    # forward substitution lower z = b, then back substitution lower' x = z,
+    # one row of every right-hand-side column per step; the C-order copy keeps
+    # b unmutated and makes the bits independent of its memory layout
+    x = np.array(b, order="C")
+    p = lower.shape[0]
+    for j in range(p):
+        x[j] = (x[j] - lower[j, :j] @ x[:j]) / lower[j, j]
+    for j in reversed(range(p)):
+        x[j] = (x[j] - lower[j + 1 :, j] @ x[j + 1 :]) / lower[j, j]
+    return x
 
 
 def eig_sym_extremes(a) -> tuple[float, float]:

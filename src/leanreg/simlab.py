@@ -35,12 +35,12 @@ Replication r of any Monte Carlo run draws from the generator seeded by
 from __future__ import annotations
 
 import functools
+import statistics
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import special
 
 from . import linalg
 from .bootstrap import WEIGHT_DISTS, region_ellipsoid, region_rectangle, run_bootstrap, subseed
@@ -312,7 +312,7 @@ def run_coverage(
 
     pop = population_targets(dgp, n)
     beta_n = pop.beta_n
-    z = float(special.ndtri(1.0 - alpha / 2.0))
+    z = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
     needs_boot = any(m.startswith("bootstrap") or m == "max_t_bootstrap" for m in methods)
     needs_sandwich = needs_boot or "sandwich_normal" in methods
 

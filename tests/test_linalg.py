@@ -1,5 +1,11 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -71,6 +77,78 @@ class TestSolveSpd:
             bound = 1e-8 * (op_norm(a) * np.linalg.norm(x) + np.linalg.norm(b))
             assert np.linalg.norm(a @ x - b) <= bound
 
+
+
+def _spd(p: int, cond: float, seed: int) -> np.ndarray:
+    """A symmetric positive definite matrix with condition number ``cond``."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((p, p)))
+    a = (q * np.logspace(0.0, -np.log10(cond), p)) @ q.T
+    return (a + a.T) / 2.0
+
+
+def _rhs(p: int, shape: str, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if shape == "vector":
+        return rng.standard_normal(p)
+    if shape == "matrix":
+        return rng.standard_normal((p, 7))
+    return rng.standard_normal((7, p)).T  # a non-contiguous view
+
+
+class TestSpdSolverOracle:
+    """The substitution solve against scipy's LAPACK ``cho_solve`` (potrs)."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("shape", ["vector", "matrix", "transposed"])
+    @pytest.mark.parametrize("p", [1, 2, 11, 50])
+    def test_matches_cho_solve(self, p, shape):
+        a = _spd(p, 1e6, seed=p)
+        b = _rhs(p, shape, seed=100 + p)
+        b_before = b.copy()
+        x = spd_solver(a)(b)
+        assert x.shape == b.shape
+        np.testing.assert_array_equal(b, b_before)  # b is not mutated
+        # normwise backward stability of Cholesky, column by column:
+        # |a x - b| <= c p eps |a| |x|
+        x2, b2 = x.reshape(p, -1), b.reshape(p, -1)
+        a_norm = np.linalg.norm(a, 2)
+        residual = np.linalg.norm(a @ x2 - b2, axis=0)
+        assert np.all(residual <= 4.0 * p * self.EPS * a_norm * np.linalg.norm(x2, axis=0))
+        # forward error against LAPACK, within cond(a) times the same factor
+        ref = scipy.linalg.cho_solve((np.linalg.cholesky(a), True), b).reshape(p, -1)
+        bound = 4.0 * p * self.EPS * np.linalg.cond(a) * np.linalg.norm(ref, axis=0)
+        assert np.all(np.linalg.norm(x2 - ref, axis=0) <= bound)
+
+    def test_layout_does_not_change_bits(self):
+        a = _spd(11, 1e3, seed=1)
+        b = _rhs(11, "transposed", seed=2)
+        solve = spd_solver(a)
+        assert solve(b).tobytes() == solve(np.ascontiguousarray(b)).tobytes()
+
+    def test_solver_pickles(self):
+        solve = spd_solver(_spd(5, 10.0, seed=3))
+        b = _rhs(5, "matrix", seed=4)
+        assert pickle.loads(pickle.dumps(solve))(b).tobytes() == solve(b).tobytes()
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        code = (
+            "import hashlib, numpy as np\n"
+            "from leanreg import spd_solver\n"
+            "rng = np.random.default_rng(13)\n"
+            "g = rng.standard_normal((13, 13))\n"
+            "x = spd_solver(g @ g.T + 13 * np.eye(13))(rng.standard_normal((13, 2000)))\n"
+            "print(hashlib.sha256(x.tobytes()).hexdigest())\n"
+        )
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout.strip())
+        assert len(digests) == 1
 
 class TestEigSymExtremes:
     def test_diagonal(self):

@@ -39,7 +39,7 @@ DGPS = (
 
 
 def write_csvs(directory: pathlib.Path) -> None:
-    """Four CSVs, each from its own fixed seed; plus twelve tiny or late edge cases."""
+    """Four CSVs, each from its own fixed seed; plus fourteen tiny, late or wide edge cases."""
     # small, wide and tall grow in size; resid is one where RSS / (n - p) and a
     # value decoded from the classical meat matrix differ in the last bit
     shapes = {
@@ -76,6 +76,11 @@ def write_csvs(directory: pathlib.Path) -> None:
     (directory / "padded.csv").write_text("x , y\n 0.25 , 1 \n  ,  \n 0.5,2\n0.75 , 2.5\n 1 ,3.5\n")
     (directory / "hash.csv").write_text("x,y\n1,2\n2,3#4\n3,5\n")
     (directory / "bom.csv").write_bytes(b"\xef\xbb\xbfx,y\n0.1,1\n0.4,2.5\n0.9,3\n1.2,3.25\n")
+    # cells over the csv module's 131072-character field limit: a data cell in a
+    # file the quoted cell sends to the fallback reader, and a header cell
+    wide_cell = "0" * 140000 + "1"
+    (directory / "longcell.csv").write_text(f'x,y\n"0.5",1\n{wide_cell},2\n')
+    (directory / "longheader.csv").write_text("x" * 140000 + ",y\n0.5,1\n1.5,2\n")
 
 
 def commands() -> list[list[str]]:
@@ -126,7 +131,7 @@ def commands() -> list[list[str]]:
         ["fit", "--data", "resid.csv", "--response", "y"],
         ["fit", "--data", "late.csv", "--response", "y"],
     ]
-    for name in ("quoted", "underscore", "crlf", "padded", "hash", "bom"):
+    for name in ("quoted", "underscore", "crlf", "padded", "hash", "bom", "longcell", "longheader"):
         cmds.append(["fit", "--data", f"{name}.csv", "--response", "y", "--add-intercept"])
     for dgp in DGPS:
         cmds += [
