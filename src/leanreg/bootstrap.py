@@ -33,9 +33,17 @@ from .ols import OlsFit
 from .variance import VarianceEstimate
 
 WEIGHT_DISTS = ("gaussian", "rademacher")
-# Each block of replicates holds at most about this many weight or index
-# entries, so peak memory does not grow with B on tall data.
+# Each block of gaussian or m-of-n replicates holds at most about this many
+# weight or index entries, so peak memory does not grow with B on tall data.
 _BLOCK_ENTRIES = 2**20
+# A block of rademacher replicates is rounded up to a multiple of this many
+# rows: 32 * n bits is a whole number of the generator's 32-bit words at
+# every n, so the blocks' signs are the one B x n sign matrix.
+_SIGN_BLOCK_ROWS = 32
+# Each block's product with the scores is summed over tiles of this many
+# observations. The tile, not B or n, fixes the summation order, which keeps
+# tall draws independent of the BLAS thread count; n <= _TILE_ROWS is one tile.
+_TILE_ROWS = 16384
 
 
 def subseed(seed, *path) -> np.random.SeedSequence:
@@ -81,12 +89,15 @@ def run_bootstrap(
     """Generate B independent bootstrap replicates.
 
     All replicates come, in order, from one generator seeded by ``seed``, so
-    the output depends only on the seed. They are filled in blocks of rows
-    as W @ scores_hat / sqrt(scale): W holds multiplier weights (scale n) or,
-    for the m-of-n bootstrap, how often each score row is among m rows drawn
-    with replacement (scale m). A block of k rademacher rows takes
-    ceil(k*n/8) bytes from the generator and unpacks them most significant
-    bit first, row-major, into k*n signs: bit 1 is +1 and bit 0 is -1.
+    the output depends only on the seed, and fewer replicates are a prefix of
+    more. They are filled in blocks of rows as W @ scores_hat / sqrt(scale):
+    W holds multiplier weights (scale n) or, for the m-of-n bootstrap, how
+    often each score row is among m rows drawn with replacement (scale m).
+    The rademacher weights are the B x n sign matrix unpacked, most
+    significant bit first and row-major, from the generator's first
+    ceil(B*n/8) bytes: bit 1 is +1 and bit 0 is -1; its blocks are whole
+    multiples of 32 rows. Each block's product is summed over fixed tiles of
+    ``_TILE_ROWS`` observations.
     ``m=None`` runs the multiplier bootstrap with weight law ``dist``; an
     integer ``m`` runs the m-of-n bootstrap, which ignores ``dist`` and
     records ``dist=None``. m below n weakens the normal approximation.
@@ -101,7 +112,10 @@ def run_bootstrap(
             raise ValueError("resample size m must be >= 1")
 
     n = fit.n
+    signs = dist == "rademacher"
     rows = max(1, _BLOCK_ENTRIES // max(n, m or n))
+    if signs:
+        rows = -(-rows // _SIGN_BLOCK_ROWS) * _SIGN_BLOCK_ROWS
     rng = np.random.default_rng(subseed(seed))
     draws_t = np.empty((b, fit.p))
     for start in range(0, b, rows):
@@ -115,23 +129,52 @@ def run_bootstrap(
             w = rng.standard_normal((k, n))
         else:
             bits = np.unpackbits(np.frombuffer(rng.bytes(-(-k * n // 8)), np.uint8), count=k * n)
-            w = bits.reshape(k, n) * 2.0 - 1.0
-        draws_t[start : start + k] = w @ fit.scores_hat / math.sqrt(m or n)
+            w = bits.reshape(k, n)  # 0 and 1; each tile maps them to -1 and +1
+        for o in range(0, n, _TILE_ROWS):
+            tile = w[:, o : o + _TILE_ROWS]
+            part = (tile * 2.0 - 1.0 if signs else tile) @ fit.scores_hat[o : o + _TILE_ROWS]
+            if o:
+                acc += part
+            else:
+                acc = part
+        draws_t[start : start + k] = acc / math.sqrt(m or n)
 
     draws_u = fit.solve(draws_t.T).T
     return BootstrapDraws(b=b, m=m, dist=dist, draws_t=draws_t, draws_u=draws_u)
 
 
+def _quantile_rank(b: int, alpha: float) -> int:
+    """ceil((1-alpha)(B+1)), the rank of the (1-alpha) quantile among B draws."""
+    return math.ceil((1.0 - alpha) * (b + 1))
+
+
+def clamped_quantile_warnings(b: int, alpha: float) -> list[str]:
+    """The report warning for B draws too few to rank the (1-alpha) quantile; else none.
+
+    That happens when B < (1-alpha)/alpha: the rank exceeds B, the largest
+    draw stands in, and a region built on it covers with probability about
+    B/(B+1), below its nominal level.
+    """
+    if _quantile_rank(b, alpha) <= b:
+        return []
+    return [
+        f"B={b} draws are too few for the {1.0 - alpha:g} quantile (B < (1-alpha)/alpha); "
+        f"the bootstrap regions use the largest draw, so their level is about "
+        f"B/(B+1) = {b / (b + 1):.4g}"
+    ]
+
+
 def _order_stat_quantile(values: np.ndarray, alpha: float) -> float:
     """Empirical (1-alpha) quantile as the ceil((1-alpha)(B+1)) order statistic.
 
-    The index is clamped to B, so alpha near zero returns the largest draw.
-    This leans conservative relative to interpolation-based quantiles.
+    The index is clamped to B, so alpha near zero returns the largest draw
+    (``clamped_quantile_warnings`` reports when). This leans conservative
+    relative to interpolation-based quantiles.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     b = values.shape[0]
-    k = min(math.ceil((1.0 - alpha) * (b + 1)), b)
+    k = min(_quantile_rank(b, alpha), b)
     return float(np.sort(values)[k - 1])
 
 

@@ -28,7 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import region_ellipsoid, region_rectangle, run_bootstrap
+from .bootstrap import (
+    clamped_quantile_warnings,
+    region_ellipsoid,
+    region_rectangle,
+    run_bootstrap,
+)
 from .diagnostics import det_inequality_check, influence_remainder
 from .exceptions import (
     BadCoordinate,
@@ -43,6 +48,10 @@ from .simlab import COVERAGE_METHODS, Dgp, population_targets, run_coverage, sam
 from .variance import classical_avar, residual_variance, sandwich_avar
 
 SEED_ENV_VAR = "LEANREG_SEED"
+
+# A file gets at most one data span per this many bytes (and one per usable
+# core): a smaller span parses too quickly to repay the fork and the pipe.
+_SPAN_MIN_BYTES = 4 << 20
 
 _DATA_ERRORS = (MissingColumn, NonNumericCell, EmptyData, OSError, UnicodeDecodeError)
 
@@ -65,8 +74,12 @@ def read_csv(path: str, response_column: str, add_intercept: bool = False) -> Da
     the csv module refuses (one over its field size limit) raises
     NonNumericCell naming the line.
 
-    The data rows are parsed in one vectorized ``np.loadtxt`` pass, which
-    gives the same doubles as ``float()``. A file it cannot take whole, or
+    The data rows are parsed by ``np.loadtxt``, which gives the same doubles
+    as ``float()``. On two or more usable cores, a file of at least two
+    ``_SPAN_MIN_BYTES`` is cut into line-aligned spans (``_span_bounds``)
+    that are parsed at once (``_table_by_spans``); every cell still goes
+    through the same ``loadtxt``, so the table does not depend on the span
+    count. A file that some span cannot take whole, or
     that parses to no rows, the wrong width or a non-finite value, is read
     again by ``_table_by_rows``, which alone owns the per-cell messages and
     the cells only ``float()`` accepts (quoted numbers, ``1_000``).
@@ -86,11 +99,8 @@ def read_csv(path: str, response_column: str, add_intercept: bool = False) -> Da
                 )
             y_idx = header.index(response_column)
             try:
-                with warnings.catch_warnings():
-                    # a header-only file is the fallback's EmptyData, not a warning
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    # comments=None: the default '#' would truncate a cell like 1,2#3
-                    table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+                bounds = _span_bounds(handle.fileno())
+                table = _loadtxt(handle) if bounds is None else _table_by_spans(handle.fileno(), bounds)
             except ValueError:
                 table = np.empty((0, 0))
             if table.shape[0] == 0 or table.shape[1] != len(header) or not np.isfinite(table).all():
@@ -103,11 +113,133 @@ def read_csv(path: str, response_column: str, add_intercept: bool = False) -> Da
     except csv.Error as exc:
         # e.g. a cell over the csv module's field size limit
         raise NonNumericCell(f"{path}: line {reader.line_num}: {exc}") from None
-    y = table[:, y_idx]
-    x = np.delete(table, y_idx, axis=1)
-    if add_intercept:
-        x = np.column_stack([np.ones(x.shape[0]), x])
-    return Dataset(x=x, y=y)
+    lead = int(add_intercept)
+    x = np.empty((table.shape[0], lead + table.shape[1] - 1))
+    x[:, :lead] = 1.0
+    x[:, lead : lead + y_idx] = table[:, :y_idx]
+    x[:, lead + y_idx :] = table[:, y_idx + 1 :]
+    return Dataset(x=x, y=table[:, y_idx])
+
+
+def _loadtxt(source) -> np.ndarray:
+    """The rows of ``source`` (a text stream) as one vectorized pass parses them."""
+    with warnings.catch_warnings():
+        # a header-only file is the fallback's EmptyData, not a warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        # comments=None: the default '#' would truncate a cell like 1,2#3
+        return np.loadtxt(source, delimiter=",", comments=None, ndmin=2)
+
+
+def _usable_cores() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _span_bounds(fd: int) -> list[int] | None:
+    """Byte offsets that cut the data after the header line into spans, or None for one span.
+
+    There are at most one span per usable core and one per ``_SPAN_MIN_BYTES``
+    of data. Each cut follows the first newline byte within 64 KiB of an even
+    share of the data (a newline byte only ever ends a line in UTF-8), so a
+    longer line there leaves the file one span fewer. A file keeps one span
+    without ``os.fork``, or when its first line might not be the csv
+    module's header record: it holds a quote or a carriage return before
+    its line end, or has no newline in its first 64 KiB.
+    """
+    size, cores = os.fstat(fd).st_size, _usable_cores()
+    if not hasattr(os, "fork") or min(cores, size // _SPAN_MIN_BYTES) < 2:
+        return None
+    head = os.pread(fd, 1 << 16, 0)
+    start = head.find(b"\n") + 1
+    first = head[:start]
+    if not first or b'"' in first or b"\r" in first[:-2]:
+        return None
+    count = min(cores, (size - start) // _SPAN_MIN_BYTES)
+    bounds = [start]
+    for i in range(1, count):
+        pos = start + i * (size - start) // count
+        end = os.pread(fd, 1 << 16, pos).find(b"\n")
+        if end >= 0 and bounds[-1] < pos + end + 1 < size:
+            bounds.append(pos + end + 1)
+    return bounds + [size] if len(bounds) > 1 else None
+
+
+def _table_by_spans(fd: int, bounds: list[int]) -> np.ndarray:
+    """The rows of the byte spans between ``bounds``, in file order.
+
+    Each span after the first is parsed by a forked child, which sends its
+    rows back through a pipe; the first span, and any span whose fork fails,
+    is parsed here meanwhile. Raises ValueError when a span does not parse,
+    a child sends no complete table, or the spans differ in width. Every
+    child is killed if still running and reaped before this returns or raises.
+    """
+    children = []  # (pid, read end of its pipe) in file order
+    try:
+        later = [_fork_span(fd, lo, hi, children) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        parts = [_parse_span(fd, bounds[0], bounds[1])]
+        for span in later:
+            if isinstance(span, int):  # the read end of a child's pipe
+                with open(span, "rb", closefd=False) as pipe:
+                    data = pipe.read()
+                # a child that failed or died sent too few bytes for the shape it names
+                span = np.frombuffer(data, offset=16).reshape(np.frombuffer(data, np.int64, 2))
+            parts.append(span)
+        # a span of blank lines adds no rows; no rows at all is a ValueError here
+        return np.concatenate([part for part in parts if part.shape[0]])
+    finally:
+        if children:
+            import signal
+
+            for pid, pipe in children:
+                os.close(pipe)
+                os.kill(pid, signal.SIGKILL)  # a child that has sent its rows loses nothing
+                os.waitpid(pid, 0)
+
+
+def _parse_span(fd: int, lo: int, hi: int) -> np.ndarray:
+    """``_loadtxt`` of the bytes [lo, hi) of ``fd`` decoded as UTF-8."""
+    import io
+
+    data = io.BytesIO(os.pread(fd, hi - lo, lo))
+    return _loadtxt(io.TextIOWrapper(data, encoding="utf-8", newline=""))
+
+
+def _fork_span(fd: int, lo: int, hi: int, children: list) -> np.ndarray | int:
+    """The read end of the pipe of a child forked to parse [lo, hi), which is added to ``children``.
+
+    The child writes the table's shape as two int64 values and then its
+    doubles, and leaves by ``os._exit``, so it never returns into the caller
+    or flushes the parent's buffers; it writes nothing if the span does not
+    parse. It runs only the parser, which takes no lock that another thread
+    of the parent (a BLAS worker) could hold at the fork. If the pipe or the
+    fork fails, the span is parsed here and its rows are returned instead.
+    """
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:
+        return _parse_span(fd, lo, hi)
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return _parse_span(fd, lo, hi)
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            table = _parse_span(fd, lo, hi)
+            with open(write_end, "wb") as pipe:
+                pipe.write(np.array(table.shape, np.int64).tobytes())
+                pipe.write(np.ascontiguousarray(table).data)
+            code = 0
+        finally:
+            os._exit(code)
+    children.append((pid, read_end))
+    os.close(write_end)
+    return read_end
 
 
 def _table_by_rows(path: str, reader, header: list[str]) -> np.ndarray:
@@ -312,7 +444,7 @@ def _cmd_bootstrap(config: RunConfig) -> tuple[dict, list]:
         "k_check": var.meat,
         "se_used": var.se,
     }
-    return results, []
+    return results, clamped_quantile_warnings(config.b, config.alpha)
 
 
 def _cmd_simulate(config: RunConfig) -> tuple[dict, list]:
@@ -337,6 +469,8 @@ def _cmd_simulate(config: RunConfig) -> tuple[dict, list]:
     warnings = []
     if report.excluded:
         warnings.append(f"{report.excluded} replication(s) excluded for singular designs")
+    if {"bootstrap_rectangle", "bootstrap_ellipsoid"} & set(methods):
+        warnings += clamped_quantile_warnings(config.b, config.alpha)
     return results, warnings
 
 

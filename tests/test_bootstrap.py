@@ -1,3 +1,8 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -21,6 +26,11 @@ from leanreg import (
 @pytest.fixture(scope="module")
 def het_fit():
     return fit_ols(sample(Dgp("heteroscedastic_iid"), 100, np.random.default_rng(8)))
+
+
+@pytest.fixture(scope="module")
+def tall_fit():
+    return fit_ols(sample(Dgp("heteroscedastic_iid"), 40_000, np.random.default_rng(9)))
 
 
 @pytest.fixture
@@ -81,16 +91,20 @@ class TestMultiplierDraw:
         "method, dist",
         [("multiplier", "gaussian"), ("multiplier", "rademacher"), ("resample_m_of_n", "gaussian")],
     )
-    def test_fewer_replicates_are_a_prefix(self, het_fit, method, dist):
-        m = het_fit.n if method == "resample_m_of_n" else None
-        short = run_bootstrap(het_fit, b=10, m=m, dist=dist, seed=31)
-        long = run_bootstrap(het_fit, b=1000, m=m, dist=dist, seed=31)
-        # same weights; only the product's rounding may depend on the shape
-        np.testing.assert_allclose(short.draws_t, long.draws_t[:10], rtol=1e-13, atol=1e-15)
+    def test_fewer_replicates_are_a_prefix(self, het_fit, tall_fit, method, dist):
+        # the tall fit spans three observation tiles, and B=70 crosses the
+        # 32-row rademacher blocks and the 26-row gaussian and m-of-n blocks;
+        # its 40000-term sums get an absolute bound for the draws near zero
+        for fit, b, atol in ((het_fit, 1000, 1e-15), (tall_fit, 70, 1e-13)):
+            m = fit.n if method == "resample_m_of_n" else None
+            short = run_bootstrap(fit, b=10, m=m, dist=dist, seed=31)
+            long = run_bootstrap(fit, b=b, m=m, dist=dist, seed=31)
+            # same weights; only the product's rounding may depend on the shape
+            np.testing.assert_allclose(short.draws_t, long.draws_t[:10], rtol=1e-13, atol=atol)
 
     @pytest.mark.parametrize("dist", ["gaussian", "rademacher"])
     def test_blocks_match_single_matrix_oracle(self, dist):
-        # 3e5 rows put 3 replicates in a block, so B=7 spans three blocks
+        # 3e5 rows put 3 gaussian replicates in a block, so B=7 spans three blocks
         n = 300_000
         rng = np.random.default_rng(50)
         x = np.column_stack([np.ones(n), rng.uniform(size=n)])
@@ -101,22 +115,49 @@ class TestMultiplierDraw:
             draws.draws_t, w @ fit.scores_hat / np.sqrt(n), rtol=1e-10, atol=1e-12
         )
 
-    def test_rademacher_blocks_start_on_fresh_bytes(self):
-        # 2**20 // 100_001 puts 10 replicates in a block, so B=25 spans blocks
-        # of 10, 10 and 5 rows; 10 * 100_001 bits is not a whole number of
-        # bytes, so each block's bits start a fresh rng.bytes call
-        n, rows, b = 100_001, 10, 25
+    def test_rademacher_blocks_are_one_sign_matrix(self):
+        # n is odd, so only whole 32-row blocks keep each block's bits on the
+        # generator's 32-bit words; B = 25, 33 and 70 end inside the first, just
+        # past the first and inside the third block, and each is still the one
+        # B x n sign matrix
+        n = 100_001
         rng = np.random.default_rng(51)
         x = np.column_stack([np.ones(n), rng.uniform(size=n)])
         fit = fit_ols(Dataset(x=x, y=x[:, 1] ** 2 + 0.1 * rng.standard_normal(n)))
-        draws = run_bootstrap(fit, b=b, dist="rademacher", seed=8)
-        gen = np.random.default_rng(subseed(8))
-        w = np.vstack([packed_signs(gen, min(rows, b - s), n) for s in range(0, b, rows)])
-        np.testing.assert_allclose(
-            draws.draws_t, w @ fit.scores_hat / np.sqrt(n), rtol=1e-10, atol=1e-12
+        for b in (25, 33, 70):
+            draws = run_bootstrap(fit, b=b, dist="rademacher", seed=8)
+            w = weights_oracle(fit, b, "rademacher", 8)
+            np.testing.assert_allclose(
+                draws.draws_t, w @ fit.scores_hat / np.sqrt(n), rtol=1e-10, atol=1e-12
+            )
+
+
+def test_tall_draws_do_not_depend_on_blas_threads(tmp_path):
+    # at n=2e5 the fixed observation tiles, not the thread count, set every sum's order
+    n = 200_000
+    rng = np.random.default_rng(52)
+    x = np.column_stack([np.ones(n), rng.standard_normal((n, 10))])
+    y = x @ np.linspace(-1.0, 1.0, 11) + (1.0 + np.abs(x[:, 1])) * rng.standard_normal(n)
+    path = tmp_path / "fit.pkl"
+    path.write_bytes(pickle.dumps(fit_ols(Dataset(x=x, y=y))))
+    code = (
+        "import hashlib, pickle, sys\n"
+        "from leanreg import run_bootstrap\n"
+        "fit = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+        "for kw in (dict(b=40, dist='rademacher'), dict(b=12, m=fit.n), dict(b=12)):\n"
+        "    draws = run_bootstrap(fit, seed=4, **kw).draws_t\n"
+        "    print(hashlib.sha256(draws.tobytes()).hexdigest())\n"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(path)], capture_output=True, text=True, env=env
         )
-        # the one-matrix layout differs from the first block boundary on
-        assert not np.array_equal(w, weights_oracle(fit, b, "rademacher", 8))
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.split())
+    assert len(outputs[0]) == 3
+    assert outputs[0] == outputs[1]
 
 
 class TestResampleDraw:

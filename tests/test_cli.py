@@ -20,6 +20,7 @@ from leanreg import (
     max_t_test,
     sandwich_avar,
 )
+from leanreg import cli
 from leanreg.cli import main, read_csv, write_csv
 
 EXAMPLE_CSV = "x0,x1,y\n1,0,0\n1,1,1\n1,2,4\n"
@@ -30,6 +31,17 @@ def example_csv(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text(EXAMPLE_CSV)
     return str(path)
+
+
+def cut_into_spans(patch, cores):
+    """Make read_csv cut any file into up to ``cores`` spans, one per usable core."""
+    patch.setattr(cli, "_SPAN_MIN_BYTES", 1)
+    patch.setattr(cli, "_usable_cores", lambda: cores)
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def run_cli(args, capsys):
@@ -198,24 +210,103 @@ def csv_texts(draw):
     return draw(st.sampled_from(["", "\ufeff"])) + text
 
 
+def assert_matches_oracle(path, text):
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(text)
+    try:
+        expected = oracle_read_csv(path, "y")
+    except (EmptyData, MissingColumn, NonNumericCell) as exc:
+        with pytest.raises(type(exc)) as got:
+            read_csv(path, "y", add_intercept=True)
+        assert str(got.value) == str(exc)
+        return
+    data = read_csv(path, "y", add_intercept=True)
+    assert data.x.tobytes() == expected[0].tobytes()
+    assert data.y.tobytes() == expected[1].tobytes()
+    assert data.x.shape == expected[0].shape
+
+
 class TestReadCsvMatchesOracle:
     @given(text=csv_texts())
     @settings(max_examples=400, deadline=None)
     def test_values_or_error_match_csv_and_float(self, tmp_path_factory, text):
-        path = str(tmp_path_factory.getbasetemp() / "oracle.csv")
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            handle.write(text)
-        try:
-            expected = oracle_read_csv(path, "y")
-        except (EmptyData, MissingColumn, NonNumericCell) as exc:
-            with pytest.raises(type(exc)) as got:
-                read_csv(path, "y", add_intercept=True)
-            assert str(got.value) == str(exc)
-            return
-        data = read_csv(path, "y", add_intercept=True)
-        assert data.x.tobytes() == expected[0].tobytes()
-        assert data.y.tobytes() == expected[1].tobytes()
-        assert data.x.shape == expected[0].shape
+        assert_matches_oracle(str(tmp_path_factory.getbasetemp() / "oracle.csv"), text)
+
+    @given(text=csv_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_span_parse_matches_csv_and_float(self, tmp_path_factory, text):
+        # every text with data past the header is cut into two or three spans
+        with pytest.MonkeyPatch.context() as patch:
+            cut_into_spans(patch, 3)
+            assert_matches_oracle(str(tmp_path_factory.getbasetemp() / "spans.csv"), text)
+        no_child_left()
+
+
+def write_span_csv(path, rows=3000, newline="\n", last=b""):
+    """A CSV of mixed float formats, optionally ending in a ``last`` line of bytes."""
+    rng = np.random.default_rng(21)
+    values = rng.standard_normal((rows, 3)) * [1.0, 1e-7, 1e9]
+    lines = ["x0,y,x1"] + [f"{a!r},{b:.17g},{c:.6e}" for a, b, c in values.tolist()]
+    path.write_bytes(("\ufeff" + newline.join(lines) + newline).encode() + last)
+    return str(path)
+
+
+class TestReadCsvSpans:
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_tables_do_not_depend_on_the_span_count(self, tmp_path, monkeypatch, newline):
+        path = write_span_csv(tmp_path / "spans.csv", newline=newline)
+        with open(path, "rb") as handle:
+            assert cli._span_bounds(handle.fileno()) is None
+        one = read_csv(path, "y", add_intercept=True)
+        for cores in (2, 3):
+            cut_into_spans(monkeypatch, cores)
+            with open(path, "rb") as handle:
+                assert len(cli._span_bounds(handle.fileno())) == cores + 1
+            data = read_csv(path, "y", add_intercept=True)
+            assert data.x.tobytes() == one.x.tobytes() and data.x.shape == one.x.shape
+            assert data.y.tobytes() == one.y.tobytes()
+            no_child_left()
+
+    @pytest.mark.parametrize(
+        "last, error",
+        [(b"1.5,abc,2\n", "NonNumericCell"), ("caf\u00e9,1,2\n".encode("latin-1"), "UnicodeDecodeError")],
+        ids=["bad-cell", "latin1"],
+    )
+    def test_error_in_last_span_matches_one_span(self, tmp_path, monkeypatch, capsys, last, error):
+        path = write_span_csv(tmp_path / "bad.csv", last=last)
+        args = ["fit", "--data", path, "--response", "y"]
+        code, one = run_cli(args, capsys)
+        assert code == 3 and json.loads(one)["error"]["type"] == error
+        cut_into_spans(monkeypatch, 3)
+        assert run_cli(args, capsys) == (3, one)
+        no_child_left()
+
+    def test_failed_fork_parses_in_process(self, tmp_path, monkeypatch):
+        path = write_span_csv(tmp_path / "spans.csv")
+        one = read_csv(path, "y")
+
+        def no_fork():
+            raise OSError("fork refused")
+
+        cut_into_spans(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", no_fork)
+        data = read_csv(path, "y")
+        assert data.x.tobytes() == one.x.tobytes() and data.y.tobytes() == one.y.tobytes()
+
+    def test_interrupt_reaps_every_child(self, tmp_path, monkeypatch):
+        path = write_span_csv(tmp_path / "spans.csv")
+        parent, loadtxt = os.getpid(), cli._loadtxt
+
+        def interrupted_here(source):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return loadtxt(source)
+
+        cut_into_spans(monkeypatch, 3)
+        monkeypatch.setattr(cli, "_loadtxt", interrupted_here)
+        with pytest.raises(KeyboardInterrupt):
+            read_csv(path, "y")
+        no_child_left()
 
 
 class TestFitCommand:
@@ -409,6 +500,15 @@ class TestBootstrapCommand:
         p4 = run_json(base + ["--threads", "4"], capsys)
         assert json.dumps(p1["results"], sort_keys=True) == json.dumps(p4["results"], sort_keys=True)
 
+    @pytest.mark.parametrize("b, clamped", [(1, True), (18, True), (19, False)])
+    def test_warns_when_too_few_draws_for_the_quantile(self, example_csv, capsys, b, clamped):
+        # ceil(0.95 * (B + 1)) exceeds B up to B = 18, where the largest draw stands in
+        args = ["bootstrap", "--data", example_csv, "--response", "y", "--B", str(b), "--seed", "1"]
+        warned = run_json(args, capsys)["warnings"]
+        assert len(warned) == clamped
+        if clamped:
+            assert f"B={b} draws are too few for the 0.95 quantile" in warned[0]
+
     def test_m_flag_switches_to_resampling(self, example_csv, capsys):
         payload = run_json(
             ["bootstrap", "--data", example_csv, "--response", "y",
@@ -444,6 +544,20 @@ class TestSimulateCommand:
         # replay from the echoed config: same args, same bytes
         _, out3 = run_cli(args + ["--threads", "1"], capsys)
         assert out1 == out3
+
+    @pytest.mark.parametrize(
+        "methods, b, clamped",
+        [("bootstrap_rectangle", 18, True), ("bootstrap_ellipsoid", 18, True),
+         ("bootstrap_rectangle,bootstrap_ellipsoid", 19, False), ("max_t_bootstrap", 18, False)],
+    )
+    def test_warns_when_regions_have_too_few_draws(self, capsys, methods, b, clamped):
+        # max-|t| reports a p-value, which ranks no quantile
+        payload = run_json(
+            ["simulate", "--dgp", "heteroscedastic_iid", "--n", "50", "--reps", "2",
+             "--methods", methods, "--B", str(b), "--seed", "3"],
+            capsys,
+        )
+        assert any("too few for the 0.95 quantile" in w for w in payload["warnings"]) == clamped
 
     def test_writes_json_and_csv(self, tmp_path, capsys):
         out = tmp_path / "cov.json"

@@ -39,11 +39,14 @@ DGPS = (
 
 
 def write_csvs(directory: pathlib.Path) -> None:
-    """Four CSVs, each from its own fixed seed; plus fourteen tiny, late or wide edge cases."""
+    """Five CSVs, each from its own fixed seed; plus fourteen tiny, late or wide edge cases."""
     # small, wide and tall grow in size; resid is one where RSS / (n - p) and a
-    # value decoded from the classical meat matrix differ in the last bit
+    # value decoded from the classical meat matrix differ in the last bit; spans
+    # (about 10 MB) is over two of read_csv's 4 MiB span minimums, so a machine
+    # with two or more usable cores parses it in line-aligned spans
     shapes = {
         "small": (300, 2, 1), "wide": (1000, 4, 2), "tall": (20000, 10, 3), "resid": (300, 2, 11),
+        "spans": (50000, 10, 4),
     }
     for name, (n, p, seed) in shapes.items():
         rng = np.random.default_rng(seed)
@@ -130,6 +133,12 @@ def commands() -> list[list[str]]:
         ["fit", "--data", "twice.csv", "--response", "y"],
         ["fit", "--data", "resid.csv", "--response", "y"],
         ["fit", "--data", "late.csv", "--response", "y"],
+    ]
+    # the span-parsed file, and rademacher draws summed over several observation tiles
+    spans = ["--data", "spans.csv", "--response", "y", "--add-intercept"]
+    cmds += [
+        ["fit", *spans],
+        ["bootstrap", *spans, "--B", "100", "--seed", "14", "--weights", "rademacher"],
     ]
     for name in ("quoted", "underscore", "crlf", "padded", "hash", "bom", "longcell", "longheader"):
         cmds.append(["fit", "--data", f"{name}.csv", "--response", "y", "--add-intercept"])
