@@ -45,7 +45,7 @@ from .exceptions import (
 from .inference import max_t_test, t_test
 from .ols import Dataset, fit_ols
 from .simlab import COVERAGE_METHODS, Dgp, population_targets, run_coverage, sample
-from .variance import classical_avar, residual_variance, sandwich_avar
+from .variance import classical_avar, hc1_avar, residual_variance, sandwich_avar
 
 SEED_ENV_VAR = "LEANREG_SEED"
 
@@ -393,7 +393,7 @@ def _cmd_fit(config: RunConfig) -> tuple[dict, list]:
         classical = classical_avar(fit)
         results["se_classical"] = classical.se
         results["sigma2_classical"] = residual_variance(fit)
-        results["se_sandwich_hc1"] = sandwich_avar(fit, dof_correct=True).se
+        results["se_sandwich_hc1"] = hc1_avar(fit, sand).se
     else:
         results["se_classical"] = None
         warnings.append("n == p: classical and HC1 standard errors are undefined")

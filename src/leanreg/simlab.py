@@ -6,8 +6,7 @@ coefficients beta_n, the moment matrices sigma_n and gamma_n, the true score
 covariance k_n, its estimable upper bound k_n_star, and the corresponding
 coefficient-scale variances av_n and av_n_star. Random-covariate kinds keep
 all covariates supported on [0, 1], so every moment needed anywhere (sixth
-moments included) is finite by construction; the moments are computed in exact
-rational arithmetic and rounded to float once.
+moments included) is finite by construction.
 
 Canonical parameterizations (fixed so the acceptance numbers are stable):
 
@@ -24,9 +23,10 @@ Canonical parameterizations (fixed so the acceptance numbers are stable):
   per-observation score means are nonzero (averaging to zero) and
   k_n is strictly below k_n_star.
 
-Each p=2 kind's mean and sd profile is written once, in ``_profile``. A
-fixed design's target is the least squares fit of its mean vector: beta_n,
-the score means and k_n_star - k_n are that fit's beta_hat, scores_hat, k_check.
+Each p=2 kind's mean and sd profile is written once, in ``_profile``. One
+routine averages it exactly, in rational arithmetic: over u ~ U[0, 1] for a
+random-x kind, over the design u_i = i/n for a fixed one. A fixed design's k_n
+is its noise alone; k_n_star adds the mean's misfit to the linear target.
 
 Replication r of any Monte Carlo run draws from the generator seeded by
 (seed, r), so reports depend only on the seed.
@@ -39,6 +39,7 @@ import statistics
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .bootstrap import WEIGHT_DISTS, region_ellipsoid, region_rectangle, run_boo
 from .exceptions import DimensionMismatch, SingularDesign
 from .inference import max_t_test
 from .ols import Dataset, fit_ols, scores_at
-from .variance import _sandwich, classical_avar, k_check, sandwich_avar
+from .variance import _sandwich, classical_avar, sandwich_avar
 
 DGP_KINDS = (
     "linear_homoscedastic",
@@ -148,68 +149,72 @@ def _integral01(f) -> Fraction:
     return sum(w * f(Fraction(i, 12)) for i, w in enumerate(_NC_WEIGHTS))
 
 
+# (1/n) sum_{i=1}^n f(i/n) from f at u = 1/n, ..., 7/n, exact for a polynomial f of degree <= 6
+# (every fixed-design integrand here): Newton's forward series f(i/n) = sum_k C(i-1, k) D^k f(1/n)
+# and sum_{i=1}^n C(i-1, k) = C(n, k+1) weight node j by sum_k (-1)^(k-j) C(k, j) C(n, k+1) / n
+def _design_average(n: int):
+    w = [sum((-1) ** (k - j) * comb(k, j) * comb(n, k + 1) for k in range(j, 7)) for j in range(7)]
+    return lambda f: sum(Fraction(w[j], n) * f(Fraction(j + 1, n)) for j in range(7))
+
+
 @functools.cache
-def _random_x_moments(dgp: Dgp):
-    """Exact gamma_n, beta_n and k_n of a random-x p=2 kind, as Fractions."""
+def _p2_moments(dgp: Dgp, n: int):
+    """Exact sigma_n, gamma_n, beta_n, k_n and k_n_star of a p=2 kind, as Fractions."""
+    avg = _design_average(n) if dgp.is_fixed_design else _integral01
     # Fraction(float) is exact: these are the moments of the DGP that sample draws from
     mu, sd = _profile(dgp, Fraction)
-    g0, g1 = _integral01(mu), _integral01(lambda u: u * mu(u))
-    b0, b1 = 4 * g0 - 6 * g1, 12 * g1 - 6 * g0  # sigma_n^-1 = (4, -6; -6, 12)
-    k00, k01, k11 = (
-        _integral01(lambda u: u**j * ((mu(u) - b0 - b1 * u) ** 2 + sd(u) ** 2)) for j in range(3)
-    )
-    return (g0, g1), (b0, b1), ((k00, k01), (k01, k11))
-
-
-def _fixed_design(dgp: Dgp, n: int):
-    """The least squares fit of the mean vector on the design u_i = i/n, and sd."""
-    u = np.arange(1, n + 1) / n
-    mean, sd = _profile(dgp)
-    return fit_ols(Dataset(x=np.column_stack([np.ones(n), u]), y=mean(u))), sd(u)
+    s1, s2 = avg(lambda u: u), avg(lambda u: u**2)
+    if s2 == s1**2:  # a one-point design
+        raise SingularDesign("design second-moment matrix is not positive definite")
+    g0, g1 = avg(mu), avg(lambda u: u * mu(u))
+    b1 = (g1 - s1 * g0) / (s2 - s1**2)
+    b0 = g0 - b1 * s1
+    noise = [avg(lambda u: u**j * sd(u) ** 2) for j in range(3)]
+    k_star = [k + avg(lambda u: u**j * (mu(u) - b0 - b1 * u) ** 2) for j, k in enumerate(noise)]
+    # under iid sampling the mean's misfit is score noise too; a fixed design's is a score mean
+    k_n = noise if dgp.is_fixed_design else k_star
+    sigma, k_n, k_star = (((m[0], m[1]), (m[1], m[2])) for m in ((1, s1, s2), k_n, k_star))
+    return sigma, (g0, g1), (b0, b1), k_n, k_star
 
 
 def population_targets(dgp: Dgp, n: int) -> PopulationTargets:
     """Exact moments, targets and score covariances for the scenario.
 
-    Random-x p=2 kinds integrate ``_profile`` exactly (each integrand is a
-    polynomial on either side of u = 1/2) and round once to float. Fixed
-    designs are finite sums: the target is the least squares fit of the mean
-    vector, k_n_star - k_n is that fit's k_check and the score means are its
-    score rows.
+    p=2 targets are exact rational averages rounded once to float; a fixed
+    design's score means are the rows x_i (mu_i - x_i' beta_n). Raises
+    ValueError when a target does not fit in a double.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if dgp.is_fixed_design:
-        fit, sd = _fixed_design(dgp, n)
-        sigma, gamma, beta, solve = fit.sigma_hat, fit.gamma_hat, fit.beta_hat, fit.solve
-        k_n = np.einsum("ij,ik,i->jk", fit.data.x, fit.data.x, sd**2) / n
-        k_star = k_n + k_check(fit)
-        score_means = fit.scores_hat
-    else:
-        # E[u_j] = 1/2, E[u_j^2] = 1/3, E[u_j u_k] = 1/4 for j != k
-        sigma = np.full((dgp.p, dgp.p), 0.25)
-        sigma[0, :] = sigma[:, 0] = 0.5
-        sigma[0, 0] = 1.0
-        np.fill_diagonal(sigma[1:, 1:], 1.0 / 3.0)
+    try:
         if dgp.kind == "linear_homoscedastic":
+            # E[u_j] = 1/2, E[u_j^2] = 1/3, E[u_j u_k] = 1/4 for j != k
+            sigma = np.full((dgp.p, dgp.p), 0.25)
+            sigma[0, :] = sigma[:, 0] = 0.5
+            sigma[0, 0] = 1.0
+            np.fill_diagonal(sigma[1:, 1:], 1.0 / 3.0)
             beta = np.asarray(dgp.beta, dtype=float)
             gamma = sigma @ beta
             k_n = dgp.noise_scale**2 * sigma
+            k_star = k_n.copy()
         else:
-            gamma, beta, k_n = (np.array(m, dtype=float) for m in _random_x_moments(dgp))
+            sigma, gamma, beta, k_n, k_star = (np.array(m, dtype=float) for m in _p2_moments(dgp, n))
         solve = linalg.spd_solver(sigma)
-        k_star = k_n.copy()
-        score_means = np.zeros((n, dgp.p))
-
+        with np.errstate(over="raise"):
+            av_n, av_n_star = _sandwich(solve, k_n), _sandwich(solve, k_star)
+    except (OverflowError, FloatingPointError):
+        raise ValueError(f"noise_scale={dgp.noise_scale!r} puts a target outside double range") from None
     return PopulationTargets(
         beta_n=beta,
         sigma_n=sigma,
         gamma_n=gamma,
         k_n=k_n,
         k_n_star=k_star,
-        av_n=_sandwich(solve, k_n),
-        av_n_star=_sandwich(solve, k_star),
-        score_means=score_means,
+        av_n=av_n,
+        av_n_star=av_n_star,
+        score_means=(
+            population_score_means(dgp, n, beta) if dgp.is_fixed_design else np.zeros((n, dgp.p))
+        ),
         solve=solve,
     )
 
@@ -227,7 +232,8 @@ def population_score_means(dgp: Dgp, n: int, beta) -> np.ndarray:
     if beta.shape != (dgp.p,):
         raise DimensionMismatch(f"beta has length {beta.size}, expected {dgp.p}")
     if dgp.is_fixed_design:
-        return scores_at(_fixed_design(dgp, n)[0].data, beta)
+        u = np.arange(1, n + 1) / n
+        return scores_at(Dataset(x=np.column_stack([np.ones(n), u]), y=_profile(dgp)[0](u)), beta)
     pop = population_targets(dgp, n)
     row = pop.gamma_n - pop.sigma_n @ beta
     return np.tile(row, (n, 1))

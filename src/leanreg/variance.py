@@ -69,21 +69,21 @@ def sandwich_avar(fit: OlsFit, dof_correct: bool = False) -> VarianceEstimate:
     """Sandwich estimate sigma_hat^-1 @ k_check @ sigma_hat^-1.
 
     With ``dof_correct`` the whole matrix is inflated by n / (n - p) (the HC1
-    convention); the plain 1/n average (HC0) is the default. Leverage-based
-    corrections (HC2/HC3) are deliberately not offered.
+    convention, see ``hc1_avar``); the plain 1/n average (HC0) is the default.
+    Leverage-based corrections (HC2/HC3) are deliberately not offered.
     """
-    if dof_correct and fit.n <= fit.p:
-        raise DegenerateDof(f"HC1 needs n > p, got n={fit.n}, p={fit.p}")
     meat = k_check(fit)
     avar = _sandwich(fit.solve, meat)
-    if dof_correct:
-        avar = avar * (fit.n / (fit.n - fit.p))
-    return VarianceEstimate(
-        method=SANDWICH_HC1 if dof_correct else SANDWICH_HC0,
-        avar=avar,
-        se=np.sqrt(np.diag(avar) / fit.n),
-        meat=meat,
-    )
+    hc0 = VarianceEstimate(SANDWICH_HC0, avar, np.sqrt(np.diag(avar) / fit.n), meat)
+    return hc1_avar(fit, hc0) if dof_correct else hc0
+
+
+def hc1_avar(fit: OlsFit, hc0: VarianceEstimate) -> VarianceEstimate:
+    """The HC1 estimate from the fit's HC0 one: its avar times n / (n - p)."""
+    if fit.n <= fit.p:
+        raise DegenerateDof(f"HC1 needs n > p, got n={fit.n}, p={fit.p}")
+    avar = hc0.avar * (fit.n / (fit.n - fit.p))
+    return VarianceEstimate(SANDWICH_HC1, avar, np.sqrt(np.diag(avar) / fit.n), hc0.meat)
 
 
 def residual_variance(fit: OlsFit) -> float:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leanreg.variance
 from leanreg import (
     Dataset,
     EmptyData,
@@ -22,6 +23,7 @@ from leanreg import (
 )
 from leanreg import cli
 from leanreg.cli import main, read_csv, write_csv
+from leanreg.simlab import DGP_KINDS
 
 EXAMPLE_CSV = "x0,x1,y\n1,0,0\n1,1,1\n1,2,4\n"
 
@@ -325,6 +327,21 @@ class TestFitCommand:
         )
         assert payload["config"]["command"] == "fit"
 
+    def test_fit_builds_k_check_once(self, example_csv, monkeypatch, capsys):
+        calls = []
+        real_k_check = leanreg.variance.k_check
+
+        def k_check(fit):
+            calls.append(fit)
+            return real_k_check(fit)
+
+        monkeypatch.setattr(leanreg.variance, "k_check", k_check)
+        res = run_json(["fit", "--data", example_csv, "--response", "y"], capsys)["results"]
+        assert len(calls) == 1
+        # HC1 is derived from the HC0 estimate, bit for bit what sandwich_avar computes
+        hc1 = sandwich_avar(calls[0], dof_correct=True)
+        assert res["se_sandwich_hc1"] == hc1.se.tolist()
+
     @pytest.mark.parametrize("kind, error", [
         ("missing", "FileNotFoundError"),
         ("directory", "IsADirectoryError"),
@@ -587,6 +604,21 @@ class TestCheckCommand:
         assert exc.value.code == 2
         assert "config error: noise_scale" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", DGP_KINDS)
+    def test_noise_scale_past_double_range_exits_2(self, kind, capsys):
+        args = ["check", "--dgp", kind, "--n", "50", "--seed", "1", "--noise-scale"]
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "1e200"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "leanreg: config error: noise_scale=1e+200 puts a target outside double range\n"
+        )
+        # a large scale that fits still reports finite numbers
+        payload = run_json([*args, "1e10"], capsys)
+        assert "Infinity" not in json.dumps(payload) and "NaN" not in json.dumps(payload)
+
     @pytest.mark.parametrize("command", [
         ["check", "--dgp", "fixed_x_heteroscedastic", "--n", "0", "--seed", "1"],
         ["simulate", "--dgp", "fixed_x_nonidentical_mean", "--n", "0", "--reps", "2", "--seed", "1"],
@@ -605,8 +637,9 @@ class TestCheckCommand:
             ["check", "--dgp", "fixed_x_nonidentical_mean", "--n", "80", "--seed", "2"], capsys
         )
         det = payload["results"]["deterministic_inequality"]
-        # fixed designs have sigma_hat = sigma_n exactly
-        assert det["d2n"] == 0.0
+        # a fixed design's sigma_hat is sigma_n up to its own rounding: sigma_n is
+        # the exact moment rounded once, sigma_hat a float sum over the design
+        assert det["d2n"] <= 1e-15
         assert det["precondition_holds"] and det["sandwich_ok"] and det["remainder_ok"]
         assert payload["results"]["influence_remainder"] <= 1e-9
         assert payload["warnings"] == []

@@ -118,27 +118,43 @@ class TestPopulationTargets:
         assert np.abs(pop.score_means).max() > 0.0
         np.testing.assert_allclose(pop.score_means.mean(axis=0), 0.0, atol=1e-10)
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 40, 500])
     @pytest.mark.parametrize(
         "kind, mean",
-        [("fixed_x_nonidentical_mean", lambda u: u**2), ("fixed_x_heteroscedastic", lambda u: 1.0 + u)],
+        [("fixed_x_nonidentical_mean", lambda u: u**2), ("fixed_x_heteroscedastic", lambda u: 1 + u)],
         ids=["fixed_x_nonidentical_mean", "fixed_x_heteroscedastic"],
     )
-    def test_fixed_design_oracle_finite_sums(self, kind, mean):
-        # oracle: direct loops over the design
-        n = 40
+    def test_fixed_design_oracle_finite_sums(self, kind, mean, n):
+        # oracle: brute-force rational sums over the design u_i = i/n, with the
+        # DGP's float constants 0.1 and noise_scale taken exactly, rounded once
         pop = population_targets(Dgp(kind), n)
-        u = np.arange(1, n + 1) / n
-        x = np.column_stack([np.ones(n), u])
-        sigma = sum(np.outer(x[i], x[i]) for i in range(n)) / n
-        np.testing.assert_allclose(pop.sigma_n, sigma, atol=1e-14)
-        mu = mean(u)
-        sd = 0.1 + u
-        beta = np.linalg.solve(sigma, x.T @ mu / n)
-        np.testing.assert_allclose(pop.beta_n, beta, atol=1e-12)
-        k = sum(np.outer(x[i], x[i]) * sd[i] ** 2 for i in range(n)) / n
-        k_star = k + sum(np.outer(x[i], x[i]) * (mu[i] - x[i] @ beta) ** 2 for i in range(n)) / n
-        np.testing.assert_allclose(pop.k_n, k, atol=1e-12)
-        np.testing.assert_allclose(pop.k_n_star, k_star, atol=1e-12)
+        us = [Fraction(i, n) for i in range(1, n + 1)]
+
+        def avg(f):
+            return sum(f(u) for u in us) / n
+
+        def matrix(f):
+            return [[float(avg(lambda u: u ** (j + k) * f(u))) for k in range(2)] for j in range(2)]
+
+        sigma = [[avg(lambda u: u ** (j + k)) for k in range(2)] for j in range(2)]
+        gamma = [avg(lambda u: u**j * mean(u)) for j in range(2)]
+        det = sigma[0][0] * sigma[1][1] - sigma[0][1] ** 2
+        b0 = (sigma[1][1] * gamma[0] - sigma[0][1] * gamma[1]) / det
+        b1 = (sigma[0][0] * gamma[1] - sigma[0][1] * gamma[0]) / det
+        noise = Fraction(Dgp(kind).noise_scale) ** 2
+
+        def sd2(u):
+            return noise * (Fraction(0.1) + u) ** 2
+
+        assert pop.sigma_n.tolist() == [[float(v) for v in row] for row in sigma]
+        assert pop.gamma_n.tolist() == [float(v) for v in gamma]
+        assert pop.beta_n.tolist() == [float(b0), float(b1)]
+        assert pop.k_n.tolist() == matrix(sd2)
+        assert pop.k_n_star.tolist() == matrix(lambda u: sd2(u) + (mean(u) - b0 - b1 * u) ** 2)
+
+    @pytest.mark.parametrize("n", [2, 3, 500, 10**6])
+    def test_fixed_linear_mean_target_is_its_coefficients(self, n):
+        assert population_targets(Dgp("fixed_x_heteroscedastic"), n).beta_n.tolist() == [1.0, 1.0]
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_structure_invariants(self, kind):
@@ -200,8 +216,8 @@ class TestPopulationTargets:
 
     @pytest.mark.parametrize("kind", ["fixed_x_heteroscedastic", "fixed_x_nonidentical_mean"])
     def test_one_point_fixed_design_is_singular(self, kind):
-        # the target is a least squares fit on the design, which needs n >= p
-        with pytest.raises(SingularDesign):
+        # one design point leaves sigma_n singular, so beta_n = sigma_n^-1 gamma_n is undefined
+        with pytest.raises(SingularDesign, match="design second-moment matrix is not positive definite"):
             population_targets(Dgp(kind), 1)
 
 
@@ -332,9 +348,8 @@ class TestFactorizationCounts:
         # two more replications: sigma_hat and k_check factored, k_check built, once each
         assert three["cholesky"] - one["cholesky"] == 2 * 2
         assert three["k_check"] - one["k_check"] == 2 * 1
-        # population_targets adds one of each: it fits the mean vector on the
-        # fixed design (factoring sigma_n) and builds that fit's k_check
-        assert one == {"cholesky": 3, "k_check": 2}
+        # population_targets adds one factorization (sigma_n's) and builds no k_check
+        assert one == {"cholesky": 3, "k_check": 1}
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_population_targets_factors_sigma_n_at_most_once(self, counts, kind):

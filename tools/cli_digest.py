@@ -165,6 +165,14 @@ def commands() -> list[list[str]]:
         ["simulate", "--dgp", "quadratic_mean_iid", "--n", "40", "--reps", "6", "--B", "50",
          "--seed", "5", "--methods", "sandwich_normal,max_t_bootstrap,sandwich_normal"],
     ]
+    # a one-point fixed design (singular), the two-point one, the large-n design
+    # rule, and a noise scale whose targets do not fit in a double
+    cmds += [
+        ["check", "--dgp", "fixed_x_nonidentical_mean", "--n", "1", "--seed", "3"],
+        ["check", "--dgp", "fixed_x_nonidentical_mean", "--n", "2", "--seed", "3"],
+        ["check", "--dgp", "fixed_x_heteroscedastic", "--n", "100000", "--seed", "3"],
+        ["check", "--dgp", "heteroscedastic_iid", "--noise-scale", "1e200", "--n", "50", "--seed", "3"],
+    ]
     return cmds
 
 
