@@ -13,6 +13,7 @@ from leanreg import (
     Dgp,
     classical_avar,
     fit_ols,
+    hc1_avar,
     population_targets,
     sample,
     sandwich_avar,
@@ -34,7 +35,7 @@ sandwich = sandwich_avar(fit)
 print("per-coordinate standard errors")
 print("  classical (lm-style) :", np.round(classical.se, 5))
 print("  sandwich HC0         :", np.round(sandwich.se, 5))
-print("  sandwich HC1         :", np.round(sandwich_avar(fit, dof_correct=True).se, 5))
+print("  sandwich HC1         :", np.round(hc1_avar(fit, sandwich).se, 5))
 print()
 
 # the population asymptotic sd per coordinate, for reference

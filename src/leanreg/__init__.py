@@ -50,7 +50,7 @@ from .simlab import (
     run_coverage,
     sample,
 )
-from .variance import VarianceEstimate, classical_avar, k_check, sandwich_avar
+from .variance import VarianceEstimate, classical_avar, hc1_avar, k_check, sandwich_avar
 
 __version__ = "0.1.0"
 
@@ -81,6 +81,7 @@ __all__ = [
     "det_inequality_check",
     "eig_sym_extremes",
     "fit_ols",
+    "hc1_avar",
     "influence_remainder",
     "k_check",
     "max_t_test",

@@ -336,6 +336,11 @@ class RunConfig:
             raise ValueError(
                 f"command {self.command!r} is stochastic; pass --seed or set {SEED_ENV_VAR}"
             )
+        if self.out:
+            # checked before the run, which a report that cannot be written would lose
+            folder = os.path.dirname(self.out) or "."
+            if os.path.isdir(self.out) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+                raise ValueError(f"--out {self.out!r} is a directory or not in a writable directory")
 
 
 @dataclass
@@ -360,7 +365,8 @@ def report_json(report: Report) -> str:
 def _variance_for(fit, kind: str):
     if kind == "classical":
         return classical_avar(fit)
-    return sandwich_avar(fit, dof_correct=(kind == "hc1"))
+    hc0 = sandwich_avar(fit)
+    return hc1_avar(fit, hc0) if kind == "hc1" else hc0
 
 
 def _parse_null(config: RunConfig, p: int) -> np.ndarray:
@@ -440,7 +446,7 @@ def _cmd_bootstrap(config: RunConfig) -> tuple[dict, list]:
         "ellipsoid_quad_form": ellip.quad_form,
         "ellipsoid_radius": ellip.radius,
         "draws_mean": draws.draws_t.mean(axis=0),
-        "draws_cov": np.cov(draws.draws_t.T, bias=True),
+        "draws_cov": np.atleast_2d(np.cov(draws.draws_t.T, bias=True)),
         "k_check": var.meat,
         "se_used": var.se,
     }
@@ -463,9 +469,7 @@ def _cmd_simulate(config: RunConfig) -> tuple[dict, list]:
         b=config.b,
         weight_dist=config.weights,
     )
-    # the seed is echoed in the config
     results = dataclasses.asdict(report)
-    del results["seed"]
     warnings = []
     if report.excluded:
         warnings.append(f"{report.excluded} replication(s) excluded for singular designs")
@@ -556,7 +560,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_boot = add_command("bootstrap", "score bootstrap and confidence regions")
     add_data_flags(p_boot)
-    p_boot.add_argument("--variance", choices=("hc0", "hc1"))
+    p_boot.add_argument(
+        "--variance", choices=("hc0", "hc1"),
+        help="studentizer; hc1 scales hc0 by n/(n-p), which moves se_used but neither region",
+    )
     p_boot.add_argument("--weights", choices=("gaussian", "rademacher"))
     p_boot.add_argument("--B", dest="b", type=int)
     p_boot.add_argument(

@@ -273,7 +273,6 @@ class CoverageReport:
     n: int
     replications: int
     alpha: float
-    seed: int
     methods: tuple[str, ...]
     coverage: dict = field(default_factory=dict)
     coverage_se: dict = field(default_factory=dict)
@@ -370,7 +369,6 @@ def run_coverage(
         n=n,
         replications=replications,
         alpha=alpha,
-        seed=seed,
         methods=methods,
         coverage=coverage,
         coverage_se=coverage_se,

@@ -65,21 +65,22 @@ def _sandwich(solve, meat: np.ndarray) -> np.ndarray:
     return (avar + avar.T) / 2.0
 
 
-def sandwich_avar(fit: OlsFit, dof_correct: bool = False) -> VarianceEstimate:
-    """Sandwich estimate sigma_hat^-1 @ k_check @ sigma_hat^-1.
+def sandwich_avar(fit: OlsFit) -> VarianceEstimate:
+    """Sandwich estimate sigma_hat^-1 @ k_check @ sigma_hat^-1 (HC0).
 
-    With ``dof_correct`` the whole matrix is inflated by n / (n - p) (the HC1
-    convention, see ``hc1_avar``); the plain 1/n average (HC0) is the default.
-    Leverage-based corrections (HC2/HC3) are deliberately not offered.
+    This is the plain 1/n average the conservative guarantee is stated for;
+    ``hc1_avar`` rescales it to HC1. Leverage-based corrections (HC2/HC3)
+    are deliberately not offered.
     """
     meat = k_check(fit)
     avar = _sandwich(fit.solve, meat)
-    hc0 = VarianceEstimate(SANDWICH_HC0, avar, np.sqrt(np.diag(avar) / fit.n), meat)
-    return hc1_avar(fit, hc0) if dof_correct else hc0
+    return VarianceEstimate(SANDWICH_HC0, avar, np.sqrt(np.diag(avar) / fit.n), meat)
 
 
 def hc1_avar(fit: OlsFit, hc0: VarianceEstimate) -> VarianceEstimate:
-    """The HC1 estimate from the fit's HC0 one: its avar times n / (n - p)."""
+    """The HC1 estimate from the fit's HC0 one (any other is a ValueError): avar * n / (n - p)."""
+    if hc0.method != SANDWICH_HC0:
+        raise ValueError(f"HC1 rescales a {SANDWICH_HC0!r} estimate, got {hc0.method!r}")
     if fit.n <= fit.p:
         raise DegenerateDof(f"HC1 needs n > p, got n={fit.n}, p={fit.p}")
     avar = hc0.avar * (fit.n / (fit.n - fit.p))

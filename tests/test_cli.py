@@ -18,7 +18,9 @@ from leanreg import (
     MissingColumn,
     NonNumericCell,
     fit_ols,
+    hc1_avar,
     max_t_test,
+    run_bootstrap,
     sandwich_avar,
 )
 from leanreg import cli
@@ -339,7 +341,7 @@ class TestFitCommand:
         res = run_json(["fit", "--data", example_csv, "--response", "y"], capsys)["results"]
         assert len(calls) == 1
         # HC1 is derived from the HC0 estimate, bit for bit what sandwich_avar computes
-        hc1 = sandwich_avar(calls[0], dof_correct=True)
+        hc1 = hc1_avar(calls[0], sandwich_avar(calls[0]))
         assert res["se_sandwich_hc1"] == hc1.se.tolist()
 
     @pytest.mark.parametrize("kind, error", [
@@ -537,6 +539,16 @@ class TestBootstrapCommand:
         # resampling counts follow no weight law, so none is reported
         assert payload["results"]["weight_dist"] is None
 
+    def test_one_covariate_draws_cov_is_a_matrix(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("x,y\n1,2\n2,3\n3,5\n")
+        res = run_json(
+            ["bootstrap", "--data", str(path), "--response", "y", "--B", "5", "--seed", "1"], capsys
+        )["results"]
+        draws = run_bootstrap(fit_ols(read_csv(str(path), "y")), b=5, seed=1).draws_t[:, 0]
+        assert np.shape(res["draws_cov"]) == np.shape(res["k_check"]) == (1, 1)
+        np.testing.assert_allclose(res["draws_cov"], [[np.var(draws)]], rtol=1e-14)
+
 
 class TestSimulateCommand:
     def test_single_replication_binary_coverage(self, capsys):
@@ -547,6 +559,8 @@ class TestSimulateCommand:
         )
         for values in payload["results"]["coverage"].values():
             assert all(v in (0.0, 1.0) for v in values)
+        # the seed is echoed once, in the config
+        assert "seed" not in payload["results"] and payload["config"]["seed"] == 5
 
     def test_replay_and_threads_byte_identical(self, capsys):
         args = [
@@ -593,6 +607,37 @@ class TestSimulateCommand:
         for metric in ("rejection_rate", "rejection_se"):
             side = {r["method"]: float(r["value"]) for r in rows if r["metric"] == metric}
             assert side == results[metric] and "max_t_bootstrap" in side
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("command", [
+        ["fit", "--data", "DATA", "--response", "y"],
+        ["fit", "--data", "missing.csv", "--response", "y"],
+        ["simulate", "--dgp", "quadratic_mean_iid", "--n", "50", "--reps", "2",
+         "--methods", "sandwich_normal", "--seed", "3"],
+    ], ids=["fit", "fit-missing-data", "simulate"])
+    def test_out_in_missing_directory_is_a_config_error(
+        self, example_csv, tmp_path, monkeypatch, capsys, command
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "run_coverage", lambda *a, **k: calls.append(a))
+        command = [example_csv if arg == "DATA" else arg for arg in command]
+        before = sorted(tmp_path.rglob("*"))
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--out", str(tmp_path / "nodir" / "x.json")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "config error: --out" in captured.err and "Traceback" not in captured.err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert calls == []
+
+    def test_out_that_is_a_directory_is_a_config_error(self, example_csv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--data", example_csv, "--response", "y", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "is a directory or not in a writable directory" in capsys.readouterr().err
 
 
 class TestCheckCommand:

@@ -13,7 +13,10 @@ from leanreg import (
     ZeroVariance,
     classical_avar,
     fit_ols,
+    hc1_avar,
     max_t_test,
+    region_ellipsoid,
+    region_rectangle,
     run_bootstrap,
     sample,
     sandwich_avar,
@@ -211,6 +214,33 @@ class TestMaxTTest:
         fit, var = het
         with pytest.raises(ValueError):
             max_t_test(fit, var, [0.0, 0.0], "bootstrap")
+
+
+class TestHc1Rescale:
+    def test_hc1_moves_only_normal_references(self, het):
+        # HC1 is HC0 times the scalar n / (n - p): the studentized bootstrap
+        # statistics and references scale together, the normal tail does not
+        fit, hc0 = het
+        hc1 = hc1_avar(fit, hc0)
+        draws = run_bootstrap(fit, b=499, seed=12)
+        rect0, rect1 = (region_rectangle(fit, draws, v, 0.05) for v in (hc0, hc1))
+        np.testing.assert_allclose(rect1.half_widths, rect0.half_widths, rtol=1e-14, atol=0.0)
+        ell0, ell1 = (region_ellipsoid(fit, draws, v, 0.05) for v in (hc0, hc1))
+        assert ell1.radius == ell0.radius
+        np.testing.assert_array_equal(ell1.quad_form, ell0.quad_form)
+        null = fit.beta_hat - 1.5 * hc0.se
+        boot = [
+            (t_test(fit, v, 1, float(null[1]), "bootstrap", draws).p_value,
+             max_t_test(fit, v, null, "bootstrap", draws).p_value)
+            for v in (hc0, hc1)
+        ]
+        assert boot[0] == boot[1]
+        assert all(0.01 < p < 0.9 for p in boot[0])
+        normal = [
+            (t_test(fit, v, 1, float(null[1])).p_value, max_t_test(fit, v, null, "std_normal").p_value)
+            for v in (hc0, hc1)
+        ]
+        assert normal[0][0] != normal[1][0] and normal[0][1] != normal[1][1]
 
 
 class TestNullSize:

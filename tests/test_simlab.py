@@ -261,6 +261,9 @@ class TestRunCoverage:
         for values in rep.coverage.values():
             assert all(v in (0.0, 1.0) for v in values)
 
+    def test_report_leaves_the_seed_to_the_caller(self):
+        assert "seed" not in {f.name for f in dataclasses.fields(simlab.CoverageReport)}
+
     def test_mc_se_formula(self):
         rep = run_coverage(
             Dgp("heteroscedastic_iid"), n=60, replications=40,

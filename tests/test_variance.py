@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import leanreg
 from leanreg import (
     Dataset,
     DegenerateDof,
     Dgp,
     classical_avar,
     fit_ols,
+    hc1_avar,
     k_check,
     sample,
     sandwich_avar,
@@ -69,14 +71,22 @@ class TestSandwichAvar:
 
     def test_hc1_is_hc0_times_dof_ratio(self, tiny_fit):
         hc0 = sandwich_avar(tiny_fit)
-        hc1 = sandwich_avar(tiny_fit, dof_correct=True)
+        hc1 = hc1_avar(tiny_fit, hc0)
         np.testing.assert_allclose(hc1.avar, hc0.avar * 3.0, rtol=1e-14)
         assert hc1.method == "sandwich_hc1"
+
+    def test_hc1_rescales_only_hc0(self, tiny_fit):
+        assert "hc1_avar" in leanreg.__all__
+        hc1 = hc1_avar(tiny_fit, sandwich_avar(tiny_fit))
+        with pytest.raises(ValueError, match="'sandwich_hc0' estimate, got 'classical'"):
+            hc1_avar(tiny_fit, classical_avar(tiny_fit))
+        with pytest.raises(ValueError, match="'sandwich_hc0' estimate, got 'sandwich_hc1'"):
+            hc1_avar(tiny_fit, hc1)
 
     def test_hc1_degenerate_dof(self):
         fit = fit_ols(Dataset(x=[[1.0, 0.0], [0.0, 1.0]], y=[1.0, 2.0]))
         with pytest.raises(DegenerateDof):
-            sandwich_avar(fit, dof_correct=True)
+            hc1_avar(fit, sandwich_avar(fit))
 
     def test_avar_symmetric_psd(self, tiny_fit):
         avar = sandwich_avar(tiny_fit).avar

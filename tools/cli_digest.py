@@ -173,6 +173,13 @@ def commands() -> list[list[str]]:
         ["check", "--dgp", "fixed_x_heteroscedastic", "--n", "100000", "--seed", "3"],
         ["check", "--dgp", "heteroscedastic_iid", "--noise-scale", "1e200", "--n", "50", "--seed", "3"],
     ]
+    # a one-covariate bootstrap (its draws_cov is 1 x 1), a report path in a missing
+    # directory, and an HC1 studentizer, which leaves bootstrap p-values as HC0 gives them
+    cmds += [
+        ["bootstrap", "--data", "exact.csv", "--response", "y", "--B", "50", "--seed", "1"],
+        ["fit", "--data", "small.csv", "--response", "y", "--out", "nodir/x.json"],
+        ["test", *small, "--reference", "bootstrap", "--B", "300", "--seed", "7", "--variance", "hc1"],
+    ]
     return cmds
 
 
