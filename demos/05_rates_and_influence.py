@@ -20,7 +20,6 @@ from leanreg import (
     population_targets,
     run_consistency,
     sample,
-    subseed,
 )
 
 dgp = Dgp("quadratic_mean_iid")
@@ -39,7 +38,7 @@ def medians(n, reps, stat):
 
 
 def meat_error(n, r):
-    fit = fit_ols(sample(dgp, n, np.random.default_rng(subseed(77, n, r))))
+    fit = fit_ols(sample(dgp, n, np.random.default_rng((77, n, r))))
     return op_norm(k_check(fit) - population_targets(dgp, n).k_n_star)
 
 
@@ -52,7 +51,7 @@ beta_wrong = beta_true + 0.5
 
 
 def remainder(n, r, beta, means):
-    fit = fit_ols(sample(dgp, n, np.random.default_rng(subseed(78, n, r))))
+    fit = fit_ols(sample(dgp, n, np.random.default_rng((78, n, r))))
     return influence_remainder(fit, population_targets(dgp, n).solve, beta, means)
 
 

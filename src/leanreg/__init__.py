@@ -20,7 +20,6 @@ from .bootstrap import (
     region_ellipsoid,
     region_rectangle,
     run_bootstrap,
-    subseed,
 )
 from .diagnostics import DetCheckReport, det_inequality_check, influence_remainder
 from .exceptions import (
@@ -31,6 +30,7 @@ from .exceptions import (
     LeanRegError,
     MissingColumn,
     NoConvergence,
+    NonFiniteValue,
     NonNumericCell,
     NotPositiveDefinite,
     NotSymmetric,
@@ -68,6 +68,7 @@ __all__ = [
     "LeanRegError",
     "MissingColumn",
     "NoConvergence",
+    "NonFiniteValue",
     "NonNumericCell",
     "NotPositiveDefinite",
     "NotSymmetric",
@@ -98,6 +99,5 @@ __all__ = [
     "sandwich_avar",
     "scores_at",
     "spd_solver",
-    "subseed",
     "t_test",
 ]

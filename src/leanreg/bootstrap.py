@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .exceptions import DimensionMismatch, ZeroVariance
+from .exceptions import DimensionMismatch, NonFiniteValue, ZeroVariance
 from .ols import OlsFit
 from .variance import VarianceEstimate
 
@@ -44,16 +44,6 @@ _SIGN_BLOCK_ROWS = 32
 # observations. The tile, not B or n, fixes the summation order, which keeps
 # tall draws independent of the BLAS thread count; n <= _TILE_ROWS is one tile.
 _TILE_ROWS = 16384
-
-
-def subseed(seed, *path) -> np.random.SeedSequence:
-    """Seed sequence for a child stream, keyed by (seed, *path).
-
-    ``seed`` may itself be a tuple from an outer derivation; paths flatten,
-    so nested derivations stay collision-free and order-independent.
-    """
-    entropy = tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
-    return np.random.SeedSequence(entropy + tuple(int(i) for i in path))
 
 
 @dataclass(frozen=True)
@@ -84,11 +74,12 @@ def run_bootstrap(
     b: int = 1000,
     m: int | None = None,
     dist: str = "gaussian",
-    seed=0,
+    *,
+    seed,
 ) -> BootstrapDraws:
     """Generate B independent bootstrap replicates.
 
-    All replicates come, in order, from one generator seeded by ``seed``, so
+    All replicates come, in order, from one ``np.random.default_rng(seed)``, so
     the output depends only on the seed, and fewer replicates are a prefix of
     more. They are filled in blocks of rows as W @ scores_hat / sqrt(scale):
     W holds multiplier weights (scale n) or, for the m-of-n bootstrap, how
@@ -116,7 +107,7 @@ def run_bootstrap(
     rows = max(1, _BLOCK_ENTRIES // max(n, m or n))
     if signs:
         rows = -(-rows // _SIGN_BLOCK_ROWS) * _SIGN_BLOCK_ROWS
-    rng = np.random.default_rng(subseed(seed))
+    rng = np.random.default_rng(seed)
     draws_t = np.empty((b, fit.p))
     for start in range(0, b, rows):
         k = min(rows, b - start)
@@ -179,8 +170,10 @@ def _order_stat_quantile(values: np.ndarray, alpha: float) -> float:
 
 
 def studentizer(var: VarianceEstimate, coords=slice(None)) -> np.ndarray:
-    """Studentizing scales d = sqrt(diag(avar)[coords]); the one zero-variance gate."""
+    """Scales d = sqrt(diag(avar)[coords]); the one gate on zero and non-finite variances."""
     d2 = np.diag(var.avar)[coords]
+    if not np.all(np.isfinite(d2)):
+        raise NonFiniteValue("a coordinate's estimated variance is infinite or NaN")
     if np.any(d2 <= 0.0):
         raise ZeroVariance("a coordinate has zero estimated variance")
     return np.sqrt(d2)

@@ -11,7 +11,7 @@ alone switches to the m-of-n resampling bootstrap.
 
 Exit codes: 0 success, 2 usage or config error, 3 data error (including a
 missing, unreadable or non-UTF-8 data file), 4 numerical error (singular
-design and friends).
+design and friends, and a result that does not fit in a double).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .exceptions import (
     EmptyData,
     LeanRegError,
     MissingColumn,
+    NonFiniteValue,
     NonNumericCell,
 )
 from .inference import max_t_test, t_test
@@ -341,6 +342,13 @@ class RunConfig:
             folder = os.path.dirname(self.out) or "."
             if os.path.isdir(self.out) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
                 raise ValueError(f"--out {self.out!r} is a directory or not in a writable directory")
+            if self.command == "simulate" and os.path.isdir(_coverage_csv_path(self.out)):
+                raise ValueError(f"the coverage table {_coverage_csv_path(self.out)!r} is a directory")
+
+
+def _coverage_csv_path(out: str) -> str:
+    """The coverage table that ``simulate --out`` writes beside its JSON report."""
+    return (out[:-5] if out.endswith(".json") else out) + ".csv"
 
 
 @dataclass
@@ -359,7 +367,11 @@ def _json_default(obj):
 
 
 def report_json(report: Report) -> str:
-    return json.dumps(vars(report), sort_keys=True, indent=2, default=_json_default)
+    """The report as JSON; an infinity or NaN in it raises NonFiniteValue."""
+    try:
+        return json.dumps(vars(report), sort_keys=True, indent=2, default=_json_default, allow_nan=False)
+    except ValueError:
+        raise NonFiniteValue(f"the {report.command} result holds an infinity or NaN") from None
 
 
 def _variance_for(fit, kind: str):
@@ -497,7 +509,7 @@ def _coverage_csv_rows(results: dict):
 def _cmd_check(config: RunConfig) -> tuple[dict, list]:
     dgp = Dgp(kind=config.dgp, noise_scale=config.noise_scale)
     pop = population_targets(dgp, config.n)
-    data = sample(dgp, config.n, np.random.default_rng(np.random.SeedSequence(config.seed)))
+    data = sample(dgp, config.n, config.seed)
     fit = fit_ols(data)
     det = det_inequality_check(fit.sigma_hat, fit.gamma_hat, pop.sigma_n, pop.gamma_n)
     remainder = influence_remainder(fit, pop.solve, pop.beta_n, pop.score_means)
@@ -624,6 +636,7 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         report = run_command(config)
+        text = report_json(report)
     except _DATA_ERRORS + (LeanRegError,) as exc:
         payload = {
             "command": config.command,
@@ -634,11 +647,9 @@ def main(argv=None) -> int:
         return 3 if isinstance(exc, _DATA_ERRORS) else 4
     except ValueError as exc:
         parser.exit(2, f"leanreg: config error: {exc}\n")
-    text = report_json(report)
     _emit(text, config.out)
     if config.command == "simulate" and config.out:
-        base = config.out[:-5] if config.out.endswith(".json") else config.out
-        with open(base + ".csv", "w", newline="", encoding="utf-8") as handle:
+        with open(_coverage_csv_path(config.out), "w", newline="", encoding="utf-8") as handle:
             csv.writer(handle).writerows(_coverage_csv_rows(report.results))
     return 0
 

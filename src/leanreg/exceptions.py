@@ -23,6 +23,10 @@ class NotPositiveDefinite(LeanRegError):
     """A matrix required to be positive definite is singular or indefinite."""
 
 
+class NonFiniteValue(LeanRegError, ValueError):
+    """A matrix or result that must be finite holds an infinity or NaN (e.g. from overflow)."""
+
+
 class NoConvergence(LeanRegError):
     """An iterative eigenvalue/SVD routine failed to converge."""
 

@@ -44,10 +44,12 @@ class TestResult:
     b: int | None = None
 
 
-def _max_t(fit: OlsFit, var: VarianceEstimate, coords, beta0, reference: str, draws):
-    """(t over ``coords``, p-value of max_j |t_j|, df, b) for one reference law.
+def _max_t(fit: OlsFit, var: VarianceEstimate, coords, beta0, reference: str, draws) -> TestResult:
+    """The max-|t| test over ``coords`` for one reference law.
 
-    A normal or student-t reference gives min(1, k * two-sided tail) over the
+    ``coords`` is either ``[j]``, which reports the signed t_j and
+    ``target_coord=j``, or ``slice(None)``, which reports max_j |t_j|. A
+    normal or student-t reference gives min(1, k * two-sided tail) over the
     k coordinates, which for k = 1 is the exact two-sided p-value.
     """
     if reference not in REFERENCES:
@@ -78,7 +80,17 @@ def _max_t(fit: OlsFit, var: VarianceEstimate, coords, beta0, reference: str, dr
 
             tail = stdtr(df, -stat)
         p_value = min(1.0, t.size * 2.0 * float(tail))
-    return t, p_value, df, b
+    whole = isinstance(coords, slice)
+    return TestResult(
+        statistic=stat if whole else float(t[0]),
+        reference=reference,
+        p_value=p_value,
+        conservative=var.is_sandwich(),
+        null_value=beta0,
+        target_coord=None if whole else coords[0],
+        df=df,
+        b=b,
+    )
 
 
 def t_test(
@@ -98,17 +110,7 @@ def t_test(
     """
     if not 0 <= j < fit.p:
         raise BadCoordinate(f"coordinate {j} out of range for p={fit.p}")
-    t, p_value, df, b = _max_t(fit, var, [j], beta0, reference, draws)
-    return TestResult(
-        statistic=float(t[0]),
-        reference=reference,
-        p_value=p_value,
-        conservative=var.is_sandwich(),
-        null_value=float(beta0),
-        target_coord=j,
-        df=df,
-        b=b,
-    )
+    return _max_t(fit, var, [j], float(beta0), reference, draws)
 
 
 def max_t_test(
@@ -129,14 +131,4 @@ def max_t_test(
     beta0 = np.asarray(beta0, dtype=float).ravel()
     if beta0.shape[0] != fit.p:
         raise DimensionMismatch(f"beta0 has length {beta0.shape[0]}, expected {fit.p}")
-    t, p_value, df, b = _max_t(fit, var, slice(None), beta0, reference, draws)
-    return TestResult(
-        statistic=float(np.abs(t).max()),
-        reference=reference,
-        p_value=p_value,
-        conservative=var.is_sandwich(),
-        null_value=beta0,
-        target_coord=None,
-        df=df,
-        b=b,
-    )
+    return _max_t(fit, var, slice(None), beta0, reference, draws)

@@ -14,7 +14,7 @@ import functools
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NoConvergence, NotPositiveDefinite, NotSymmetric
+from .exceptions import DimensionMismatch, NoConvergence, NonFiniteValue, NotPositiveDefinite, NotSymmetric
 
 # Relative symmetry gate: |a - a.T| must not exceed SYM_RTOL * max|a|.
 SYM_RTOL = 1e-10
@@ -25,7 +25,7 @@ def _as_square_symmetric(a, name: str = "matrix") -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteValue(f"{name} contains non-finite entries")
     scale = np.abs(a).max() if a.size else 0.0
     if np.abs(a - a.T).max(initial=0.0) > SYM_RTOL * scale:
         raise NotSymmetric(f"{name} is not symmetric within {SYM_RTOL:g} relative")
@@ -106,7 +106,7 @@ def op_norm(a) -> float:
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
+        raise NonFiniteValue("matrix contains non-finite entries")
     try:
         return float(np.linalg.norm(a, 2))
     except np.linalg.LinAlgError as exc:

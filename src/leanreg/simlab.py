@@ -28,8 +28,8 @@ routine averages it exactly, in rational arithmetic: over u ~ U[0, 1] for a
 random-x kind, over the design u_i = i/n for a fixed one. A fixed design's k_n
 is its noise alone; k_n_star adds the mean's misfit to the linear target.
 
-Replication r of any Monte Carlo run draws from the generator seeded by
-(seed, r), so reports depend only on the seed.
+Replication r of any Monte Carlo run draws from
+``np.random.default_rng((seed, r))``, so reports depend only on the seed.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .bootstrap import WEIGHT_DISTS, region_ellipsoid, region_rectangle, run_bootstrap, subseed
+from .bootstrap import WEIGHT_DISTS, region_ellipsoid, region_rectangle, run_bootstrap
 from .exceptions import DimensionMismatch, SingularDesign
 from .inference import max_t_test
 from .ols import Dataset, fit_ols, scores_at
@@ -240,7 +240,7 @@ def population_score_means(dgp: Dgp, n: int, beta) -> np.ndarray:
 
 
 def sample(dgp: Dgp, n: int, rng_state) -> Dataset:
-    """Draw one dataset of size n; deterministic given the seed.
+    """Draw one dataset of size n from ``np.random.default_rng(rng_state)``.
 
     Fixed-design kinds reuse the deterministic design exactly and redraw only
     the responses. Covariates are drawn before noise, so the covariate stream
@@ -328,7 +328,7 @@ def run_coverage(
     excluded = 0
     for r in range(replications):
         try:
-            fit = fit_ols(sample(dgp, n, np.random.default_rng(subseed(seed, r))))
+            fit = fit_ols(sample(dgp, n, (seed, r)))
         except SingularDesign:
             excluded += 1
             continue
@@ -396,7 +396,7 @@ def run_consistency(dgp: Dgp, n_grid, replications: int, seed: int) -> dict:
         beta_n = population_targets(dgp, n).beta_n
         errs = np.empty(replications)
         for r in range(replications):
-            data = sample(dgp, n, np.random.default_rng(subseed(seed, i, r)))
+            data = sample(dgp, n, (seed, i, r))
             errs[r] = np.linalg.norm(fit_ols(data).beta_hat - beta_n)
         medians.append(float(np.median(errs)))
     if len(n_grid) >= 2 and all(m > 0 for m in medians):

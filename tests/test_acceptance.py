@@ -29,7 +29,6 @@ from leanreg import (
     run_coverage,
     sample,
     spd_solver,
-    subseed,
 )
 from leanreg.cli import main
 from leanreg.simlab import DGP_KINDS
@@ -110,7 +109,7 @@ def test_criterion_4_sandwich_consistency_rate():
     def median_meat_error(n: int) -> float:
         k_star = population_targets(dgp, n).k_n_star
         errs = [
-            op_norm(k_check(fit_ols(sample(dgp, n, np.random.default_rng(subseed(SEED, n, r))))) - k_star)
+            op_norm(k_check(fit_ols(sample(dgp, n, np.random.default_rng((SEED, n, r))))) - k_star)
             for r in range(200)
         ]
         return float(np.median(errs))
@@ -172,7 +171,7 @@ def test_criterion_8_influence_representation():
         solve = population_targets(dgp, n).solve
         vals = [
             influence_remainder(
-                fit_ols(sample(dgp, n, np.random.default_rng(subseed(SEED, 8, n, r)))),
+                fit_ols(sample(dgp, n, np.random.default_rng((SEED, 8, n, r)))),
                 solve,
                 beta,
                 score_means,

@@ -19,7 +19,6 @@ from leanreg import (
     run_bootstrap,
     sample,
     sandwich_avar,
-    subseed,
 )
 
 
@@ -52,7 +51,7 @@ def packed_signs(rng, k, n):
 
 def weights_oracle(fit, b, dist, seed):
     """W regenerated from a single generator keyed by the seed, as one matrix."""
-    rng = np.random.default_rng(subseed(seed))
+    rng = np.random.default_rng(seed)
     if dist == "gaussian":
         return rng.standard_normal((b, fit.n))
     return packed_signs(rng, b, fit.n)
@@ -69,7 +68,7 @@ class TestMultiplierDraw:
 
     def test_rademacher_draws_are_signed_score_sums(self, het_fit):
         draws = run_bootstrap(het_fit, b=50, dist="rademacher", seed=5)
-        plus = packed_signs(np.random.default_rng(subseed(5)), 50, het_fit.n) == 1
+        plus = packed_signs(np.random.default_rng(5), 50, het_fit.n) == 1
         s = het_fit.scores_hat
         expected = np.stack([s[row].sum(axis=0) - s[~row].sum(axis=0) for row in plus])
         np.testing.assert_allclose(draws.draws_t, expected / np.sqrt(het_fit.n), rtol=1e-12, atol=1e-14)
@@ -186,7 +185,16 @@ class TestRunBootstrap:
     )
     def test_rejects_bad_arguments(self, tiny_fit, kwargs):
         with pytest.raises(ValueError):
-            run_bootstrap(tiny_fit, **kwargs)
+            run_bootstrap(tiny_fit, seed=0, **kwargs)
+
+    def test_seed_is_required(self, tiny_fit):
+        with pytest.raises(TypeError):
+            run_bootstrap(tiny_fit, b=5)
+
+    def test_float_seed_is_rejected(self, tiny_fit):
+        # numpy refuses a float seed rather than truncating 3.7 to seed 3's stream
+        with pytest.raises(TypeError):
+            run_bootstrap(tiny_fit, b=5, seed=3.7)
 
     def test_gaussian_conditional_covariance_is_k_check(self, het_fit):
         draws = run_bootstrap(het_fit, b=10_000, seed=6)
@@ -243,7 +251,7 @@ class TestRunBootstrap:
     def test_resample_replicates_match_resample_draw(self, het_fit):
         # m draws with replacement, summed row by row: the law the counts encode
         draws = run_bootstrap(het_fit, b=30, m=40, seed=9)
-        idx = np.random.default_rng(subseed(9)).integers(0, het_fit.n, (30, 40))
+        idx = np.random.default_rng(9).integers(0, het_fit.n, (30, 40))
         expected = het_fit.scores_hat[idx].sum(axis=1) / np.sqrt(40.0)
         np.testing.assert_allclose(draws.draws_t, expected, rtol=1e-12, atol=1e-14)
 

@@ -639,6 +639,43 @@ class TestOutPath:
         assert exc.value.code == 2
         assert "is a directory or not in a writable directory" in capsys.readouterr().err
 
+    def test_coverage_table_that_is_a_directory_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "run_coverage", lambda *a, **k: calls.append(a))
+        (tmp_path / "cov.csv").mkdir()
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--dgp", "quadratic_mean_iid", "--n", "50", "--reps", "2",
+                  "--methods", "sandwich_normal", "--seed", "3", "--out", str(tmp_path / "cov.json")])
+        assert exc.value.code == 2
+        assert "config error: the coverage table" in capsys.readouterr().err
+        assert not (tmp_path / "cov.json").exists()
+        assert calls == []
+
+
+class TestNonFiniteResults:
+    # y near the top of double range: the squared residuals overflow, so the
+    # sandwich is NaN; x near it: x'x overflows, so the design cannot be factored
+    BIG_Y = "x,y\n1,1e200\n2,-3e200\n3,2e200\n4,5e199\n"
+    BIG_X = "x,y\n1e200,1\n2e200,3\n3e200,2\n"
+
+    @pytest.mark.parametrize("data, args", [
+        (BIG_Y, ["test", "--add-intercept", "--coef", "1"]),
+        (BIG_Y, ["test", "--add-intercept", "--reference", "bootstrap", "--B", "50", "--seed", "1"]),
+        (BIG_Y, ["fit", "--add-intercept"]),
+        (BIG_Y, ["bootstrap", "--add-intercept", "--B", "50", "--seed", "1"]),
+        (BIG_X, ["fit"]),
+    ], ids=["test-coef", "test-bootstrap", "fit", "bootstrap", "fit-big-x"])
+    def test_exits_4_without_nan_or_infinity(self, tmp_path, capsys, data, args):
+        path = tmp_path / "big.csv"
+        path.write_text(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out = run_cli([*args, "--data", str(path), "--response", "y"], capsys)
+        assert code == 4
+        # strict JSON: NaN and Infinity are no JSON values
+        payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in stdout"))
+        assert payload["error"]["type"] == "NonFiniteValue"
+
 
 class TestCheckCommand:
     @pytest.mark.parametrize("noise", ["nan", "inf"])

@@ -250,14 +250,14 @@ class TestNullSize:
     def test_type_i_error_bounded_across_scenarios(self, kind):
         # conservative contract: rejection under the true null never exceeds
         # alpha + 2 sqrt(alpha (1 - alpha) / R)
-        from leanreg import Dgp, population_targets, sample, subseed
+        from leanreg import Dgp, population_targets, sample
 
         alpha, n, reps = 0.05, 500, 400
         dgp = Dgp(kind)
         beta_n = population_targets(dgp, n).beta_n
         rejections = 0
         for r in range(reps):
-            fit = fit_ols(sample(dgp, n, np.random.default_rng(subseed(600, r))))
+            fit = fit_ols(sample(dgp, n, np.random.default_rng((600, r))))
             var = sandwich_avar(fit)
             p_vals = [t_test(fit, var, j, float(beta_n[j])).p_value for j in range(fit.p)]
             rejections += sum(p <= alpha for p in p_vals)

@@ -39,7 +39,7 @@ DGPS = (
 
 
 def write_csvs(directory: pathlib.Path) -> None:
-    """Five CSVs, each from its own fixed seed; plus fourteen tiny, late or wide edge cases."""
+    """Five CSVs, each from its own fixed seed; plus sixteen tiny, late, wide or huge edge cases."""
     # small, wide and tall grow in size; resid is one where RSS / (n - p) and a
     # value decoded from the classical meat matrix differ in the last bit; spans
     # (about 10 MB) is over two of read_csv's 4 MiB span minimums, so a machine
@@ -84,6 +84,11 @@ def write_csvs(directory: pathlib.Path) -> None:
     wide_cell = "0" * 140000 + "1"
     (directory / "longcell.csv").write_text(f'x,y\n"0.5",1\n{wide_cell},2\n')
     (directory / "longheader.csv").write_text("x" * 140000 + ",y\n0.5,1\n1.5,2\n")
+    # values near the top of double range: squared residuals overflow in big,
+    # x'x overflows in bigx; and a directory where simulate's coverage table goes
+    (directory / "big.csv").write_text("x,y\n1,1e200\n2,-3e200\n3,2e200\n4,5e199\n")
+    (directory / "bigx.csv").write_text("x,y\n1e200,1\n2e200,3\n3e200,2\n")
+    (directory / "sim.csv").mkdir()
 
 
 def commands() -> list[list[str]]:
@@ -179,6 +184,17 @@ def commands() -> list[list[str]]:
         ["bootstrap", "--data", "exact.csv", "--response", "y", "--B", "50", "--seed", "1"],
         ["fit", "--data", "small.csv", "--response", "y", "--out", "nodir/x.json"],
         ["test", *small, "--reference", "bootstrap", "--B", "300", "--seed", "7", "--variance", "hc1"],
+    ]
+    # results that do not fit in a double, and a coverage table path that is a directory
+    big = ["--data", "big.csv", "--response", "y", "--add-intercept"]
+    cmds += [
+        ["test", *big, "--coef", "1"],
+        ["test", *big, "--reference", "bootstrap", "--B", "50", "--seed", "1"],
+        ["fit", *big],
+        ["bootstrap", *big, "--B", "50", "--seed", "1"],
+        ["fit", "--data", "bigx.csv", "--response", "y"],
+        ["simulate", "--dgp", "quadratic_mean_iid", "--n", "50", "--reps", "2", "--methods",
+         "sandwich_normal", "--seed", "3", "--out", "sim.json"],
     ]
     return cmds
 
