@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .exceptions import DimensionMismatch, NotPositiveDefinite, SingularDesign
+from .exceptions import DimensionMismatch, NonFiniteValue, NotPositiveDefinite, SingularDesign
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,15 @@ def fit_ols(data: Dataset) -> OlsFit:
     """Fit OLS by solving the empirical normal equations.
 
     Requires sigma_hat to be positive definite (hence n >= p); otherwise
-    raises SingularDesign. No rank-deficient fallback is attempted.
+    raises SingularDesign, or NonFiniteValue when x'x overflows. No
+    rank-deficient fallback is attempted.
     """
     x, y = data.x, data.y
     n = data.n
-    sigma_hat = x.T @ x / n
+    with np.errstate(over="ignore"):  # reported below, by name
+        sigma_hat = x.T @ x / n
+    if not np.all(np.isfinite(sigma_hat)):
+        raise NonFiniteValue("design second-moment matrix is outside double range")
     gamma_hat = x.T @ y / n
     try:
         solve = linalg.spd_solver(sigma_hat)

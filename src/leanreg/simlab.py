@@ -24,9 +24,11 @@ Canonical parameterizations (fixed so the acceptance numbers are stable):
   k_n is strictly below k_n_star.
 
 Each p=2 kind's mean and sd profile is written once, in ``_profile``. One
-routine averages it exactly, in rational arithmetic: over u ~ U[0, 1] for a
-random-x kind, over the design u_i = i/n for a fixed one. A fixed design's k_n
-is its noise alone; k_n_star adds the mean's misfit to the linear target.
+cached routine builds every kind's targets in rational arithmetic: it averages
+exactly over u ~ U[0, 1] for a random-x kind and over the design u_i = i/n
+for a fixed one, and forms both sandwiches from the closed-form inverse of
+sigma_n. Each target is rounded to float once. A fixed design's k_n is its
+noise alone; k_n_star adds the mean's misfit to the linear target.
 
 Replication r of any Monte Carlo run draws from
 ``np.random.default_rng((seed, r))``, so reports depend only on the seed.
@@ -48,23 +50,7 @@ from .bootstrap import WEIGHT_DISTS, region_ellipsoid, region_rectangle, run_boo
 from .exceptions import DimensionMismatch, SingularDesign
 from .inference import max_t_test
 from .ols import Dataset, fit_ols, scores_at
-from .variance import _sandwich, classical_avar, sandwich_avar
-
-DGP_KINDS = (
-    "linear_homoscedastic",
-    "quadratic_mean_iid",
-    "heteroscedastic_iid",
-    "fixed_x_heteroscedastic",
-    "fixed_x_nonidentical_mean",
-)
-
-COVERAGE_METHODS = (
-    "classical_normal",
-    "sandwich_normal",
-    "bootstrap_rectangle",
-    "bootstrap_ellipsoid",
-    "max_t_bootstrap",
-)
+from .variance import classical_avar, sandwich_avar
 
 _DEFAULT_NOISE = {
     "linear_homoscedastic": 1.0,
@@ -73,6 +59,16 @@ _DEFAULT_NOISE = {
     "fixed_x_heteroscedastic": 1.0,
     "fixed_x_nonidentical_mean": 1.0,
 }
+
+DGP_KINDS = tuple(_DEFAULT_NOISE)
+
+COVERAGE_METHODS = (
+    "classical_normal",
+    "sandwich_normal",
+    "bootstrap_rectangle",
+    "bootstrap_ellipsoid",
+    "max_t_bootstrap",
+)
 
 
 @dataclass(frozen=True)
@@ -96,7 +92,7 @@ class Dgp:
         if not (np.isfinite(self.noise_scale) and self.noise_scale > 0.0):
             raise ValueError(f"noise_scale must be positive and finite, got {self.noise_scale}")
         if self.kind == "linear_homoscedastic":
-            beta = tuple(float(c) for c in (self.beta or np.ones(self.p)))
+            beta = tuple(float(c) for c in (np.ones(self.p) if self.beta is None else self.beta))
             if len(beta) != self.p or not np.all(np.isfinite(beta)):
                 raise ValueError(f"beta must have p={self.p} finite entries, got {beta}")
             object.__setattr__(self, "beta", beta)
@@ -112,7 +108,10 @@ class Dgp:
 class PopulationTargets:
     """Exact population quantities for one (dgp, n) scenario.
 
-    ``solve`` is b -> sigma_n^-1 b through the one factorization of sigma_n.
+    beta_n to av_n_star are exact rationals, each rounded once to float.
+    ``score_means`` is zero for an iid kind; for a fixed design it is a float
+    evaluation at the rounded beta_n. ``solve`` is b -> sigma_n^-1 b through
+    the one factorization of sigma_n.
     """
 
     beta_n: np.ndarray
@@ -157,66 +156,61 @@ def _design_average(n: int):
     return lambda f: sum(Fraction(w[j], n) * f(Fraction(j + 1, n)) for j in range(7))
 
 
+def _bordered(p: int, corner, edge, diag, off) -> np.ndarray:
+    """The p x p object matrix [[corner, edge 1'], [edge 1, off 1 1' + (diag - off) I]]."""
+    a = np.full((p, p), off, dtype=object)
+    a[0, :] = a[:, 0] = edge
+    a[0, 0] = corner
+    np.fill_diagonal(a[1:, 1:], diag)
+    return a
+
+
 @functools.cache
-def _p2_moments(dgp: Dgp, n: int):
-    """Exact sigma_n, gamma_n, beta_n, k_n and k_n_star of a p=2 kind, as Fractions."""
+def _exact_targets(dgp: Dgp, n: int):
+    """PopulationTargets' fields beta_n to av_n_star, in order, as exact Fraction arrays."""
     avg = _design_average(n) if dgp.is_fixed_design else _integral01
+    # every kind's covariates share a mean m and a covariance c I: that fixes sigma_n and its inverse
+    m = avg(lambda u: u)
+    c = avg(lambda u: u**2) - m**2
+    if c == 0:  # a one-point design
+        raise SingularDesign("design second-moment matrix is not positive definite")
+    p, s2 = dgp.p, Fraction(dgp.noise_scale) ** 2
+    sigma = _bordered(p, 1, m, c + m**2, m**2)
+    inv = _bordered(p, 1 + (p - 1) * m**2 / c, -m / c, 1 / c, 0)
+    if dgp.kind == "linear_homoscedastic":
+        # correctly specified and homoscedastic: k_n = k_n_star = s^2 sigma_n, av_n = s^2 sigma_n^-1
+        beta = np.array([Fraction(b) for b in dgp.beta])
+        k, av = s2 * sigma, s2 * inv
+        return beta, sigma, sigma @ beta, k, k, av, av
     # Fraction(float) is exact: these are the moments of the DGP that sample draws from
     mu, sd = _profile(dgp, Fraction)
-    s1, s2 = avg(lambda u: u), avg(lambda u: u**2)
-    if s2 == s1**2:  # a one-point design
-        raise SingularDesign("design second-moment matrix is not positive definite")
-    g0, g1 = avg(mu), avg(lambda u: u * mu(u))
-    b1 = (g1 - s1 * g0) / (s2 - s1**2)
-    b0 = g0 - b1 * s1
+    gamma = np.array([avg(mu), avg(lambda u: u * mu(u))])
+    b0, b1 = beta = inv @ gamma
     noise = [avg(lambda u: u**j * sd(u) ** 2) for j in range(3)]
     k_star = [k + avg(lambda u: u**j * (mu(u) - b0 - b1 * u) ** 2) for j, k in enumerate(noise)]
     # under iid sampling the mean's misfit is score noise too; a fixed design's is a score mean
     k_n = noise if dgp.is_fixed_design else k_star
-    sigma, k_n, k_star = (((m[0], m[1]), (m[1], m[2])) for m in ((1, s1, s2), k_n, k_star))
-    return sigma, (g0, g1), (b0, b1), k_n, k_star
+    k_n, k_star = (np.array([[k[0], k[1]], [k[1], k[2]]]) for k in (k_n, k_star))
+    return beta, sigma, gamma, k_n, k_star, inv @ k_n @ inv, inv @ k_star @ inv
 
 
 def population_targets(dgp: Dgp, n: int) -> PopulationTargets:
     """Exact moments, targets and score covariances for the scenario.
 
-    p=2 targets are exact rational averages rounded once to float; a fixed
-    design's score means are the rows x_i (mu_i - x_i' beta_n). Raises
-    ValueError when a target does not fit in a double.
+    Every target is an exact rational rounded once to float; a noise scale
+    that puts one outside double range is a ValueError. A fixed design's
+    score means are the rows x_i (mu_i - x_i' beta_n), evaluated in floats
+    at the rounded beta_n.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     try:
-        if dgp.kind == "linear_homoscedastic":
-            # E[u_j] = 1/2, E[u_j^2] = 1/3, E[u_j u_k] = 1/4 for j != k
-            sigma = np.full((dgp.p, dgp.p), 0.25)
-            sigma[0, :] = sigma[:, 0] = 0.5
-            sigma[0, 0] = 1.0
-            np.fill_diagonal(sigma[1:, 1:], 1.0 / 3.0)
-            beta = np.asarray(dgp.beta, dtype=float)
-            gamma = sigma @ beta
-            k_n = dgp.noise_scale**2 * sigma
-            k_star = k_n.copy()
-        else:
-            sigma, gamma, beta, k_n, k_star = (np.array(m, dtype=float) for m in _p2_moments(dgp, n))
-        solve = linalg.spd_solver(sigma)
-        with np.errstate(over="raise"):
-            av_n, av_n_star = _sandwich(solve, k_n), _sandwich(solve, k_star)
-    except (OverflowError, FloatingPointError):
+        targets = [np.array(t, dtype=float) for t in _exact_targets(dgp, n)]
+    except OverflowError:
         raise ValueError(f"noise_scale={dgp.noise_scale!r} puts a target outside double range") from None
-    return PopulationTargets(
-        beta_n=beta,
-        sigma_n=sigma,
-        gamma_n=gamma,
-        k_n=k_n,
-        k_n_star=k_star,
-        av_n=av_n,
-        av_n_star=av_n_star,
-        score_means=(
-            population_score_means(dgp, n, beta) if dgp.is_fixed_design else np.zeros((n, dgp.p))
-        ),
-        solve=solve,
-    )
+    beta, sigma = targets[:2]
+    score_means = population_score_means(dgp, n, beta) if dgp.is_fixed_design else np.zeros((n, dgp.p))
+    return PopulationTargets(*targets, score_means=score_means, solve=linalg.spd_solver(sigma))
 
 
 def population_score_means(dgp: Dgp, n: int, beta) -> np.ndarray:

@@ -59,12 +59,6 @@ def k_check(fit: OlsFit) -> np.ndarray:
     return np.einsum("ij,ik,i->jk", x, x, fit.residuals**2) / fit.n
 
 
-def _sandwich(solve, meat: np.ndarray) -> np.ndarray:
-    """sigma^-1 @ meat @ sigma^-1, given ``solve``: b -> sigma^-1 b."""
-    avar = solve(solve(meat).T).T
-    return (avar + avar.T) / 2.0
-
-
 def sandwich_avar(fit: OlsFit) -> VarianceEstimate:
     """Sandwich estimate sigma_hat^-1 @ k_check @ sigma_hat^-1 (HC0).
 
@@ -73,7 +67,8 @@ def sandwich_avar(fit: OlsFit) -> VarianceEstimate:
     are deliberately not offered.
     """
     meat = k_check(fit)
-    avar = _sandwich(fit.solve, meat)
+    avar = fit.solve(fit.solve(meat).T).T
+    avar = (avar + avar.T) / 2.0
     return VarianceEstimate(SANDWICH_HC0, avar, np.sqrt(np.diag(avar) / fit.n), meat)
 
 

@@ -676,6 +676,20 @@ class TestNonFiniteResults:
         payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in stdout"))
         assert payload["error"]["type"] == "NonFiniteValue"
 
+    def test_design_overflow_is_named_without_warnings(self, tmp_path):
+        # a fresh interpreter, so numpy warnings reach stderr as a user sees them
+        path = tmp_path / "bigx.csv"
+        path.write_text(self.BIG_X)
+        proc = subprocess.run(
+            [sys.executable, "-m", "leanreg", "fit", "--data", str(path), "--response", "y"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 4
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["error"] == {
+            "message": "design second-moment matrix is outside double range", "type": "NonFiniteValue",
+        }
+
 
 class TestCheckCommand:
     @pytest.mark.parametrize("noise", ["nan", "inf"])

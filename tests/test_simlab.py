@@ -25,6 +25,112 @@ from leanreg import (
 from leanreg.cli import main
 
 ALL_KINDS = simlab.DGP_KINDS
+P2_KINDS = tuple(k for k in ALL_KINDS if k != "linear_homoscedastic")
+
+
+class _Poly:
+    """A polynomial in u with Fraction coefficients, lowest power first."""
+
+    def __init__(self, coeffs):
+        self.c = [Fraction(v) for v in coeffs]
+
+    def __add__(self, other):
+        other = other if isinstance(other, _Poly) else _Poly([other])
+        short, long = sorted((self.c, other.c), key=len)
+        return _Poly([a + b for a, b in zip(short + [0] * len(long), long)])
+
+    def __mul__(self, other):
+        other = other if isinstance(other, _Poly) else _Poly([other])
+        out = [Fraction(0)] * (len(self.c) + len(other.c) - 1)
+        for i, a in enumerate(self.c):
+            for j, b in enumerate(other.c):
+                out[i + j] += a * b
+        return _Poly(out)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __pow__(self, k):
+        out = _Poly([1])
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def integral(self, lo, hi):
+        return sum(c * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1) for k, c in enumerate(self.c))
+
+
+def _inverse(a):
+    """Gauss-Jordan inverse of a symmetric positive definite Fraction matrix."""
+    p = len(a)
+    rows = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(p)] for i, row in enumerate(a)]
+    for j in range(p):
+        rows[j] = [v / rows[j][j] for v in rows[j]]
+        for i in range(p):
+            if i != j:
+                rows[i] = [v - rows[i][j] * w for v, w in zip(rows[i], rows[j])]
+    return np.array([row[p:] for row in rows], dtype=object)
+
+
+def _rounded(m):
+    """Each entry of a Fraction vector or matrix as the float nearest to it."""
+    return [_rounded(v) for v in m] if isinstance(m, (list, np.ndarray)) else float(m)
+
+
+def _exact_oracle(dgp, n):
+    """The seven exact targets by brute force: moments from their definitions,
+    normal equations and sandwiches solved in Fractions in the test."""
+    s = Fraction(dgp.noise_scale)
+    if dgp.kind == "linear_homoscedastic":
+        # E[1] = 1, E[u_j] = 1/2, E[u_j^2] = 1/3, E[u_j u_k] = 1/4 for j != k
+        def moment(j, k):
+            if 0 in (j, k):
+                return Fraction(1, 2) if j + k else Fraction(1)
+            return Fraction(1, 3) if j == k else Fraction(1, 4)
+
+        sigma = np.array([[moment(j, k) for k in range(dgp.p)] for j in range(dgp.p)], dtype=object)
+        gamma = sigma @ np.array([Fraction(b) for b in dgp.beta], dtype=object)
+        k_n = k_star = s**2 * sigma
+    else:
+        curved = dgp.kind in ("quadratic_mean_iid", "fixed_x_nonidentical_mean")
+
+        def mean(u):
+            return u * u if curved else 1 + u
+
+        def sd(u, side):
+            if dgp.is_fixed_design:
+                return s * (Fraction(0.1) + u)
+            if dgp.kind == "quadratic_mean_iid":
+                return s
+            return s * (Fraction(0.2) + (u - Fraction(1, 2)) * side)  # |u - 1/2| on each half of [0, 1]
+
+        if dgp.is_fixed_design:
+            def avg(f):
+                return sum(f(Fraction(i, n), 1) for i in range(1, n + 1)) / n
+        else:
+            def avg(f):
+                half, u = Fraction(1, 2), _Poly([0, 1])
+                return f(u, -1).integral(0, half) + f(u, 1).integral(half, 1)
+
+        def cov(f):
+            return np.array(
+                [[avg(lambda u, side: u ** (j + k) * f(u, side)) for k in range(2)] for j in range(2)]
+            )
+
+        sigma = cov(lambda u, side: 1)
+        gamma = np.array([avg(lambda u, side: u**j * mean(u)) for j in range(2)])
+        b0, b1 = _inverse(sigma) @ gamma
+        k_n = cov(lambda u, side: sd(u, side) ** 2)
+        k_star = cov(lambda u, side: sd(u, side) ** 2 + (mean(u) - b0 - b1 * u) ** 2)
+        if not dgp.is_fixed_design:
+            k_n = k_star
+    inv = _inverse(sigma)
+    return {
+        "beta_n": inv @ gamma, "sigma_n": sigma, "gamma_n": gamma, "k_n": k_n, "k_n_star": k_star,
+        "av_n": inv @ k_n @ inv, "av_n_star": inv @ k_star @ inv,
+    }
 
 
 class TestDgp:
@@ -55,6 +161,17 @@ class TestDgp:
     def test_beta_must_be_finite(self, bad):
         with pytest.raises(ValueError):
             Dgp("linear_homoscedastic", beta=(bad, 1.0))
+
+    def test_empty_beta_is_rejected(self):
+        with pytest.raises(ValueError, match=r"beta must have p=2 finite entries, got \(\)"):
+            Dgp("linear_homoscedastic", beta=())
+
+    def test_array_beta_is_its_tuple(self):
+        # Dgp keys the target cache, so an array beta must equal and hash like its tuple
+        dgp = Dgp("linear_homoscedastic", beta=np.array([1.0, 2.0]))
+        twin = Dgp("linear_homoscedastic", beta=(1.0, 2.0))
+        assert dgp == twin and hash(dgp) == hash(twin)
+        assert dgp.beta == (1.0, 2.0)
 
 
 class TestPopulationTargets:
@@ -167,9 +284,34 @@ class TestPopulationTargets:
         if not kind.startswith("fixed_x"):
             np.testing.assert_allclose(pop.k_n, pop.k_n_star, atol=1e-12)
             np.testing.assert_allclose(pop.score_means, 0.0, atol=1e-15)
-        # av_n is the sandwich of k_n
-        inv = np.linalg.inv(pop.sigma_n)
-        np.testing.assert_allclose(pop.av_n, inv @ pop.k_n @ inv, atol=1e-10)
+        # av_n is the sandwich of k_n, formed exactly and rounded once
+        exact = _exact_oracle(Dgp(kind), 200)
+        inv = _inverse(exact["sigma_n"])
+        assert pop.av_n.tolist() == _rounded(inv @ exact["k_n"] @ inv)
+
+    @pytest.mark.parametrize("beta", ["default", "other"])
+    @pytest.mark.parametrize("p", range(2, 12))
+    def test_linear_targets_are_exact_rationals_rounded_once(self, p, beta):
+        dgp = Dgp("linear_homoscedastic", p=p)
+        if beta == "other":
+            dgp = Dgp("linear_homoscedastic", p=p, noise_scale=0.3, beta=np.linspace(-1.3, 2.7, p))
+        pop = population_targets(dgp, 50)
+        for name, value in _exact_oracle(dgp, 50).items():
+            assert getattr(pop, name).tolist() == _rounded(value), name
+
+    @pytest.mark.parametrize("noise_scale", [None, 0.3, 7.7], ids=["default", "0.3", "7.7"])
+    @pytest.mark.parametrize("n", [2, 3, 7, 40, 500])
+    @pytest.mark.parametrize("kind", P2_KINDS)
+    def test_p2_targets_are_exact_rationals_rounded_once(self, kind, n, noise_scale):
+        dgp = Dgp(kind, noise_scale=noise_scale)
+        pop = population_targets(dgp, n)
+        for name, value in _exact_oracle(dgp, n).items():
+            assert getattr(pop, name).tolist() == _rounded(value), name
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_noise_scale_past_double_range_is_a_value_error(self, kind):
+        with pytest.raises(ValueError, match=r"noise_scale=1e\+200 puts a target outside double range"):
+            population_targets(Dgp(kind, noise_scale=1e200), 50)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_solve_is_the_sigma_n_solve(self, kind):

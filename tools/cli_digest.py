@@ -160,6 +160,7 @@ def commands() -> list[list[str]]:
     cmds += [
         ["check", "--dgp", "heteroscedastic_iid", "--noise-scale", "0.3", "--n", "500", "--seed", "3"],
         ["check", "--dgp", "quadratic_mean_iid", "--noise-scale", "7.7", "--n", "500", "--seed", "3"],
+        ["check", "--dgp", "linear_homoscedastic", "--noise-scale", "0.3", "--n", "500", "--seed", "3"],
     ]
     # the smallest fixed design every method runs on (n = p + 1), and a method listed twice
     cmds += [
@@ -177,6 +178,7 @@ def commands() -> list[list[str]]:
         ["check", "--dgp", "fixed_x_nonidentical_mean", "--n", "2", "--seed", "3"],
         ["check", "--dgp", "fixed_x_heteroscedastic", "--n", "100000", "--seed", "3"],
         ["check", "--dgp", "heteroscedastic_iid", "--noise-scale", "1e200", "--n", "50", "--seed", "3"],
+        ["check", "--dgp", "linear_homoscedastic", "--noise-scale", "1e200", "--n", "500", "--seed", "3"],
     ]
     # a one-covariate bootstrap (its draws_cov is 1 x 1), a report path in a missing
     # directory, and an HC1 studentizer, which leaves bootstrap p-values as HC0 gives them
