@@ -75,19 +75,22 @@ def read_csv(path: str, response_column: str, add_intercept: bool = False) -> Da
     the csv module refuses (one over its field size limit) raises
     NonNumericCell naming the line.
 
-    The data rows are parsed by ``np.loadtxt``, which gives the same doubles
-    as ``float()``. On two or more usable cores, a file of at least two
-    ``_SPAN_MIN_BYTES`` is cut into line-aligned spans (``_span_bounds``)
-    that are parsed at once (``_table_by_spans``); every cell still goes
-    through the same ``loadtxt``, so the table does not depend on the span
-    count. A file that some span cannot take whole, or
-    that parses to no rows, the wrong width or a non-finite value, is read
-    again by ``_table_by_rows``, which alone owns the per-cell messages and
-    the cells only ``float()`` accepts (quoted numbers, ``1_000``).
+    The csv module reads the header (quoted, or over several lines) and alone
+    says where the data rows start. They are parsed by ``np.loadtxt``, which
+    gives the same doubles as ``float()``. On two or more usable cores, a
+    file of at least two ``_SPAN_MIN_BYTES`` is cut from there into
+    line-aligned spans (``_span_bounds``) that are parsed at once
+    (``_table_by_spans``); every cell still goes through the same
+    ``loadtxt``, so the table does not depend on the span count. A file that
+    some span cannot take whole, or that parses to no rows, the wrong width
+    or a non-finite value, is read again by ``_table_by_rows``, which alone
+    owns the per-cell messages and the cells only ``float()`` accepts (quoted
+    numbers, ``1_000``).
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
+            # readline, unlike iterating the handle, leaves handle.tell() usable
+            reader = csv.reader(iter(handle.readline, ""))
             try:
                 header = next(reader)
             except StopIteration:
@@ -100,7 +103,7 @@ def read_csv(path: str, response_column: str, add_intercept: bool = False) -> Da
                 )
             y_idx = header.index(response_column)
             try:
-                bounds = _span_bounds(handle.fileno())
+                bounds = _span_bounds(handle)
                 table = _loadtxt(handle) if bounds is None else _table_by_spans(handle.fileno(), bounds)
             except ValueError:
                 table = np.empty((0, 0))
@@ -138,25 +141,24 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _span_bounds(fd: int) -> list[int] | None:
-    """Byte offsets that cut the data after the header line into spans, or None for one span.
+def _span_bounds(handle) -> list[int] | None:
+    """Byte offsets that cut the data of the text stream ``handle`` into spans, or None for one span.
 
-    There are at most one span per usable core and one per ``_SPAN_MIN_BYTES``
-    of data. Each cut follows the first newline byte within 64 KiB of an even
-    share of the data (a newline byte only ever ends a line in UTF-8), so a
-    longer line there leaves the file one span fewer. A file keeps one span
-    without ``os.fork``, or when its first line might not be the csv
-    module's header record: it holds a quote or a carriage return before
-    its line end, or has no newline in its first 64 KiB.
+    The data start at ``handle.tell()``, where the csv module left the stream
+    after the header. There are at most one span per usable core and one per
+    ``_SPAN_MIN_BYTES`` of data. Each cut follows the first newline byte within
+    64 KiB of an even share of the data (a newline byte only ever ends a line
+    in UTF-8), so a longer line there leaves the file one span fewer. A file
+    keeps one span without ``os.fork``, or when the decoder holds state after
+    the header (one ended by a lone carriage return): ``tell()`` then packs
+    that state above bit 64, so the data seem to end before they start. A
+    pipe has no size, so it returns before ``tell()``, which it cannot serve.
     """
+    fd = handle.fileno()
     size, cores = os.fstat(fd).st_size, _usable_cores()
     if not hasattr(os, "fork") or min(cores, size // _SPAN_MIN_BYTES) < 2:
         return None
-    head = os.pread(fd, 1 << 16, 0)
-    start = head.find(b"\n") + 1
-    first = head[:start]
-    if not first or b'"' in first or b"\r" in first[:-2]:
-        return None
+    start = handle.tell()
     count = min(cores, (size - start) // _SPAN_MIN_BYTES)
     bounds = [start]
     for i in range(1, count):
@@ -170,33 +172,61 @@ def _span_bounds(fd: int) -> list[int] | None:
 def _table_by_spans(fd: int, bounds: list[int]) -> np.ndarray:
     """The rows of the byte spans between ``bounds``, in file order.
 
-    Each span after the first is parsed by a forked child, which sends its
-    rows back through a pipe; the first span, and any span whose fork fails,
-    is parsed here meanwhile. Raises ValueError when a span does not parse,
-    a child sends no complete table, or the spans differ in width. Every
-    child is killed if still running and reaped before this returns or raises.
+    Each span after the first goes to a forked child, which writes the
+    span's shape as two int64 values and then its doubles to a pipe, and
+    leaves by ``os._exit``, so it never returns into the caller or flushes
+    the parent's buffers; it writes nothing if the span does not parse. A
+    child runs only the parser, which takes no lock that another thread of
+    the parent (a BLAS worker) could hold at the fork. The first span, and
+    any span whose pipe or fork fails, is parsed here while the children
+    run. Raises ValueError when a span does not parse, a child sends no
+    complete table, or the spans differ in width. Every child is killed if
+    still running and reaped before this returns or raises.
     """
-    children = []  # (pid, read end of its pipe) in file order
+    import signal
+
+    children = {}  # span index -> (pid, read end of its pipe)
     try:
-        later = [_fork_span(fd, lo, hi, children) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-        parts = [_parse_span(fd, bounds[0], bounds[1])]
-        for span in later:
-            if isinstance(span, int):  # the read end of a child's pipe
-                with open(span, "rb", closefd=False) as pipe:
-                    data = pipe.read()
-                # a child that failed or died sent too few bytes for the shape it names
-                span = np.frombuffer(data, offset=16).reshape(np.frombuffer(data, np.int64, 2))
-            parts.append(span)
+        for i, (lo, hi) in enumerate(zip(bounds[1:-1], bounds[2:]), start=1):
+            try:
+                read_end, write_end = os.pipe()
+            except OSError:
+                continue
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read_end)
+                    table = _parse_span(fd, lo, hi)
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(np.array(table.shape, np.int64).tobytes())
+                        pipe.write(np.ascontiguousarray(table).data)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children[i] = (pid, read_end)
+            os.close(write_end)
+        parts = []
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            if i not in children:
+                parts.append(_parse_span(fd, lo, hi))
+                continue
+            with open(children[i][1], "rb", closefd=False) as pipe:
+                data = pipe.read()
+            # a child that failed or died sent too few bytes for the shape it names
+            parts.append(np.frombuffer(data, offset=16).reshape(np.frombuffer(data, np.int64, 2)))
         # a span of blank lines adds no rows; no rows at all is a ValueError here
         return np.concatenate([part for part in parts if part.shape[0]])
     finally:
-        if children:
-            import signal
-
-            for pid, pipe in children:
-                os.close(pipe)
-                os.kill(pid, signal.SIGKILL)  # a child that has sent its rows loses nothing
-                os.waitpid(pid, 0)
+        for pid, pipe in children.values():
+            os.close(pipe)
+            os.kill(pid, signal.SIGKILL)  # a child that has sent its rows loses nothing
+            os.waitpid(pid, 0)
 
 
 def _parse_span(fd: int, lo: int, hi: int) -> np.ndarray:
@@ -205,42 +235,6 @@ def _parse_span(fd: int, lo: int, hi: int) -> np.ndarray:
 
     data = io.BytesIO(os.pread(fd, hi - lo, lo))
     return _loadtxt(io.TextIOWrapper(data, encoding="utf-8", newline=""))
-
-
-def _fork_span(fd: int, lo: int, hi: int, children: list) -> np.ndarray | int:
-    """The read end of the pipe of a child forked to parse [lo, hi), which is added to ``children``.
-
-    The child writes the table's shape as two int64 values and then its
-    doubles, and leaves by ``os._exit``, so it never returns into the caller
-    or flushes the parent's buffers; it writes nothing if the span does not
-    parse. It runs only the parser, which takes no lock that another thread
-    of the parent (a BLAS worker) could hold at the fork. If the pipe or the
-    fork fails, the span is parsed here and its rows are returned instead.
-    """
-    try:
-        read_end, write_end = os.pipe()
-    except OSError:
-        return _parse_span(fd, lo, hi)
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return _parse_span(fd, lo, hi)
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_end)
-            table = _parse_span(fd, lo, hi)
-            with open(write_end, "wb") as pipe:
-                pipe.write(np.array(table.shape, np.int64).tobytes())
-                pipe.write(np.ascontiguousarray(table).data)
-            code = 0
-        finally:
-            os._exit(code)
-    children.append((pid, read_end))
-    os.close(write_end)
-    return read_end
 
 
 def _table_by_rows(path: str, reader, header: list[str]) -> np.ndarray:
@@ -288,12 +282,11 @@ def _undecodable_line(path: str, exc: UnicodeDecodeError) -> UnicodeDecodeError:
     return exc
 
 
-def write_csv(dataset: Dataset, path: str, response_column: str = "y", feature_names=None) -> None:
-    """Write a Dataset back to CSV with shortest round-trip float formatting."""
-    names = feature_names or [f"x{j}" for j in range(dataset.p)]
+def write_csv(dataset: Dataset, path: str) -> None:
+    """Write a Dataset back to CSV as columns x0, x1, ..., y with shortest round-trip float formatting."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(list(names) + [response_column])
+        writer.writerow([f"x{j}" for j in range(dataset.p)] + ["y"])
         for xi, yi in zip(dataset.x, dataset.y):
             writer.writerow([repr(float(v)) for v in xi] + [repr(float(yi))])
 

@@ -166,8 +166,12 @@ def _bordered(p: int, corner, edge, diag, off) -> np.ndarray:
 
 
 @functools.cache
-def _exact_targets(dgp: Dgp, n: int):
-    """PopulationTargets' fields beta_n to av_n_star, in order, as exact Fraction arrays."""
+def _exact_targets(dgp: Dgp, n: int | None) -> tuple[np.ndarray, ...]:
+    """PopulationTargets' fields beta_n to av_n_star, in order: exact rationals, each rounded once.
+
+    ``n`` is the size of a fixed design and None for an iid kind, whose
+    targets do not depend on it. The arrays are shared by every caller.
+    """
     avg = _design_average(n) if dgp.is_fixed_design else _integral01
     # every kind's covariates share a mean m and a covariance c I: that fixes sigma_n and its inverse
     m = avg(lambda u: u)
@@ -181,33 +185,35 @@ def _exact_targets(dgp: Dgp, n: int):
         # correctly specified and homoscedastic: k_n = k_n_star = s^2 sigma_n, av_n = s^2 sigma_n^-1
         beta = np.array([Fraction(b) for b in dgp.beta])
         k, av = s2 * sigma, s2 * inv
-        return beta, sigma, sigma @ beta, k, k, av, av
-    # Fraction(float) is exact: these are the moments of the DGP that sample draws from
-    mu, sd = _profile(dgp, Fraction)
-    gamma = np.array([avg(mu), avg(lambda u: u * mu(u))])
-    b0, b1 = beta = inv @ gamma
-    noise = [avg(lambda u: u**j * sd(u) ** 2) for j in range(3)]
-    k_star = [k + avg(lambda u: u**j * (mu(u) - b0 - b1 * u) ** 2) for j, k in enumerate(noise)]
-    # under iid sampling the mean's misfit is score noise too; a fixed design's is a score mean
-    k_n = noise if dgp.is_fixed_design else k_star
-    k_n, k_star = (np.array([[k[0], k[1]], [k[1], k[2]]]) for k in (k_n, k_star))
-    return beta, sigma, gamma, k_n, k_star, inv @ k_n @ inv, inv @ k_star @ inv
+        exact = beta, sigma, sigma @ beta, k, k, av, av
+    else:
+        # Fraction(float) is exact: these are the moments of the DGP that sample draws from
+        mu, sd = _profile(dgp, Fraction)
+        gamma = np.array([avg(mu), avg(lambda u: u * mu(u))])
+        b0, b1 = beta = inv @ gamma
+        noise = [avg(lambda u: u**j * sd(u) ** 2) for j in range(3)]
+        k_star = [k + avg(lambda u: u**j * (mu(u) - b0 - b1 * u) ** 2) for j, k in enumerate(noise)]
+        # under iid sampling the mean's misfit is score noise too; a fixed design's is a score mean
+        k_n = noise if dgp.is_fixed_design else k_star
+        k_n, k_star = (np.array([[k[0], k[1]], [k[1], k[2]]]) for k in (k_n, k_star))
+        exact = beta, sigma, gamma, k_n, k_star, inv @ k_n @ inv, inv @ k_star @ inv
+    try:
+        return tuple(np.array(t, dtype=float) for t in exact)
+    except OverflowError:
+        raise ValueError(f"noise_scale={dgp.noise_scale!r} puts a target outside double range") from None
 
 
 def population_targets(dgp: Dgp, n: int) -> PopulationTargets:
     """Exact moments, targets and score covariances for the scenario.
 
     Every target is an exact rational rounded once to float; a noise scale
-    that puts one outside double range is a ValueError. A fixed design's
-    score means are the rows x_i (mu_i - x_i' beta_n), evaluated in floats
-    at the rounded beta_n.
+    that puts one outside double range is a ValueError. The arrays are the
+    caller's own. A fixed design's score means are the rows
+    x_i (mu_i - x_i' beta_n), evaluated in floats at the rounded beta_n.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    try:
-        targets = [np.array(t, dtype=float) for t in _exact_targets(dgp, n)]
-    except OverflowError:
-        raise ValueError(f"noise_scale={dgp.noise_scale!r} puts a target outside double range") from None
+    targets = [t.copy() for t in _exact_targets(dgp, n if dgp.is_fixed_design else None)]
     beta, sigma = targets[:2]
     score_means = population_score_means(dgp, n, beta) if dgp.is_fixed_design else np.zeros((n, dgp.p))
     return PopulationTargets(*targets, score_means=score_means, solve=linalg.spd_solver(sigma))
@@ -228,9 +234,8 @@ def population_score_means(dgp: Dgp, n: int, beta) -> np.ndarray:
     if dgp.is_fixed_design:
         u = np.arange(1, n + 1) / n
         return scores_at(Dataset(x=np.column_stack([np.ones(n), u]), y=_profile(dgp)[0](u)), beta)
-    pop = population_targets(dgp, n)
-    row = pop.gamma_n - pop.sigma_n @ beta
-    return np.tile(row, (n, 1))
+    _, sigma, gamma = _exact_targets(dgp, None)[:3]
+    return np.tile(gamma - sigma @ beta, (n, 1))
 
 
 def sample(dgp: Dgp, n: int, rng_state) -> Dataset:

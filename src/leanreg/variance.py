@@ -17,11 +17,12 @@ an upper bound of the target in the PSD order, never below it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateDof
+from .exceptions import DegenerateDof, NonFiniteValue
 from .ols import OlsFit
 
 #: method tags carried by VarianceEstimate
@@ -53,10 +54,14 @@ def k_check(fit: OlsFit) -> np.ndarray:
     """Conservative meat matrix (1/n) sum x_i x_i' e_i^2.
 
     Computed from the definition (a weighted sum of rank-one terms); equal to
-    scores_hat.T @ scores_hat / n.
+    scores_hat.T @ scores_hat / n. Raises NonFiniteValue when it overflows.
     """
     x = fit.data.x
-    return np.einsum("ij,ik,i->jk", x, x, fit.residuals**2) / fit.n
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by name
+        meat = np.einsum("ij,ik,i->jk", x, x, fit.residuals**2) / fit.n
+    if not np.all(np.isfinite(meat)):
+        raise NonFiniteValue("k_check, the sandwich meat matrix, is outside double range")
+    return meat
 
 
 def sandwich_avar(fit: OlsFit) -> VarianceEstimate:
@@ -83,10 +88,14 @@ def hc1_avar(fit: OlsFit, hc0: VarianceEstimate) -> VarianceEstimate:
 
 
 def residual_variance(fit: OlsFit) -> float:
-    """The classical error-variance estimator sigma2 = RSS/(n-p); needs n > p."""
+    """The classical error-variance estimator sigma2 = RSS/(n-p); needs n > p and a finite RSS."""
     if fit.n <= fit.p:
         raise DegenerateDof(f"classical variance needs n > p, got n={fit.n}, p={fit.p}")
-    return float(fit.residuals @ fit.residuals) / (fit.n - fit.p)
+    with np.errstate(over="ignore"):  # reported below, by name
+        rss = float(fit.residuals @ fit.residuals)
+    if not math.isfinite(rss):
+        raise NonFiniteValue("residual sum of squares is outside double range")
+    return rss / (fit.n - fit.p)
 
 
 def classical_avar(fit: OlsFit) -> VarianceEstimate:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -194,11 +195,19 @@ BAD_CELL = st.sampled_from(["  ", "1#2", "#", "inf", "-inf", "nan", "1e500", "ab
 
 @st.composite
 def csv_texts(draw):
-    """A header naming "y" in the first, middle or last column, then rows of mixed cells."""
+    """A header naming "y" in the first, middle or last column, then rows of mixed cells.
+
+    Header names are plain, quoted or padded, and a covariate's may be a
+    quoted name over two lines, so only the csv module knows where the data start.
+    """
     width = draw(st.integers(1, 4))
     where = draw(st.sampled_from([0, width // 2, width - 1]))
-    header = [f"x{j}" for j in range(width - 1)]
-    header.insert(where, "y")
+    names = [f"x{j}" for j in range(width - 1)]
+    names.insert(where, "y")
+    header = [
+        draw(st.sampled_from([name, f'"{name}"', f"  {name} "] + [f'"{name}\nz"'] * (name != "y")))
+        for name in names
+    ]
     cell = st.one_of(*[PLAIN_CELL] * 6, FALLBACK_CELL, BAD_CELL)
     # full-width rows twice as often as short or long ones and blank rows
     row = st.one_of(
@@ -246,30 +255,71 @@ class TestReadCsvMatchesOracle:
         no_child_left()
 
 
-def write_span_csv(path, rows=3000, newline="\n", last=b""):
+def write_span_csv(path, rows=3000, newline="\n", last=b"", header="x0,y,x1"):
     """A CSV of mixed float formats, optionally ending in a ``last`` line of bytes."""
     rng = np.random.default_rng(21)
     values = rng.standard_normal((rows, 3)) * [1.0, 1e-7, 1e9]
-    lines = ["x0,y,x1"] + [f"{a!r},{b:.17g},{c:.6e}" for a, b, c in values.tolist()]
+    lines = [header] + [f"{a!r},{b:.17g},{c:.6e}" for a, b, c in values.tolist()]
     path.write_bytes(("\ufeff" + newline.join(lines) + newline).encode() + last)
     return str(path)
 
 
+def span_bounds(path):
+    """``cli._span_bounds`` of ``path``, on a text stream past the header as read_csv reads it."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        next(csv.reader(iter(handle.readline, "")))
+        return cli._span_bounds(handle)
+
+
 class TestReadCsvSpans:
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
-    def test_tables_do_not_depend_on_the_span_count(self, tmp_path, monkeypatch, newline):
-        path = write_span_csv(tmp_path / "spans.csv", newline=newline)
-        with open(path, "rb") as handle:
-            assert cli._span_bounds(handle.fileno()) is None
+    @pytest.mark.parametrize("newline, header", [
+        ("\n", "x0,y,x1"),
+        ("\r\n", "x0,y,x1"),
+        # a quoted header is what R's write.csv writes
+        ("\n", '"x0","y","x1"'),
+        ("\r\n", '"x\n0",y,x1'),
+        ("\n", "x" * 70000 + ",y,x1"),
+    ], ids=["lf", "crlf", "quoted", "two-line-name", "over-64KiB"])
+    def test_tables_do_not_depend_on_the_span_count(self, tmp_path, monkeypatch, newline, header):
+        path = write_span_csv(tmp_path / "spans.csv", newline=newline, header=header)
+        assert span_bounds(path) is None
         one = read_csv(path, "y", add_intercept=True)
         for cores in (2, 3):
             cut_into_spans(monkeypatch, cores)
-            with open(path, "rb") as handle:
-                assert len(cli._span_bounds(handle.fileno())) == cores + 1
+            bounds = span_bounds(path)
+            # the first span starts right after the byte-order mark and the header record
+            assert len(bounds) == cores + 1 and bounds[0] == len(f"\ufeff{header}{newline}".encode())
             data = read_csv(path, "y", add_intercept=True)
             assert data.x.tobytes() == one.x.tobytes() and data.x.shape == one.x.shape
             assert data.y.tobytes() == one.y.tobytes()
             no_child_left()
+
+    def test_header_ended_by_a_lone_carriage_return_keeps_one_span(self, tmp_path, monkeypatch):
+        # the decoder holds a pending carriage return, so tell() is no byte offset
+        path = str(tmp_path / "cr.csv")
+        cut_into_spans(monkeypatch, 3)
+        assert_matches_oracle(path, "x0,y\r" + "".join(f"{i},{i / 7!r}\n" for i in range(500)))
+        assert span_bounds(path) is None
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fit_reads_data_from_a_pipe(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(size=(200, 2))
+        path = tmp_path / "d.csv"
+        write_csv(Dataset(x=x, y=x @ [1.0, -1.0] + rng.standard_normal(200)), str(path))
+        args = ["fit", "--response", "y", "--add-intercept", "--data"]
+        expected = run_json([*args, str(path)], capsys)["results"]
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+        # a pipe has no size, so no file of any length is cut into spans
+        cut_into_spans(monkeypatch, 3)
+        writer = threading.Thread(target=pipe.write_bytes, args=(path.read_bytes(),), daemon=True)
+        writer.start()
+        try:
+            assert run_json([*args, str(pipe)], capsys)["results"] == expected
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
 
     @pytest.mark.parametrize(
         "last, error",
@@ -676,6 +726,29 @@ class TestNonFiniteResults:
         payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in stdout"))
         assert payload["error"]["type"] == "NonFiniteValue"
 
+    @pytest.mark.parametrize("args, message", [
+        (["fit"], "k_check, the sandwich meat matrix, is outside double range"),
+        (["test", "--coef", "1"], "k_check, the sandwich meat matrix, is outside double range"),
+        (["test", "--reference", "bootstrap", "--B", "50", "--seed", "1"],
+         "k_check, the sandwich meat matrix, is outside double range"),
+        (["bootstrap", "--B", "50", "--seed", "1"],
+         "k_check, the sandwich meat matrix, is outside double range"),
+        (["test", "--variance", "classical", "--coef", "1"],
+         "residual sum of squares is outside double range"),
+    ], ids=["fit", "test-coef", "test-bootstrap", "bootstrap", "test-classical"])
+    def test_residual_overflow_is_named_without_warnings(self, tmp_path, args, message):
+        # a fresh interpreter, so numpy warnings reach stderr as a user sees them
+        path = tmp_path / "big.csv"
+        path.write_text(self.BIG_Y)
+        proc = subprocess.run(
+            [sys.executable, "-m", "leanreg", *args, "--data", str(path), "--response", "y",
+             "--add-intercept"],
+            capture_output=True,
+        )
+        assert proc.returncode == 4
+        assert proc.stderr == b""
+        assert json.loads(proc.stdout)["error"] == {"message": message, "type": "NonFiniteValue"}
+
     def test_design_overflow_is_named_without_warnings(self, tmp_path):
         # a fresh interpreter, so numpy warnings reach stderr as a user sees them
         path = tmp_path / "bigx.csv"
@@ -798,7 +871,7 @@ def test_student_t_reference_p_value_is_unchanged(tmp_path, capsys):
     strict=True,
     reason="the gaussian draw block GEMM w @ scores_hat (349 x 3000 by 3000 x 13 here) "
     "sums in a BLAS-thread-dependent order; ROADMAP item 2 replaces it with Z @ R_s, and "
-    "item 6 fixes a thread-stable tile shape for the draws that keep a GEMM",
+    "item 9 bounds every product on n-sized data to OpenBLAS's single-thread size",
 )
 def test_gaussian_bootstrap_bits_do_not_depend_on_blas_threads(tmp_path):
     rng = np.random.default_rng(0)

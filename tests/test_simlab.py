@@ -26,6 +26,7 @@ from leanreg.cli import main
 
 ALL_KINDS = simlab.DGP_KINDS
 P2_KINDS = tuple(k for k in ALL_KINDS if k != "linear_homoscedastic")
+TARGET_FIELDS = ("beta_n", "sigma_n", "gamma_n", "k_n", "k_n_star", "av_n", "av_n_star")
 
 
 class _Poly:
@@ -320,6 +321,27 @@ class TestPopulationTargets:
         # oracle: numpy's general solver on sigma_n, for a vector and a matrix
         np.testing.assert_allclose(pop.solve(rhs[:, 0]), np.linalg.solve(pop.sigma_n, rhs[:, 0]))
         np.testing.assert_allclose(pop.solve(rhs), np.linalg.solve(pop.sigma_n, rhs))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_editing_a_returned_target_does_not_reach_the_next_call(self, kind):
+        dgp, beta = Dgp(kind), np.array([0.3, -0.2])
+        before = population_targets(dgp, 50)
+        means = population_score_means(dgp, 50, beta)
+        edited = population_targets(dgp, 50)
+        for name in TARGET_FIELDS:
+            getattr(edited, name)[...] = np.nan
+        after = population_targets(dgp, 50)
+        for name in TARGET_FIELDS:
+            assert getattr(after, name).tobytes() == getattr(before, name).tobytes(), name
+        assert population_score_means(dgp, 50, beta).tobytes() == means.tobytes()
+
+    @pytest.mark.parametrize("kind", ["linear_homoscedastic", "quadratic_mean_iid", "heteroscedastic_iid"])
+    def test_iid_targets_do_not_depend_on_n(self, kind):
+        first = population_targets(Dgp(kind), 7)
+        for n in (1, 500):
+            pop = population_targets(Dgp(kind), n)
+            for name in TARGET_FIELDS:
+                assert getattr(pop, name).tobytes() == getattr(first, name).tobytes(), name
 
     @pytest.mark.parametrize("kind", ["quadratic_mean_iid", "fixed_x_nonidentical_mean"])
     def test_score_means_at_arbitrary_beta(self, kind):

@@ -39,7 +39,7 @@ DGPS = (
 
 
 def write_csvs(directory: pathlib.Path) -> None:
-    """Five CSVs, each from its own fixed seed; plus sixteen tiny, late, wide or huge edge cases."""
+    """Five CSVs, each from its own fixed seed; plus seventeen tiny, late, wide or huge edge cases."""
     # small, wide and tall grow in size; resid is one where RSS / (n - p) and a
     # value decoded from the classical meat matrix differ in the last bit; spans
     # (about 10 MB) is over two of read_csv's 4 MiB span minimums, so a machine
@@ -58,6 +58,10 @@ def write_csvs(directory: pathlib.Path) -> None:
             directory / f"{name}.csv", np.column_stack([x, y]),
             delimiter=",", header=header, comments="", fmt="%.17g",
         )
+    # the spans rows under a quoted header, as R's write.csv writes one
+    rows = (directory / "spans.csv").read_bytes().split(b"\n", 1)[1]
+    header = ",".join(f'"x{j}"' for j in range(shapes["spans"][1])) + ',"y"\n'
+    (directory / "quotedspans.csv").write_bytes(header.encode() + rows)
     (directory / "collinear.csv").write_text("a,b,y\n1,2,1\n2,4,2\n3,6,5\n")
     # y = 1 + 2x exactly, so with an intercept every residual and avar entry is zero
     (directory / "exact.csv").write_text("x,y\n" + "".join(f"{x},{1 + 2 * x}\n" for x in range(8)))
@@ -139,11 +143,13 @@ def commands() -> list[list[str]]:
         ["fit", "--data", "resid.csv", "--response", "y"],
         ["fit", "--data", "late.csv", "--response", "y"],
     ]
-    # the span-parsed file, and rademacher draws summed over several observation tiles
+    # the span-parsed file, and rademacher draws summed over several observation tiles;
+    # the same rows under a quoted header are span-parsed too
     spans = ["--data", "spans.csv", "--response", "y", "--add-intercept"]
     cmds += [
         ["fit", *spans],
         ["bootstrap", *spans, "--B", "100", "--seed", "14", "--weights", "rademacher"],
+        ["fit", "--data", "quotedspans.csv", "--response", "y", "--add-intercept"],
     ]
     for name in ("quoted", "underscore", "crlf", "padded", "hash", "bom", "longcell", "longheader"):
         cmds.append(["fit", "--data", f"{name}.csv", "--response", "y", "--add-intercept"])
@@ -191,6 +197,7 @@ def commands() -> list[list[str]]:
     big = ["--data", "big.csv", "--response", "y", "--add-intercept"]
     cmds += [
         ["test", *big, "--coef", "1"],
+        ["test", *big, "--variance", "classical", "--coef", "1"],
         ["test", *big, "--reference", "bootstrap", "--B", "50", "--seed", "1"],
         ["fit", *big],
         ["bootstrap", *big, "--B", "50", "--seed", "1"],
