@@ -40,10 +40,9 @@ _BLOCK_ENTRIES = 2**20
 # rows: 32 * n bits is a whole number of the generator's 32-bit words at
 # every n, so the blocks' signs are the one B x n sign matrix.
 _SIGN_BLOCK_ROWS = 32
-# Each block's product with the scores is summed over tiles of this many
-# observations. The tile, not B or n, fixes the summation order, which keeps
-# tall draws independent of the BLAS thread count; n <= _TILE_ROWS is one tile.
-_TILE_ROWS = 16384
+# OpenBLAS runs a GEMM of at most 65536 * GEMM_MULTITHREAD_THRESHOLD (4) multiply-adds on one thread
+_CALL_ROWS = 16
+_CALL_MACS = 2**18
 
 
 @dataclass(frozen=True)
@@ -86,9 +85,10 @@ def run_bootstrap(
     often each score row is among m rows drawn with replacement (scale m).
     The rademacher weights are the B x n sign matrix unpacked, most
     significant bit first and row-major, from the generator's first
-    ceil(B*n/8) bytes: bit 1 is +1 and bit 0 is -1; its blocks are whole
-    multiples of 32 rows. Each block's product is summed over fixed tiles of
-    ``_TILE_ROWS`` observations.
+    ceil(B*n/8) bytes: bit 1 is +1 and bit 0 is -1. Each block's product
+    adds, in a fixed order, GEMM calls of 16 rows by 2**18 // (16 p)
+    observations, which OpenBLAS runs on one thread; p = 1 scores get a zero
+    column, as numpy sends one column to GEMV or DOT, which thread sooner.
     ``m=None`` runs the multiplier bootstrap with weight law ``dist``; an
     integer ``m`` runs the m-of-n bootstrap, which ignores ``dist`` and
     records ``dist=None``. m below n weakens the normal approximation.
@@ -103,12 +103,13 @@ def run_bootstrap(
             raise ValueError("resample size m must be >= 1")
 
     n = fit.n
-    signs = dist == "rademacher"
     rows = max(1, _BLOCK_ENTRIES // max(n, m or n))
-    if signs:
+    if dist == "rademacher":
         rows = -(-rows // _SIGN_BLOCK_ROWS) * _SIGN_BLOCK_ROWS
+    scores = fit.scores_hat if fit.p > 1 else np.column_stack([fit.scores_hat, np.zeros(n)])
+    cols = max(1, _CALL_MACS // (_CALL_ROWS * scores.shape[1]))
     rng = np.random.default_rng(seed)
-    draws_t = np.empty((b, fit.p))
+    draws_t = np.zeros((b, scores.shape[1]))
     for start in range(0, b, rows):
         k = min(rows, b - start)
         if m is not None:
@@ -120,15 +121,14 @@ def run_bootstrap(
             w = rng.standard_normal((k, n))
         else:
             bits = np.unpackbits(np.frombuffer(rng.bytes(-(-k * n // 8)), np.uint8), count=k * n)
-            w = bits.reshape(k, n)  # 0 and 1; each tile maps them to -1 and +1
-        for o in range(0, n, _TILE_ROWS):
-            tile = w[:, o : o + _TILE_ROWS]
-            part = (tile * 2.0 - 1.0 if signs else tile) @ fit.scores_hat[o : o + _TILE_ROWS]
-            if o:
-                acc += part
-            else:
-                acc = part
-        draws_t[start : start + k] = acc / math.sqrt(m or n)
+            w = bits.reshape(k, n).view(np.int8)  # 0 and 1, mapped in place to -1 and +1
+            w *= 2
+            w -= 1
+        block = draws_t[start : start + k]
+        for r in range(0, k, _CALL_ROWS):
+            for o in range(0, n, cols):
+                block[r : r + _CALL_ROWS] += w[r : r + _CALL_ROWS, o : o + cols] @ scores[o : o + cols]
+    draws_t = draws_t[:, : fit.p] / math.sqrt(m or n)
 
     draws_u = fit.solve(draws_t.T).T
     return BootstrapDraws(b=b, m=m, dist=dist, draws_t=draws_t, draws_u=draws_u)

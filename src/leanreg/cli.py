@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -85,10 +86,14 @@ def read_csv(path: str, response_column: str, add_intercept: bool = False) -> Da
     some span cannot take whole, or that parses to no rows, the wrong width
     or a non-finite value, is read again by ``_table_by_rows``, which alone
     owns the per-cell messages and the cells only ``float()`` accepts (quoted
-    numbers, ``1_000``).
+    numbers, ``1_000``). A stream that cannot seek, such as a pipe, is read
+    into memory first, so that reader can read it again; it takes no spans.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
+            piped = not handle.seekable()
+            if piped:  # the fallback below reads the rows again, so keep one copy in memory
+                handle = io.StringIO(handle.read(), newline="")
             # readline, unlike iterating the handle, leaves handle.tell() usable
             reader = csv.reader(iter(handle.readline, ""))
             try:
@@ -103,7 +108,7 @@ def read_csv(path: str, response_column: str, add_intercept: bool = False) -> Da
                 )
             y_idx = header.index(response_column)
             try:
-                bounds = _span_bounds(handle)
+                bounds = None if piped else _span_bounds(handle)
                 table = _loadtxt(handle) if bounds is None else _table_by_spans(handle.fileno(), bounds)
             except ValueError:
                 table = np.empty((0, 0))
@@ -151,8 +156,7 @@ def _span_bounds(handle) -> list[int] | None:
     in UTF-8), so a longer line there leaves the file one span fewer. A file
     keeps one span without ``os.fork``, or when the decoder holds state after
     the header (one ended by a lone carriage return): ``tell()`` then packs
-    that state above bit 64, so the data seem to end before they start. A
-    pipe has no size, so it returns before ``tell()``, which it cannot serve.
+    that state above bit 64, so the data seem to end before they start.
     """
     fd = handle.fileno()
     size, cores = os.fstat(fd).st_size, _usable_cores()

@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import statistics
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
 
@@ -234,7 +234,8 @@ def population_score_means(dgp: Dgp, n: int, beta) -> np.ndarray:
     if dgp.is_fixed_design:
         u = np.arange(1, n + 1) / n
         return scores_at(Dataset(x=np.column_stack([np.ones(n), u]), y=_profile(dgp)[0](u)), beta)
-    _, sigma, gamma = _exact_targets(dgp, None)[:3]
+    # exact: sigma_n and gamma_n do not depend on the noise, and the default one keeps k_n finite
+    _, sigma, gamma = _exact_targets(replace(dgp, noise_scale=None), None)[:3]
     return np.tile(gamma - sigma @ beta, (n, 1))
 
 

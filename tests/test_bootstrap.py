@@ -91,7 +91,7 @@ class TestMultiplierDraw:
         [("multiplier", "gaussian"), ("multiplier", "rademacher"), ("resample_m_of_n", "gaussian")],
     )
     def test_fewer_replicates_are_a_prefix(self, het_fit, tall_fit, method, dist):
-        # the tall fit spans three observation tiles, and B=70 crosses the
+        # the tall fit spans five GEMM calls of observations, and B=70 crosses the
         # 32-row rademacher blocks and the 26-row gaussian and m-of-n blocks;
         # its 40000-term sums get an absolute bound for the draws near zero
         for fit, b, atol in ((het_fit, 1000, 1e-15), (tall_fit, 70, 1e-13)):
@@ -103,16 +103,19 @@ class TestMultiplierDraw:
 
     @pytest.mark.parametrize("dist", ["gaussian", "rademacher"])
     def test_blocks_match_single_matrix_oracle(self, dist):
-        # 3e5 rows put 3 gaussian replicates in a block, so B=7 spans three blocks
+        # 3e5 rows put 3 gaussian replicates in a block, so B=7 spans three blocks;
+        # the one-covariate fit takes the zero-column path that keeps p = 1 on GEMM
         n = 300_000
         rng = np.random.default_rng(50)
         x = np.column_stack([np.ones(n), rng.uniform(size=n)])
-        fit = fit_ols(Dataset(x=x, y=x[:, 1] ** 2 + 0.1 * rng.standard_normal(n)))
-        draws = run_bootstrap(fit, b=7, dist=dist, seed=8)
-        w = weights_oracle(fit, 7, dist, 8)
-        np.testing.assert_allclose(
-            draws.draws_t, w @ fit.scores_hat / np.sqrt(n), rtol=1e-10, atol=1e-12
-        )
+        y = x[:, 1] ** 2 + 0.1 * rng.standard_normal(n)
+        for fit in (fit_ols(Dataset(x=x, y=y)), fit_ols(Dataset(x=x[:, 1:], y=y))):
+            draws = run_bootstrap(fit, b=7, dist=dist, seed=8)
+            w = weights_oracle(fit, 7, dist, 8)
+            assert draws.draws_t.shape == (7, fit.p)
+            np.testing.assert_allclose(
+                draws.draws_t, w @ fit.scores_hat / np.sqrt(n), rtol=1e-10, atol=1e-12
+            )
 
     def test_rademacher_blocks_are_one_sign_matrix(self):
         # n is odd, so only whole 32-row blocks keep each block's bits on the
@@ -132,18 +135,23 @@ class TestMultiplierDraw:
 
 
 def test_tall_draws_do_not_depend_on_blas_threads(tmp_path):
-    # at n=2e5 the fixed observation tiles, not the thread count, set every sum's order
-    n = 200_000
-    rng = np.random.default_rng(52)
-    x = np.column_stack([np.ones(n), rng.standard_normal((n, 10))])
-    y = x @ np.linspace(-1.0, 1.0, 11) + (1.0 + np.abs(x[:, 1])) * rng.standard_normal(n)
-    path = tmp_path / "fit.pkl"
-    path.write_bytes(pickle.dumps(fit_ols(Dataset(x=x, y=y))))
+    # every product is 16-row GEMM calls of at most 2**18 multiply-adds, which OpenBLAS
+    # runs on one thread: so at n=2e5, at moderate shapes that one GEMM per block would
+    # thread, and at p=1, which would go to GEMV or DOT without its zero column
+    runs = []
+    for n, p in ((200_000, 11), (1000, 5), (3000, 13), (2000, 40), (20_000, 1)):
+        rng = np.random.default_rng(52 + p)
+        x = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+        y = x @ np.linspace(-1.0, 1.0, p) + (1.0 + np.abs(x[:, -1])) * rng.standard_normal(n)
+        fit = fit_ols(Dataset(x=x, y=y))
+        for b in (40, 12) if n == 200_000 else (1, 17, 300):
+            runs += [(fit, dict(b=b)), (fit, dict(b=b, dist="rademacher")), (fit, dict(b=b, m=n))]
+    path = tmp_path / "runs.pkl"
+    path.write_bytes(pickle.dumps(runs))
     code = (
         "import hashlib, pickle, sys\n"
         "from leanreg import run_bootstrap\n"
-        "fit = pickle.loads(open(sys.argv[1], 'rb').read())\n"
-        "for kw in (dict(b=40, dist='rademacher'), dict(b=12, m=fit.n), dict(b=12)):\n"
+        "for fit, kw in pickle.loads(open(sys.argv[1], 'rb').read()):\n"
         "    draws = run_bootstrap(fit, seed=4, **kw).draws_t\n"
         "    print(hashlib.sha256(draws.tobytes()).hexdigest())\n"
     )
@@ -155,7 +163,7 @@ def test_tall_draws_do_not_depend_on_blas_threads(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout.split())
-    assert len(outputs[0]) == 3
+    assert len(outputs[0]) == len(runs)
     assert outputs[0] == outputs[1]
 
 

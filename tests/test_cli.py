@@ -321,6 +321,20 @@ class TestReadCsvSpans:
             writer.join(timeout=60)
         assert not writer.is_alive()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_fallback_reads_a_pipe_again_from_memory(self, tmp_path):
+        # a quoted cell sends the rows to the row-by-row fallback after loadtxt has
+        # consumed the pipe, which cannot seek back
+        path = tmp_path / "quoted.csv"
+        path.write_text('x,y\n"1",2\n2,3\n3,5\n')
+        command = [sys.executable, "-m", "leanreg", "fit", "--response", "y", "--data"]
+        by_path = subprocess.run([*command, str(path)], capture_output=True, text=True)
+        piped = subprocess.run(
+            [*command, "/dev/stdin"], input=path.read_text(), capture_output=True, text=True
+        )
+        assert by_path.returncode == piped.returncode == 0, piped.stdout
+        assert json.loads(piped.stdout)["results"] == json.loads(by_path.stdout)["results"]
+
     @pytest.mark.parametrize(
         "last, error",
         [(b"1.5,abc,2\n", "NonNumericCell"), ("caf\u00e9,1,2\n".encode("latin-1"), "UnicodeDecodeError")],
@@ -867,12 +881,6 @@ def test_student_t_reference_p_value_is_unchanged(tmp_path, capsys):
     assert res["p_value"] == pytest.approx(0.4811603842602029, rel=1e-10)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the gaussian draw block GEMM w @ scores_hat (349 x 3000 by 3000 x 13 here) "
-    "sums in a BLAS-thread-dependent order; ROADMAP item 2 replaces it with Z @ R_s, and "
-    "item 9 bounds every product on n-sized data to OpenBLAS's single-thread size",
-)
 def test_gaussian_bootstrap_bits_do_not_depend_on_blas_threads(tmp_path):
     rng = np.random.default_rng(0)
     x = rng.random((3000, 12))

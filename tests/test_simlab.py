@@ -313,6 +313,9 @@ class TestPopulationTargets:
     def test_noise_scale_past_double_range_is_a_value_error(self, kind):
         with pytest.raises(ValueError, match=r"noise_scale=1e\+200 puts a target outside double range"):
             population_targets(Dgp(kind, noise_scale=1e200), 50)
+        # the score means use only the noise-free moments, so they still exist, bit for bit
+        means = population_score_means(Dgp(kind, noise_scale=1e200), 3, [0.3, -0.2])
+        assert means.tobytes() == population_score_means(Dgp(kind), 3, [0.3, -0.2]).tobytes()
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_solve_is_the_sigma_n_solve(self, kind):

@@ -143,7 +143,7 @@ def commands() -> list[list[str]]:
         ["fit", "--data", "resid.csv", "--response", "y"],
         ["fit", "--data", "late.csv", "--response", "y"],
     ]
-    # the span-parsed file, and rademacher draws summed over several observation tiles;
+    # the span-parsed file, and rademacher draws summed over several GEMM calls per row;
     # the same rows under a quoted header are span-parsed too
     spans = ["--data", "spans.csv", "--response", "y", "--add-intercept"]
     cmds += [
