@@ -70,11 +70,12 @@ def read_csv(path: str, response_column: str, add_intercept: bool = False) -> Da
 
     The response column becomes y; all other columns become x in header
     order, optionally behind a prepended ones column. The response must name
-    exactly one header column, and cells must parse as finite numbers; the
-    offending row and column are reported otherwise, and a file that is not
-    UTF-8 raises UnicodeDecodeError naming its first undecodable line. A cell
-    the csv module refuses (one over its field size limit) raises
-    NonNumericCell naming the line.
+    exactly one header column, and another column must exist unless
+    ``add_intercept`` is set (MissingColumn otherwise). Cells must parse as
+    finite numbers; the offending row and column are reported otherwise, and
+    a file that is not UTF-8 raises UnicodeDecodeError naming its first
+    undecodable line. A cell the csv module refuses (one over its field size
+    limit) raises NonNumericCell naming the line.
 
     The csv module reads the header (quoted, or over several lines) and alone
     says where the data rows start. They are parsed by ``np.loadtxt``, which
@@ -86,14 +87,15 @@ def read_csv(path: str, response_column: str, add_intercept: bool = False) -> Da
     some span cannot take whole, or that parses to no rows, the wrong width
     or a non-finite value, is read again by ``_table_by_rows``, which alone
     owns the per-cell messages and the cells only ``float()`` accepts (quoted
-    numbers, ``1_000``). A stream that cannot seek, such as a pipe, is read
-    into memory first, so that reader can read it again; it takes no spans.
+    numbers, ``1_000``). A stream that cannot seek, such as a pipe or a FIFO,
+    is copied into memory once, as bytes, and takes no spans; that reader
+    reads the copy again, and ``_undecodable_line`` names a bad line from it.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            piped = not handle.seekable()
-            if piped:  # the fallback below reads the rows again, so keep one copy in memory
-                handle = io.StringIO(handle.read(), newline="")
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        piped = not handle.seekable()
+        if piped:  # the fallback below reads the rows again, so keep one copy of the bytes
+            handle = io.TextIOWrapper(io.BytesIO(handle.buffer.read()), "utf-8-sig", newline="")
+        try:
             # readline, unlike iterating the handle, leaves handle.tell() usable
             reader = csv.reader(iter(handle.readline, ""))
             try:
@@ -106,6 +108,11 @@ def read_csv(path: str, response_column: str, add_intercept: bool = False) -> Da
                     f"response column {response_column!r} must appear exactly once "
                     f"in header {header}"
                 )
+            if len(header) == 1 and not add_intercept:
+                raise MissingColumn(
+                    f"{path} has no covariate column besides {response_column!r}; "
+                    "an intercept-only fit needs --add-intercept"
+                )
             y_idx = header.index(response_column)
             try:
                 bounds = None if piped else _span_bounds(handle)
@@ -117,11 +124,11 @@ def read_csv(path: str, response_column: str, add_intercept: bool = False) -> Da
                 reader = csv.reader(handle)
                 next(reader)
                 table = _table_by_rows(path, reader, header)
-    except UnicodeDecodeError as exc:
-        raise _undecodable_line(path, exc) from None
-    except csv.Error as exc:
-        # e.g. a cell over the csv module's field size limit
-        raise NonNumericCell(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise _undecodable_line(path, handle.buffer, exc) from None
+        except csv.Error as exc:
+            # e.g. a cell over the csv module's field size limit
+            raise NonNumericCell(f"{path}: line {reader.line_num}: {exc}") from None
     lead = int(add_intercept)
     x = np.empty((table.shape[0], lead + table.shape[1] - 1))
     x[:, :lead] = 1.0
@@ -235,8 +242,6 @@ def _table_by_spans(fd: int, bounds: list[int]) -> np.ndarray:
 
 def _parse_span(fd: int, lo: int, hi: int) -> np.ndarray:
     """``_loadtxt`` of the bytes [lo, hi) of ``fd`` decoded as UTF-8."""
-    import io
-
     data = io.BytesIO(os.pread(fd, hi - lo, lo))
     return _loadtxt(io.TextIOWrapper(data, encoding="utf-8", newline=""))
 
@@ -270,19 +275,20 @@ def _table_by_rows(path: str, reader, header: list[str]) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def _undecodable_line(path: str, exc: UnicodeDecodeError) -> UnicodeDecodeError:
-    """``exc`` restated for the first physical line of ``path`` that is not UTF-8.
+def _undecodable_line(path: str, data, exc: UnicodeDecodeError) -> UnicodeDecodeError:
+    """``exc`` restated for the first physical line of ``data`` that is not UTF-8.
 
-    A decoder error counts bytes from the start of a buffered chunk; this one
-    holds that line, so its position is the byte offset within the line.
+    ``data`` holds the input's bytes; it is rewound, never opened again by
+    name. A decoder error counts bytes from the start of a buffered chunk;
+    this one holds that line, so its position is the byte offset within it.
     """
-    with open(path, "rb") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as err:
-                reason = f"{err.reason} in {path}, line {lineno} (position is within the line)"
-                return UnicodeDecodeError(err.encoding, line, err.start, err.end, reason)
+    data.seek(0)
+    for lineno, line in enumerate(data, start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as err:
+            reason = f"{err.reason} in {path}, line {lineno} (position is within the line)"
+            return UnicodeDecodeError(err.encoding, line, err.start, err.end, reason)
     return exc
 
 

@@ -10,6 +10,7 @@ from scipy import stats
 from leanreg import (
     Dataset,
     Dgp,
+    DimensionMismatch,
     NotPositiveDefinite,
     ZeroVariance,
     fit_ols,
@@ -303,6 +304,13 @@ class TestRegionRectangle:
         assert region.contains(het_fit.beta_hat)
         assert region.level == 0.9
         assert np.all(region.half_widths >= 0)
+
+    def test_contains_rejects_a_point_of_the_wrong_shape(self, het_fit):
+        draws = run_bootstrap(het_fit, b=20, seed=2)
+        for region in (region_rectangle, region_ellipsoid):
+            reg = region(het_fit, draws, sandwich_avar(het_fit), alpha=0.1)
+            with pytest.raises(DimensionMismatch, match=r"beta has shape \(3,\), expected \(2,\)"):
+                reg.contains([0.0, 0.0, 0.0])
 
 
 class TestRegionEllipsoid:

@@ -126,6 +126,13 @@ class TestReadCsv:
         with pytest.raises(EmptyData):
             read_csv(str(path), "y")
 
+    def test_zero_byte_file_is_empty(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        with pytest.raises(EmptyData) as exc:
+            read_csv(str(path), "y")
+        assert str(exc.value) == f"{path} is empty"
+
     @pytest.mark.parametrize("body", ["", "\n\n\r\n", ",,\n,\n"], ids=["bare", "blank", "commas"])
     def test_header_without_data_raises_without_warning(self, tmp_path, body):
         path = tmp_path / "empty.csv"
@@ -324,16 +331,18 @@ class TestReadCsvSpans:
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
     def test_fallback_reads_a_pipe_again_from_memory(self, tmp_path):
         # a quoted cell sends the rows to the row-by-row fallback after loadtxt has
-        # consumed the pipe, which cannot seek back
+        # consumed the pipe, which cannot seek back; the in-memory copy, like the
+        # file, drops a byte-order mark before the response's name
         path = tmp_path / "quoted.csv"
-        path.write_text('x,y\n"1",2\n2,3\n3,5\n')
         command = [sys.executable, "-m", "leanreg", "fit", "--response", "y", "--data"]
-        by_path = subprocess.run([*command, str(path)], capture_output=True, text=True)
-        piped = subprocess.run(
-            [*command, "/dev/stdin"], input=path.read_text(), capture_output=True, text=True
-        )
-        assert by_path.returncode == piped.returncode == 0, piped.stdout
-        assert json.loads(piped.stdout)["results"] == json.loads(by_path.stdout)["results"]
+        for bom in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(bom + b'y,x\n2,"1"\n3,2\n5,3\n')
+            by_path = subprocess.run([*command, str(path)], capture_output=True)
+            piped = subprocess.run(
+                [*command, "/dev/stdin"], input=path.read_bytes(), capture_output=True
+            )
+            assert by_path.returncode == piped.returncode == 0, piped.stdout
+            assert json.loads(piped.stdout)["results"] == json.loads(by_path.stdout)["results"]
 
     @pytest.mark.parametrize(
         "last, error",
@@ -437,6 +446,61 @@ class TestFitCommand:
         with pytest.raises(UnicodeDecodeError) as exc:
             read_csv(str(path), "y")
         assert (exc.value.object, exc.value.start) == ("caf\u00e9,1\n".encode("latin-1"), 3)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_non_utf8_fifo_is_located_without_a_second_open(self, tmp_path):
+        # the bad line is found in the bytes already read: opening the FIFO by
+        # name again would wait for a writer that never comes
+        fifo = tmp_path / "ff"
+        os.mkfifo(fifo)
+        latin1 = "caf\u00e9,y\n1,2\n".encode("latin-1")
+        writer = threading.Thread(target=fifo.write_bytes, args=(latin1,), daemon=True)
+        writer.start()
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "leanreg", "fit", "--data", str(fifo), "--response", "y"],
+                capture_output=True, text=True, timeout=30,
+            )
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert proc.returncode == 3, proc.stdout
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == "UnicodeDecodeError"
+        assert f"invalid continuation byte in {fifo}, line 1 " in error["message"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_non_utf8_pipe_is_located(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "leanreg", "fit", "--data", "/dev/stdin", "--response", "y"],
+            input="caf\u00e9,y\n1,2\n2,3\n".encode("latin-1"), capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 3, proc.stdout
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == "UnicodeDecodeError"
+        assert "invalid continuation byte in /dev/stdin, line 1 " in error["message"]
+
+    def test_response_only_file_needs_an_intercept(self, tmp_path, capsys):
+        path = tmp_path / "onlyy.csv"
+        path.write_text("y\n1\n2\n3\n")
+        code, out = run_cli(["fit", "--data", str(path), "--response", "y"], capsys)
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert error["type"] == "MissingColumn"
+        assert error["message"] == (
+            f"{path} has no covariate column besides 'y'; an intercept-only fit needs --add-intercept"
+        )
+        res = run_json(["fit", "--data", str(path), "--response", "y", "--add-intercept"], capsys)
+        assert res["results"]["beta_hat"] == [2.0]
+
+    def test_n_equal_to_p_reports_no_classical_errors(self, tmp_path, capsys):
+        path = tmp_path / "tworow.csv"
+        path.write_text("x,y\n0.1,0.3\n0.7,0.2\n")
+        payload = run_json(["fit", "--data", str(path), "--response", "y", "--add-intercept"], capsys)
+        assert payload["warnings"] == ["n == p: classical and HC1 standard errors are undefined"]
+        res = payload["results"]
+        assert (res["n"], res["p"], res["se_classical"]) == (2, 2, None)
+        assert "sigma2_classical" not in res and "se_sandwich_hc1" not in res
 
     def test_long_data_cell_in_fallback_exits_3(self, tmp_path, capsys):
         # the quoted cell sends the file to the row-by-row reader, whose csv module

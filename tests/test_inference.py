@@ -9,6 +9,7 @@ from leanreg import (
     BadCoordinate,
     Dataset,
     DegenerateDof,
+    DimensionMismatch,
     Dgp,
     ZeroVariance,
     classical_avar,
@@ -182,6 +183,11 @@ class TestMaxTTest:
             t_test(fit, var, 0, float("nan"), reference, draws=draws)
         with pytest.raises(ValueError, match="finite"):
             max_t_test(fit, var, [0.0, float("inf")], reference, draws=draws)
+
+    def test_null_of_the_wrong_length_rejected(self, het):
+        fit, var = het
+        with pytest.raises(DimensionMismatch, match="beta0 has length 3, expected 2"):
+            max_t_test(fit, var, [0.0, 0.0, 0.0], "std_normal")
 
     def test_student_t_needs_n_above_p(self):
         fit = fit_ols(Dataset(x=[[1.0, 0.1], [1.0, 0.7]], y=[0.3, 0.2]))

@@ -483,6 +483,11 @@ class TestRunCoverage:
         with pytest.raises(ValueError):
             run_coverage(Dgp("quadratic_mean_iid"), 50, 2, ("pairs_bootstrap",), 0.05, 0)
 
+    def test_every_replication_singular_raises(self):
+        # one observation never gives the two-covariate design full rank
+        with pytest.raises(SingularDesign, match="every replication produced a singular design"):
+            run_coverage(Dgp("quadratic_mean_iid"), 1, 3, ("sandwich_normal",), 0.05, seed=2)
+
 
 class TestFactorizationCounts:
     """Each SPD matrix is factored once, by the code that builds it."""
@@ -557,6 +562,11 @@ class TestRunConsistency:
             assert 0.8 / np.sqrt(2.0) <= b / a <= 1.2 / np.sqrt(2.0)
         for a, b in zip(med, med[2:]):
             assert 0.4 <= b / a <= 0.6
+
+    def test_one_point_grid_has_no_slope(self):
+        rep = run_consistency(Dgp("quadratic_mean_iid"), [40], replications=2, seed=3)
+        assert rep["n_grid"] == [40] and rep["median_error"][0] > 0
+        assert np.isnan(rep["loglog_slope"])
 
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):

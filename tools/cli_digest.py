@@ -11,9 +11,10 @@ one thread, and prints one line per command:
 
 Commands run inside the temporary directory and name the CSVs by relative
 path, so the echoed configs, and so the digests, do not depend on where the
-directory is. Compare the output of two checkouts with ``diff``: a changed
-line is a command whose exit code or stdout bytes changed. Uses only the
-standard library and numpy.
+directory is. A command that ends in ``< name`` gets that CSV's bytes on
+stdin, through a pipe. Compare the output of two checkouts with ``diff``: a
+changed line is a command whose exit code or stdout bytes changed. Uses only
+the standard library and numpy.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ DGPS = (
 
 
 def write_csvs(directory: pathlib.Path) -> None:
-    """Five CSVs, each from its own fixed seed; plus seventeen tiny, late, wide or huge edge cases."""
+    """Five CSVs, each from its own fixed seed; plus nineteen tiny, late, wide or huge edge cases."""
     # small, wide and tall grow in size; resid is one where RSS / (n - p) and a
     # value decoded from the classical meat matrix differ in the last bit; spans
     # (about 10 MB) is over two of read_csv's 4 MiB span minimums, so a machine
@@ -93,6 +94,9 @@ def write_csvs(directory: pathlib.Path) -> None:
     (directory / "big.csv").write_text("x,y\n1,1e200\n2,-3e200\n3,2e200\n4,5e199\n")
     (directory / "bigx.csv").write_text("x,y\n1e200,1\n2e200,3\n3e200,2\n")
     (directory / "sim.csv").mkdir()
+    # a 0-byte file, and one that holds only the response column
+    (directory / "empty.csv").write_bytes(b"")
+    (directory / "onlyy.csv").write_text("y\n1\n2\n3\n")
 
 
 def commands() -> list[list[str]]:
@@ -205,6 +209,15 @@ def commands() -> list[list[str]]:
         ["simulate", "--dgp", "quadratic_mean_iid", "--n", "50", "--reps", "2", "--methods",
          "sandwich_normal", "--seed", "3", "--out", "sim.json"],
     ]
+    # piped data, which the fallback reader reads again from memory and where an
+    # undecodable line is located; a 0-byte file, and a response-only file
+    stdin = ["--data", "/dev/stdin", "--response", "y"]
+    cmds += [
+        ["fit", *stdin, "--add-intercept", "<", "quoted.csv"],
+        ["fit", *stdin, "<", "latin1.csv"],
+        ["fit", "--data", "empty.csv", "--response", "y"],
+        ["fit", "--data", "onlyy.csv", "--response", "y"],
+    ]
     return cmds
 
 
@@ -214,8 +227,12 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         write_csvs(pathlib.Path(tmp))
         for cmd in commands():
+            args, stdin = cmd, None
+            if cmd[-2:-1] == ["<"]:
+                args, stdin = cmd[:-2], (pathlib.Path(tmp) / cmd[-1]).read_bytes()
             proc = subprocess.run(
-                [sys.executable, "-m", "leanreg", *cmd], capture_output=True, env=env, cwd=tmp
+                [sys.executable, "-m", "leanreg", *args], input=stdin, capture_output=True, env=env,
+                cwd=tmp,
             )
             digest = hashlib.sha256(proc.stdout).hexdigest()
             print(f"{proc.returncode} {digest} {' '.join(cmd)}", flush=True)
