@@ -72,24 +72,25 @@ def read_csv(path: str, response_column: str, add_intercept: bool = False) -> Da
     order, optionally behind a prepended ones column. The response must name
     exactly one header column, and another column must exist unless
     ``add_intercept`` is set (MissingColumn otherwise). Cells must parse as
-    finite numbers; the offending row and column are reported otherwise, and
-    a file that is not UTF-8 raises UnicodeDecodeError naming its first
-    undecodable line. A cell the csv module refuses (one over its field size
-    limit) raises NonNumericCell naming the line.
+    finite numbers; otherwise the column and the physical line the row ends
+    on are named, and a file that is not UTF-8 raises UnicodeDecodeError
+    naming its first undecodable line. A cell the csv module refuses (one
+    over its field size limit) raises NonNumericCell naming the line.
 
-    The csv module reads the header (quoted, or over several lines) and alone
-    says where the data rows start. They are parsed by ``np.loadtxt``, which
-    gives the same doubles as ``float()``. On two or more usable cores, a
-    file of at least two ``_SPAN_MIN_BYTES`` is cut from there into
-    line-aligned spans (``_span_bounds``) that are parsed at once
-    (``_table_by_spans``); every cell still goes through the same
-    ``loadtxt``, so the table does not depend on the span count. A file that
-    some span cannot take whole, or that parses to no rows, the wrong width
-    or a non-finite value, is read again by ``_table_by_rows``, which alone
-    owns the per-cell messages and the cells only ``float()`` accepts (quoted
-    numbers, ``1_000``). A stream that cannot seek, such as a pipe or a FIFO,
-    is copied into memory once, as bytes, and takes no spans; that reader
-    reads the copy again, and ``_undecodable_line`` names a bad line from it.
+    The csv reader of the header (quoted, or over several lines) is the one
+    reader of rows, and the stream position after the header, taken once, is
+    where the data start. They are parsed by ``np.loadtxt``, which gives the
+    same doubles as ``float()``. On two or more usable cores, a file of at
+    least two ``_SPAN_MIN_BYTES`` is cut from there into line-aligned spans
+    (``_span_bounds``) that are parsed at once (``_table_by_spans``); every
+    cell still goes through the same ``loadtxt``, so the table does not
+    depend on the span count. A file that some span cannot take whole, or
+    that parses to no rows, the wrong width or a non-finite value, is read
+    again from the data start by that reader in ``_table_by_rows``, which
+    alone owns the per-cell messages and the cells only ``float()`` accepts
+    (quoted numbers, ``1_000``). A stream that cannot seek, such as a pipe or
+    a FIFO, is copied into memory once, as bytes, and takes no spans; the
+    reader reads the copy again, and ``_undecodable_line`` names a bad line.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         piped = not handle.seekable()
@@ -102,6 +103,7 @@ def read_csv(path: str, response_column: str, add_intercept: bool = False) -> Da
                 header = next(reader)
             except StopIteration:
                 raise EmptyData(f"{path} is empty") from None
+            start = handle.tell()
             header = [h.strip() for h in header]
             if header.count(response_column) != 1:
                 raise MissingColumn(
@@ -115,14 +117,12 @@ def read_csv(path: str, response_column: str, add_intercept: bool = False) -> Da
                 )
             y_idx = header.index(response_column)
             try:
-                bounds = None if piped else _span_bounds(handle)
+                bounds = None if piped else _span_bounds(handle.fileno(), start)
                 table = _loadtxt(handle) if bounds is None else _table_by_spans(handle.fileno(), bounds)
             except ValueError:
                 table = np.empty((0, 0))
             if table.shape[0] == 0 or table.shape[1] != len(header) or not np.isfinite(table).all():
-                handle.seek(0)
-                reader = csv.reader(handle)
-                next(reader)
+                handle.seek(start)
                 table = _table_by_rows(path, reader, header)
         except UnicodeDecodeError as exc:
             raise _undecodable_line(path, handle.buffer, exc) from None
@@ -153,23 +153,21 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _span_bounds(handle) -> list[int] | None:
-    """Byte offsets that cut the data of the text stream ``handle`` into spans, or None for one span.
+def _span_bounds(fd: int, start: int) -> list[int] | None:
+    """Byte offsets that cut the data of file ``fd`` into spans, or None for one span.
 
-    The data start at ``handle.tell()``, where the csv module left the stream
-    after the header. There are at most one span per usable core and one per
-    ``_SPAN_MIN_BYTES`` of data. Each cut follows the first newline byte within
-    64 KiB of an even share of the data (a newline byte only ever ends a line
-    in UTF-8), so a longer line there leaves the file one span fewer. A file
-    keeps one span without ``os.fork``, or when the decoder holds state after
-    the header (one ended by a lone carriage return): ``tell()`` then packs
-    that state above bit 64, so the data seem to end before they start.
+    The data start at ``start``, read_csv's ``tell()`` after the header. There
+    are at most one span per usable core and one per ``_SPAN_MIN_BYTES`` of
+    data. Each cut follows the first newline byte within 64 KiB of an even
+    share of the data (a newline byte only ever ends a line in UTF-8), so a
+    longer line there leaves the file one span fewer. A file keeps one span
+    without ``os.fork``, or when the decoder holds state after the header
+    (one ended by a lone carriage return): ``tell()`` then packs that state
+    above bit 64, so the data seem to end before they start.
     """
-    fd = handle.fileno()
     size, cores = os.fstat(fd).st_size, _usable_cores()
     if not hasattr(os, "fork") or min(cores, size // _SPAN_MIN_BYTES) < 2:
         return None
-    start = handle.tell()
     count = min(cores, (size - start) // _SPAN_MIN_BYTES)
     bounds = [start]
     for i in range(1, count):
@@ -247,9 +245,10 @@ def _parse_span(fd: int, lo: int, hi: int) -> np.ndarray:
 
 
 def _table_by_rows(path: str, reader, header: list[str]) -> np.ndarray:
-    """The rows after the header, parsed cell by cell; rows of blank cells are skipped."""
+    """The rows after the header cell by cell, named by the line each ends on; blank rows are skipped."""
     rows = []
-    for r, row in enumerate(reader, start=2):
+    for row in reader:
+        r = reader.line_num
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != len(header):
@@ -638,8 +637,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
-        report = run_command(config)
-        text = report_json(report)
+        # an overflow, and a NaN made of one, reaches a gate or report_json, which name it
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run_command(config)
+            text = report_json(report)
     except _DATA_ERRORS + (LeanRegError,) as exc:
         payload = {
             "command": config.command,

@@ -36,18 +36,20 @@ def _cholesky_spd(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a, with an explicit near-singularity gate.
 
     The pivot at step j of a Cholesky factorization is L[j, j]**2; any pivot
-    at or below p * eps * max(diag(a)) marks the matrix as numerically not
-    positive definite and raises.
+    at or below p * eps * a[j, j] marks the matrix as numerically not
+    positive definite and raises. For a = x'x the ratio L[j, j]**2 / a[j, j]
+    is 1 - R^2 (uncentered) of column j on the earlier columns, so the units
+    of a column do not move the gate.
     """
     p = a.shape[0]
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("Cholesky factorization failed") from exc
-    pivot_floor = p * np.finfo(float).eps * np.diag(a).max(initial=0.0)
-    if np.min(np.diag(lower)) ** 2 <= pivot_floor:
+    low = np.diag(lower) ** 2 <= p * np.finfo(float).eps * np.diag(a)
+    if low.any():
         raise NotPositiveDefinite(
-            f"Cholesky pivot at or below the singularity threshold {pivot_floor:.3e}"
+            f"Cholesky pivot {int(np.argmax(low))} at or below p * eps times its diagonal entry"
         )
     return lower
 
@@ -64,7 +66,7 @@ def spd_solver(a):
         If ``a`` fails the relative symmetry gate.
     NotPositiveDefinite
         If the factorization fails or a pivot falls at or below
-        p * eps * max-diagonal.
+        p * eps times its own diagonal entry.
     DimensionMismatch
         If ``a`` is not square, or (from the solver) if the leading
         dimension of ``b`` does not match.

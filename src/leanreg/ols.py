@@ -82,14 +82,16 @@ def fit_ols(data: Dataset) -> OlsFit:
     """Fit OLS by solving the empirical normal equations.
 
     Requires sigma_hat to be positive definite (hence n >= p); otherwise
-    raises SingularDesign, or NonFiniteValue when x'x overflows. No
-    rank-deficient fallback is attempted.
+    raises SingularDesign, or NonFiniteValue when x'x overflows or a column
+    that is not all zero has a mean square below the smallest normal double,
+    where its bits are lost. No rank-deficient fallback is attempted.
     """
     x, y = data.x, data.y
     n = data.n
     with np.errstate(over="ignore"):  # reported below, by name
         sigma_hat = x.T @ x / n
-    if not np.all(np.isfinite(sigma_hat)):
+    tiny = np.diag(sigma_hat) < np.finfo(float).tiny
+    if not np.all(np.isfinite(sigma_hat)) or (tiny.any() and np.any(x[:, tiny] != 0.0)):
         raise NonFiniteValue("design second-moment matrix is outside double range")
     gamma_hat = x.T @ y / n
     try:

@@ -11,6 +11,7 @@ from leanreg import (
     Dataset,
     Dgp,
     DimensionMismatch,
+    NonFiniteValue,
     NotPositiveDefinite,
     ZeroVariance,
     fit_ols,
@@ -289,6 +290,16 @@ class TestRegionRectangle:
         draws = run_bootstrap(fit, b=20, seed=0)
         with pytest.raises(ZeroVariance):
             region_rectangle(fit, draws, sandwich_avar(fit), alpha=0.05)
+
+    def test_non_finite_variance_is_named(self):
+        # x near 1e-150 and y near 1e6: the sandwich overflows to an infinite variance
+        x = np.array([[1.0], [2.0], [3.0], [4.0]]) * 1e-150
+        fit = fit_ols(Dataset(x=x, y=[1e6, 1e6 + 3.0, 1e6 - 1.0, 1e6 + 5.0]))
+        with np.errstate(over="ignore"):
+            var = sandwich_avar(fit)
+            draws = run_bootstrap(fit, b=20, seed=0)
+        with pytest.raises(NonFiniteValue, match="estimated variance is infinite or NaN"):
+            region_rectangle(fit, draws, var, alpha=0.05)
 
     def test_requires_sandwich_variance(self, het_fit):
         from leanreg import classical_avar

@@ -110,6 +110,15 @@ class TestReadCsv:
         with pytest.raises(NonNumericCell, match="'x'"):
             read_csv(str(path), "y")
 
+    @pytest.mark.parametrize("text", ['"x1\nfirst",y\n1,2\n2,abc\n', 'x1,y\n"1\n",2\n2,abc\n'],
+                             ids=["two-line-header", "two-line-cell"])
+    def test_a_row_is_named_by_the_line_it_ends_on(self, tmp_path, text):
+        path = tmp_path / "twoline.csv"
+        path.write_text(text)
+        with pytest.raises(NonNumericCell) as exc:
+            read_csv(str(path), "y")
+        assert str(exc.value) == f"{path}: cell 'abc' at row 4, column 'y' is not numeric"
+
     def test_overlong_row_rejected(self, tmp_path):
         from leanreg import NonNumericCell
 
@@ -168,7 +177,8 @@ def oracle_read_csv(path, response):
                 f"response column {response!r} must appear exactly once in header {header}"
             )
         table = []
-        for r, row in enumerate(reader, start=2):
+        for row in reader:
+            r = reader.line_num
             if all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(header):
@@ -275,7 +285,7 @@ def span_bounds(path):
     """``cli._span_bounds`` of ``path``, on a text stream past the header as read_csv reads it."""
     with open(path, newline="", encoding="utf-8-sig") as handle:
         next(csv.reader(iter(handle.readline, "")))
-        return cli._span_bounds(handle)
+        return cli._span_bounds(handle.fileno(), handle.tell())
 
 
 class TestReadCsvSpans:
@@ -840,6 +850,35 @@ class TestNonFiniteResults:
         assert json.loads(proc.stdout)["error"] == {
             "message": "design second-moment matrix is outside double range", "type": "NonFiniteValue",
         }
+
+    # x near 1e-150 and y near 1e6: the fit is finite, its standard errors overflow
+    TINY_X = "x,y\n1e-150,1000000\n2e-150,1000003\n3e-150,999999\n4e-150,1000005\n"
+
+    def test_result_overflow_is_named_by_report_json(self, tmp_path, capsys):
+        path = tmp_path / "tinyse.csv"
+        path.write_text(self.TINY_X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(["fit", "--data", str(path), "--response", "y"], capsys)
+        assert code == 4
+        assert json.loads(out)["error"] == {
+            "message": "the fit result holds an infinity or NaN", "type": "NonFiniteValue",
+        }
+
+    @pytest.mark.parametrize("args", [
+        ["fit"], ["test", "--coef", "0"], ["bootstrap", "--B", "50", "--seed", "1"],
+    ], ids=["fit", "test-coef", "bootstrap"])
+    def test_result_overflow_prints_no_numpy_warning(self, tmp_path, args):
+        # a fresh interpreter, so numpy warnings reach stderr as a user sees them
+        path = tmp_path / "tinyse.csv"
+        path.write_text(self.TINY_X)
+        proc = subprocess.run(
+            [sys.executable, "-m", "leanreg", *args, "--data", str(path), "--response", "y"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 4
+        assert "Warning" not in proc.stderr
+        assert json.loads(proc.stdout)["error"]["type"] == "NonFiniteValue"
 
 
 class TestCheckCommand:

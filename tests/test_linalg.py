@@ -59,6 +59,14 @@ class TestSolveSpd:
         with pytest.raises(NotPositiveDefinite):
             spd_solver(np.array([[1.0, 1.0], [1.0, 1.0]]))([1.0, 1.0])
 
+    def test_pivot_gate_is_relative_to_each_diagonal_entry(self):
+        # far apart diagonal entries are units, not singularity
+        np.testing.assert_array_equal(spd_solver(np.diag([1.0, 2.0**-100]))([1.0, 1.0]), [1.0, 2.0**100])
+        # numpy factors this one, with a last pivot of eps on a diagonal of 1 + eps
+        eps = np.finfo(float).eps
+        with pytest.raises(NotPositiveDefinite, match="pivot 1 at or below p \\* eps"):
+            spd_solver(np.array([[1.0, 1.0], [1.0, 1.0 + eps]]))
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(DimensionMismatch):
             spd_solver(np.ones((2, 3)))([1.0, 1.0])

@@ -1,4 +1,5 @@
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from leanreg import (
     Dataset,
     DimensionMismatch,
+    NonFiniteValue,
     SingularDesign,
     fit_ols,
     scores_at,
@@ -122,6 +124,73 @@ class TestFitOls:
         scaled = fit_ols(Dataset(x=tiny.x, y=3.5 * tiny.y))
         np.testing.assert_allclose(scaled.beta_hat, 3.5 * fit.beta_hat, rtol=1e-12)
         np.testing.assert_allclose(scaled.residuals, 3.5 * fit.residuals, rtol=1e-12)
+
+
+def exact_normal_equations(x, y):
+    """beta solving x'x beta = x'y for two columns, in exact rational arithmetic on the float data."""
+    xf = [[Fraction(v) for v in row] for row in x.tolist()]
+    yf = [Fraction(v) for v in y.tolist()]
+    s = [[sum(r[i] * r[j] for r in xf) for j in range(2)] for i in range(2)]
+    g = [sum(r[i] * v for r, v in zip(xf, yf)) for i in range(2)]
+    det = s[0][0] * s[1][1] - s[0][1] * s[1][0]
+    return [(g[0] * s[1][1] - s[0][1] * g[1]) / det, (s[0][0] * g[1] - g[0] * s[1][0]) / det]
+
+
+class TestSingularityGates:
+    def test_nearly_collinear_design_raises_at_the_pivot_gate(self):
+        # x'x / n is exact here, and numpy factors it with a last pivot of eps on a diagonal of 1
+        x = np.array([[1.0, 1.0]] * 3 + [[1.0, 1.0 + 2.0**-25]])
+        assert np.linalg.cholesky(x.T @ x / 4)[1, 1] ** 2 == np.finfo(float).eps
+        with pytest.raises(SingularDesign) as exc:
+            fit_ols(Dataset(x=x, y=[1.0, 2.0, 3.0, 4.0]))
+        assert str(exc.value.__cause__) == "Cholesky pivot 1 at or below p * eps times its diagonal entry"
+
+    @pytest.mark.parametrize("k", [20, 30, 60, -20, -30, -60])
+    def test_rescaling_a_column_by_a_power_of_two_rescales_only_its_coefficient(self, k):
+        rng = np.random.default_rng(9)
+        x = np.column_stack([np.ones(50), rng.random((50, 2))])
+        y = rng.standard_normal(50)
+        base = fit_ols(Dataset(x=x, y=y)).beta_hat
+        for j in range(3):
+            scaled = x.copy()
+            scaled[:, j] *= 2.0**k
+            expected = base.copy()
+            expected[j] *= 2.0**-k
+            assert fit_ols(Dataset(x=scaled, y=y)).beta_hat.tobytes() == expected.tobytes()
+
+    def test_unix_time_covariate_fits_the_exact_normal_equations(self):
+        # the time column's mean square is about 3e18 times the intercept's
+        rng = np.random.default_rng(8)
+        t = 1.7e9 + rng.uniform(0.0, 3.2e7, 200).round()
+        x = np.column_stack([np.ones(200), t])
+        y = 3.0 + 2e-7 * (t - 1.7e9) + rng.standard_normal(200)
+        beta = fit_ols(Dataset(x=x, y=y)).beta_hat
+        for got, want in zip(beta.tolist(), exact_normal_equations(x, y)):
+            assert abs(Fraction(got) - want) <= 1e-9 * abs(want)
+
+    def test_offset_design_still_raises(self):
+        # 1 - R^2 of the offset column on the intercept is about 1e-17, below 2 eps
+        u = np.random.default_rng(3).uniform(size=1000)
+        x = np.column_stack([np.ones(1000), 1e8 + u])
+        with pytest.raises(SingularDesign):
+            fit_ols(Dataset(x=x, y=2.0 * u))
+
+    @pytest.mark.parametrize("scale", [1e-158, 1e-160, 1e-161, 1e-200])
+    def test_subnormal_second_moment_raises(self, scale):
+        # the slope came back up to 1.3e-3 relative off, silently, before this gate
+        x = np.array([[1.0], [2.0], [3.0], [4.0]]) * scale
+        with pytest.raises(NonFiniteValue, match="design second-moment matrix is outside double range"):
+            fit_ols(Dataset(x=x, y=[1.0, 3.0, 2.0, 7.0]))
+
+    def test_normal_second_moment_near_the_floor_fits(self):
+        x = np.array([[1.0], [2.0], [3.0], [4.0]]) * 1e-150
+        beta = fit_ols(Dataset(x=x, y=[1.0, 3.0, 2.0, 7.0])).beta_hat[0]
+        assert beta == pytest.approx(41.0 / 30.0 * 1e150, rel=1e-14)
+
+    def test_all_zero_column_stays_singular(self):
+        x = np.column_stack([np.ones(4), np.zeros(4)])
+        with pytest.raises(SingularDesign):
+            fit_ols(Dataset(x=x, y=[1.0, 3.0, 2.0, 7.0]))
 
 
 class TestScoresAt:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from leanreg import (
     Dataset,
     DegenerateDof,
     Dgp,
+    NonFiniteValue,
     classical_avar,
     fit_ols,
     hc1_avar,
@@ -13,6 +16,7 @@ from leanreg import (
     sample,
     sandwich_avar,
 )
+from leanreg.variance import residual_variance
 
 
 @pytest.fixture
@@ -119,6 +123,15 @@ class TestClassicalAvar:
         fit = fit_ols(Dataset(x=[[1.0, 0.0], [0.0, 1.0]], y=[1.0, 2.0]))
         with pytest.raises(DegenerateDof):
             classical_avar(fit)
+
+    def test_residual_sum_of_squares_overflow_is_named(self):
+        # y near the top of double range: the squared residuals overflow
+        x = np.column_stack([np.ones(4), [1.0, 2.0, 3.0, 4.0]])
+        fit = fit_ols(Dataset(x=x, y=[1e200, -3e200, 2e200, 5e199]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match="residual sum of squares is outside double range"):
+                residual_variance(fit)
 
     def test_agrees_with_sandwich_under_homoscedasticity(self):
         # Monte Carlo oracle: correctly specified homoscedastic model at n=5000

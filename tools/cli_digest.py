@@ -9,6 +9,9 @@ one thread, and prints one line per command:
 
     <exit code> <sha256 of stdout> <command>
 
+and appends `` !warning`` to the line of a command whose stderr holds a
+Python warning.
+
 Commands run inside the temporary directory and name the CSVs by relative
 path, so the echoed configs, and so the digests, do not depend on where the
 directory is. A command that ends in ``< name`` gets that CSV's bytes on
@@ -40,7 +43,7 @@ DGPS = (
 
 
 def write_csvs(directory: pathlib.Path) -> None:
-    """Five CSVs, each from its own fixed seed; plus nineteen tiny, late, wide or huge edge cases."""
+    """Five CSVs, each from its own fixed seed; plus twenty-three tiny, late, wide or huge edge cases."""
     # small, wide and tall grow in size; resid is one where RSS / (n - p) and a
     # value decoded from the classical meat matrix differ in the last bit; spans
     # (about 10 MB) is over two of read_csv's 4 MiB span minimums, so a machine
@@ -97,6 +100,18 @@ def write_csvs(directory: pathlib.Path) -> None:
     # a 0-byte file, and one that holds only the response column
     (directory / "empty.csv").write_bytes(b"")
     (directory / "onlyy.csv").write_text("y\n1\n2\n3\n")
+    # a unix-time covariate, whose mean square is far from the intercept's; a
+    # covariate whose x'x is subnormal; one whose standard errors overflow; and
+    # a bad cell below a header over two lines, so its row is the file's fourth line
+    rng = np.random.default_rng(8)
+    times = 1.7e9 + rng.uniform(0.0, 3.2e7, 200).round()
+    y = 3.0 + 2e-7 * (times - 1.7e9) + rng.standard_normal(200)
+    epoch = "".join(f"{t:.0f},{v!r}\n" for t, v in zip(times.tolist(), y.tolist()))
+    (directory / "epoch.csv").write_text("unix_time,y\n" + epoch)
+    (directory / "tinyx.csv").write_text("x,y\n1e-160,1\n2e-160,3\n3e-160,2\n4e-160,7\n")
+    rows = "1e-150,1000000\n2e-150,1000003\n3e-150,999999\n4e-150,1000005\n"
+    (directory / "tinyse.csv").write_text("x,y\n" + rows)
+    (directory / "twoline.csv").write_text('"x1\nfirst",y\n1,2\n2,abc\n')
 
 
 def commands() -> list[list[str]]:
@@ -218,6 +233,14 @@ def commands() -> list[list[str]]:
         ["fit", "--data", "empty.csv", "--response", "y"],
         ["fit", "--data", "onlyy.csv", "--response", "y"],
     ]
+    # the singularity gate in other units, a subnormal x'x, a numpy overflow
+    # that must not warn, and a row named by its physical line
+    cmds += [
+        ["fit", "--data", "epoch.csv", "--response", "y", "--add-intercept"],
+        ["fit", "--data", "tinyx.csv", "--response", "y"],
+        ["fit", "--data", "twoline.csv", "--response", "y"],
+        ["test", "--data", "tinyse.csv", "--response", "y", "--coef", "0"],
+    ]
     return cmds
 
 
@@ -235,7 +258,8 @@ def main() -> int:
                 cwd=tmp,
             )
             digest = hashlib.sha256(proc.stdout).hexdigest()
-            print(f"{proc.returncode} {digest} {' '.join(cmd)}", flush=True)
+            flag = " !warning" if b"Warning: " in proc.stderr else ""
+            print(f"{proc.returncode} {digest} {' '.join(cmd)}{flag}", flush=True)
     return 0
 
 
