@@ -9,9 +9,11 @@ the observations themselves, so no bootstrap replicate ever has to solve a
 and the resampling statistic draws m score rows uniformly with replacement
 with m^{-1/2} scaling, which is the same sum with w_i the number of times
 row i was drawn. Conditional on the data, gaussian multiplier draws are
-exactly normal with covariance k_check, which is what makes them the
-default weight choice; rademacher weights (bounded, kurtosis 1 against the
-gaussian's 3) are offered as the lighter-tailed alternative.
+exactly normal with covariance k_check = S'S/n, which is what makes them the
+default weight choice. That law is also how they are drawn: with S = QR_s,
+t_star = z' R_s / sqrt(n) for a standard normal p-vector z, at O(p^2) per
+replicate rather than O(np). Rademacher weights (bounded, kurtosis 1 against
+the gaussian's 3) are offered as the lighter-tailed alternative.
 
 The resample size m alone picks the scheme: ``m=None`` gives the multiplier
 bootstrap with gaussian or rademacher weights, an integer m the m-of-n
@@ -33,8 +35,9 @@ from .ols import OlsFit
 from .variance import VarianceEstimate
 
 WEIGHT_DISTS = ("gaussian", "rademacher")
-# Each block of gaussian or m-of-n replicates holds at most about this many
-# weight or index entries, so peak memory does not grow with B on tall data.
+# Each block of rademacher or m-of-n replicates holds at most about this many
+# weight or index entries, so peak memory does not grow with B on tall data;
+# gaussian draws take no weights and no blocks.
 _BLOCK_ENTRIES = 2**20
 # A block of rademacher replicates is rounded up to a multiple of this many
 # rows: 32 * n bits is a whole number of the generator's 32-bit words at
@@ -80,15 +83,20 @@ def run_bootstrap(
 
     All replicates come, in order, from one ``np.random.default_rng(seed)``, so
     the output depends only on the seed, and fewer replicates are a prefix of
-    more. They are filled in blocks of rows as W @ scores_hat / sqrt(scale):
-    W holds multiplier weights (scale n) or, for the m-of-n bootstrap, how
-    often each score row is among m rows drawn with replacement (scale m).
-    The rademacher weights are the B x n sign matrix unpacked, most
-    significant bit first and row-major, from the generator's first
-    ceil(B*n/8) bytes: bit 1 is +1 and bit 0 is -1. Each block's product
+    more. Gaussian multiplier draws are Z @ R_s / sqrt(n), with Z the
+    generator's B x p standard normals, row-major, and R_s the triangular
+    factor of scores_hat from ``linalg.tsqr_r``: the product is p elementwise
+    multiply-adds of Z's columns into R_s's rows, in order, with no BLAS
+    call. The other draws are filled in blocks of rows as W @ scores_hat /
+    sqrt(scale): W holds rademacher weights (scale n) or, for the m-of-n
+    bootstrap, how often each score row is among m rows drawn with
+    replacement (scale m). The rademacher weights are the B x n sign matrix
+    unpacked, most significant bit first and row-major, from the generator's
+    first ceil(B*n/8) bytes: bit 1 is +1 and bit 0 is -1. Each block's product
     adds, in a fixed order, GEMM calls of 16 rows by 2**18 // (16 p)
     observations, which OpenBLAS runs on one thread; p = 1 scores get a zero
-    column, as numpy sends one column to GEMV or DOT, which thread sooner.
+    column, as numpy sends one column to GEMV or DOT, which thread sooner. So
+    no draw depends on the BLAS thread count.
     ``m=None`` runs the multiplier bootstrap with weight law ``dist``; an
     integer ``m`` runs the m-of-n bootstrap, which ignores ``dist`` and
     records ``dist=None``. m below n weakens the normal approximation.
@@ -102,13 +110,28 @@ def run_bootstrap(
         if m < 1:
             raise ValueError("resample size m must be >= 1")
 
+    rng = np.random.default_rng(seed)
+    if dist == "gaussian":
+        z = rng.standard_normal((b, fit.p))
+        r_s = linalg.tsqr_r(fit.scores_hat)
+        draws_t = np.zeros((b, fit.p))
+        for j in range(fit.p):
+            draws_t += z[:, j : j + 1] * r_s[j]
+        draws_t /= math.sqrt(fit.n)
+    else:
+        draws_t = _weighted_draws(fit, b, m, rng)
+    draws_u = fit.solve(draws_t.T).T
+    return BootstrapDraws(b=b, m=m, dist=dist, draws_t=draws_t, draws_u=draws_u)
+
+
+def _weighted_draws(fit: OlsFit, b: int, m: int | None, rng: np.random.Generator) -> np.ndarray:
+    """B draws W @ scores_hat / sqrt(m or n): rademacher weights for m=None, else m-of-n counts."""
     n = fit.n
     rows = max(1, _BLOCK_ENTRIES // max(n, m or n))
-    if dist == "rademacher":
+    if m is None:
         rows = -(-rows // _SIGN_BLOCK_ROWS) * _SIGN_BLOCK_ROWS
     scores = fit.scores_hat if fit.p > 1 else np.column_stack([fit.scores_hat, np.zeros(n)])
     cols = max(1, _CALL_MACS // (_CALL_ROWS * scores.shape[1]))
-    rng = np.random.default_rng(seed)
     draws_t = np.zeros((b, scores.shape[1]))
     for start in range(0, b, rows):
         k = min(rows, b - start)
@@ -117,8 +140,6 @@ def run_bootstrap(
             # shifting row r's indices by r * n lets one bincount count every row
             idx += n * np.arange(k)[:, None]
             w = np.bincount(idx.ravel(), minlength=k * n).reshape(k, n)
-        elif dist == "gaussian":
-            w = rng.standard_normal((k, n))
         else:
             bits = np.unpackbits(np.frombuffer(rng.bytes(-(-k * n // 8)), np.uint8), count=k * n)
             w = bits.reshape(k, n).view(np.int8)  # 0 and 1, mapped in place to -1 and +1
@@ -128,10 +149,7 @@ def run_bootstrap(
         for r in range(0, k, _CALL_ROWS):
             for o in range(0, n, cols):
                 block[r : r + _CALL_ROWS] += w[r : r + _CALL_ROWS, o : o + cols] @ scores[o : o + cols]
-    draws_t = draws_t[:, : fit.p] / math.sqrt(m or n)
-
-    draws_u = fit.solve(draws_t.T).T
-    return BootstrapDraws(b=b, m=m, dist=dist, draws_t=draws_t, draws_u=draws_u)
+    return draws_t[:, : fit.p] / math.sqrt(m or n)
 
 
 def _quantile_rank(b: int, alpha: float) -> int:

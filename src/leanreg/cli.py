@@ -483,7 +483,19 @@ def _cmd_simulate(config: RunConfig) -> tuple[dict, list]:
         b=config.b,
         weight_dist=config.weights,
     )
-    results = dataclasses.asdict(report)
+    results = {
+        "scenario": report.scenario,
+        "n": report.n,
+        "replications": report.replications,
+        "alpha": report.alpha,
+        "methods": report.methods,
+        "coverage": report.coverage,
+        "coverage_se": report.coverage_se,
+        "mean_width": report.mean_width,
+        "rejection_rate": report.rejection_rate,
+        "rejection_se": report.rejection_se,
+        "excluded": report.excluded,
+    }
     warnings = []
     if report.excluded:
         warnings.append(f"{report.excluded} replication(s) excluded for singular designs")

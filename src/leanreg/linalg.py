@@ -5,7 +5,8 @@ over speed, and refuse bad input loudly: asymmetric matrices are rejected
 rather than symmetrized, and near-singular SPD factorizations raise instead
 of falling back to a pseudo-inverse. Everything is numpy: an SPD solve is a
 Cholesky factorization followed by a p-step forward and back substitution
-over all right-hand-side columns at once.
+over all right-hand-side columns at once. The one routine for a tall n x p
+matrix, ``tsqr_r``, reduces it to its p x p triangular factor.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ from .exceptions import DimensionMismatch, NoConvergence, NonFiniteValue, NotPos
 
 # Relative symmetry gate: |a - a.T| must not exceed SYM_RTOL * max|a|.
 SYM_RTOL = 1e-10
+# tsqr_r factors blocks of this many rows: LAPACK's QR of a block of 256 to 16384 rows gives the
+# same bits at any OpenBLAS thread count, while a whole tall matrix or a 65536-row block does not
+TSQR_ROWS = 4096
 
 
 def _as_square_symmetric(a, name: str = "matrix") -> np.ndarray:
@@ -90,6 +94,23 @@ def _apply_factor(lower: np.ndarray, b) -> np.ndarray:
     for j in reversed(range(p)):
         x[j] = (x[j] - lower[j + 1 :, j] @ x[j + 1 :]) / lower[j, j]
     return x
+
+
+def tsqr_r(a) -> np.ndarray:
+    """The triangular factor R of a = QR (so R'R = a'a), by a fixed-block tall-skinny QR.
+
+    Each pass replaces ``a`` by the stacked R factors of its TSQR_ROWS-row
+    blocks, in order, until one block is left, whose R is returned: min(n, p)
+    rows by p columns. The blocks depend only on n, so the bits do not depend
+    on the BLAS thread count. A rank-deficient ``a`` (an all-zero one
+    included) is factored like any other; its R is singular.
+    """
+    a = np.asarray(a, dtype=float)
+    while True:
+        rs = [np.linalg.qr(a[i : i + TSQR_ROWS], mode="r") for i in range(0, a.shape[0], TSQR_ROWS)]
+        if len(rs) == 1:
+            return rs[0]
+        a = np.vstack(rs)
 
 
 def eig_sym_extremes(a) -> tuple[float, float]:

@@ -36,6 +36,7 @@ Replication r of any Monte Carlo run draws from
 
 from __future__ import annotations
 
+import array
 import functools
 import statistics
 from collections.abc import Callable
@@ -260,30 +261,79 @@ def sample(dgp: Dgp, n: int, rng_state) -> Dataset:
     return Dataset(x=np.column_stack([np.ones(n), u]), y=y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverageReport:
-    """Aggregated Monte Carlo results for one scenario.
+    """Aggregated Monte Carlo results for one scenario, kept as tallies.
 
-    ``coverage`` maps a method to per-coordinate coverage proportions for the
-    per-coordinate interval methods, or to a single joint proportion for the
-    region methods. Monte Carlo standard errors are sqrt(c (1-c) / R).
+    ``tallies`` holds, for each distinct method in ``methods`` in order, its
+    hit counts (p covered coordinates for an interval method, else one joint
+    region hit or null rejection) and then its width sums (p, or none for
+    the ellipsoid and the test). The rates are derived: ``coverage`` maps an
+    interval method to per-coordinate proportions and a region method to a
+    single joint one, ``rejection_rate`` maps the test to its rejection
+    proportion, and ``mean_width`` holds the mean widths. Monte Carlo
+    standard errors are sqrt(c (1-c) / R) over the R kept replications.
+    The tallies are an ``array.array`` of doubles, which, unlike an ndarray,
+    compares with ``==`` as a whole, so two reports do too.
     """
 
     scenario: str
     n: int
+    p: int
     replications: int
     alpha: float
     methods: tuple[str, ...]
-    coverage: dict = field(default_factory=dict)
-    coverage_se: dict = field(default_factory=dict)
-    mean_width: dict = field(default_factory=dict)
-    rejection_rate: dict = field(default_factory=dict)
-    rejection_se: dict = field(default_factory=dict)
+    tallies: array.array
     excluded: int = 0
+
+    @property
+    def coverage(self) -> dict:
+        return {m: c.tolist() for m, c in self._hit_rates().items() if m != "max_t_bootstrap"}
+
+    @property
+    def coverage_se(self) -> dict:
+        rates = self._hit_rates().items()
+        return {m: _mc_se(c, self._kept).tolist() for m, c in rates if m != "max_t_bootstrap"}
+
+    @property
+    def mean_width(self) -> dict:
+        layout = _tally_layout(self.methods, self.p).items()
+        return {m: self._per_kept(w).tolist() for m, (_, w) in layout if w.stop > w.start}
+
+    @property
+    def rejection_rate(self) -> dict:
+        return {m: float(c[0]) for m, c in self._hit_rates().items() if m == "max_t_bootstrap"}
+
+    @property
+    def rejection_se(self) -> dict:
+        rates = self._hit_rates().items()
+        return {m: float(_mc_se(c, self._kept)[0]) for m, c in rates if m == "max_t_bootstrap"}
+
+    @property
+    def _kept(self) -> int:
+        return self.replications - self.excluded
+
+    def _per_kept(self, part: slice) -> np.ndarray:
+        # a sum over kept replications divided by their count: np.mean's own reduction, so its bits
+        return np.frombuffer(self.tallies)[part] / self._kept
+
+    def _hit_rates(self) -> dict:
+        return {m: self._per_kept(hit) for m, (hit, _) in _tally_layout(self.methods, self.p).items()}
 
 
 def _mc_se(prop: np.ndarray, r: int) -> np.ndarray:
     return np.sqrt(prop * (1.0 - prop) / r)
+
+
+def _tally_layout(methods, p: int) -> dict:
+    """Each distinct method's slices of the tallies: its hit counts, then its width sums."""
+    layout, start = {}, 0
+    for m in dict.fromkeys(methods):
+        hits = p if m.endswith("_normal") else 1
+        widths = 0 if m in ("bootstrap_ellipsoid", "max_t_bootstrap") else p
+        layout[m] = slice(start, start + hits), slice(start + hits, start + hits + widths)
+        start += hits + widths
+    return layout
 
 
 def run_coverage(
@@ -321,10 +371,12 @@ def run_coverage(
     needs_boot = any(m.startswith("bootstrap") or m == "max_t_bootstrap" for m in methods)
     needs_sandwich = needs_boot or "sandwich_normal" in methods
 
-    # per method, one entry per kept replication: covered coordinates (or the
-    # joint region, or a rejection of the true null) and interval widths
-    hits = {m: [] for m in methods}
-    widths = {m: [] for m in hits if m not in ("bootstrap_ellipsoid", "max_t_bootstrap")}
+    # per distinct method, summed over kept replications into views of one array:
+    # covered coordinates (or the joint region, or a rejection of the true null),
+    # then interval widths
+    layout = _tally_layout(methods, dgp.p)
+    tallies = np.zeros(max((width.stop for _, width in layout.values()), default=0))
+    sums = {m: (tallies[hit], tallies[width]) for m, (hit, width) in layout.items()}
     excluded = 0
     for r in range(replications):
         try:
@@ -334,47 +386,31 @@ def run_coverage(
             continue
         var_s = sandwich_avar(fit) if needs_sandwich else None
         draws = run_bootstrap(fit, b=b, dist=weight_dist, seed=(seed, r, 1)) if needs_boot else None
-        for m in hits:
+        for m, (hits, widths) in sums.items():
             if m in ("classical_normal", "sandwich_normal"):
                 var = classical_avar(fit) if m == "classical_normal" else var_s
-                hits[m].append(np.abs(fit.beta_hat - beta_n) <= z * var.se)
-                widths[m].append(2.0 * z * var.se)
+                hits += np.abs(fit.beta_hat - beta_n) <= z * var.se
+                widths += 2.0 * z * var.se
             elif m == "bootstrap_rectangle":
                 reg = region_rectangle(fit, draws, var_s, alpha)
-                hits[m].append([reg.contains(beta_n)])
-                widths[m].append(2.0 * reg.half_widths)
+                hits += reg.contains(beta_n)
+                widths += 2.0 * reg.half_widths
             elif m == "bootstrap_ellipsoid":
-                hits[m].append([region_ellipsoid(fit, draws, var_s, alpha).contains(beta_n)])
+                hits += region_ellipsoid(fit, draws, var_s, alpha).contains(beta_n)
             else:  # max_t_bootstrap
                 res = max_t_test(fit, var_s, beta_n, reference="bootstrap", draws=draws)
-                hits[m].append(res.p_value <= alpha)
-    r_eff = replications - excluded
-    if not r_eff:
+                hits += res.p_value <= alpha
+    if excluded == replications:
         raise SingularDesign("every replication produced a singular design")
-
-    coverage, coverage_se, mean_width, rejection, rejection_se = {}, {}, {}, {}, {}
-    for m in hits:
-        prop = np.mean(np.array(hits[m], dtype=float), axis=0)
-        if m == "max_t_bootstrap":
-            rejection[m] = float(prop)
-            rejection_se[m] = float(_mc_se(prop, r_eff))
-        else:
-            coverage[m] = [float(c) for c in prop]
-            coverage_se[m] = [float(s) for s in _mc_se(prop, r_eff)]
-    for m in widths:
-        mean_width[m] = [float(w) for w in np.mean(widths[m], axis=0)]
 
     return CoverageReport(
         scenario=dgp.kind,
         n=n,
+        p=dgp.p,
         replications=replications,
         alpha=alpha,
         methods=methods,
-        coverage=coverage,
-        coverage_se=coverage_se,
-        mean_width=mean_width,
-        rejection_rate=rejection,
-        rejection_se=rejection_se,
+        tallies=array.array("d", tallies.tobytes()),
         excluded=excluded,
     )
 

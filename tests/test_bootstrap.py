@@ -1,3 +1,4 @@
+import math
 import os
 import pickle
 import subprocess
@@ -16,11 +17,13 @@ from leanreg import (
     ZeroVariance,
     fit_ols,
     k_check,
+    linalg,
     region_ellipsoid,
     region_rectangle,
     run_bootstrap,
     sample,
     sandwich_avar,
+    spd_solver,
 )
 
 
@@ -51,22 +54,33 @@ def packed_signs(rng, k, n):
     return bits.reshape(k, n) * 2.0 - 1.0
 
 
-def weights_oracle(fit, b, dist, seed):
-    """W regenerated from a single generator keyed by the seed, as one matrix."""
-    rng = np.random.default_rng(seed)
-    if dist == "gaussian":
-        return rng.standard_normal((b, fit.n))
-    return packed_signs(rng, b, fit.n)
+def normals(b, p, seed):
+    """Z, the B x p standard normals of the generator keyed by the seed."""
+    return np.random.default_rng(seed).standard_normal((b, p))
 
 
 class TestMultiplierDraw:
-    @pytest.mark.parametrize("dist", ["gaussian", "rademacher"])
+    @pytest.mark.parametrize("dist", ["rademacher"])
     def test_explicit_sum_oracle(self, het_fit, dist):
         draws = run_bootstrap(het_fit, b=300, dist=dist, seed=77)
-        w = weights_oracle(het_fit, 300, dist, 77)
+        w = packed_signs(np.random.default_rng(77), 300, het_fit.n)
         np.testing.assert_allclose(
             draws.draws_t, w @ het_fit.scores_hat / np.sqrt(het_fit.n), rtol=1e-12, atol=1e-14
         )
+
+    @pytest.mark.parametrize("b", [1, 300])
+    def test_gaussian_draws_are_normals_times_the_score_qr(self, het_fit, b):
+        # n <= 4096 rows are one TSQR block, so R_s is LAPACK's R of the scores themselves
+        draws = run_bootstrap(het_fit, b=b, seed=77)
+        r_s = np.linalg.qr(het_fit.scores_hat, mode="r")
+        np.testing.assert_allclose(draws.draws_t * np.sqrt(het_fit.n), normals(b, 2, 77) @ r_s, rtol=1e-12)
+
+    def test_gaussian_prefix_is_exact(self, het_fit, tall_fit):
+        # replicate b is row b of Z times R_s, whatever B is
+        for fit in (het_fit, tall_fit):
+            short = run_bootstrap(fit, b=10, seed=31)
+            long = run_bootstrap(fit, b=1000, seed=31)
+            np.testing.assert_array_equal(short.draws_t, long.draws_t[:10])
 
     def test_rademacher_draws_are_signed_score_sums(self, het_fit):
         draws = run_bootstrap(het_fit, b=50, dist="rademacher", seed=5)
@@ -103,20 +117,37 @@ class TestMultiplierDraw:
             # same weights; only the product's rounding may depend on the shape
             np.testing.assert_allclose(short.draws_t, long.draws_t[:10], rtol=1e-13, atol=atol)
 
-    @pytest.mark.parametrize("dist", ["gaussian", "rademacher"])
-    def test_blocks_match_single_matrix_oracle(self, dist):
-        # 3e5 rows put 3 gaussian replicates in a block, so B=7 spans three blocks;
-        # the one-covariate fit takes the zero-column path that keeps p = 1 on GEMM
+    @staticmethod
+    def tall_fits():
         n = 300_000
         rng = np.random.default_rng(50)
         x = np.column_stack([np.ones(n), rng.uniform(size=n)])
         y = x[:, 1] ** 2 + 0.1 * rng.standard_normal(n)
-        for fit in (fit_ols(Dataset(x=x, y=y)), fit_ols(Dataset(x=x[:, 1:], y=y))):
+        return fit_ols(Dataset(x=x, y=y)), fit_ols(Dataset(x=x[:, 1:], y=y))
+
+    @pytest.mark.parametrize("dist", ["rademacher"])
+    def test_blocks_match_single_matrix_oracle(self, dist):
+        # 3e5 rows put 32 rademacher replicates in a block; the one-covariate
+        # fit takes the zero-column path that keeps p = 1 on GEMM
+        for fit in self.tall_fits():
             draws = run_bootstrap(fit, b=7, dist=dist, seed=8)
-            w = weights_oracle(fit, 7, dist, 8)
+            w = packed_signs(np.random.default_rng(8), 7, fit.n)
             assert draws.draws_t.shape == (7, fit.p)
             np.testing.assert_allclose(
-                draws.draws_t, w @ fit.scores_hat / np.sqrt(n), rtol=1e-10, atol=1e-12
+                draws.draws_t, w @ fit.scores_hat / np.sqrt(fit.n), rtol=1e-10, atol=1e-12
+            )
+
+    def test_tall_gaussian_draws_match_whole_matrix_qr(self):
+        # 3e5 rows take two TSQR passes; R'R = S'S pins R_s up to the signs of its
+        # rows, so a whole-matrix QR with its rows' signs matched is an oracle
+        for fit in self.tall_fits():
+            draws = run_bootstrap(fit, b=7, seed=8)
+            r_s = linalg.tsqr_r(fit.scores_hat)
+            r = np.linalg.qr(fit.scores_hat, mode="r")
+            r *= np.sign(np.diag(r_s) / np.diag(r))[:, None]
+            assert draws.draws_t.shape == (7, fit.p)
+            np.testing.assert_allclose(
+                draws.draws_t, normals(7, fit.p, 8) @ r / np.sqrt(fit.n), rtol=1e-10, atol=1e-12
             )
 
     def test_rademacher_blocks_are_one_sign_matrix(self):
@@ -130,24 +161,29 @@ class TestMultiplierDraw:
         fit = fit_ols(Dataset(x=x, y=x[:, 1] ** 2 + 0.1 * rng.standard_normal(n)))
         for b in (25, 33, 70):
             draws = run_bootstrap(fit, b=b, dist="rademacher", seed=8)
-            w = weights_oracle(fit, b, "rademacher", 8)
+            w = packed_signs(np.random.default_rng(8), b, n)
             np.testing.assert_allclose(
                 draws.draws_t, w @ fit.scores_hat / np.sqrt(n), rtol=1e-10, atol=1e-12
             )
 
 
 def test_tall_draws_do_not_depend_on_blas_threads(tmp_path):
-    # every product is 16-row GEMM calls of at most 2**18 multiply-adds, which OpenBLAS
-    # runs on one thread: so at n=2e5, at moderate shapes that one GEMM per block would
-    # thread, and at p=1, which would go to GEMV or DOT without its zero column
+    # every weighted product is 16-row GEMM calls of at most 2**18 multiply-adds, which
+    # OpenBLAS runs on one thread: so at n=2e5, at moderate shapes that one GEMM per block
+    # would thread, and at p=1, which would go to GEMV or DOT without its zero column.
+    # Gaussian draws are 4096-row QR blocks (two passes at 2e5 rows) and no BLAS product,
+    # at any B
     runs = []
-    for n, p in ((200_000, 11), (1000, 5), (3000, 13), (2000, 40), (20_000, 1)):
+    for n, p in ((200_000, 11), (1000, 5), (3000, 13), (2000, 40), (20_000, 1), (20_000, 40)):
         rng = np.random.default_rng(52 + p)
         x = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
         y = x @ np.linspace(-1.0, 1.0, p) + (1.0 + np.abs(x[:, -1])) * rng.standard_normal(n)
         fit = fit_ols(Dataset(x=x, y=y))
+        runs += [(fit, dict(b=b)) for b in (1, 12, 17, 40, 300, 5000)]
+        if (n, p) == (20_000, 40):
+            continue
         for b in (40, 12) if n == 200_000 else (1, 17, 300):
-            runs += [(fit, dict(b=b)), (fit, dict(b=b, dist="rademacher")), (fit, dict(b=b, m=n))]
+            runs += [(fit, dict(b=b, dist="rademacher")), (fit, dict(b=b, m=n))]
     path = tmp_path / "runs.pkl"
     path.write_bytes(pickle.dumps(runs))
     code = (
@@ -188,6 +224,21 @@ class TestResampleDraw:
 
 
 class TestRunBootstrap:
+    def test_exact_fit_gives_zero_gaussian_draws(self):
+        # all-zero scores factor to R_s = 0; the regions, not the draws, refuse them
+        draws = run_bootstrap(perfect_fit(), b=20, seed=0)
+        assert np.all(draws.draws_t == 0.0)
+        assert np.all(draws.draws_u == 0.0)
+
+    def test_gaussian_second_moment_is_k_check_within_mc_se(self, het_fit):
+        # given the data the draws are N(0, k_check): entry (j, k) of t t' has mean
+        # k_jk and variance k_jj k_kk + k_jk^2
+        b = 20_000
+        t = run_bootstrap(het_fit, b=b, seed=61).draws_t
+        kmat = k_check(het_fit)
+        se = np.sqrt((np.outer(np.diag(kmat), np.diag(kmat)) + kmat**2) / b)
+        assert np.all(np.abs(t.T @ t / b - kmat) <= 4.0 * se)
+
     @pytest.mark.parametrize(
         "kwargs",
         [{"dist": "mammen"}, {"b": 0}, {"m": 0}],
@@ -325,6 +376,18 @@ class TestRegionRectangle:
 
 
 class TestRegionEllipsoid:
+    def test_gaussian_statistic_is_data_free(self, het_fit, tall_fit):
+        # t_b = z_b' R_s / sqrt(n) and k_check = R_s' R_s / n make t_b' k_check^-1 t_b
+        # equal ||z_b||^2, so two datasets drawn with one seed share every statistic
+        z2 = (normals(500, 2, 25) ** 2).sum(axis=1)
+        for fit in (het_fit, tall_fit):
+            draws = run_bootstrap(fit, b=500, seed=25)
+            var = sandwich_avar(fit)
+            q = np.einsum("bi,ib->b", draws.draws_t, spd_solver(var.meat)(draws.draws_t.T))
+            np.testing.assert_allclose(q, z2, rtol=1e-9)
+            radius = region_ellipsoid(fit, draws, var, alpha=0.05).radius
+            assert radius == pytest.approx(np.sort(z2)[math.ceil(0.95 * 501) - 1], rel=1e-9)
+
     def test_radius_matches_chi2_quantile(self, het_fit):
         draws = run_bootstrap(het_fit, b=10_000, seed=21)
         region = region_ellipsoid(het_fit, draws, sandwich_avar(het_fit), alpha=0.05)

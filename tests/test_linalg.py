@@ -14,6 +14,7 @@ from leanreg import (
     NotPositiveDefinite,
     NotSymmetric,
     eig_sym_extremes,
+    linalg,
     op_norm,
     psd_leq,
     spd_solver,
@@ -157,6 +158,36 @@ class TestSpdSolverOracle:
             assert proc.returncode == 0, proc.stderr
             digests.add(proc.stdout.strip())
         assert len(digests) == 1
+
+
+class TestTsqrR:
+    def test_blocks_are_4096_rows(self):
+        # one block is one LAPACK QR; one row past it is the R of the two blocks' stacked R factors
+        rng = np.random.default_rng(60)
+        a = rng.standard_normal((4097, 5))
+        assert linalg.TSQR_ROWS == 4096
+        np.testing.assert_array_equal(linalg.tsqr_r(a[:4096]), np.linalg.qr(a[:4096], mode="r"))
+        stacked = np.vstack([np.linalg.qr(a[:4096], mode="r"), np.linalg.qr(a[4096:], mode="r")])
+        np.testing.assert_array_equal(linalg.tsqr_r(a), np.linalg.qr(stacked, mode="r"))
+
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 200_000])
+    @pytest.mark.parametrize("p", [1, 3, 11])
+    def test_gram_matches_exact_oracle(self, n, p):
+        # small integers make a'a exact in floating point
+        rng = np.random.default_rng(n + p)
+        a = rng.integers(-50, 50, (n, p)).astype(float)
+        a[:, 0] = 1.0
+        r = linalg.tsqr_r(a)
+        assert r.shape == (min(n, p), p)
+        assert np.all(r[np.tril_indices(r.shape[0], -1, p)] == 0.0)
+        tol = 16 * np.finfo(float).eps * np.linalg.norm(a, 2) ** 2
+        assert np.abs(r.T @ r - a.T @ a).max() <= tol
+
+    def test_zero_matrix_gives_zero_factor(self):
+        r = linalg.tsqr_r(np.zeros((5000, 3)))
+        assert r.shape == (3, 3)
+        assert np.all(r == 0.0)
+
 
 class TestEigSymExtremes:
     def test_diagonal(self):

@@ -479,6 +479,33 @@ class TestRunCoverage:
             if f.name != "methods":
                 assert getattr(twice, f.name) == getattr(once, f.name), f.name
 
+    def test_derived_fields_keep_their_bits(self):
+        # literal values of a report that kept one entry per replication and averaged
+        # by np.mean; the tallies' sum / count must give the same doubles (at R=47,
+        # multiplying by 1/R in place of dividing would change three of them)
+        rep = run_coverage(
+            Dgp("heteroscedastic_iid"), n=60, replications=47, methods=simlab.COVERAGE_METHODS,
+            alpha=0.1, seed=5, b=100, weight_dist="rademacher",
+        )
+        # c_k is k / 47 hits and se_k its Monte Carlo standard error
+        c_40, c_41, c_42 = 0.851063829787234, 0.8723404255319149, 0.8936170212765957
+        se_40, se_41, se_42 = 0.05193166283277496, 0.04867665951114657, 0.044974139273951275
+        assert rep.coverage == {
+            "classical_normal": [c_40, c_41], "sandwich_normal": [c_42, c_41],
+            "bootstrap_rectangle": [c_41], "bootstrap_ellipsoid": [c_40],
+        }
+        assert rep.coverage_se == {
+            "classical_normal": [se_40, se_41], "sandwich_normal": [se_42, se_41],
+            "bootstrap_rectangle": [se_41], "bootstrap_ellipsoid": [se_40],
+        }
+        assert rep.mean_width == {
+            "classical_normal": [0.4015849096088345, 0.6882833449501133],
+            "sandwich_normal": [0.4579910402477269, 0.8165538882711206],
+            "bootstrap_rectangle": [0.4918960597056947, 0.8768973721586536],
+        }
+        assert rep.rejection_rate == {"max_t_bootstrap": 0.1276595744680851}
+        assert rep.rejection_se == {"max_t_bootstrap": 0.04867665951114658}
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             run_coverage(Dgp("quadratic_mean_iid"), 50, 2, ("pairs_bootstrap",), 0.05, 0)
