@@ -5,8 +5,11 @@ over speed, and refuse bad input loudly: asymmetric matrices are rejected
 rather than symmetrized, and near-singular SPD factorizations raise instead
 of falling back to a pseudo-inverse. Everything is numpy: an SPD solve is a
 Cholesky factorization followed by a p-step forward and back substitution
-over all right-hand-side columns at once. The one routine for a tall n x p
-matrix, ``tsqr_r``, reduces it to its p x p triangular factor.
+over all right-hand-side columns at once. The factorization and the
+substitution also run on stacks (..., p, p) of matrices, with the gates
+reported per matrix; each matrix of a stack gets the bits it gets alone.
+The one routine for a tall n x p matrix, ``tsqr_r``, reduces it to its
+p x p triangular factor.
 """
 
 from __future__ import annotations
@@ -36,26 +39,43 @@ def _as_square_symmetric(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _cholesky_spd(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a, with an explicit near-singularity gate.
+def _cholesky_spd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a, one (p, p) matrix or a stack (..., p, p), each gated.
 
     The pivot at step j of a Cholesky factorization is L[j, j]**2; any pivot
     at or below p * eps * a[j, j] marks the matrix as numerically not
-    positive definite and raises. For a = x'x the ratio L[j, j]**2 / a[j, j]
-    is 1 - R^2 (uncentered) of column j on the earlier columns, so the units
-    of a column do not move the gate.
+    positive definite. For a = x'x the ratio L[j, j]**2 / a[j, j] is 1 - R^2
+    (uncentered) of column j on the earlier columns, so the units of a
+    column do not move the gate.
+
+    Returns ``(lower, pivot)``, with ``pivot`` of the stack's shape: -1 for a
+    matrix that passes, the index of its first low pivot, or p where the
+    factorization itself failed. A failed matrix's factor is the identity, so
+    the rest of the stack still solves; ``_not_positive_definite`` names the
+    failure.
     """
-    p = a.shape[0]
+    p = a.shape[-1]
     try:
-        lower = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("Cholesky factorization failed") from exc
-    low = np.diag(lower) ** 2 <= p * np.finfo(float).eps * np.diag(a)
-    if low.any():
-        raise NotPositiveDefinite(
-            f"Cholesky pivot {int(np.argmax(low))} at or below p * eps times its diagonal entry"
-        )
-    return lower
+        lower, failed = np.linalg.cholesky(a), False
+    except np.linalg.LinAlgError:
+        # LAPACK factors each matrix alone, so refactoring them one by one gives the same bits
+        lower, failed = np.empty_like(a), np.zeros(a.shape[:-2], dtype=bool)
+        for i in np.ndindex(failed.shape):
+            try:
+                lower[i] = np.linalg.cholesky(a[i])
+            except np.linalg.LinAlgError:
+                lower[i], failed[i] = np.eye(p), True
+    diag_l, diag_a = (np.diagonal(m, axis1=-2, axis2=-1) for m in (lower, a))
+    low = diag_l**2 <= p * np.finfo(float).eps * diag_a
+    pivot = np.where(low.any(axis=-1), np.argmax(low, axis=-1), -1)
+    return lower, np.where(failed, p, pivot)
+
+
+def _not_positive_definite(pivot: int, p: int) -> NotPositiveDefinite:
+    """The error for a matrix whose ``_cholesky_spd`` pivot is ``pivot`` (>= 0)."""
+    if pivot == p:
+        return NotPositiveDefinite("Cholesky factorization failed")
+    return NotPositiveDefinite(f"Cholesky pivot {pivot} at or below p * eps times its diagonal entry")
 
 
 def spd_solver(a):
@@ -76,23 +96,42 @@ def spd_solver(a):
         dimension of ``b`` does not match.
     """
     a = _as_square_symmetric(a, "a")
+    lower, pivot = _cholesky_spd(a)
+    if pivot >= 0:
+        raise _not_positive_definite(int(pivot), a.shape[0])
     # a partial of a module function, unlike a closure, pickles with the fit
-    return functools.partial(_apply_factor, _cholesky_spd(a))
+    return functools.partial(_apply_factor, lower)
 
 
 def _apply_factor(lower: np.ndarray, b) -> np.ndarray:
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != lower.shape[0]:
-        raise DimensionMismatch(f"b has leading dimension {b.shape[0]}, expected {lower.shape[0]}")
+    """x with lower lower' x = b, for one factor (p, p) or a stack of them (..., p, p).
+
+    With one factor, ``b`` is a vector or a matrix of right-hand-side columns
+    with leading dimension p; with a stack, ``b`` is (..., p, k), one matrix
+    of columns per factor.
+    """
     # forward substitution lower z = b, then back substitution lower' x = z,
     # one row of every right-hand-side column per step; the C-order copy keeps
-    # b unmutated and makes the bits independent of its memory layout
-    x = np.array(b, order="C")
-    p = lower.shape[0]
+    # b unmutated and makes the bits independent of its memory layout. Each
+    # row's sum is one matmul per item, a BLAS dot or gemv whatever the stack;
+    # the first step of each pass has no sum, and x - 0 would be x
+    x = np.array(b, dtype=float, order="C")
+    p = lower.shape[-1]
+    rows = x.shape[0] if lower.ndim == 2 else x.shape[-2]
+    if rows != p:
+        raise DimensionMismatch(f"b has leading dimension {rows}, expected {p}")
+    xs = x.reshape(p, -1) if lower.ndim == 2 else x
+    upper = lower.swapaxes(-1, -2)
     for j in range(p):
-        x[j] = (x[j] - lower[j, :j] @ x[:j]) / lower[j, j]
+        row = xs[..., j : j + 1, :]
+        if j > 0:
+            row -= lower[..., j : j + 1, :j] @ xs[..., :j, :]
+        row /= lower[..., j : j + 1, j : j + 1]
     for j in reversed(range(p)):
-        x[j] = (x[j] - lower[j + 1 :, j] @ x[j + 1 :]) / lower[j, j]
+        row = xs[..., j : j + 1, :]
+        if j < p - 1:
+            row -= upper[..., j : j + 1, j + 1 :] @ xs[..., j + 1 :, :]
+        row /= lower[..., j : j + 1, j : j + 1]
     return x
 
 

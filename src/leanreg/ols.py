@@ -12,13 +12,15 @@ column themselves (the CLI offers a flag for this).
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .exceptions import DimensionMismatch, NonFiniteValue, NotPositiveDefinite, SingularDesign
+from .exceptions import DimensionMismatch, NonFiniteValue, SingularDesign
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,72 @@ class OlsFit:
     solve: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
 
+class _Fits(NamedTuple):
+    """Normal-equation fits over leading stack axes, from ``_fit_stack``.
+
+    ``out_of_range`` and ``pivot`` hold fit_ols's two gates per item: x'x
+    outside double range, and ``linalg._cholesky_spd``'s pivot of sigma_hat
+    (-1 where it passes). An item that fails either carries placeholder
+    values in the other fields.
+    """
+
+    sigma_hat: np.ndarray
+    gamma_hat: np.ndarray
+    lower: np.ndarray
+    beta_hat: np.ndarray
+    residuals: np.ndarray
+    out_of_range: np.ndarray
+    pivot: np.ndarray
+
+    @property
+    def failed(self) -> np.ndarray:
+        """Whether each item fails a gate, as fit_ols would raise for it."""
+        return self.out_of_range | (self.pivot >= 0)
+
+    @property
+    def solve(self) -> Callable[[np.ndarray], np.ndarray]:
+        """b -> sigma_hat^-1 b, with b of shape (..., p, k) over the stack."""
+        return functools.partial(linalg._apply_factor, self.lower)
+
+    def fit(self, index, data: Dataset) -> OlsFit:
+        """The OlsFit of item ``index``, whose dataset is ``data``; the caller has checked its gates."""
+        residuals = self.residuals[index]
+        return OlsFit(
+            beta_hat=self.beta_hat[index],
+            sigma_hat=self.sigma_hat[index],
+            gamma_hat=self.gamma_hat[index],
+            residuals=residuals,
+            scores_hat=data.x * residuals[:, None],
+            n=data.n,
+            p=data.p,
+            data=data,
+            solve=functools.partial(linalg._apply_factor, self.lower[index]),
+        )
+
+
+def _fit_stack(x: np.ndarray, y: np.ndarray) -> _Fits:
+    """Solve the empirical normal equations for x (..., n, p) and y (..., n).
+
+    Every item gets the matmul, factorization and substitution calls it gets
+    alone, so its bits do not depend on the stack. The gates are reported,
+    not raised.
+    """
+    n = x.shape[-2]
+    xt = x.swapaxes(-1, -2)
+    # an item that fails a gate carries placeholder values on, so its numpy warnings are dropped
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma_hat = xt @ x / n
+        tiny = np.diagonal(sigma_hat, axis1=-2, axis2=-1) < np.finfo(float).tiny
+        out_of_range = ~np.isfinite(sigma_hat).all(axis=(-2, -1))
+        if tiny.any():
+            out_of_range |= (tiny[..., None, :] & (x != 0.0)).any(axis=(-2, -1))
+        gamma_hat = (xt @ y[..., None])[..., 0] / n
+        lower, pivot = linalg._cholesky_spd(sigma_hat)
+        beta_hat = linalg._apply_factor(lower, gamma_hat[..., None])[..., 0]
+        residuals = y - (x @ beta_hat[..., None])[..., 0]
+    return _Fits(sigma_hat, gamma_hat, lower, beta_hat, residuals, out_of_range, pivot)
+
+
 def fit_ols(data: Dataset) -> OlsFit:
     """Fit OLS by solving the empirical normal equations.
 
@@ -86,31 +154,13 @@ def fit_ols(data: Dataset) -> OlsFit:
     that is not all zero has a mean square below the smallest normal double,
     where its bits are lost. No rank-deficient fallback is attempted.
     """
-    x, y = data.x, data.y
-    n = data.n
-    with np.errstate(over="ignore"):  # reported below, by name
-        sigma_hat = x.T @ x / n
-    tiny = np.diag(sigma_hat) < np.finfo(float).tiny
-    if not np.all(np.isfinite(sigma_hat)) or (tiny.any() and np.any(x[:, tiny] != 0.0)):
+    fits = _fit_stack(data.x, data.y)
+    if fits.out_of_range:
         raise NonFiniteValue("design second-moment matrix is outside double range")
-    gamma_hat = x.T @ y / n
-    try:
-        solve = linalg.spd_solver(sigma_hat)
-    except NotPositiveDefinite as exc:
-        raise SingularDesign("design second-moment matrix is not positive definite") from exc
-    beta_hat = solve(gamma_hat)
-    residuals = y - x @ beta_hat
-    return OlsFit(
-        beta_hat=beta_hat,
-        sigma_hat=sigma_hat,
-        gamma_hat=gamma_hat,
-        residuals=residuals,
-        scores_hat=x * residuals[:, None],
-        n=n,
-        p=data.p,
-        data=data,
-        solve=solve,
-    )
+    if fits.pivot >= 0:
+        cause = linalg._not_positive_definite(int(fits.pivot), data.p)
+        raise SingularDesign("design second-moment matrix is not positive definite") from cause
+    return fits.fit((), data)
 
 
 def scores_at(data: Dataset, beta) -> np.ndarray:

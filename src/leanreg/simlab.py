@@ -32,6 +32,13 @@ noise alone; k_n_star adds the mean's misfit to the linear target.
 
 Replication r of any Monte Carlo run draws from
 ``np.random.default_rng((seed, r))``, so reports depend only on the seed.
+The Monte Carlo runs fit their replications in stacks: each replication is
+sampled alone, into buffers of about STACK_ENTRIES design entries (n * p),
+and one call of the fit, meat and sandwich kernels serves the whole stack.
+Those kernels make the same BLAS and LAPACK call for each item of a stack
+as for a fit on its own, and the per-replication rows are tallied in
+replication order, so a report keeps its bits whatever the stack size; the
+budget only bounds the memory the buffers take.
 """
 
 from __future__ import annotations
@@ -50,8 +57,18 @@ from . import linalg
 from .bootstrap import WEIGHT_DISTS, region_ellipsoid, region_rectangle, run_bootstrap
 from .exceptions import DimensionMismatch, SingularDesign
 from .inference import max_t_test
-from .ols import Dataset, fit_ols, scores_at
-from .variance import classical_avar, sandwich_avar
+from .ols import Dataset, _fit_stack, fit_ols, scores_at
+from .variance import (
+    SANDWICH_HC0,
+    VarianceEstimate,
+    _classical_avar,
+    _k_check,
+    _residual_variance,
+    _sandwich_avar,
+    _se,
+    k_check,
+    residual_variance,
+)
 
 _DEFAULT_NOISE = {
     "linear_homoscedastic": 1.0,
@@ -62,6 +79,10 @@ _DEFAULT_NOISE = {
 }
 
 DGP_KINDS = tuple(_DEFAULT_NOISE)
+
+# design entries (n * p) per stack of Monte Carlo replications: 16 replications at n=500, p=2;
+# the stack's buffers and temporaries grow with it, and the reports do not depend on it
+STACK_ENTRIES = 1 << 14
 
 COVERAGE_METHODS = (
     "classical_normal",
@@ -336,6 +357,40 @@ def _tally_layout(methods, p: int) -> dict:
     return layout
 
 
+def _sample_stacks(dgp: Dgp, n: int, keys: list):
+    """Draw ``sample(dgp, n, key)`` for each key in order, and yield them a stack at a time.
+
+    Yields ``(start, datasets, x, y)``: the index of the stack's first key,
+    its datasets, and their designs and responses as (m, n, p) and (m, n)
+    views of buffers reused from stack to stack. A stack holds about
+    STACK_ENTRIES design entries. A ``ValueError`` from ``sample`` (a
+    non-finite draw) ends the stacks: the datasets drawn before it are
+    yielded first and the error raised after, as a loop over the keys would
+    reach it.
+    """
+    size = max(1, min(len(keys), STACK_ENTRIES // (n * dgp.p)))
+    xs, ys = np.empty((size, n, dgp.p)), np.empty((size, n))
+    for start in range(0, len(keys), size):
+        datasets, failure = [], None
+        for key in keys[start : start + size]:
+            try:
+                data = sample(dgp, n, key)
+            except ValueError as exc:
+                failure = exc
+                break
+            xs[len(datasets)], ys[len(datasets)] = data.x, data.y
+            datasets.append(data)
+        if datasets:
+            yield start, datasets, xs[: len(datasets)], ys[: len(datasets)]
+        if failure is not None:
+            raise failure
+
+
+def _add_rows(tally: np.ndarray, rows: np.ndarray) -> None:
+    """Add each row of ``rows`` into ``tally`` in order: a loop of += with its bits."""
+    tally[:] = np.add.accumulate(np.concatenate((tally[None], rows)), axis=0)[-1]
+
+
 def run_coverage(
     dgp: Dgp,
     n: int,
@@ -353,6 +408,11 @@ def run_coverage(
     max_t_bootstrap method instead tests the true null beta = beta_n and
     records rejections. Replications whose design is singular are excluded
     and counted.
+
+    The replications are fitted a stack at a time (see ``_sample_stacks``),
+    with each one's bits, and tallied in order, so the report does not
+    depend on the stack size. An error is raised for the same replication,
+    with the same type and message, as by fitting them one at a time.
     """
     methods = tuple(methods)
     for m in methods:
@@ -364,9 +424,10 @@ def run_coverage(
         raise ValueError("need at least one replication")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
+    if n < 1:
+        raise ValueError("need n >= 1")
 
-    pop = population_targets(dgp, n)
-    beta_n = pop.beta_n
+    beta_n = _exact_targets(dgp, n if dgp.is_fixed_design else None)[0]
     z = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
     needs_boot = any(m.startswith("bootstrap") or m == "max_t_bootstrap" for m in methods)
     needs_sandwich = needs_boot or "sandwich_normal" in methods
@@ -376,30 +437,57 @@ def run_coverage(
     # then interval widths
     layout = _tally_layout(methods, dgp.p)
     tallies = np.zeros(max((width.stop for _, width in layout.values()), default=0))
-    sums = {m: (tallies[hit], tallies[width]) for m, (hit, width) in layout.items()}
     excluded = 0
-    for r in range(replications):
-        try:
-            fit = fit_ols(sample(dgp, n, (seed, r)))
-        except SingularDesign:
-            excluded += 1
-            continue
-        var_s = sandwich_avar(fit) if needs_sandwich else None
-        draws = run_bootstrap(fit, b=b, dist=weight_dist, seed=(seed, r, 1)) if needs_boot else None
-        for m, (hits, widths) in sums.items():
-            if m in ("classical_normal", "sandwich_normal"):
-                var = classical_avar(fit) if m == "classical_normal" else var_s
-                hits += np.abs(fit.beta_hat - beta_n) <= z * var.se
-                widths += 2.0 * z * var.se
-            elif m == "bootstrap_rectangle":
-                reg = region_rectangle(fit, draws, var_s, alpha)
-                hits += reg.contains(beta_n)
-                widths += 2.0 * reg.half_widths
-            elif m == "bootstrap_ellipsoid":
-                hits += region_ellipsoid(fit, draws, var_s, alpha).contains(beta_n)
-            else:  # max_t_bootstrap
-                res = max_t_test(fit, var_s, beta_n, reference="bootstrap", draws=draws)
-                hits += res.p_value <= alpha
+    keys = [(seed, r) for r in range(replications)]
+    for start, datasets, x, y in _sample_stacks(dgp, n, keys):
+        fits = _fit_stack(x, y)
+        fit_flag = fits.failed
+        meat_flag = rss_flag = np.zeros(len(datasets), dtype=bool)
+        se = {}
+        # an item that fails a gate carries placeholder values on, so its numpy warnings are dropped
+        with np.errstate(over="ignore", invalid="ignore"):
+            if needs_sandwich:
+                meat, meat_flag = _k_check(x, fits.residuals)
+                avar_s = _sandwich_avar(fits.solve, meat)
+                se["sandwich_normal"] = _se(avar_s, n)
+            if "classical_normal" in layout:
+                sigma2, rss_flag = _residual_variance(fits.residuals, dgp.p)
+                se["classical_normal"] = _se(_classical_avar(fits.solve, sigma2, dgp.p), n)
+        # a flagged replication goes through the one-fit functions, which raise what they raise
+        # for it alone or find its design singular; the bootstrap runs a replication at a time
+        for i in np.flatnonzero(fit_flag | meat_flag | rss_flag | needs_boot).tolist():
+            if fit_flag[i]:
+                try:
+                    fit_ols(datasets[i])
+                except SingularDesign:
+                    excluded += 1
+                    continue
+            fit = fits.fit(i, datasets[i])
+            if meat_flag[i]:
+                k_check(fit)
+            if needs_boot:
+                var_s = VarianceEstimate(SANDWICH_HC0, avar_s[i], se["sandwich_normal"][i], meat[i])
+                draws = run_bootstrap(fit, b=b, dist=weight_dist, seed=(seed, start + i, 1))
+            for m, (hit, width) in layout.items():
+                hits, widths = tallies[hit], tallies[width]
+                if m == "classical_normal" and rss_flag[i]:
+                    residual_variance(fit)
+                elif m == "bootstrap_rectangle":
+                    reg = region_rectangle(fit, draws, var_s, alpha)
+                    hits += reg.contains(beta_n)
+                    widths += 2.0 * reg.half_widths
+                elif m == "bootstrap_ellipsoid":
+                    hits += region_ellipsoid(fit, draws, var_s, alpha).contains(beta_n)
+                elif m == "max_t_bootstrap":
+                    res = max_t_test(fit, var_s, beta_n, reference="bootstrap", draws=draws)
+                    hits += res.p_value <= alpha
+        # the interval methods' rows, added in replication order
+        kept = ~fit_flag
+        for m, (hit, width) in layout.items():
+            if m.endswith("_normal"):
+                interval_se = se[m][kept]
+                _add_rows(tallies[hit], np.abs(fits.beta_hat[kept] - beta_n) <= z * interval_se)
+                _add_rows(tallies[width], 2.0 * z * interval_se)
     if excluded == replications:
         raise SingularDesign("every replication produced a singular design")
 
@@ -420,7 +508,8 @@ def run_consistency(dgp: Dgp, n_grid, replications: int, seed: int) -> dict:
 
     Returns {"n_grid", "median_error", "loglog_slope"}. The replication
     substream is keyed by (seed, grid-index, r) so adding a grid point never
-    perturbs the others.
+    perturbs the others. The replications are fitted a stack at a time, as in
+    ``run_coverage``; any design that fails a gate raises.
     """
     n_grid = [int(n) for n in n_grid]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or len(n_grid) < 1:
@@ -431,9 +520,14 @@ def run_consistency(dgp: Dgp, n_grid, replications: int, seed: int) -> dict:
     for i, n in enumerate(n_grid):
         beta_n = population_targets(dgp, n).beta_n
         errs = np.empty(replications)
-        for r in range(replications):
-            data = sample(dgp, n, (seed, i, r))
-            errs[r] = np.linalg.norm(fit_ols(data).beta_hat - beta_n)
+        keys = [(seed, i, r) for r in range(replications)]
+        for start, datasets, x, y in _sample_stacks(dgp, n, keys):
+            fits = _fit_stack(x, y)
+            for j in np.flatnonzero(fits.failed):
+                fit_ols(datasets[j])  # raises what it raises for this replication alone
+            d = fits.beta_hat - beta_n
+            # the Euclidean norm as np.linalg.norm takes it of one vector: sqrt of a BLAS dot
+            errs[start : start + len(datasets)] = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
         medians.append(float(np.median(errs)))
     if len(n_grid) >= 2 and all(m > 0 for m in medians):
         slope = float(np.polyfit(np.log(n_grid), np.log(medians), 1)[0])

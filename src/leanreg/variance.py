@@ -17,7 +17,6 @@ an upper bound of the target in the PSD order, never below it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,18 +49,37 @@ class VarianceEstimate:
         return self.method in (SANDWICH_HC0, SANDWICH_HC1)
 
 
+def _k_check(x: np.ndarray, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """k_check over leading stack axes of x (..., n, p) and residuals (..., n).
+
+    Returns the meat matrices and, per item, whether one is outside double range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the flag
+        meat = np.einsum("...ij,...ik,...i->...jk", x, x, residuals**2) / x.shape[-2]
+    return meat, ~np.isfinite(meat).all(axis=(-2, -1))
+
+
 def k_check(fit: OlsFit) -> np.ndarray:
     """Conservative meat matrix (1/n) sum x_i x_i' e_i^2.
 
     Computed from the definition (a weighted sum of rank-one terms); equal to
     scores_hat.T @ scores_hat / n. Raises NonFiniteValue when it overflows.
     """
-    x = fit.data.x
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by name
-        meat = np.einsum("ij,ik,i->jk", x, x, fit.residuals**2) / fit.n
-    if not np.all(np.isfinite(meat)):
+    meat, out_of_range = _k_check(fit.data.x, fit.residuals)
+    if out_of_range:
         raise NonFiniteValue("k_check, the sandwich meat matrix, is outside double range")
     return meat
+
+
+def _se(avar: np.ndarray, n: int) -> np.ndarray:
+    """Plain standard errors sqrt(avar[j, j] / n), over leading stack axes."""
+    return np.sqrt(np.diagonal(avar, axis1=-2, axis2=-1) / n)
+
+
+def _sandwich_avar(solve, meat: np.ndarray) -> np.ndarray:
+    """sigma_hat^-1 @ meat @ sigma_hat^-1, symmetrized, over leading stack axes."""
+    avar = solve(solve(meat).swapaxes(-1, -2)).swapaxes(-1, -2)
+    return (avar + avar.swapaxes(-1, -2)) / 2.0
 
 
 def sandwich_avar(fit: OlsFit) -> VarianceEstimate:
@@ -72,9 +90,8 @@ def sandwich_avar(fit: OlsFit) -> VarianceEstimate:
     are deliberately not offered.
     """
     meat = k_check(fit)
-    avar = fit.solve(fit.solve(meat).T).T
-    avar = (avar + avar.T) / 2.0
-    return VarianceEstimate(SANDWICH_HC0, avar, np.sqrt(np.diag(avar) / fit.n), meat)
+    avar = _sandwich_avar(fit.solve, meat)
+    return VarianceEstimate(SANDWICH_HC0, avar, _se(avar, fit.n), meat)
 
 
 def hc1_avar(fit: OlsFit, hc0: VarianceEstimate) -> VarianceEstimate:
@@ -84,18 +101,36 @@ def hc1_avar(fit: OlsFit, hc0: VarianceEstimate) -> VarianceEstimate:
     if fit.n <= fit.p:
         raise DegenerateDof(f"HC1 needs n > p, got n={fit.n}, p={fit.p}")
     avar = hc0.avar * (fit.n / (fit.n - fit.p))
-    return VarianceEstimate(SANDWICH_HC1, avar, np.sqrt(np.diag(avar) / fit.n), hc0.meat)
+    return VarianceEstimate(SANDWICH_HC1, avar, _se(avar, fit.n), hc0.meat)
+
+
+def _residual_variance(residuals: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """RSS/(n-p) over leading stack axes of residuals (..., n).
+
+    Returns the estimates and, per item, whether residual_variance would
+    raise for it: n <= p, or an RSS outside double range. A flagged
+    estimate is a placeholder.
+    """
+    n = residuals.shape[-1]
+    with np.errstate(over="ignore"):  # reported by the flag
+        rss = (residuals[..., None, :] @ residuals[..., :, None])[..., 0, 0]
+    return rss / max(n - p, 1), ~np.isfinite(rss) | (n <= p)
 
 
 def residual_variance(fit: OlsFit) -> float:
     """The classical error-variance estimator sigma2 = RSS/(n-p); needs n > p and a finite RSS."""
     if fit.n <= fit.p:
         raise DegenerateDof(f"classical variance needs n > p, got n={fit.n}, p={fit.p}")
-    with np.errstate(over="ignore"):  # reported below, by name
-        rss = float(fit.residuals @ fit.residuals)
-    if not math.isfinite(rss):
+    sigma2, out_of_range = _residual_variance(fit.residuals, fit.p)
+    if out_of_range:
         raise NonFiniteValue("residual sum of squares is outside double range")
-    return rss / (fit.n - fit.p)
+    return float(sigma2)
+
+
+def _classical_avar(solve, sigma2, p: int) -> np.ndarray:
+    """sigma2 * sigma_hat^-1, symmetrized, over the leading stack axes of sigma2."""
+    inv = solve(np.broadcast_to(np.eye(p), np.shape(sigma2) + (p, p)))
+    return np.asarray(sigma2)[..., None, None] * (inv + inv.swapaxes(-1, -2)) / 2.0
 
 
 def classical_avar(fit: OlsFit) -> VarianceEstimate:
@@ -105,11 +140,5 @@ def classical_avar(fit: OlsFit) -> VarianceEstimate:
     the error variance depends on the covariates or the mean is nonlinear.
     """
     sigma2 = residual_variance(fit)
-    inv = fit.solve(np.eye(fit.p))
-    avar = sigma2 * (inv + inv.T) / 2.0
-    return VarianceEstimate(
-        method=CLASSICAL,
-        avar=avar,
-        se=np.sqrt(np.diag(avar) / fit.n),
-        meat=sigma2 * fit.sigma_hat,
-    )
+    avar = _classical_avar(fit.solve, sigma2, fit.p)
+    return VarianceEstimate(method=CLASSICAL, avar=avar, se=_se(avar, fit.n), meat=sigma2 * fit.sigma_hat)

@@ -1001,3 +1001,16 @@ def test_gaussian_bootstrap_bits_do_not_depend_on_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_stacked_simulate_does_not_depend_on_blas_threads():
+    # 40 replications at n=500 are fitted in stacks of 16, 16 and 8
+    command = [sys.executable, "-m", "leanreg", "simulate", "--dgp", "heteroscedastic_iid", "--n", "500",
+               "--reps", "40", "--seed", "8", "--methods", "classical_normal,sandwich_normal"]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(command, capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

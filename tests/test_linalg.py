@@ -160,6 +160,44 @@ class TestSpdSolverOracle:
         assert len(digests) == 1
 
 
+class TestStackedFactor:
+    """``_cholesky_spd`` and ``_apply_factor`` on a stack give each matrix its own bits and gate."""
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 21])
+    def test_each_item_solves_as_it_does_alone(self, p):
+        stack = np.stack([_spd(p, 10.0 ** k, seed=k) for k in range(6)]).reshape(2, 3, p, p)
+        b = np.random.default_rng(p).standard_normal((2, 3, p, 4))
+        lower, pivot = linalg._cholesky_spd(stack)
+        np.testing.assert_array_equal(pivot, np.full((2, 3), -1))
+        # a one-column stack solves as a vector does alone (a BLAS dot, not a gemv, per row)
+        x, column = linalg._apply_factor(lower, b), linalg._apply_factor(lower, b[..., :1])
+        for i in np.ndindex(2, 3):
+            solve = spd_solver(stack[i])
+            assert x[i].tobytes() == solve(b[i]).tobytes()
+            assert column[i].tobytes() == solve(b[i][:, 0]).tobytes()
+
+    def test_gate_reports_each_item(self):
+        eps = np.finfo(float).eps
+        good = np.array([[2.0, 1.0], [1.0, 2.0]])
+        stack = np.stack([
+            good, np.array([[1.0, 1.0], [1.0, 1.0 + eps]]), np.array([[1.0, 0.0], [0.0, -1.0]]), good,
+        ])
+        lower, pivot = linalg._cholesky_spd(stack)
+        # a low second pivot, and a failed factorization whose factor is the identity
+        assert pivot.tolist() == [-1, 1, 2, -1]
+        np.testing.assert_array_equal(lower[2], np.eye(2))
+        for i in (0, 3):
+            assert lower[i].tobytes() == np.linalg.cholesky(good).tobytes()
+        assert str(linalg._not_positive_definite(2, 2)) == "Cholesky factorization failed"
+        with pytest.raises(NotPositiveDefinite, match="Cholesky factorization failed"):
+            spd_solver(stack[2])
+
+    def test_stack_rows_must_match(self):
+        lower, _ = linalg._cholesky_spd(np.stack([np.eye(3)] * 2))
+        with pytest.raises(DimensionMismatch):
+            linalg._apply_factor(lower, np.ones((2, 2, 1)))
+
+
 class TestTsqrR:
     def test_blocks_are_4096_rows(self):
         # one block is one LAPACK QR; one row past it is the R of the two blocks' stacked R factors

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import statistics
 from fractions import Fraction
 
 import numpy as np
@@ -10,17 +11,25 @@ import leanreg.bootstrap
 import leanreg.simlab as simlab
 import leanreg.variance
 from leanreg import (
+    Dataset,
+    DegenerateDof,
     DimensionMismatch,
     Dgp,
     SingularDesign,
+    classical_avar,
     eig_sym_extremes,
     fit_ols,
+    max_t_test,
     population_score_means,
     population_targets,
     psd_leq,
+    region_ellipsoid,
+    region_rectangle,
+    run_bootstrap,
     run_consistency,
     run_coverage,
     sample,
+    sandwich_avar,
 )
 from leanreg.cli import main
 
@@ -439,20 +448,25 @@ class TestRunCoverage:
         for c, s in zip(rep.coverage["sandwich_normal"], rep.coverage_se["sandwich_normal"]):
             assert s == pytest.approx(np.sqrt(c * (1 - c) / 40))
 
-    def test_singular_replications_are_excluded_and_counted(self, monkeypatch):
-        real_fit = simlab.fit_ols
-        calls = {"i": 0}
+    # stacks of 3 replications: the singular design is the middle of the first, or starts the second
+    @pytest.mark.parametrize("singular", [1, 3])
+    # a constant covariate fails LAPACK's factorization; one that alternates between 1 and
+    # 1 + 2**-24 passes it and fails the pivot gate
+    @pytest.mark.parametrize("step", [0.0, 2.0**-24], ids=["factorization", "pivot-gate"])
+    def test_singular_replications_are_excluded_and_counted(self, monkeypatch, singular, step):
+        real_sample = simlab.sample
 
-        def flaky_fit(data):
-            calls["i"] += 1
-            if calls["i"] == 2:
-                raise SingularDesign("forced")
-            return real_fit(data)
+        def sample_one_singular(dgp, n, key):
+            data = real_sample(dgp, n, key)
+            if key[1] == singular:
+                covariate = 1.0 + step * (np.arange(n) % 2)
+                return Dataset(x=np.column_stack([np.ones(n), covariate]), y=data.y)
+            return data
 
-        monkeypatch.setattr(simlab, "fit_ols", flaky_fit)
+        monkeypatch.setattr(simlab, "sample", sample_one_singular)
+        monkeypatch.setattr(simlab, "STACK_ENTRIES", 3 * 50 * 2)
         # each method keeps its own tally, so each must drop the singular replication
         for method in simlab.COVERAGE_METHODS:
-            calls["i"] = 0
             rep = run_coverage(
                 Dgp("quadratic_mean_iid"), n=50, replications=6,
                 methods=(method,), alpha=0.05, seed=8, b=50,
@@ -516,25 +530,170 @@ class TestRunCoverage:
             run_coverage(Dgp("quadratic_mean_iid"), 1, 3, ("sandwich_normal",), 0.05, seed=2)
 
 
+def coverage_one_at_a_time(dgp, n, replications, methods, alpha, seed, b=1000, weight_dist="gaussian"):
+    """run_coverage's tallies and exclusions, one replication at a time through the one-fit functions."""
+    beta_n = population_targets(dgp, n).beta_n
+    z = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    needs_boot = any(m.startswith("bootstrap") or m == "max_t_bootstrap" for m in methods)
+    layout = simlab._tally_layout(methods, dgp.p)
+    tallies = np.zeros(max((width.stop for _, width in layout.values()), default=0))
+    excluded = 0
+    for r in range(replications):
+        try:
+            fit = fit_ols(simlab.sample(dgp, n, (seed, r)))
+        except SingularDesign:
+            excluded += 1
+            continue
+        var_s = sandwich_avar(fit) if needs_boot or "sandwich_normal" in methods else None
+        draws = run_bootstrap(fit, b=b, dist=weight_dist, seed=(seed, r, 1)) if needs_boot else None
+        for m, (hit, width) in layout.items():
+            hits, widths = tallies[hit], tallies[width]
+            if m.endswith("_normal"):
+                var = classical_avar(fit) if m == "classical_normal" else var_s
+                hits += np.abs(fit.beta_hat - beta_n) <= z * var.se
+                widths += 2.0 * z * var.se
+            elif m == "bootstrap_rectangle":
+                reg = region_rectangle(fit, draws, var_s, alpha)
+                hits += reg.contains(beta_n)
+                widths += 2.0 * reg.half_widths
+            elif m == "bootstrap_ellipsoid":
+                hits += region_ellipsoid(fit, draws, var_s, alpha).contains(beta_n)
+            else:
+                hits += max_t_test(fit, var_s, beta_n, reference="bootstrap", draws=draws).p_value <= alpha
+    if excluded == replications:
+        raise SingularDesign("every replication produced a singular design")
+    return tallies.tobytes(), excluded
+
+
+def coverage_stacked(*args, **kwargs):
+    rep = run_coverage(*args, **kwargs)
+    return rep.tallies.tobytes(), rep.excluded
+
+
+def outcome(run, *args, **kwargs):
+    """The run's result, or the type and message of what it raised."""
+    try:
+        return run(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+INTERVALS = ("classical_normal", "sandwich_normal")
+# edits to a drawn replication: a singular design, an overflowing x'x, overflowing residuals
+SINGULAR = {"x": lambda d: np.column_stack([np.ones(d.n), np.full(d.n, 0.5)])}
+BIG_X = {"x": lambda d: d.x * 1e200}
+BIG_Y = {"y": lambda d: d.y * 1e300}
+TWICE = simlab.COVERAGE_METHODS + simlab.COVERAGE_METHODS[::-1]
+
+
+class TestStackedReplications:
+    """run_coverage and run_consistency fit stacks of replications with each one's bits."""
+
+    # R = 37 is no multiple of the stack sizes, which are 16, 16, 16, 14 and 13 replications
+    @pytest.mark.parametrize("kind, p, n", [(k, 2, 500) for k in ALL_KINDS] + [
+        ("linear_homoscedastic", 5, 200), ("linear_homoscedastic", 11, 100),
+        ("linear_homoscedastic", 21, 60),
+    ])
+    @pytest.mark.parametrize("methods", [INTERVALS + INTERVALS[::-1], TWICE], ids=["intervals", "all"])
+    def test_report_equals_one_replication_at_a_time(self, kind, p, n, methods):
+        size = simlab.STACK_ENTRIES // (n * p)
+        assert 2 * size < 37 and 37 % size
+        args = (Dgp(kind, p=p), n, 37, methods, 0.1, 6)
+        expected = coverage_one_at_a_time(*args, b=60)
+        assert coverage_stacked(*args, b=60) == expected
+
+    @pytest.mark.parametrize("kind", ["heteroscedastic_iid", "fixed_x_nonidentical_mean"])
+    def test_reports_do_not_depend_on_the_stack_size(self, monkeypatch, kind):
+        default = simlab.STACK_ENTRIES
+        coverage, consistency = set(), []
+        for size in (1, 3, None):
+            monkeypatch.setattr(simlab, "STACK_ENTRIES", default if size is None else size * 40 * 2)
+            rep = run_coverage(Dgp(kind), 40, 11, TWICE, 0.1, seed=4, b=50, weight_dist="rademacher")
+            coverage.add((rep.tallies.tobytes(), rep.excluded))
+            consistency.append(run_consistency(Dgp(kind), [40, 80], 11, seed=4))
+        assert len(coverage) == 1
+        assert consistency[0] == consistency[1] == consistency[2]
+
+    @pytest.mark.parametrize("edits, methods", [
+        ({5: BIG_X}, TWICE),
+        ({5: BIG_Y}, TWICE),
+        ({5: BIG_Y}, ("classical_normal",)),
+        ({4: BIG_Y, 5: BIG_X}, ("bootstrap_rectangle", "classical_normal")),
+        ({1: SINGULAR, 4: None}, INTERVALS),
+        ({1: BIG_X, 4: None}, INTERVALS),
+        ({0: None}, INTERVALS),
+        (dict.fromkeys(range(7), SINGULAR), TWICE),
+    ], ids=[
+        "design-overflow", "meat-overflow", "rss-overflow", "earlier-overflow-first",
+        "sample-error-after-singular", "overflow-before-sample-error", "sample-error-first",
+        "all-singular",
+    ])
+    @pytest.mark.parametrize("size", [3, None], ids=["stacks-of-3", "one-stack"])
+    @pytest.mark.filterwarnings("error")
+    def test_errors_match_one_replication_at_a_time(self, monkeypatch, edits, methods, size):
+        # a replication mapped to None cannot be sampled; the stack's placeholder rows do not warn
+        real_sample = simlab.sample
+
+        def edited_sample(dgp, n, key):
+            data = real_sample(dgp, n, key)
+            if key[1] not in edits:
+                return data
+            if edits[key[1]] is None:
+                raise ValueError(f"no sample for replication {key[1]}")
+            fields = {"x": data.x, "y": data.y}
+            fields.update({name: edit(data) for name, edit in edits[key[1]].items()})
+            return Dataset(**fields)
+
+        monkeypatch.setattr(simlab, "sample", edited_sample)
+        if size is not None:
+            monkeypatch.setattr(simlab, "STACK_ENTRIES", size * 30 * 2)
+        args = (Dgp("heteroscedastic_iid"), 30, 7, methods, 0.1, 2)
+        expected = outcome(coverage_one_at_a_time, *args, b=40)
+        assert outcome(coverage_stacked, *args, b=40) == expected
+
+    def test_degenerate_dof_matches_one_replication_at_a_time(self):
+        # n = p = 2 on a fixed design: the fit is exact and the classical variance has no dof
+        args = (Dgp("fixed_x_heteroscedastic"), 2, 5, TWICE, 0.1, 1)
+        expected = outcome(coverage_one_at_a_time, *args, b=40)
+        assert expected[0] is DegenerateDof
+        assert outcome(coverage_stacked, *args, b=40) == expected
+
+    def test_consistency_raises_for_the_first_failing_replication(self, monkeypatch):
+        real_sample = simlab.sample
+
+        def edited_sample(dgp, n, key):
+            data = real_sample(dgp, n, key)
+            if key[2] == 6:
+                raise ValueError("no sample")
+            if key[2] == 2:
+                return Dataset(x=np.column_stack([np.ones(n), np.full(n, 0.5)]), y=data.y)
+            return data
+
+        monkeypatch.setattr(simlab, "sample", edited_sample)
+        with pytest.raises(SingularDesign, match="not positive definite"):
+            run_consistency(Dgp("quadratic_mean_iid"), [30], 8, seed=1)
+
+
 class TestFactorizationCounts:
     """Each SPD matrix is factored once, by the code that builds it."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
+        # a call on a stack of matrices counts each of them
         counts = collections.Counter()
-        real_cholesky, real_k_check = np.linalg.cholesky, leanreg.variance.k_check
+        real_cholesky, real_k_check = np.linalg.cholesky, leanreg.variance._k_check
 
         def cholesky(a, *args, **kwargs):
-            counts["cholesky"] += 1
+            counts["cholesky"] += np.asarray(a)[..., 0, 0].size
             return real_cholesky(a, *args, **kwargs)
 
-        def k_check(fit):
-            counts["k_check"] += 1
-            return real_k_check(fit)
+        def k_check(x, residuals):
+            counts["k_check"] += np.asarray(residuals)[..., 0].size
+            return real_k_check(x, residuals)
 
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
-        for module in (leanreg.variance, leanreg.bootstrap, simlab):
-            monkeypatch.setattr(module, "k_check", k_check, raising=False)
+        for module in (leanreg.variance, simlab):
+            monkeypatch.setattr(module, "_k_check", k_check)
         return counts
 
     def test_all_methods_replication_factors_sigma_hat_and_k_check_once(self, counts):
@@ -550,8 +709,8 @@ class TestFactorizationCounts:
         # two more replications: sigma_hat and k_check factored, k_check built, once each
         assert three["cholesky"] - one["cholesky"] == 2 * 2
         assert three["k_check"] - one["k_check"] == 2 * 1
-        # population_targets adds one factorization (sigma_n's) and builds no k_check
-        assert one == {"cholesky": 3, "k_check": 1}
+        # run_coverage takes beta_n from the exact targets and factors no sigma_n
+        assert one == {"cholesky": 2, "k_check": 1}
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_population_targets_factors_sigma_n_at_most_once(self, counts, kind):

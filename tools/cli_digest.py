@@ -224,6 +224,24 @@ def commands() -> list[list[str]]:
         ["simulate", "--dgp", "quadratic_mean_iid", "--n", "50", "--reps", "2", "--methods",
          "sandwich_normal", "--seed", "3", "--out", "sim.json"],
     ]
+    # bootstrap tests whose null sits near the estimate, so their p-values read the draws
+    cmds += [
+        ["test", *small, "--coef", "1", "--null", "2.0", "--reference", "bootstrap", "--B", "300",
+         "--seed", "7"],
+        ["test", *small, "--null", "0.6,2.1,-1.0", "--reference", "bootstrap", "--B", "300",
+         "--seed", "7"],
+    ]
+    # Monte Carlo runs over several stacks of replications (16 at n=500, 40 at n=200), with
+    # a last stack that is not full: interval methods only, and with the bootstrap methods
+    cmds += [
+        ["simulate", "--dgp", "heteroscedastic_iid", "--n", "500", "--reps", "40", "--seed", "8",
+         "--methods", "classical_normal,sandwich_normal"],
+        ["simulate", "--dgp", "fixed_x_nonidentical_mean", "--n", "500", "--reps", "37", "--seed", "8",
+         "--methods", "sandwich_normal,classical_normal,sandwich_normal"],
+        ["simulate", "--dgp", "quadratic_mean_iid", "--n", "200", "--reps", "90", "--B", "100",
+         "--seed", "9", "--methods", "classical_normal,sandwich_normal,bootstrap_rectangle,"
+         "bootstrap_ellipsoid,max_t_bootstrap"],
+    ]
     # piped data, which the fallback reader reads again from memory and where an
     # undecodable line is located; a 0-byte file, and a response-only file
     stdin = ["--data", "/dev/stdin", "--response", "y"]
