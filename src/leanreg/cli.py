@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import (
+    _quantile_rank,
     clamped_quantile_warnings,
     region_ellipsoid,
     region_rectangle,
@@ -501,6 +502,9 @@ def _cmd_simulate(config: RunConfig) -> tuple[dict, list]:
         warnings.append(f"{report.excluded} replication(s) excluded for singular designs")
     if {"bootstrap_rectangle", "bootstrap_ellipsoid"} & set(methods):
         warnings += clamped_quantile_warnings(config.b, config.alpha)
+    if "max_t_bootstrap" in methods and _quantile_rank(config.b, config.alpha) > config.b:
+        floor = f"1/(B+1) = {1 / (config.b + 1):.4g}"
+        warnings.append(f"max_t_bootstrap cannot reject: its p-value is at least {floor} > alpha")
     return results, warnings
 
 

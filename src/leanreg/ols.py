@@ -83,10 +83,10 @@ class OlsFit:
 class _Fits(NamedTuple):
     """Normal-equation fits over leading stack axes, from ``_fit_stack``.
 
-    ``out_of_range`` and ``pivot`` hold fit_ols's two gates per item: x'x
+    ``out_of_range`` and ``pivot`` hold the fit's two gates per item: x'x
     outside double range, and ``linalg._cholesky_spd``'s pivot of sigma_hat
     (-1 where it passes). An item that fails either carries placeholder
-    values in the other fields.
+    values in the other fields, and ``fit`` raises for it.
     """
 
     sigma_hat: np.ndarray
@@ -99,7 +99,7 @@ class _Fits(NamedTuple):
 
     @property
     def failed(self) -> np.ndarray:
-        """Whether each item fails a gate, as fit_ols would raise for it."""
+        """Whether each item fails a gate, so that ``fit`` raises for it."""
         return self.out_of_range | (self.pivot >= 0)
 
     @property
@@ -108,7 +108,12 @@ class _Fits(NamedTuple):
         return functools.partial(linalg._apply_factor, self.lower)
 
     def fit(self, index, data: Dataset) -> OlsFit:
-        """The OlsFit of item ``index``, whose dataset is ``data``; the caller has checked its gates."""
+        """The OlsFit of item ``index``, whose dataset is ``data``; or the error of a gate it fails."""
+        if self.out_of_range[index]:
+            raise NonFiniteValue("design second-moment matrix is outside double range")
+        if self.pivot[index] >= 0:
+            cause = linalg._not_positive_definite(int(self.pivot[index]), data.p)
+            raise SingularDesign("design second-moment matrix is not positive definite") from cause
         residuals = self.residuals[index]
         return OlsFit(
             beta_hat=self.beta_hat[index],
@@ -152,15 +157,10 @@ def fit_ols(data: Dataset) -> OlsFit:
     Requires sigma_hat to be positive definite (hence n >= p); otherwise
     raises SingularDesign, or NonFiniteValue when x'x overflows or a column
     that is not all zero has a mean square below the smallest normal double,
-    where its bits are lost. No rank-deficient fallback is attempted.
+    where its bits are lost. No rank-deficient fallback is attempted. A stack
+    item has the same bits and errors, from the same ``_Fits.fit``.
     """
-    fits = _fit_stack(data.x, data.y)
-    if fits.out_of_range:
-        raise NonFiniteValue("design second-moment matrix is outside double range")
-    if fits.pivot >= 0:
-        cause = linalg._not_positive_definite(int(fits.pivot), data.p)
-        raise SingularDesign("design second-moment matrix is not positive definite") from cause
-    return fits.fit((), data)
+    return _fit_stack(data.x, data.y).fit((), data)
 
 
 def scores_at(data: Dataset, beta) -> np.ndarray:

@@ -57,7 +57,7 @@ from . import linalg
 from .bootstrap import WEIGHT_DISTS, region_ellipsoid, region_rectangle, run_bootstrap
 from .exceptions import DimensionMismatch, SingularDesign
 from .inference import max_t_test
-from .ols import Dataset, _fit_stack, fit_ols, scores_at
+from .ols import Dataset, _fit_stack, scores_at
 from .variance import (
     SANDWICH_HC0,
     VarianceEstimate,
@@ -410,9 +410,11 @@ def run_coverage(
     and counted.
 
     The replications are fitted a stack at a time (see ``_sample_stacks``),
-    with each one's bits, and tallied in order, so the report does not
-    depend on the stack size. An error is raised for the same replication,
-    with the same type and message, as by fitting them one at a time.
+    with each one's bits. Each stack fills one tally row per replication,
+    the interval methods all at once and the bootstrap ones row by row, and
+    adds its kept rows in order, so the report does not depend on the stack
+    size. A replication that fails a gate is excluded for a singular design
+    or raises the error that fitting it alone raises.
     """
     methods = tuple(methods)
     for m in methods:
@@ -432,62 +434,53 @@ def run_coverage(
     needs_boot = any(m.startswith("bootstrap") or m == "max_t_bootstrap" for m in methods)
     needs_sandwich = needs_boot or "sandwich_normal" in methods
 
-    # per distinct method, summed over kept replications into views of one array:
-    # covered coordinates (or the joint region, or a rejection of the true null),
-    # then interval widths
+    # per distinct method, summed over kept replications: covered coordinates (or the joint
+    # region, or a rejection of the true null), then interval widths
     layout = _tally_layout(methods, dgp.p)
     tallies = np.zeros(max((width.stop for _, width in layout.values()), default=0))
     excluded = 0
     keys = [(seed, r) for r in range(replications)]
     for start, datasets, x, y in _sample_stacks(dgp, n, keys):
         fits = _fit_stack(x, y)
-        fit_flag = fits.failed
         meat_flag = rss_flag = np.zeros(len(datasets), dtype=bool)
-        se = {}
+        rows = np.zeros((len(datasets), tallies.size))
         # an item that fails a gate carries placeholder values on, so its numpy warnings are dropped
         with np.errstate(over="ignore", invalid="ignore"):
             if needs_sandwich:
                 meat, meat_flag = _k_check(x, fits.residuals)
                 avar_s = _sandwich_avar(fits.solve, meat)
-                se["sandwich_normal"] = _se(avar_s, n)
+                se_s = _se(avar_s, n)
             if "classical_normal" in layout:
                 sigma2, rss_flag = _residual_variance(fits.residuals, dgp.p)
-                se["classical_normal"] = _se(_classical_avar(fits.solve, sigma2, dgp.p), n)
-        # a flagged replication goes through the one-fit functions, which raise what they raise
-        # for it alone or find its design singular; the bootstrap runs a replication at a time
-        for i in np.flatnonzero(fit_flag | meat_flag | rss_flag | needs_boot).tolist():
-            if fit_flag[i]:
-                try:
-                    fit_ols(datasets[i])
-                except SingularDesign:
-                    excluded += 1
-                    continue
-            fit = fits.fit(i, datasets[i])
+                se_c = _se(_classical_avar(fits.solve, sigma2, dgp.p), n)
+            for m, (hit, width) in layout.items():
+                if m.endswith("_normal"):
+                    se = se_c if m == "classical_normal" else se_s
+                    rows[:, hit] = np.abs(fits.beta_hat - beta_n) <= z * se
+                    rows[:, width] = 2.0 * z * se
+        for i in np.flatnonzero(fits.failed | meat_flag | rss_flag | needs_boot).tolist():
+            try:
+                fit = fits.fit(i, datasets[i])
+            except SingularDesign:
+                excluded += 1
+                continue
             if meat_flag[i]:
                 k_check(fit)
             if needs_boot:
-                var_s = VarianceEstimate(SANDWICH_HC0, avar_s[i], se["sandwich_normal"][i], meat[i])
+                var_s = VarianceEstimate(SANDWICH_HC0, avar_s[i], se_s[i], meat[i])
                 draws = run_bootstrap(fit, b=b, dist=weight_dist, seed=(seed, start + i, 1))
             for m, (hit, width) in layout.items():
-                hits, widths = tallies[hit], tallies[width]
                 if m == "classical_normal" and rss_flag[i]:
                     residual_variance(fit)
                 elif m == "bootstrap_rectangle":
                     reg = region_rectangle(fit, draws, var_s, alpha)
-                    hits += reg.contains(beta_n)
-                    widths += 2.0 * reg.half_widths
+                    rows[i, hit], rows[i, width] = reg.contains(beta_n), 2.0 * reg.half_widths
                 elif m == "bootstrap_ellipsoid":
-                    hits += region_ellipsoid(fit, draws, var_s, alpha).contains(beta_n)
+                    rows[i, hit] = region_ellipsoid(fit, draws, var_s, alpha).contains(beta_n)
                 elif m == "max_t_bootstrap":
                     res = max_t_test(fit, var_s, beta_n, reference="bootstrap", draws=draws)
-                    hits += res.p_value <= alpha
-        # the interval methods' rows, added in replication order
-        kept = ~fit_flag
-        for m, (hit, width) in layout.items():
-            if m.endswith("_normal"):
-                interval_se = se[m][kept]
-                _add_rows(tallies[hit], np.abs(fits.beta_hat[kept] - beta_n) <= z * interval_se)
-                _add_rows(tallies[width], 2.0 * z * interval_se)
+                    rows[i, hit] = res.p_value <= alpha
+        _add_rows(tallies, rows[~fits.failed])
     if excluded == replications:
         raise SingularDesign("every replication produced a singular design")
 
@@ -516,15 +509,17 @@ def run_consistency(dgp: Dgp, n_grid, replications: int, seed: int) -> dict:
         raise ValueError("n_grid must be strictly increasing and non-empty")
     if replications < 1:
         raise ValueError("need at least one replication")
+    if n_grid[0] < 1:
+        raise ValueError("need n >= 1")
     medians = []
     for i, n in enumerate(n_grid):
-        beta_n = population_targets(dgp, n).beta_n
+        beta_n = _exact_targets(dgp, n if dgp.is_fixed_design else None)[0]
         errs = np.empty(replications)
         keys = [(seed, i, r) for r in range(replications)]
         for start, datasets, x, y in _sample_stacks(dgp, n, keys):
             fits = _fit_stack(x, y)
-            for j in np.flatnonzero(fits.failed):
-                fit_ols(datasets[j])  # raises what it raises for this replication alone
+            for j in np.flatnonzero(fits.failed).tolist():
+                fits.fit(j, datasets[j])  # raises this replication's gate error
             d = fits.beta_hat - beta_n
             # the Euclidean norm as np.linalg.norm takes it of one vector: sqrt of a BLAS dot
             errs[start : start + len(datasets)] = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])

@@ -728,6 +728,18 @@ class TestSimulateCommand:
         )
         assert any("too few for the 0.95 quantile" in w for w in payload["warnings"]) == clamped
 
+    @pytest.mark.parametrize("b, unrejectable", [(18, True), (19, False)])
+    def test_warns_when_max_t_has_too_few_draws_to_reject(self, capsys, b, unrejectable):
+        # the add-one p-value is at least 1/(B+1), above alpha = 0.05 for B = 18
+        payload = run_json(
+            ["simulate", "--dgp", "heteroscedastic_iid", "--n", "50", "--reps", "2",
+             "--methods", "max_t_bootstrap", "--B", str(b), "--seed", "3"],
+            capsys,
+        )
+        warned = [w for w in payload["warnings"] if "max_t_bootstrap cannot reject" in w]
+        assert bool(warned) == unrejectable
+        assert warned == [] or "1/(B+1) = 0.05263" in warned[0]
+
     def test_writes_json_and_csv(self, tmp_path, capsys):
         out = tmp_path / "cov.json"
         code = main(

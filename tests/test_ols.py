@@ -12,6 +12,7 @@ from leanreg import (
     fit_ols,
     scores_at,
 )
+from leanreg.ols import _fit_stack
 
 
 @pytest.fixture
@@ -191,6 +192,38 @@ class TestSingularityGates:
         x = np.column_stack([np.ones(4), np.zeros(4)])
         with pytest.raises(SingularDesign):
             fit_ols(Dataset(x=x, y=[1.0, 3.0, 2.0, 7.0]))
+
+
+class TestStackedFit:
+    @pytest.fixture
+    def stack(self):
+        # a clean item, one whose x'x overflows and one with a constant covariate
+        rng = np.random.default_rng(4)
+        x = np.column_stack([np.ones(20), rng.random(20)])
+        xs = np.stack([x, x * 1e200, np.column_stack([np.ones(20), np.full(20, 0.5)])])
+        ys = rng.standard_normal((3, 20))
+        return _fit_stack(xs, ys), [Dataset(x=x, y=y) for x, y in zip(xs, ys)]
+
+    @pytest.mark.parametrize("i, error", [(1, NonFiniteValue), (2, SingularDesign)])
+    def test_an_item_raises_what_fit_ols_raises_for_it(self, stack, i, error):
+        fits, datasets = stack
+        with pytest.raises(error) as alone:
+            fit_ols(datasets[i])
+        with pytest.raises(error) as stacked:
+            fits.fit(i, datasets[i])
+        assert type(stacked.value) is type(alone.value)
+        assert str(stacked.value) == str(alone.value)
+        assert repr(stacked.value.__cause__) == repr(alone.value.__cause__)
+
+    def test_a_clean_item_has_the_bits_of_fit_ols(self, stack):
+        fits, datasets = stack
+        stacked, alone = fits.fit(0, datasets[0]), fit_ols(datasets[0])
+        for name in ("beta_hat", "sigma_hat", "gamma_hat", "residuals", "scores_hat"):
+            assert getattr(stacked, name).tobytes() == getattr(alone, name).tobytes(), name
+        assert (stacked.n, stacked.p) == (alone.n, alone.p)
+        assert stacked.data is alone.data is datasets[0]
+        b = np.array([1.0, -2.0])
+        assert stacked.solve(b).tobytes() == alone.solve(b).tobytes()
 
 
 class TestScoresAt:

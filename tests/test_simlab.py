@@ -38,6 +38,24 @@ P2_KINDS = tuple(k for k in ALL_KINDS if k != "linear_homoscedastic")
 TARGET_FIELDS = ("beta_n", "sigma_n", "gamma_n", "k_n", "k_n_star", "av_n", "av_n_star")
 
 
+def sample_one_singular(monkeypatch, singular: int, step: float):
+    """Make replication ``singular`` of every run draw the covariate 1 + step * (i mod 2).
+
+    A constant covariate (step 0) fails LAPACK's factorization; one that
+    alternates between 1 and 1 + 2**-24 passes it and fails the pivot gate.
+    """
+    real_sample = simlab.sample
+
+    def sample(dgp, n, key):
+        data = real_sample(dgp, n, key)
+        if key[1] == singular:
+            covariate = 1.0 + step * (np.arange(n) % 2)
+            return Dataset(x=np.column_stack([np.ones(n), covariate]), y=data.y)
+        return data
+
+    monkeypatch.setattr(simlab, "sample", sample)
+
+
 class _Poly:
     """A polynomial in u with Fraction coefficients, lowest power first."""
 
@@ -450,20 +468,9 @@ class TestRunCoverage:
 
     # stacks of 3 replications: the singular design is the middle of the first, or starts the second
     @pytest.mark.parametrize("singular", [1, 3])
-    # a constant covariate fails LAPACK's factorization; one that alternates between 1 and
-    # 1 + 2**-24 passes it and fails the pivot gate
     @pytest.mark.parametrize("step", [0.0, 2.0**-24], ids=["factorization", "pivot-gate"])
     def test_singular_replications_are_excluded_and_counted(self, monkeypatch, singular, step):
-        real_sample = simlab.sample
-
-        def sample_one_singular(dgp, n, key):
-            data = real_sample(dgp, n, key)
-            if key[1] == singular:
-                covariate = 1.0 + step * (np.arange(n) % 2)
-                return Dataset(x=np.column_stack([np.ones(n), covariate]), y=data.y)
-            return data
-
-        monkeypatch.setattr(simlab, "sample", sample_one_singular)
+        sample_one_singular(monkeypatch, singular, step)
         monkeypatch.setattr(simlab, "STACK_ENTRIES", 3 * 50 * 2)
         # each method keeps its own tally, so each must drop the singular replication
         for method in simlab.COVERAGE_METHODS:
@@ -712,6 +719,25 @@ class TestFactorizationCounts:
         # run_coverage takes beta_n from the exact targets and factors no sigma_n
         assert one == {"cholesky": 2, "k_check": 1}
 
+    # one stack of 6: a failed LAPACK call on it, then each item alone; or one call
+    @pytest.mark.parametrize("step, stack_factors", [(0.0, 6 + 6), (2.0**-24, 6)],
+                             ids=["factorization", "pivot-gate"])
+    def test_singular_replication_is_factored_only_in_its_stack(self, counts, monkeypatch, step,
+                                                                stack_factors):
+        sample_one_singular(monkeypatch, 2, step)
+        rep = run_coverage(
+            Dgp("quadratic_mean_iid"), n=50, replications=6,
+            methods=("sandwich_normal",), alpha=0.05, seed=8,
+        )
+        assert rep.excluded == 1
+        assert counts["cholesky"] == stack_factors
+
+    @pytest.mark.parametrize("kind", ["quadratic_mean_iid", "fixed_x_nonidentical_mean"])
+    def test_consistency_run_factors_only_its_fits(self, counts, kind):
+        # beta_n comes from the exact targets, with no sigma_n factor per grid point
+        run_consistency(Dgp(kind), [20, 40, 80], replications=5, seed=3)
+        assert counts["cholesky"] == 3 * 5
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_population_targets_factors_sigma_n_at_most_once(self, counts, kind):
         population_targets(Dgp(kind), 50)
@@ -762,3 +788,9 @@ class TestRunConsistency:
     def test_needs_a_replication(self, replications):
         with pytest.raises(ValueError, match="need at least one replication"):
             run_consistency(Dgp("quadratic_mean_iid"), [10, 20], replications, seed=1)
+
+    @pytest.mark.parametrize("kind", ["quadratic_mean_iid", "fixed_x_heteroscedastic"])
+    @pytest.mark.parametrize("n_grid", [[0, 10], [-3]])
+    def test_needs_every_grid_point_at_least_one(self, kind, n_grid):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            run_consistency(Dgp(kind), n_grid, 2, seed=1)

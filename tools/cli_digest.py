@@ -242,6 +242,22 @@ def commands() -> list[list[str]]:
          "--seed", "9", "--methods", "classical_normal,sandwich_normal,bootstrap_rectangle,"
          "bootstrap_ellipsoid,max_t_bootstrap"],
     ]
+    # Monte Carlo runs that end at a stacked gate: k_check's overflow, the RSS's, the meat's
+    # error raised before the RSS's, DegenerateDof at n = p, and a first failing replication
+    # (17) in the second 16-replication stack; and a max-|t| test with too few draws to reject
+    huge = ["simulate", "--dgp", "linear_homoscedastic", "--noise-scale", "1e153", "--n", "500",
+            "--reps", "40", "--seed", "8", "--methods"]
+    cmds += [
+        [*huge, "classical_normal,sandwich_normal"],
+        [*huge, "classical_normal"],
+        [*huge, "bootstrap_rectangle,classical_normal", "--B", "50"],
+        ["simulate", "--dgp", "fixed_x_heteroscedastic", "--n", "2", "--reps", "5", "--seed", "8",
+         "--methods", "sandwich_normal,classical_normal"],
+        ["simulate", "--dgp", "linear_homoscedastic", "--noise-scale", "5.5e152", "--n", "500",
+         "--reps", "40", "--seed", "13", "--methods", "classical_normal,sandwich_normal"],
+        ["simulate", "--dgp", "quadratic_mean_iid", "--n", "30", "--reps", "200", "--B", "10",
+         "--seed", "3", "--methods", "max_t_bootstrap"],
+    ]
     # piped data, which the fallback reader reads again from memory and where an
     # undecodable line is located; a 0-byte file, and a response-only file
     stdin = ["--data", "/dev/stdin", "--response", "y"]
