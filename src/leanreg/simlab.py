@@ -32,13 +32,13 @@ noise alone; k_n_star adds the mean's misfit to the linear target.
 
 Replication r of any Monte Carlo run draws from
 ``np.random.default_rng((seed, r))``, so reports depend only on the seed.
-The Monte Carlo runs fit their replications in stacks: each replication is
-sampled alone, into buffers of about STACK_ENTRIES design entries (n * p),
-and one call of the fit, meat and sandwich kernels serves the whole stack.
-Those kernels make the same BLAS and LAPACK call for each item of a stack
-as for a fit on its own, and the per-replication rows are tallied in
-replication order, so a report keeps its bits whatever the stack size; the
-budget only bounds the memory the buffers take.
+The Monte Carlo runs draw and fit their replications in stacks of about
+STACK_ENTRIES design entries (n * p): each replication's generator draws
+into its rows of the stack's buffers; the responses are formed, and the fit,
+meat and sandwich kernels called, once for the whole stack. That arithmetic
+gives each item of a stack the bits of one replication on its own, and the
+per-replication rows are tallied in replication order, so a report keeps its
+bits whatever the stack size; the budget only bounds the buffers' memory.
 """
 
 from __future__ import annotations
@@ -264,22 +264,13 @@ def population_score_means(dgp: Dgp, n: int, beta) -> np.ndarray:
 def sample(dgp: Dgp, n: int, rng_state) -> Dataset:
     """Draw one dataset of size n from ``np.random.default_rng(rng_state)``.
 
-    Fixed-design kinds reuse the deterministic design exactly and redraw only
-    the responses. Covariates are drawn before noise, so the covariate stream
-    of a random-x kind is reproducible on its own.
+    This is the draw of ``_sample_stacks`` on a one-key stack, in buffers of
+    its own. Fixed-design kinds reuse the deterministic design exactly and
+    redraw only the responses. Covariates are drawn before noise, so the
+    covariate stream of a random-x kind is reproducible on its own.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    rng = np.random.default_rng(rng_state)
-    if dgp.kind == "linear_homoscedastic":
-        u = rng.random((n, dgp.p - 1))
-        x = np.column_stack([np.ones(n), u])
-        y = x @ np.asarray(dgp.beta) + dgp.noise_scale * rng.standard_normal(n)
-        return Dataset(x=x, y=y)
-    u = np.arange(1, n + 1) / n if dgp.is_fixed_design else rng.random(n)
-    mean, sd = _profile(dgp)
-    y = mean(u) + sd(u) * rng.standard_normal(n)
-    return Dataset(x=np.column_stack([np.ones(n), u]), y=y)
+    _, x, y = next(_sample_stacks(dgp, n, [rng_state]))
+    return Dataset(x=x[0], y=y[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -358,32 +349,50 @@ def _tally_layout(methods, p: int) -> dict:
 
 
 def _sample_stacks(dgp: Dgp, n: int, keys: list):
-    """Draw ``sample(dgp, n, key)`` for each key in order, and yield them a stack at a time.
+    """Draw the dataset of each key in order, and yield them a stack at a time.
 
-    Yields ``(start, datasets, x, y)``: the index of the stack's first key,
-    its datasets, and their designs and responses as (m, n, p) and (m, n)
-    views of buffers reused from stack to stack. A stack holds about
-    STACK_ENTRIES design entries. A ``ValueError`` from ``sample`` (a
-    non-finite draw) ends the stacks: the datasets drawn before it are
-    yielded first and the error raised after, as a loop over the keys would
-    reach it.
+    Yields ``(start, x, y)``: the index of the stack's first key, and the
+    stack's designs and responses as (m, n, p) and (m, n) views of buffers
+    reused from stack to stack. A stack holds about STACK_ENTRIES design
+    entries. Each key's ``np.random.default_rng(key)`` draws the covariates
+    (random-x kinds) and then the noise into its own rows; the design and
+    the responses are then formed once for the stack, each row with the bits
+    of a draw on its own. A non-finite response ends the stacks: the
+    replications before it are yielded first and the ``ValueError`` raised
+    after, as a loop over the keys would reach it.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     size = max(1, min(len(keys), STACK_ENTRIES // (n * dgp.p)))
-    xs, ys = np.empty((size, n, dgp.p)), np.empty((size, n))
+    x, y = np.empty((size, n, dgp.p)), np.empty((size, n))
+    x[..., 0] = 1.0
+    if dgp.is_fixed_design:
+        u = x[..., 1] = np.arange(1, n + 1) / n
+    else:
+        u = np.empty((size, n, dgp.p - 1))
     for start in range(0, len(keys), size):
-        datasets, failure = [], None
-        for key in keys[start : start + size]:
-            try:
-                data = sample(dgp, n, key)
-            except ValueError as exc:
-                failure = exc
-                break
-            xs[len(datasets)], ys[len(datasets)] = data.x, data.y
-            datasets.append(data)
-        if datasets:
-            yield start, datasets, xs[: len(datasets)], ys[: len(datasets)]
-        if failure is not None:
-            raise failure
+        stack = keys[start : start + size]
+        for i, key in enumerate(stack):
+            rng = np.random.default_rng(key)
+            if not dgp.is_fixed_design:
+                rng.random(out=u[i])
+            rng.standard_normal(out=y[i])
+        xs, ys = x[: len(stack)], y[: len(stack)]
+        if not dgp.is_fixed_design:
+            xs[..., 1:] = u[: len(stack)]
+        # a non-finite response is reported below, so its numpy warnings are dropped
+        with np.errstate(over="ignore", invalid="ignore"):
+            if dgp.kind == "linear_homoscedastic":
+                ys[:] = xs @ np.asarray(dgp.beta) + dgp.noise_scale * ys
+            else:
+                mean, sd = _profile(dgp)
+                us = u if dgp.is_fixed_design else u[: len(stack), :, 0]
+                ys[:] = mean(us) + sd(us) * ys
+        m = len(stack) if np.isfinite(ys).all() else int(np.isfinite(ys).all(axis=1).argmin())
+        if m:
+            yield start, xs[:m], ys[:m]
+        if m < len(stack):
+            raise ValueError("dataset contains non-finite entries")
 
 
 def _add_rows(tally: np.ndarray, rows: np.ndarray) -> None:
@@ -440,10 +449,10 @@ def run_coverage(
     tallies = np.zeros(max((width.stop for _, width in layout.values()), default=0))
     excluded = 0
     keys = [(seed, r) for r in range(replications)]
-    for start, datasets, x, y in _sample_stacks(dgp, n, keys):
+    for start, x, y in _sample_stacks(dgp, n, keys):
         fits = _fit_stack(x, y)
-        meat_flag = rss_flag = np.zeros(len(datasets), dtype=bool)
-        rows = np.zeros((len(datasets), tallies.size))
+        meat_flag = rss_flag = np.zeros(len(y), dtype=bool)
+        rows = np.zeros((len(y), tallies.size))
         # an item that fails a gate carries placeholder values on, so its numpy warnings are dropped
         with np.errstate(over="ignore", invalid="ignore"):
             if needs_sandwich:
@@ -460,7 +469,7 @@ def run_coverage(
                     rows[:, width] = 2.0 * z * se
         for i in np.flatnonzero(fits.failed | meat_flag | rss_flag | needs_boot).tolist():
             try:
-                fit = fits.fit(i, datasets[i])
+                fit = fits.fit(i, Dataset(x=x[i], y=y[i]))
             except SingularDesign:
                 excluded += 1
                 continue
@@ -516,13 +525,13 @@ def run_consistency(dgp: Dgp, n_grid, replications: int, seed: int) -> dict:
         beta_n = _exact_targets(dgp, n if dgp.is_fixed_design else None)[0]
         errs = np.empty(replications)
         keys = [(seed, i, r) for r in range(replications)]
-        for start, datasets, x, y in _sample_stacks(dgp, n, keys):
+        for start, x, y in _sample_stacks(dgp, n, keys):
             fits = _fit_stack(x, y)
             for j in np.flatnonzero(fits.failed).tolist():
-                fits.fit(j, datasets[j])  # raises this replication's gate error
+                fits.fit(j, Dataset(x=x[j], y=y[j]))  # raises this replication's gate error
             d = fits.beta_hat - beta_n
             # the Euclidean norm as np.linalg.norm takes it of one vector: sqrt of a BLAS dot
-            errs[start : start + len(datasets)] = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+            errs[start : start + len(y)] = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
         medians.append(float(np.median(errs)))
     if len(n_grid) >= 2 and all(m > 0 for m in medians):
         slope = float(np.polyfit(np.log(n_grid), np.log(medians), 1)[0])

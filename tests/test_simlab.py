@@ -15,6 +15,7 @@ from leanreg import (
     DegenerateDof,
     DimensionMismatch,
     Dgp,
+    NonFiniteValue,
     SingularDesign,
     classical_avar,
     eig_sym_extremes,
@@ -38,22 +39,43 @@ P2_KINDS = tuple(k for k in ALL_KINDS if k != "linear_homoscedastic")
 TARGET_FIELDS = ("beta_n", "sigma_n", "gamma_n", "k_n", "k_n_star", "av_n", "av_n_star")
 
 
+def edit_draws(monkeypatch, edit):
+    """Pass every drawn replication, in stacks and in ``sample``, through ``edit(key, x, y)``.
+
+    ``edit`` gets copies of a replication's design and responses and returns
+    them, edited or not, or None for a replication that cannot be drawn: its
+    stack stops there, with the replications before it, and raises.
+    """
+    real_stacks = simlab._sample_stacks
+
+    def stacks(dgp, n, keys):
+        for start, x, y in real_stacks(dgp, n, keys):
+            x, y = x.copy(), y.copy()
+            for i, key in enumerate(keys[start : start + len(y)]):
+                edited = edit(key, x[i], y[i])
+                if edited is None:
+                    if i:
+                        yield start, x[:i], y[:i]
+                    raise ValueError(f"no sample for replication {key[-1]}")
+                x[i], y[i] = edited
+            yield start, x, y
+
+    monkeypatch.setattr(simlab, "_sample_stacks", stacks)
+
+
 def sample_one_singular(monkeypatch, singular: int, step: float):
     """Make replication ``singular`` of every run draw the covariate 1 + step * (i mod 2).
 
     A constant covariate (step 0) fails LAPACK's factorization; one that
     alternates between 1 and 1 + 2**-24 passes it and fails the pivot gate.
     """
-    real_sample = simlab.sample
 
-    def sample(dgp, n, key):
-        data = real_sample(dgp, n, key)
+    def edit(key, x, y):
         if key[1] == singular:
-            covariate = 1.0 + step * (np.arange(n) % 2)
-            return Dataset(x=np.column_stack([np.ones(n), covariate]), y=data.y)
-        return data
+            x[:, 1] = 1.0 + step * (np.arange(len(y)) % 2)
+        return x, y
 
-    monkeypatch.setattr(simlab, "sample", sample)
+    edit_draws(monkeypatch, edit)
 
 
 class _Poly:
@@ -438,6 +460,60 @@ class TestSample:
         sigma_hat = data.x.T @ data.x / data.n
         assert np.linalg.norm(sigma_hat - pop.sigma_n, 2) <= 0.02 * np.linalg.norm(pop.sigma_n, 2)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_noise_raises_only_the_named_error(self):
+        with pytest.raises(ValueError, match="dataset contains non-finite entries"):
+            sample(Dgp("heteroscedastic_iid", noise_scale=1e308), 5000, 1)
+
+
+def explicit_draw(dgp, n, rng):
+    """One dataset drawn as written: covariates (random-x kinds), then noise, then the kind's formula."""
+    u = np.arange(1, n + 1) / n if dgp.is_fixed_design else rng.random((n, dgp.p - 1))
+    x = np.column_stack([np.ones(n), u])
+    eps = rng.standard_normal(n)
+    if dgp.kind == "linear_homoscedastic":
+        return x, x @ np.asarray(dgp.beta) + dgp.noise_scale * eps
+    mean, sd = simlab._profile(dgp)
+    return x, mean(x[:, 1]) + sd(x[:, 1]) * eps
+
+
+DRAW_DGPS = [Dgp(k) for k in P2_KINDS] + [Dgp("linear_homoscedastic", p=p) for p in (2, 5, 21)]
+
+
+@pytest.mark.parametrize("dgp", DRAW_DGPS, ids=lambda d: f"{d.kind}-p{d.p}")
+class TestDrawOracle:
+    """``sample`` and every row of a stack equal the explicit draws of their key's generator."""
+
+    @pytest.mark.parametrize("state", [7, (7, 3)], ids=["int", "tuple"])
+    def test_sample(self, dgp, state):
+        data = sample(dgp, 60, state)
+        x, y = explicit_draw(dgp, 60, np.random.default_rng(state))
+        np.testing.assert_array_equal(data.x, x)
+        np.testing.assert_array_equal(data.y, y)
+
+    def test_sample_continues_a_generator(self, dgp):
+        rng, reference = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(2):
+            data = sample(dgp, 60, rng)
+            x, y = explicit_draw(dgp, 60, reference)
+            np.testing.assert_array_equal(data.x, x)
+            np.testing.assert_array_equal(data.y, y)
+
+    @pytest.mark.parametrize("size", [1, 3, None], ids=["stacks-of-1", "stacks-of-3", "default"])
+    def test_every_stack_row(self, monkeypatch, dgp, size):
+        if size is not None:
+            monkeypatch.setattr(simlab, "STACK_ENTRIES", size * 60 * dgp.p)
+        keys = [(5, r) for r in range(8)]
+        drawn = 0
+        for start, xs, ys in simlab._sample_stacks(dgp, 60, keys):
+            assert start == drawn and len(xs) == len(ys) <= (size or len(keys))
+            for i, key in enumerate(keys[start : start + len(ys)]):
+                x, y = explicit_draw(dgp, 60, np.random.default_rng(key))
+                np.testing.assert_array_equal(xs[i], x)
+                np.testing.assert_array_equal(ys[i], y)
+            drawn += len(ys)
+        assert drawn == len(keys)
+
 
 class TestRunCoverage:
     def test_near_zero_alpha_covers_everything(self):
@@ -591,6 +667,7 @@ SINGULAR = {"x": lambda d: np.column_stack([np.ones(d.n), np.full(d.n, 0.5)])}
 BIG_X = {"x": lambda d: d.x * 1e200}
 BIG_Y = {"y": lambda d: d.y * 1e300}
 TWICE = simlab.COVERAGE_METHODS + simlab.COVERAGE_METHODS[::-1]
+NON_FINITE = "dataset contains non-finite entries"
 
 
 class TestStackedReplications:
@@ -638,25 +715,39 @@ class TestStackedReplications:
     @pytest.mark.parametrize("size", [3, None], ids=["stacks-of-3", "one-stack"])
     @pytest.mark.filterwarnings("error")
     def test_errors_match_one_replication_at_a_time(self, monkeypatch, edits, methods, size):
-        # a replication mapped to None cannot be sampled; the stack's placeholder rows do not warn
-        real_sample = simlab.sample
-
-        def edited_sample(dgp, n, key):
-            data = real_sample(dgp, n, key)
+        # a replication mapped to None cannot be drawn; the stack's placeholder rows do not warn
+        def edit(key, x, y):
             if key[1] not in edits:
-                return data
+                return x, y
             if edits[key[1]] is None:
-                raise ValueError(f"no sample for replication {key[1]}")
-            fields = {"x": data.x, "y": data.y}
-            fields.update({name: edit(data) for name, edit in edits[key[1]].items()})
-            return Dataset(**fields)
+                return None
+            fields = {"x": x, "y": y}
+            fields.update({name: change(Dataset(x=x, y=y)) for name, change in edits[key[1]].items()})
+            return fields["x"], fields["y"]
 
-        monkeypatch.setattr(simlab, "sample", edited_sample)
+        edit_draws(monkeypatch, edit)
         if size is not None:
             monkeypatch.setattr(simlab, "STACK_ENTRIES", size * 30 * 2)
         args = (Dgp("heteroscedastic_iid"), 30, 7, methods, 0.1, 2)
         expected = outcome(coverage_one_at_a_time, *args, b=40)
+        # every case raises, so edits that never reach the draws show up as a report
+        assert expected[0] in (ValueError, NonFiniteValue, SingularDesign)
         assert outcome(coverage_stacked, *args, b=40) == expected
+
+    # y = 1e308 (1 + u) + eps overflows where u > 0.8: at n=1, whose designs are all singular, seed 3
+    # first does so at replication 4; at n=3, seed 0 does at replication 1, after one whose meat overflows
+    @pytest.mark.parametrize("n, seed, expected", [
+        (1, 3, (ValueError, NON_FINITE)),
+        (3, 0, (NonFiniteValue, "k_check, the sandwich meat matrix, is outside double range")),
+    ], ids=["excluded-then-draw-error", "meat-error-first"])
+    @pytest.mark.filterwarnings("error")
+    def test_draw_failing_mid_stack_comes_after_the_replications_before_it(self, n, seed, expected):
+        dgp = Dgp("linear_homoscedastic", beta=(1e308, 1e308))
+        failing = [r for r in range(6) if outcome(sample, dgp, n, (seed, r)) == (ValueError, NON_FINITE)]
+        assert 0 < failing[0] < simlab.STACK_ENTRIES // (n * 2)
+        args = (dgp, n, 6, INTERVALS, 0.1, seed)
+        assert outcome(coverage_one_at_a_time, *args) == expected
+        assert outcome(coverage_stacked, *args) == expected
 
     def test_degenerate_dof_matches_one_replication_at_a_time(self):
         # n = p = 2 on a fixed design: the fit is exact and the classical variance has no dof
@@ -666,17 +757,14 @@ class TestStackedReplications:
         assert outcome(coverage_stacked, *args, b=40) == expected
 
     def test_consistency_raises_for_the_first_failing_replication(self, monkeypatch):
-        real_sample = simlab.sample
-
-        def edited_sample(dgp, n, key):
-            data = real_sample(dgp, n, key)
+        def edit(key, x, y):
             if key[2] == 6:
-                raise ValueError("no sample")
+                return None
             if key[2] == 2:
-                return Dataset(x=np.column_stack([np.ones(n), np.full(n, 0.5)]), y=data.y)
-            return data
+                x[:, 1] = 0.5
+            return x, y
 
-        monkeypatch.setattr(simlab, "sample", edited_sample)
+        edit_draws(monkeypatch, edit)
         with pytest.raises(SingularDesign, match="not positive definite"):
             run_consistency(Dgp("quadratic_mean_iid"), [30], 8, seed=1)
 

@@ -232,12 +232,16 @@ def commands() -> list[list[str]]:
          "--seed", "7"],
     ]
     # Monte Carlo runs over several stacks of replications (16 at n=500, 40 at n=200), with
-    # a last stack that is not full: interval methods only, and with the bootstrap methods
+    # a last stack that is not full: interval methods only, and with the bootstrap methods; each
+    # of the stacked draws' branches (x @ beta, a random-x profile, both fixed designs) is here
     cmds += [
         ["simulate", "--dgp", "heteroscedastic_iid", "--n", "500", "--reps", "40", "--seed", "8",
          "--methods", "classical_normal,sandwich_normal"],
         ["simulate", "--dgp", "fixed_x_nonidentical_mean", "--n", "500", "--reps", "37", "--seed", "8",
          "--methods", "sandwich_normal,classical_normal,sandwich_normal"],
+        ["simulate", "--dgp", "linear_homoscedastic", "--n", "500", "--reps", "40", "--seed", "8",
+         "--methods", "classical_normal,sandwich_normal"],
+        ["simulate", "--dgp", "fixed_x_heteroscedastic", "--n", "500", "--reps", "37", "--seed", "8"],
         ["simulate", "--dgp", "quadratic_mean_iid", "--n", "200", "--reps", "90", "--B", "100",
          "--seed", "9", "--methods", "classical_normal,sandwich_normal,bootstrap_rectangle,"
          "bootstrap_ellipsoid,max_t_bootstrap"],
