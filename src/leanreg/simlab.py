@@ -30,15 +30,15 @@ for a fixed one, and forms both sandwiches from the closed-form inverse of
 sigma_n. Each target is rounded to float once. A fixed design's k_n is its
 noise alone; k_n_star adds the mean's misfit to the linear target.
 
-Replication r of any Monte Carlo run draws from
-``np.random.default_rng((seed, r))``, so reports depend only on the seed.
-The Monte Carlo runs draw and fit their replications in stacks of about
-STACK_ENTRIES design entries (n * p): each replication's generator draws
-into its rows of the stack's buffers; the responses are formed, and the fit,
-meat and sandwich kernels called, once for the whole stack. That arithmetic
-gives each item of a stack the bits of one replication on its own, and the
-per-replication rows are tallied in replication order, so a report keeps its
-bits whatever the stack size; the budget only bounds the buffers' memory.
+Replication r of a Monte Carlo run draws from ``np.random.default_rng(key(r))``
+for one key function of r, (seed, r) or (seed, grid-index, r), so reports
+depend only on the seed. The runs draw and fit replications in stacks, each
+a range of r of about STACK_ENTRIES design entries (n * p): each generator
+draws into its rows of the stack's buffers; the responses are formed, and the
+fit, meat and sandwich kernels called, once for the stack. That gives each
+item the bits of one replication on its own, and a loop adds the tally rows
+in replication order, so a report keeps its bits whatever the stack size; the
+budget only bounds the buffers' memory.
 """
 
 from __future__ import annotations
@@ -225,6 +225,13 @@ def _exact_targets(dgp: Dgp, n: int | None) -> tuple[np.ndarray, ...]:
         raise ValueError(f"noise_scale={dgp.noise_scale!r} puts a target outside double range") from None
 
 
+def _targets(dgp: Dgp, n: int) -> tuple[np.ndarray, ...]:
+    """``_exact_targets`` of the scenario at size n: only a fixed design's depend on n."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return _exact_targets(dgp, n if dgp.is_fixed_design else None)
+
+
 def population_targets(dgp: Dgp, n: int) -> PopulationTargets:
     """Exact moments, targets and score covariances for the scenario.
 
@@ -233,9 +240,7 @@ def population_targets(dgp: Dgp, n: int) -> PopulationTargets:
     caller's own. A fixed design's score means are the rows
     x_i (mu_i - x_i' beta_n), evaluated in floats at the rounded beta_n.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    targets = [t.copy() for t in _exact_targets(dgp, n if dgp.is_fixed_design else None)]
+    targets = [t.copy() for t in _targets(dgp, n)]
     beta, sigma = targets[:2]
     score_means = population_score_means(dgp, n, beta) if dgp.is_fixed_design else np.zeros((n, dgp.p))
     return PopulationTargets(*targets, score_means=score_means, solve=linalg.spd_solver(sigma))
@@ -264,12 +269,13 @@ def population_score_means(dgp: Dgp, n: int, beta) -> np.ndarray:
 def sample(dgp: Dgp, n: int, rng_state) -> Dataset:
     """Draw one dataset of size n from ``np.random.default_rng(rng_state)``.
 
-    This is the draw of ``_sample_stacks`` on a one-key stack, in buffers of
-    its own. Fixed-design kinds reuse the deterministic design exactly and
-    redraw only the responses. Covariates are drawn before noise, so the
-    covariate stream of a random-x kind is reproducible on its own.
+    This is the draw of ``_sample_stacks`` on a one-replication stack keyed
+    by ``rng_state``, in buffers of its own. Fixed-design kinds reuse the
+    deterministic design exactly and redraw only the responses. Covariates
+    are drawn before noise, so the covariate stream of a random-x kind is
+    reproducible on its own.
     """
-    _, x, y = next(_sample_stacks(dgp, n, [rng_state]))
+    _, x, y = next(_sample_stacks(dgp, n, 1, lambda r: rng_state))
     return Dataset(x=x[0], y=y[0])
 
 
@@ -348,32 +354,32 @@ def _tally_layout(methods, p: int) -> dict:
     return layout
 
 
-def _sample_stacks(dgp: Dgp, n: int, keys: list):
-    """Draw the dataset of each key in order, and yield them a stack at a time.
+def _sample_stacks(dgp: Dgp, n: int, count: int, key: Callable):
+    """Draw replications 0 to count - 1 in order, and yield them a stack at a time.
 
-    Yields ``(start, x, y)``: the index of the stack's first key, and the
-    stack's designs and responses as (m, n, p) and (m, n) views of buffers
-    reused from stack to stack. A stack holds about STACK_ENTRIES design
-    entries. Each key's ``np.random.default_rng(key)`` draws the covariates
-    (random-x kinds) and then the noise into its own rows; the design and
-    the responses are then formed once for the stack, each row with the bits
-    of a draw on its own. A non-finite response ends the stacks: the
-    replications before it are yielded first and the ``ValueError`` raised
-    after, as a loop over the keys would reach it.
+    Yields ``(reps, x, y)``: the stack's replications as a ``range(start,
+    stop)``, and their designs and responses as (m, n, p) and (m, n) views
+    of buffers reused from stack to stack. A stack holds about STACK_ENTRIES
+    design entries. Replication r's ``np.random.default_rng(key(r))`` draws
+    the covariates (random-x kinds) and then the noise into its own rows; the
+    design and the responses are then formed once for the stack, each row
+    with the bits of a draw on its own. A non-finite response ends the
+    stacks: the replications before it are yielded first and the
+    ``ValueError`` raised after, as a loop over r would reach it.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    size = max(1, min(len(keys), STACK_ENTRIES // (n * dgp.p)))
+    size = max(1, min(count, STACK_ENTRIES // (n * dgp.p)))
     x, y = np.empty((size, n, dgp.p)), np.empty((size, n))
     x[..., 0] = 1.0
     if dgp.is_fixed_design:
         u = x[..., 1] = np.arange(1, n + 1) / n
     else:
         u = np.empty((size, n, dgp.p - 1))
-    for start in range(0, len(keys), size):
-        stack = keys[start : start + size]
-        for i, key in enumerate(stack):
-            rng = np.random.default_rng(key)
+    for start in range(0, count, size):
+        stack = range(start, min(start + size, count))
+        for i, r in enumerate(stack):
+            rng = np.random.default_rng(key(r))
             if not dgp.is_fixed_design:
                 rng.random(out=u[i])
             rng.standard_normal(out=y[i])
@@ -390,14 +396,9 @@ def _sample_stacks(dgp: Dgp, n: int, keys: list):
                 ys[:] = mean(us) + sd(us) * ys
         m = len(stack) if np.isfinite(ys).all() else int(np.isfinite(ys).all(axis=1).argmin())
         if m:
-            yield start, xs[:m], ys[:m]
+            yield stack[:m], xs[:m], ys[:m]
         if m < len(stack):
             raise ValueError("dataset contains non-finite entries")
-
-
-def _add_rows(tally: np.ndarray, rows: np.ndarray) -> None:
-    """Add each row of ``rows`` into ``tally`` in order: a loop of += with its bits."""
-    tally[:] = np.add.accumulate(np.concatenate((tally[None], rows)), axis=0)[-1]
 
 
 def run_coverage(
@@ -412,16 +413,17 @@ def run_coverage(
 ) -> CoverageReport:
     """Measure empirical coverage (and null rejection rates) of the target.
 
-    Per replication r: draw data with the (seed, r) substream, fit, build the
+    Per replication r: draw data with the (seed, r) key, fit, build the
     requested intervals/regions, and record whether beta_n is covered. The
     max_t_bootstrap method instead tests the true null beta = beta_n and
     records rejections. Replications whose design is singular are excluded
     and counted.
 
     The replications are fitted a stack at a time (see ``_sample_stacks``),
-    with each one's bits. Each stack fills one tally row per replication,
-    the interval methods all at once and the bootstrap ones row by row, and
-    adds its kept rows in order, so the report does not depend on the stack
+    with each one's bits; replication r's bootstrap draws from the (seed, r,
+    1) key. Each stack fills one tally row per replication, the interval
+    methods all at once and the bootstrap ones row by row, and a loop adds
+    its kept rows in order, so the report does not depend on the stack
     size. A replication that fails a gate is excluded for a singular design
     or raises the error that fitting it alone raises.
     """
@@ -435,10 +437,8 @@ def run_coverage(
         raise ValueError("need at least one replication")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    if n < 1:
-        raise ValueError("need n >= 1")
 
-    beta_n = _exact_targets(dgp, n if dgp.is_fixed_design else None)[0]
+    beta_n = _targets(dgp, n)[0]
     z = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
     needs_boot = any(m.startswith("bootstrap") or m == "max_t_bootstrap" for m in methods)
     needs_sandwich = needs_boot or "sandwich_normal" in methods
@@ -448,8 +448,7 @@ def run_coverage(
     layout = _tally_layout(methods, dgp.p)
     tallies = np.zeros(max((width.stop for _, width in layout.values()), default=0))
     excluded = 0
-    keys = [(seed, r) for r in range(replications)]
-    for start, x, y in _sample_stacks(dgp, n, keys):
+    for reps, x, y in _sample_stacks(dgp, n, replications, lambda r: (seed, r)):
         fits = _fit_stack(x, y)
         meat_flag = rss_flag = np.zeros(len(y), dtype=bool)
         rows = np.zeros((len(y), tallies.size))
@@ -477,7 +476,7 @@ def run_coverage(
                 k_check(fit)
             if needs_boot:
                 var_s = VarianceEstimate(SANDWICH_HC0, avar_s[i], se_s[i], meat[i])
-                draws = run_bootstrap(fit, b=b, dist=weight_dist, seed=(seed, start + i, 1))
+                draws = run_bootstrap(fit, b=b, dist=weight_dist, seed=(seed, reps[i], 1))
             for m, (hit, width) in layout.items():
                 if m == "classical_normal" and rss_flag[i]:
                     residual_variance(fit)
@@ -489,7 +488,8 @@ def run_coverage(
                 elif m == "max_t_bootstrap":
                     res = max_t_test(fit, var_s, beta_n, reference="bootstrap", draws=draws)
                     rows[i, hit] = res.p_value <= alpha
-        _add_rows(tallies, rows[~fits.failed])
+        for row in rows[~fits.failed]:
+            tallies += row
     if excluded == replications:
         raise SingularDesign("every replication produced a singular design")
 
@@ -508,9 +508,9 @@ def run_coverage(
 def run_consistency(dgp: Dgp, n_grid, replications: int, seed: int) -> dict:
     """Median estimation error per sample size, plus the fitted log-log slope.
 
-    Returns {"n_grid", "median_error", "loglog_slope"}. The replication
-    substream is keyed by (seed, grid-index, r) so adding a grid point never
-    perturbs the others. The replications are fitted a stack at a time, as in
+    Returns {"n_grid", "median_error", "loglog_slope"}. Replication r is
+    keyed by (seed, grid-index, r) so adding a grid point never perturbs
+    the others. The replications are fitted a stack at a time, as in
     ``run_coverage``; any design that fails a gate raises.
     """
     n_grid = [int(n) for n in n_grid]
@@ -518,20 +518,17 @@ def run_consistency(dgp: Dgp, n_grid, replications: int, seed: int) -> dict:
         raise ValueError("n_grid must be strictly increasing and non-empty")
     if replications < 1:
         raise ValueError("need at least one replication")
-    if n_grid[0] < 1:
-        raise ValueError("need n >= 1")
     medians = []
     for i, n in enumerate(n_grid):
-        beta_n = _exact_targets(dgp, n if dgp.is_fixed_design else None)[0]
+        beta_n = _targets(dgp, n)[0]
         errs = np.empty(replications)
-        keys = [(seed, i, r) for r in range(replications)]
-        for start, x, y in _sample_stacks(dgp, n, keys):
+        for reps, x, y in _sample_stacks(dgp, n, replications, lambda r: (seed, i, r)):
             fits = _fit_stack(x, y)
             for j in np.flatnonzero(fits.failed).tolist():
                 fits.fit(j, Dataset(x=x[j], y=y[j]))  # raises this replication's gate error
             d = fits.beta_hat - beta_n
             # the Euclidean norm as np.linalg.norm takes it of one vector: sqrt of a BLAS dot
-            errs[start : start + len(y)] = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+            errs[reps.start : reps.stop] = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
         medians.append(float(np.median(errs)))
     if len(n_grid) >= 2 and all(m > 0 for m in medians):
         slope = float(np.polyfit(np.log(n_grid), np.log(medians), 1)[0])

@@ -1,7 +1,5 @@
 import math
-import os
 import pickle
-import subprocess
 import sys
 
 import numpy as np
@@ -167,7 +165,7 @@ class TestMultiplierDraw:
             )
 
 
-def test_tall_draws_do_not_depend_on_blas_threads(tmp_path):
+def test_tall_draws_do_not_depend_on_blas_threads(tmp_path, blas_thread_stdouts):
     # every weighted product is 16-row GEMM calls of at most 2**18 multiply-adds, which
     # OpenBLAS runs on one thread: so at n=2e5, at moderate shapes that one GEMM per block
     # would thread, and at p=1, which would go to GEMV or DOT without its zero column.
@@ -193,14 +191,8 @@ def test_tall_draws_do_not_depend_on_blas_threads(tmp_path):
         "    draws = run_bootstrap(fit, seed=4, **kw).draws_t\n"
         "    print(hashlib.sha256(draws.tobytes()).hexdigest())\n"
     )
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, "-c", code, str(path)], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout.split())
+    stdouts = blas_thread_stdouts([sys.executable, "-c", code, str(path)], text=True)
+    outputs = [out.split() for out in stdouts]
     assert len(outputs[0]) == len(runs)
     assert outputs[0] == outputs[1]
 

@@ -996,7 +996,7 @@ def test_student_t_reference_p_value_is_unchanged(tmp_path, capsys):
     assert res["p_value"] == pytest.approx(0.4811603842602029, rel=1e-10)
 
 
-def test_gaussian_bootstrap_bits_do_not_depend_on_blas_threads(tmp_path):
+def test_gaussian_bootstrap_bits_do_not_depend_on_blas_threads(tmp_path, blas_thread_stdouts):
     rng = np.random.default_rng(0)
     x = rng.random((3000, 12))
     y = 1.0 + x @ np.linspace(1.0, -1.0, 12) + (0.2 + x[:, 0]) * rng.standard_normal(3000)
@@ -1006,23 +1006,13 @@ def test_gaussian_bootstrap_bits_do_not_depend_on_blas_threads(tmp_path):
                fmt="%.17g")
     command = [sys.executable, "-m", "leanreg", "bootstrap", "--data", str(path),
                "--response", "y", "--add-intercept", "--B", "2000", "--seed", "3"]
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        proc = subprocess.run(command, capture_output=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
+    outputs = blas_thread_stdouts(command)
     assert outputs[0] == outputs[1]
 
 
-def test_stacked_simulate_does_not_depend_on_blas_threads():
+def test_stacked_simulate_does_not_depend_on_blas_threads(blas_thread_stdouts):
     # 40 replications at n=500 are fitted in stacks of 16, 16 and 8
     command = [sys.executable, "-m", "leanreg", "simulate", "--dgp", "heteroscedastic_iid", "--n", "500",
                "--reps", "40", "--seed", "8", "--methods", "classical_normal,sandwich_normal"]
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        proc = subprocess.run(command, capture_output=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
+    outputs = blas_thread_stdouts(command)
     assert outputs[0] == outputs[1]

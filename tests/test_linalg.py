@@ -1,6 +1,4 @@
-import os
 import pickle
-import subprocess
 import sys
 
 import numpy as np
@@ -140,7 +138,7 @@ class TestSpdSolverOracle:
         b = _rhs(5, "matrix", seed=4)
         assert pickle.loads(pickle.dumps(solve))(b).tobytes() == solve(b).tobytes()
 
-    def test_bits_do_not_depend_on_blas_threads(self):
+    def test_bits_do_not_depend_on_blas_threads(self, blas_thread_stdouts):
         code = (
             "import hashlib, numpy as np\n"
             "from leanreg import spd_solver\n"
@@ -149,14 +147,8 @@ class TestSpdSolverOracle:
             "x = spd_solver(g @ g.T + 13 * np.eye(13))(rng.standard_normal((13, 2000)))\n"
             "print(hashlib.sha256(x.tobytes()).hexdigest())\n"
         )
-        digests = set()
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            proc = subprocess.run(
-                [sys.executable, "-c", code], capture_output=True, text=True, env=env
-            )
-            assert proc.returncode == 0, proc.stderr
-            digests.add(proc.stdout.strip())
+        stdouts = blas_thread_stdouts([sys.executable, "-c", code], text=True)
+        digests = {out.strip() for out in stdouts}
         assert len(digests) == 1
 
 

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import statistics
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -48,17 +49,17 @@ def edit_draws(monkeypatch, edit):
     """
     real_stacks = simlab._sample_stacks
 
-    def stacks(dgp, n, keys):
-        for start, x, y in real_stacks(dgp, n, keys):
+    def stacks(dgp, n, count, key):
+        for reps, x, y in real_stacks(dgp, n, count, key):
             x, y = x.copy(), y.copy()
-            for i, key in enumerate(keys[start : start + len(y)]):
-                edited = edit(key, x[i], y[i])
+            for i, r in enumerate(reps):
+                edited = edit(key(r), x[i], y[i])
                 if edited is None:
                     if i:
-                        yield start, x[:i], y[:i]
-                    raise ValueError(f"no sample for replication {key[-1]}")
+                        yield reps[:i], x[:i], y[:i]
+                    raise ValueError(f"no sample for replication {key(r)[-1]}")
                 x[i], y[i] = edited
-            yield start, x, y
+            yield reps, x, y
 
     monkeypatch.setattr(simlab, "_sample_stacks", stacks)
 
@@ -503,16 +504,15 @@ class TestDrawOracle:
     def test_every_stack_row(self, monkeypatch, dgp, size):
         if size is not None:
             monkeypatch.setattr(simlab, "STACK_ENTRIES", size * 60 * dgp.p)
-        keys = [(5, r) for r in range(8)]
         drawn = 0
-        for start, xs, ys in simlab._sample_stacks(dgp, 60, keys):
-            assert start == drawn and len(xs) == len(ys) <= (size or len(keys))
-            for i, key in enumerate(keys[start : start + len(ys)]):
-                x, y = explicit_draw(dgp, 60, np.random.default_rng(key))
+        for reps, xs, ys in simlab._sample_stacks(dgp, 60, 8, lambda r: (5, r)):
+            assert reps == range(drawn, drawn + len(ys)) and len(xs) == len(ys) <= (size or 8)
+            for i, r in enumerate(reps):
+                x, y = explicit_draw(dgp, 60, np.random.default_rng((5, r)))
                 np.testing.assert_array_equal(xs[i], x)
                 np.testing.assert_array_equal(ys[i], y)
             drawn += len(ys)
-        assert drawn == len(keys)
+        assert drawn == 8
 
 
 class TestRunCoverage:
@@ -697,6 +697,20 @@ class TestStackedReplications:
             consistency.append(run_consistency(Dgp(kind), [40, 80], 11, seed=4))
         assert len(coverage) == 1
         assert consistency[0] == consistency[1] == consistency[2]
+
+    def test_memory_does_not_grow_with_the_replications(self):
+        # n=500 keeps the stack at 16 replications, so its buffers do not grow with R either
+        def peak(replications):
+            tracemalloc.start()
+            try:
+                run_coverage(Dgp("heteroscedastic_iid"), n=500, replications=replications,
+                             methods=("sandwich_normal",), alpha=0.05, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first-call caches
+        assert peak(2000) - peak(500) < 0.03e6
 
     @pytest.mark.parametrize("edits, methods", [
         ({5: BIG_X}, TWICE),

@@ -43,7 +43,7 @@ DGPS = (
 
 
 def write_csvs(directory: pathlib.Path) -> None:
-    """Five CSVs, each from its own fixed seed; plus twenty-three tiny, late, wide or huge edge cases."""
+    """Five seeded CSVs plus twenty-four tiny, late, wide or huge edge cases: 29 files in all."""
     # small, wide and tall grow in size; resid is one where RSS / (n - p) and a
     # value decoded from the classical meat matrix differ in the last bit; spans
     # (about 10 MB) is over two of read_csv's 4 MiB span minimums, so a machine
