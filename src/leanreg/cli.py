@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import (
+    WEIGHT_DISTS,
     _quantile_rank,
     clamped_quantile_warnings,
     region_ellipsoid,
@@ -47,7 +48,7 @@ from .exceptions import (
 )
 from .inference import max_t_test, t_test
 from .ols import Dataset, fit_ols
-from .simlab import COVERAGE_METHODS, Dgp, population_targets, run_coverage, sample
+from .simlab import METHOD_KINDS, Dgp, population_targets, run_coverage, sample
 from .variance import classical_avar, hc1_avar, residual_variance, sandwich_avar
 
 SEED_ENV_VAR = "LEANREG_SEED"
@@ -471,8 +472,8 @@ def _cmd_bootstrap(config: RunConfig) -> tuple[dict, list]:
 def _cmd_simulate(config: RunConfig) -> tuple[dict, list]:
     methods = (
         tuple(m.strip() for m in config.methods.split(","))
-        if config.methods
-        else tuple(m for m in COVERAGE_METHODS if m != "max_t_bootstrap")
+        if config.methods is not None
+        else tuple(m for m, kind in METHOD_KINDS.items() if kind != "test")
     )
     report = run_coverage(
         Dgp(kind=config.dgp, noise_scale=config.noise_scale),
@@ -500,9 +501,10 @@ def _cmd_simulate(config: RunConfig) -> tuple[dict, list]:
     warnings = []
     if report.excluded:
         warnings.append(f"{report.excluded} replication(s) excluded for singular designs")
-    if {"bootstrap_rectangle", "bootstrap_ellipsoid"} & set(methods):
+    kinds = {METHOD_KINDS[m] for m in methods}
+    if {"rectangle", "ellipsoid"} & kinds:
         warnings += clamped_quantile_warnings(config.b, config.alpha)
-    if "max_t_bootstrap" in methods and _quantile_rank(config.b, config.alpha) > config.b:
+    if "test" in kinds and _quantile_rank(config.b, config.alpha) > config.b:
         floor = f"1/(B+1) = {1 / (config.b + 1):.4g}"
         warnings.append(f"max_t_bootstrap cannot reject: its p-value is at least {floor} > alpha")
     return results, warnings
@@ -544,12 +546,48 @@ def _cmd_check(config: RunConfig) -> tuple[dict, list]:
     return results, warnings
 
 
+_DATA_FLAGS = ("data", "response", "add_intercept")
+_COMMON_FLAGS = ("seed", "out", "threads")
+
+# every flag once, by its RunConfig field: its spelling and its argparse keywords; test and
+# bootstrap take different --variance choices, so that flag has two entries
+_FLAGS = {
+    "data": ("--data", dict(required=True, help="input CSV path (header row required)")),
+    "response": ("--response", dict(required=True, help="name of the response column")),
+    "add_intercept": ("--add-intercept", dict(action="store_true", help="prepend a ones column")),
+    "coef": ("--coef", dict(type=int, help="coordinate to test; omit for max-|t|")),
+    "null": ("--null", dict(help="null value(s), comma separated or scalar")),
+    "variance": ("--variance", dict(choices=("classical", "hc0", "hc1"))),
+    "studentizer": ("--variance", dict(
+        dest="variance", choices=("hc0", "hc1"),
+        help="studentizer; hc1 scales hc0 by n/(n-p), which moves se_used but neither region",
+    )),
+    "reference": ("--reference", dict(choices=tuple(_REFERENCE_FLAG))),
+    "weights": ("--weights", dict(choices=WEIGHT_DISTS)),
+    "b": ("--B", dict(dest="b", type=int, help="bootstrap replicates")),
+    "m": ("--m", dict(type=int, help="resample size; passing it selects the m-of-n resampling bootstrap")),
+    "alpha": ("--alpha", dict(type=float)),
+    "dgp": ("--dgp", dict(required=True, help="scenario kind")),
+    "noise_scale": ("--noise-scale", dict(type=float)),
+    "n": ("--n", dict(type=int, required=True)),
+    "reps": ("--reps", dict(type=int, required=True)),
+    "methods": ("--methods", dict(help="comma list; default all interval/region methods")),
+    "seed": ("--seed", dict(type=int, help=f"RNG seed (or {SEED_ENV_VAR})")),
+    "out": ("--out", dict(help="write the JSON report here instead of stdout")),
+    "threads": ("--threads", dict(type=int, help="kept for replay; results depend only on the seed")),
+}
+
+# each subcommand: its runner, its help and its flags, in the order --help lists them
 _COMMANDS = {
-    "fit": _cmd_fit,
-    "test": _cmd_test,
-    "bootstrap": _cmd_bootstrap,
-    "simulate": _cmd_simulate,
-    "check": _cmd_check,
+    "fit": (_cmd_fit, "fit OLS and report classical vs sandwich SEs", _DATA_FLAGS + _COMMON_FLAGS),
+    "test": (_cmd_test, "conservative t or max-|t| test",
+             _DATA_FLAGS + ("coef", "null", "variance", "reference", "weights", "b") + _COMMON_FLAGS),
+    "bootstrap": (_cmd_bootstrap, "score bootstrap and confidence regions",
+                  _DATA_FLAGS + ("studentizer", "weights", "b", "m", "alpha") + _COMMON_FLAGS),
+    "simulate": (_cmd_simulate, "Monte Carlo coverage / type-I error study",
+                 ("dgp", "noise_scale", "n", "reps", "alpha", "b", "weights", "methods") + _COMMON_FLAGS),
+    "check": (_cmd_check, "deterministic inequality and linear-representation check",
+              ("dgp", "noise_scale", "n") + _COMMON_FLAGS),
 }
 
 
@@ -559,66 +597,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Assumption-lean least squares: estimation, conservative inference, simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name, help):
+    for name, (_, help, flags) in _COMMANDS.items():
         # an absent flag stays out of the namespace, so RunConfig holds every default
-        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-
-    def add_data_flags(p):
-        p.add_argument("--data", required=True, help="input CSV path (header row required)")
-        p.add_argument("--response", required=True, help="name of the response column")
-        p.add_argument("--add-intercept", action="store_true", help="prepend a ones column")
-
-    def add_common_flags(p):
-        p.add_argument("--seed", type=int, help=f"RNG seed (or {SEED_ENV_VAR})")
-        p.add_argument("--out", help="write the JSON report here instead of stdout")
-        p.add_argument("--threads", type=int, help="kept for replay; results depend only on the seed")
-
-    p_fit = add_command("fit", "fit OLS and report classical vs sandwich SEs")
-    add_data_flags(p_fit)
-    add_common_flags(p_fit)
-
-    p_test = add_command("test", "conservative t or max-|t| test")
-    add_data_flags(p_test)
-    p_test.add_argument("--coef", type=int, help="coordinate to test; omit for max-|t|")
-    p_test.add_argument("--null", help="null value(s), comma separated or scalar")
-    p_test.add_argument("--variance", choices=("classical", "hc0", "hc1"))
-    p_test.add_argument("--reference", choices=("normal", "t", "bootstrap"))
-    p_test.add_argument("--weights", choices=("gaussian", "rademacher"))
-    p_test.add_argument("--B", dest="b", type=int, help="bootstrap replicates")
-    add_common_flags(p_test)
-
-    p_boot = add_command("bootstrap", "score bootstrap and confidence regions")
-    add_data_flags(p_boot)
-    p_boot.add_argument(
-        "--variance", choices=("hc0", "hc1"),
-        help="studentizer; hc1 scales hc0 by n/(n-p), which moves se_used but neither region",
-    )
-    p_boot.add_argument("--weights", choices=("gaussian", "rademacher"))
-    p_boot.add_argument("--B", dest="b", type=int)
-    p_boot.add_argument(
-        "--m", type=int, help="resample size; passing it selects the m-of-n resampling bootstrap"
-    )
-    p_boot.add_argument("--alpha", type=float)
-    add_common_flags(p_boot)
-
-    p_sim = add_command("simulate", "Monte Carlo coverage / type-I error study")
-    p_sim.add_argument("--dgp", required=True, help="scenario kind")
-    p_sim.add_argument("--noise-scale", dest="noise_scale", type=float)
-    p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--reps", type=int, required=True)
-    p_sim.add_argument("--alpha", type=float)
-    p_sim.add_argument("--B", dest="b", type=int)
-    p_sim.add_argument("--weights", choices=("gaussian", "rademacher"))
-    p_sim.add_argument("--methods", help="comma list; default all interval/region methods")
-    add_common_flags(p_sim)
-
-    p_check = add_command("check", "deterministic inequality and linear-representation check")
-    p_check.add_argument("--dgp", required=True)
-    p_check.add_argument("--noise-scale", dest="noise_scale", type=float)
-    p_check.add_argument("--n", type=int, required=True)
-    add_common_flags(p_check)
-
+        command = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            spelling, keywords = _FLAGS[flag]
+            command.add_argument(spelling, **keywords)
     return parser
 
 
@@ -636,7 +620,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def run_command(config: RunConfig) -> Report:
     """Validate the config, run its command and build its Report."""
     config.validate()
-    results, warnings = _COMMANDS[config.command](config)
+    results, warnings = _COMMANDS[config.command][0](config)
     return Report(config.command, dataclasses.asdict(config), results, warnings)
 
 

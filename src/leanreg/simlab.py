@@ -84,13 +84,17 @@ DGP_KINDS = tuple(_DEFAULT_NOISE)
 # the stack's buffers and temporaries grow with it, and the reports do not depend on it
 STACK_ENTRIES = 1 << 14
 
-COVERAGE_METHODS = (
-    "classical_normal",
-    "sandwich_normal",
-    "bootstrap_rectangle",
-    "bootstrap_ellipsoid",
-    "max_t_bootstrap",
-)
+# each Monte Carlo method's kind: per-coordinate intervals, a joint region, or a test of the
+# true null; the kind fixes a method's tallies and whether it needs bootstrap draws
+METHOD_KINDS = {
+    "classical_normal": "interval",
+    "sandwich_normal": "interval",
+    "bootstrap_rectangle": "rectangle",
+    "bootstrap_ellipsoid": "ellipsoid",
+    "max_t_bootstrap": "test",
+}
+
+COVERAGE_METHODS = tuple(METHOD_KINDS)
 
 
 @dataclass(frozen=True)
@@ -306,12 +310,11 @@ class CoverageReport:
 
     @property
     def coverage(self) -> dict:
-        return {m: c.tolist() for m, c in self._hit_rates().items() if m != "max_t_bootstrap"}
+        return {m: c.tolist() for m, c in self._hit_rates(test=False).items()}
 
     @property
     def coverage_se(self) -> dict:
-        rates = self._hit_rates().items()
-        return {m: _mc_se(c, self._kept).tolist() for m, c in rates if m != "max_t_bootstrap"}
+        return {m: _mc_se(c, self._kept).tolist() for m, c in self._hit_rates(test=False).items()}
 
     @property
     def mean_width(self) -> dict:
@@ -320,12 +323,11 @@ class CoverageReport:
 
     @property
     def rejection_rate(self) -> dict:
-        return {m: float(c[0]) for m, c in self._hit_rates().items() if m == "max_t_bootstrap"}
+        return {m: float(c[0]) for m, c in self._hit_rates(test=True).items()}
 
     @property
     def rejection_se(self) -> dict:
-        rates = self._hit_rates().items()
-        return {m: float(_mc_se(c, self._kept)[0]) for m, c in rates if m == "max_t_bootstrap"}
+        return {m: float(_mc_se(c, self._kept)[0]) for m, c in self._hit_rates(test=True).items()}
 
     @property
     def _kept(self) -> int:
@@ -335,8 +337,10 @@ class CoverageReport:
         # a sum over kept replications divided by their count: np.mean's own reduction, so its bits
         return np.frombuffer(self.tallies)[part] / self._kept
 
-    def _hit_rates(self) -> dict:
-        return {m: self._per_kept(hit) for m, (hit, _) in _tally_layout(self.methods, self.p).items()}
+    def _hit_rates(self, test: bool) -> dict:
+        """The hit proportions of the tests (rejections), or of the others (coverage)."""
+        layout = _tally_layout(self.methods, self.p).items()
+        return {m: self._per_kept(hit) for m, (hit, _) in layout if (METHOD_KINDS[m] == "test") == test}
 
 
 def _mc_se(prop: np.ndarray, r: int) -> np.ndarray:
@@ -347,8 +351,8 @@ def _tally_layout(methods, p: int) -> dict:
     """Each distinct method's slices of the tallies: its hit counts, then its width sums."""
     layout, start = {}, 0
     for m in dict.fromkeys(methods):
-        hits = p if m.endswith("_normal") else 1
-        widths = 0 if m in ("bootstrap_ellipsoid", "max_t_bootstrap") else p
+        hits = p if METHOD_KINDS[m] == "interval" else 1
+        widths = p if METHOD_KINDS[m] in ("interval", "rectangle") else 0
         layout[m] = slice(start, start + hits), slice(start + hits, start + hits + widths)
         start += hits + widths
     return layout
@@ -440,7 +444,7 @@ def run_coverage(
 
     beta_n = _targets(dgp, n)[0]
     z = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
-    needs_boot = any(m.startswith("bootstrap") or m == "max_t_bootstrap" for m in methods)
+    needs_boot = any(METHOD_KINDS[m] != "interval" for m in methods)
     needs_sandwich = needs_boot or "sandwich_normal" in methods
 
     # per distinct method, summed over kept replications: covered coordinates (or the joint
@@ -462,7 +466,7 @@ def run_coverage(
                 sigma2, rss_flag = _residual_variance(fits.residuals, dgp.p)
                 se_c = _se(_classical_avar(fits.solve, sigma2, dgp.p), n)
             for m, (hit, width) in layout.items():
-                if m.endswith("_normal"):
+                if METHOD_KINDS[m] == "interval":
                     se = se_c if m == "classical_normal" else se_s
                     rows[:, hit] = np.abs(fits.beta_hat - beta_n) <= z * se
                     rows[:, width] = 2.0 * z * se
@@ -480,12 +484,12 @@ def run_coverage(
             for m, (hit, width) in layout.items():
                 if m == "classical_normal" and rss_flag[i]:
                     residual_variance(fit)
-                elif m == "bootstrap_rectangle":
+                elif METHOD_KINDS[m] == "rectangle":
                     reg = region_rectangle(fit, draws, var_s, alpha)
                     rows[i, hit], rows[i, width] = reg.contains(beta_n), 2.0 * reg.half_widths
-                elif m == "bootstrap_ellipsoid":
+                elif METHOD_KINDS[m] == "ellipsoid":
                     rows[i, hit] = region_ellipsoid(fit, draws, var_s, alpha).contains(beta_n)
-                elif m == "max_t_bootstrap":
+                elif METHOD_KINDS[m] == "test":
                     res = max_t_test(fit, var_s, beta_n, reference="bootstrap", draws=draws)
                     rows[i, hit] = res.p_value <= alpha
         for row in rows[~fits.failed]:

@@ -714,6 +714,16 @@ class TestSimulateCommand:
         _, out3 = run_cli(args + ["--threads", "1"], capsys)
         assert out1 == out3
 
+    @pytest.mark.parametrize("methods", ["", ","])
+    def test_empty_method_is_refused(self, capsys, methods):
+        # an empty --methods names no method; it does not fall back to the default ones
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--dgp", "heteroscedastic_iid", "--n", "30", "--reps", "2",
+                  "--methods", methods, "--seed", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unknown method ''" in captured.err
+
     @pytest.mark.parametrize(
         "methods, b, clamped",
         [("bootstrap_rectangle", 18, True), ("bootstrap_ellipsoid", 18, True),

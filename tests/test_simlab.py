@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 import leanreg.bootstrap
 import leanreg.simlab as simlab
@@ -34,6 +34,7 @@ from leanreg import (
     sandwich_avar,
 )
 from leanreg.cli import main
+from leanreg.ols import _fit_stack
 
 ALL_KINDS = simlab.DGP_KINDS
 P2_KINDS = tuple(k for k in ALL_KINDS if k != "linear_homoscedastic")
@@ -896,3 +897,68 @@ class TestRunConsistency:
     def test_needs_every_grid_point_at_least_one(self, kind, n_grid):
         with pytest.raises(ValueError, match="need n >= 1"):
             run_consistency(Dgp(kind), n_grid, 2, seed=1)
+
+
+# an oracle's Monte Carlo mean may stray 4 SE from its exact value; a family of k such
+# means shares that false-alarm rate, Bonferroni split over its members
+def bonferroni_se(k: int) -> float:
+    gauss = statistics.NormalDist()
+    return gauss.inv_cdf(1.0 - gauss.cdf(-4.0) / k)
+
+
+class TestExactLawOracles:
+    """Monte Carlo results against laws that hold exactly at every n, not a parent's bits."""
+
+    @pytest.mark.parametrize("p, n, replications", [
+        (2, 500, 4000), (5, 12, 4000), (11, 30, 4000), (21, 100, 4000), (2, 4, 4000),
+        # one full stack of replications, and one more in a stack of its own
+        (2, 4, simlab.STACK_ENTRIES // 8), (2, 4, simlab.STACK_ENTRIES // 8 + 1),
+    ])
+    def test_classical_coverage_is_the_student_t_probability(self, p, n, replications):
+        # gaussian noise, a correct model and RSS / (n - p): each classical t is exactly t_{n-p}
+        rep = run_coverage(Dgp("linear_homoscedastic", p=p), n=n, replications=replications,
+                           methods=("classical_normal",), alpha=0.05, seed=7)
+        exact = 2.0 * stats.t.cdf(statistics.NormalDist().inv_cdf(0.975), n - p) - 1.0
+        se = np.sqrt(exact * (1.0 - exact) / replications)
+        assert rep.excluded == 0
+        assert np.abs(np.array(rep.coverage["classical_normal"]) - exact).max() <= bonferroni_se(p) * se
+
+    def test_fixed_design_estimator_law(self):
+        # with gaussian noise beta_hat is linear in y, so sqrt(n) (beta_hat - beta_n) is exactly
+        # N(0, av_n). The two fixed kinds share the design and the noise, so one run checks both
+        dgp, n, replications = Dgp("fixed_x_nonidentical_mean"), 40, 20000
+        pop = population_targets(dgp, n)
+        errors = np.empty((replications, dgp.p))
+        for reps, x, y in simlab._sample_stacks(dgp, n, replications, lambda r: (16, r)):
+            fits = _fit_stack(x, y)
+            assert not fits.failed.any()
+            errors[reps.start : reps.stop] = fits.beta_hat - pop.beta_n
+
+        def form(avar):
+            return n * np.einsum("ri,ij,rj->r", errors, np.linalg.inv(avar), errors)
+
+        assert stats.kstest(form(pop.av_n), "chi2", args=(dgp.p,)).pvalue >= 2 * stats.norm.cdf(-4.0)
+        # against the conservative av_n_star the form averages tr(av_n_star^-1 av_n) < p
+        star = form(pop.av_n_star)
+        exact = np.trace(np.linalg.solve(pop.av_n_star, pop.av_n))
+        assert exact < dgp.p
+        assert abs(star.mean() - exact) <= 4.0 * star.std() / np.sqrt(replications)
+
+    def test_meat_conditional_mean(self):
+        # homoscedastic gaussian noise at a fixed X: E[e_i^2 | X] = s^2 (1 - h_i) (MacKinnon and
+        # White 1985), so E[k_check | X] = (s^2 / n) sum_i (1 - h_i) x_i x_i'
+        n, p, s, replications = 40, 3, 2.0, 4000
+        rng = np.random.default_rng(13)
+        x = np.column_stack([np.ones(n), rng.random((n, p - 1))])
+        y = x @ np.ones(p) + s * rng.standard_normal((replications, n))
+        fits = _fit_stack(np.broadcast_to(x, (replications, n, p)), y)
+        meat, flags = leanreg.variance._k_check(x, fits.residuals)
+        assert not (fits.failed | flags).any()
+        h = np.einsum("ij,ji->i", x, np.linalg.solve(x.T @ x, x.T))
+        exact = s**2 * (x.T * (1.0 - h)) @ x / n
+        se = meat.std(axis=0) / np.sqrt(replications)
+        rows, cols = np.triu_indices(p)  # the distinct entries of a symmetric matrix
+        bound = bonferroni_se(rows.size) * se[rows, cols]
+        assert (np.abs(meat.mean(axis=0) - exact)[rows, cols] <= bound).all()
+        # the oracle has power: the meat without its leverage factor, s^2 sigma_hat, is rejected
+        assert (np.abs(meat.mean(axis=0) - s**2 * x.T @ x / n)[rows, cols] > bound).any()

@@ -3,9 +3,10 @@
     python tools/cli_digest.py > digest.txt
 
 Writes fixed-seed CSVs to a temporary directory, runs a fixed list of
-``fit``, ``test``, ``bootstrap``, ``simulate`` and ``check`` commands as
-``python -m leanreg`` against this checkout's ``src/`` with BLAS pinned to
-one thread, and prints one line per command:
+``--help``, ``fit``, ``test``, ``bootstrap``, ``simulate`` and ``check``
+commands as ``python -m leanreg`` against this checkout's ``src/`` with BLAS
+pinned to one thread and the help wrapped at 80 columns, and prints one line
+per command:
 
     <exit code> <sha256 of stdout> <command>
 
@@ -116,7 +117,8 @@ def write_csvs(directory: pathlib.Path) -> None:
 
 def commands() -> list[list[str]]:
     """The corpus, with data paths relative to the CSV directory."""
-    cmds = []
+    # the help texts, wrapped at the 80 columns that main pins
+    cmds = [["--help"]] + [[command, "--help"] for command in ("fit", "test", "bootstrap", "simulate", "check")]
     for name in ("small", "wide", "tall"):
         data = ["--data", f"{name}.csv", "--response", "y"]
         cmds += [
@@ -283,7 +285,8 @@ def commands() -> list[list[str]]:
 
 
 def main() -> int:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
+    # argparse wraps help to the terminal width, which COLUMNS sets
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC), COLUMNS="80")
     env.pop("LEANREG_SEED", None)
     with tempfile.TemporaryDirectory() as tmp:
         write_csvs(pathlib.Path(tmp))
