@@ -84,8 +84,8 @@ def run_bootstrap(
     All replicates come, in order, from one ``np.random.default_rng(seed)``, so
     the output depends only on the seed, and fewer replicates are a prefix of
     more. Gaussian multiplier draws are Z @ R_s / sqrt(n), with Z the
-    generator's B x p standard normals, row-major, and R_s the triangular
-    factor of scores_hat from ``linalg.tsqr_r``: the product is p elementwise
+    generator's B x p standard normals, row-major, and R_s the fit's
+    triangular factor of scores_hat, ``fit.r_s``: the product is p elementwise
     multiply-adds of Z's columns into R_s's rows, in order, with no BLAS
     call. The other draws are filled in blocks of rows as W @ scores_hat /
     sqrt(scale): W holds rademacher weights (scale n) or, for the m-of-n
@@ -113,10 +113,9 @@ def run_bootstrap(
     rng = np.random.default_rng(seed)
     if dist == "gaussian":
         z = rng.standard_normal((b, fit.p))
-        r_s = linalg.tsqr_r(fit.scores_hat)
         draws_t = np.zeros((b, fit.p))
         for j in range(fit.p):
-            draws_t += z[:, j : j + 1] * r_s[j]
+            draws_t += z[:, j : j + 1] * fit.r_s[j]
         draws_t /= math.sqrt(fit.n)
     else:
         draws_t = _weighted_draws(fit, b, m, rng)
@@ -258,23 +257,24 @@ def region_ellipsoid(
 ) -> ConfidenceRegion:
     """Ellipsoid region from bootstrap quantiles of t_star' k_check^-1 t_star.
 
-    ``var`` must be a sandwich estimate; its meat is k_check, which is
-    factored once here. The quadratic form on coefficients is
-    sigma_hat @ k_check^-1 @ sigma_hat, so membership of beta is equivalent
-    to the score statistic sqrt(n) sigma_hat (beta_hat - beta) falling inside
-    the corresponding k_check ellipsoid.
+    ``var`` must be a sandwich estimate; its meat k_check = R_s' R_s / n is read
+    from the fit's factor R_s of the scores, gated as a Cholesky factor is. The
+    statistic is n ||R_s^-T t_star||^2 and the quadratic form on coefficients
+    sigma_hat k_check^-1 sigma_hat = D'D, D = sqrt(n) R_s^-T sigma_hat, so beta is
+    inside iff sqrt(n) sigma_hat (beta_hat - beta) is inside the k_check ellipsoid.
     """
     if not var.is_sandwich():
         raise ValueError("ellipsoid regions are built on the sandwich meat k_check")
-    solve_k = linalg.spd_solver(var.meat)  # raises if k_check is singular
-    qvals = np.einsum("bi,ib->b", draws.draws_t, solve_k(draws.draws_t.T))
-    radius = _order_stat_quantile(qvals, alpha)
-    quad_form = fit.sigma_hat @ solve_k(fit.sigma_hat)
+    pivot = linalg._first_low_pivot(np.diagonal(fit.r_s) ** 2, (fit.r_s**2).sum(axis=0))
+    if pivot >= 0:
+        raise linalg._not_positive_definite(int(pivot), fit.p)
+    w = linalg._apply_factor(fit.r_s.T, draws.draws_t.T, forward_only=True)
+    d = math.sqrt(fit.n) * linalg._apply_factor(fit.r_s.T, fit.sigma_hat, forward_only=True)
     return ConfidenceRegion(
         shape="ellipsoid",
         level=1.0 - alpha,
         center=fit.beta_hat,
         n=fit.n,
-        quad_form=(quad_form + quad_form.T) / 2.0,
-        radius=radius,
+        quad_form=d.T @ d,
+        radius=_order_stat_quantile(fit.n * (w * w).sum(axis=0), alpha),
     )

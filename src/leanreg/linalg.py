@@ -8,8 +8,8 @@ Cholesky factorization followed by a p-step forward and back substitution
 over all right-hand-side columns at once. The factorization and the
 substitution also run on stacks (..., p, p) of matrices, with the gates
 reported per matrix; each matrix of a stack gets the bits it gets alone.
-The one routine for a tall n x p matrix, ``tsqr_r``, reduces it to its
-p x p triangular factor.
+The one routine for a tall n x p matrix, ``tsqr_r``, reduces it, or each of
+a stack, to its p x p triangular factor: a fit's one factor of its scores.
 """
 
 from __future__ import annotations
@@ -42,11 +42,10 @@ def _as_square_symmetric(a, name: str = "matrix") -> np.ndarray:
 def _cholesky_spd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factors of a, one (p, p) matrix or a stack (..., p, p), each gated.
 
-    The pivot at step j of a Cholesky factorization is L[j, j]**2; any pivot
-    at or below p * eps * a[j, j] marks the matrix as numerically not
-    positive definite. For a = x'x the ratio L[j, j]**2 / a[j, j] is 1 - R^2
-    (uncentered) of column j on the earlier columns, so the units of a
-    column do not move the gate.
+    The pivot at step j is L[j, j]**2; ``_first_low_pivot`` marks the matrix
+    numerically not positive definite at a pivot at or below p * eps * a[j, j].
+    For a = x'x the ratio L[j, j]**2 / a[j, j] is 1 - R^2 (uncentered) of
+    column j on the earlier columns, so the units of a column do not move it.
 
     Returns ``(lower, pivot)``, with ``pivot`` of the stack's shape: -1 for a
     matrix that passes, the index of its first low pivot, or p where the
@@ -66,9 +65,13 @@ def _cholesky_spd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             except np.linalg.LinAlgError:
                 lower[i], failed[i] = np.eye(p), True
     diag_l, diag_a = (np.diagonal(m, axis1=-2, axis2=-1) for m in (lower, a))
-    low = diag_l**2 <= p * np.finfo(float).eps * diag_a
-    pivot = np.where(low.any(axis=-1), np.argmax(low, axis=-1), -1)
-    return lower, np.where(failed, p, pivot)
+    return lower, np.where(failed, p, _first_low_pivot(diag_l**2, diag_a))
+
+
+def _first_low_pivot(pivots: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """The first j with pivots[j] <= p * eps * diag[j] over (..., p), or -1: ``_cholesky_spd``'s gate."""
+    low = pivots <= pivots.shape[-1] * np.finfo(float).eps * diag
+    return np.where(low.any(axis=-1), np.argmax(low, axis=-1), -1)
 
 
 def _not_positive_definite(pivot: int, p: int) -> NotPositiveDefinite:
@@ -103,12 +106,12 @@ def spd_solver(a):
     return functools.partial(_apply_factor, lower)
 
 
-def _apply_factor(lower: np.ndarray, b) -> np.ndarray:
+def _apply_factor(lower: np.ndarray, b, forward_only: bool = False) -> np.ndarray:
     """x with lower lower' x = b, for one factor (p, p) or a stack of them (..., p, p).
 
     With one factor, ``b`` is a vector or a matrix of right-hand-side columns
     with leading dimension p; with a stack, ``b`` is (..., p, k), one matrix
-    of columns per factor.
+    of columns per factor; ``forward_only`` returns z with lower z = b.
     """
     # forward substitution lower z = b, then back substitution lower' x = z,
     # one row of every right-hand-side column per step; the C-order copy keeps
@@ -127,6 +130,8 @@ def _apply_factor(lower: np.ndarray, b) -> np.ndarray:
         if j > 0:
             row -= lower[..., j : j + 1, :j] @ xs[..., :j, :]
         row /= lower[..., j : j + 1, j : j + 1]
+    if forward_only:
+        return x
     for j in reversed(range(p)):
         row = xs[..., j : j + 1, :]
         if j < p - 1:
@@ -138,18 +143,18 @@ def _apply_factor(lower: np.ndarray, b) -> np.ndarray:
 def tsqr_r(a) -> np.ndarray:
     """The triangular factor R of a = QR (so R'R = a'a), by a fixed-block tall-skinny QR.
 
-    Each pass replaces ``a`` by the stacked R factors of its TSQR_ROWS-row
-    blocks, in order, until one block is left, whose R is returned: min(n, p)
-    rows by p columns. The blocks depend only on n, so the bits do not depend
-    on the BLAS thread count. A rank-deficient ``a`` (an all-zero one
-    included) is factored like any other; its R is singular.
+    Each pass replaces ``a``, (n, p) or a stack (..., n, p), by the stacked R
+    factors of its TSQR_ROWS-row blocks, in order, until one block is left,
+    whose R is returned: min(n, p) rows by p columns. The blocks depend only on
+    n and LAPACK factors each matrix alone, so the bits depend on neither the
+    BLAS thread count nor the stack. A rank-deficient ``a`` has a singular R.
     """
     a = np.asarray(a, dtype=float)
     while True:
-        rs = [np.linalg.qr(a[i : i + TSQR_ROWS], mode="r") for i in range(0, a.shape[0], TSQR_ROWS)]
+        rs = [np.linalg.qr(a[..., i : i + TSQR_ROWS, :], "r") for i in range(0, a.shape[-2], TSQR_ROWS)]
         if len(rs) == 1:
             return rs[0]
-        a = np.vstack(rs)
+        a = np.concatenate(rs, axis=-2)
 
 
 def eig_sym_extremes(a) -> tuple[float, float]:

@@ -67,6 +67,7 @@ class OlsFit:
     data : the dataset the fit was computed from.
     solve : b -> sigma_hat^-1 b through the one factorization of sigma_hat;
         the variance estimates and the bootstrap draws reuse it.
+    r_s : (p, p) triangular factor of scores_hat = Q r_s; k_check is r_s' r_s / n.
     """
 
     beta_hat: np.ndarray
@@ -78,6 +79,7 @@ class OlsFit:
     p: int
     data: Dataset = field(repr=False)
     solve: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    r_s: np.ndarray = field(repr=False)
 
 
 class _Fits(NamedTuple):
@@ -94,6 +96,8 @@ class _Fits(NamedTuple):
     lower: np.ndarray
     beta_hat: np.ndarray
     residuals: np.ndarray
+    scores: np.ndarray
+    r_s: np.ndarray
     out_of_range: np.ndarray
     pivot: np.ndarray
 
@@ -114,17 +118,17 @@ class _Fits(NamedTuple):
         if self.pivot[index] >= 0:
             cause = linalg._not_positive_definite(int(self.pivot[index]), data.p)
             raise SingularDesign("design second-moment matrix is not positive definite") from cause
-        residuals = self.residuals[index]
         return OlsFit(
             beta_hat=self.beta_hat[index],
             sigma_hat=self.sigma_hat[index],
             gamma_hat=self.gamma_hat[index],
-            residuals=residuals,
-            scores_hat=data.x * residuals[:, None],
+            residuals=self.residuals[index],
+            scores_hat=self.scores[index],
             n=data.n,
             p=data.p,
             data=data,
             solve=functools.partial(linalg._apply_factor, self.lower[index]),
+            r_s=self.r_s[index],
         )
 
 
@@ -148,7 +152,9 @@ def _fit_stack(x: np.ndarray, y: np.ndarray) -> _Fits:
         lower, pivot = linalg._cholesky_spd(sigma_hat)
         beta_hat = linalg._apply_factor(lower, gamma_hat[..., None])[..., 0]
         residuals = y - (x @ beta_hat[..., None])[..., 0]
-    return _Fits(sigma_hat, gamma_hat, lower, beta_hat, residuals, out_of_range, pivot)
+        scores = x * residuals[..., None]
+        r_s = linalg.tsqr_r(scores)
+    return _Fits(sigma_hat, gamma_hat, lower, beta_hat, residuals, scores, r_s, out_of_range, pivot)
 
 
 def fit_ols(data: Dataset) -> OlsFit:

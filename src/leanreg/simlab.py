@@ -459,8 +459,8 @@ def run_coverage(
         # an item that fails a gate carries placeholder values on, so its numpy warnings are dropped
         with np.errstate(over="ignore", invalid="ignore"):
             if needs_sandwich:
-                meat, meat_flag = _k_check(x, fits.residuals)
-                avar_s = _sandwich_avar(fits.solve, meat)
+                meat, meat_flag = _k_check(fits.r_s, n)
+                avar_s = _sandwich_avar(fits.solve, fits.r_s, n)
                 se_s = _se(avar_s, n)
             if "classical_normal" in layout:
                 sigma2, rss_flag = _residual_variance(fits.residuals, dgp.p)

@@ -4,9 +4,9 @@ Two families are provided. The classical homoscedastic estimator
 sigma2 * sigma_hat^-1 is the conventional software default and is only valid
 under a correctly specified homoscedastic linear model; it is included as the
 comparator. The sandwich estimator sigma_hat^-1 @ meat @ sigma_hat^-1 uses
-the conservative meat matrix
+the conservative meat matrix, with R_s the fit's factor of the score rows,
 
-    k_check = (1/n) sum x_i x_i' e_i^2.
+    k_check = (1/n) sum x_i x_i' e_i^2 = R_s' R_s / n.
 
 Under iid sampling the sandwich is consistent. Under independent but
 non-identically distributed observations no consistent estimator of the true
@@ -49,23 +49,20 @@ class VarianceEstimate:
         return self.method in (SANDWICH_HC0, SANDWICH_HC1)
 
 
-def _k_check(x: np.ndarray, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """k_check over leading stack axes of x (..., n, p) and residuals (..., n).
-
-    Returns the meat matrices and, per item, whether one is outside double range.
-    """
+def _k_check(r_s: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """R_s' R_s / n over leading stack axes of r_s (..., p, p), and per item whether it overflows."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported by the flag
-        meat = np.einsum("...ij,...ik,...i->...jk", x, x, residuals**2) / x.shape[-2]
+        meat = r_s.swapaxes(-1, -2) @ r_s / n
     return meat, ~np.isfinite(meat).all(axis=(-2, -1))
 
 
 def k_check(fit: OlsFit) -> np.ndarray:
     """Conservative meat matrix (1/n) sum x_i x_i' e_i^2.
 
-    Computed from the definition (a weighted sum of rank-one terms); equal to
-    scores_hat.T @ scores_hat / n. Raises NonFiniteValue when it overflows.
+    Computed as R_s' R_s / n from the fit's factor of the score rows, so equal
+    to scores_hat.T @ scores_hat / n. Raises NonFiniteValue when it overflows.
     """
-    meat, out_of_range = _k_check(fit.data.x, fit.residuals)
+    meat, out_of_range = _k_check(fit.r_s, fit.n)
     if out_of_range:
         raise NonFiniteValue("k_check, the sandwich meat matrix, is outside double range")
     return meat
@@ -76,10 +73,10 @@ def _se(avar: np.ndarray, n: int) -> np.ndarray:
     return np.sqrt(np.diagonal(avar, axis1=-2, axis2=-1) / n)
 
 
-def _sandwich_avar(solve, meat: np.ndarray) -> np.ndarray:
-    """sigma_hat^-1 @ meat @ sigma_hat^-1, symmetrized, over leading stack axes."""
-    avar = solve(solve(meat).swapaxes(-1, -2)).swapaxes(-1, -2)
-    return (avar + avar.swapaxes(-1, -2)) / 2.0
+def _sandwich_avar(solve, r_s: np.ndarray, n: int) -> np.ndarray:
+    """sigma_hat^-1 k_check sigma_hat^-1 = C C' / n, C = sigma_hat^-1 R_s', over leading stack axes."""
+    c = solve(r_s.swapaxes(-1, -2))
+    return c @ c.swapaxes(-1, -2) / n
 
 
 def sandwich_avar(fit: OlsFit) -> VarianceEstimate:
@@ -90,7 +87,7 @@ def sandwich_avar(fit: OlsFit) -> VarianceEstimate:
     are deliberately not offered.
     """
     meat = k_check(fit)
-    avar = _sandwich_avar(fit.solve, meat)
+    avar = _sandwich_avar(fit.solve, fit.r_s, fit.n)
     return VarianceEstimate(SANDWICH_HC0, avar, _se(avar, fit.n), meat)
 
 

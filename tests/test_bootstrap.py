@@ -406,7 +406,36 @@ class TestRegionEllipsoid:
         np.testing.assert_allclose(region.quad_form, expected, rtol=1e-10)
 
     def test_singular_k_check_raises(self):
+        # all-zero scores: every pivot of R_s is zero
         fit = perfect_fit()
         draws = run_bootstrap(fit, b=10, seed=0)
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NotPositiveDefinite, match="Cholesky pivot 0 at or below"):
             region_ellipsoid(fit, draws, sandwich_avar(fit), alpha=0.05)
+
+    @staticmethod
+    def near_collinear_scores_fit(delta):
+        """A fit whose score column u e has 1 - R^2 = delta^2 / (2 + 2 (1 + delta)^2) on e.
+
+        The residuals are e = (1, -1, 1, -1) on rows where u is 1, 1, 1 + delta
+        and 1 + delta, and zero on four more rows, which keep the design well
+        conditioned; e is orthogonal to (1, u), so y = 1 + u + e fits with it.
+        """
+        u = np.array([1.0, 1.0, 1.0 + delta, 1.0 + delta, 0.0, 2.0, 3.0, 4.0])
+        e = np.array([1.0, -1.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
+        return fit_ols(Dataset(x=np.column_stack([np.ones(8), u]), y=1.0 + u + e))
+
+    @pytest.mark.parametrize("delta, one_minus_r2, raises", [(2e-10, 1e-20, True), (2e-5, 1e-10, False)])
+    def test_meat_gate_is_the_column_scaled_pivot_gate(self, delta, one_minus_r2, raises):
+        # the gate spd_solver puts on a Cholesky factor of k_check: a score column whose
+        # 1 - R^2 on the earlier columns is at or below p * eps (4.4e-16) raises
+        fit = self.near_collinear_scores_fit(delta)
+        s = fit.scores_hat
+        resid = s[:, 1] - s[:, 0] * (s[:, 0] @ s[:, 1]) / (s[:, 0] @ s[:, 0])
+        assert (resid @ resid) / (s[:, 1] @ s[:, 1]) == pytest.approx(one_minus_r2, rel=1e-3)
+        draws = run_bootstrap(fit, b=20, seed=1)
+        var = sandwich_avar(fit)
+        if raises:
+            with pytest.raises(NotPositiveDefinite, match="Cholesky pivot 1 at or below"):
+                region_ellipsoid(fit, draws, var, alpha=0.1)
+        else:
+            assert np.isfinite(region_ellipsoid(fit, draws, var, alpha=0.1).quad_form).all()

@@ -687,6 +687,32 @@ class TestBootstrapCommand:
         assert np.shape(res["draws_cov"]) == np.shape(res["k_check"]) == (1, 1)
         np.testing.assert_allclose(res["draws_cov"], [[np.var(draws)]], rtol=1e-14)
 
+    def test_gaussian_bootstrap_factors_sigma_hat_and_the_scores_once(self, tmp_path, monkeypatch,
+                                                                      capsys):
+        # the draws, k_check, the sandwich and the ellipsoid all read the fit's factors
+        counts = {"cholesky": 0, "tsqr_r": 0}
+        real_cholesky, real_tsqr_r = np.linalg.cholesky, leanreg.linalg.tsqr_r
+
+        def cholesky(a, *args, **kwargs):
+            counts["cholesky"] += 1
+            return real_cholesky(a, *args, **kwargs)
+
+        def tsqr_r(a):
+            assert np.shape(a) == (200, 2)
+            counts["tsqr_r"] += 1
+            return real_tsqr_r(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        monkeypatch.setattr(leanreg.linalg, "tsqr_r", tsqr_r)
+        rng = np.random.default_rng(4)
+        x = rng.random(200)
+        path = tmp_path / "het.csv"
+        np.savetxt(path, np.column_stack([x, 1.0 + x + (0.2 + x) * rng.standard_normal(200)]),
+                   delimiter=",", header="x,y", comments="", fmt="%.17g")
+        run_json(["bootstrap", "--data", str(path), "--response", "y", "--add-intercept",
+                  "--B", "200", "--seed", "2"], capsys)
+        assert counts == {"cholesky": 1, "tsqr_r": 1}
+
 
 class TestSimulateCommand:
     def test_single_replication_binary_coverage(self, capsys):
@@ -1024,5 +1050,27 @@ def test_stacked_simulate_does_not_depend_on_blas_threads(blas_thread_stdouts):
     # 40 replications at n=500 are fitted in stacks of 16, 16 and 8
     command = [sys.executable, "-m", "leanreg", "simulate", "--dgp", "heteroscedastic_iid", "--n", "500",
                "--reps", "40", "--seed", "8", "--methods", "classical_normal,sandwich_normal"]
+    outputs = blas_thread_stdouts(command)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable cores")
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: the fit's x.T @ y is a GEMV and y @ y a DOT, "
+    "which OpenBLAS splits by its thread count",
+)
+def test_tall_fit_does_not_depend_on_blas_threads(tmp_path, blas_thread_stdouts):
+    # the CLI byte-identity corpus's tall.csv (tools/cli_digest.py)
+    rng = np.random.default_rng(3)
+    x = rng.random((20000, 10))
+    noise = (0.2 + x[:, 0]) * rng.standard_normal(20000)
+    y = 1.0 + x @ np.linspace(1.0, -1.0, 10) + x[:, 0] ** 2 + noise
+    path = tmp_path / "tall.csv"
+    header = ",".join([f"x{j}" for j in range(10)] + ["y"])
+    np.savetxt(path, np.column_stack([x, y]), delimiter=",", header=header, comments="",
+               fmt="%.17g")
+    command = [sys.executable, "-m", "leanreg", "fit", "--data", str(path), "--response", "y",
+               "--add-intercept"]
     outputs = blas_thread_stdouts(command)
     assert outputs[0] == outputs[1]

@@ -218,6 +218,16 @@ class TestTsqrR:
         assert r.shape == (3, 3)
         assert np.all(r == 0.0)
 
+    # 9000 rows take two passes: three blocks, then one block of their stacked R factors
+    @pytest.mark.parametrize("n", [500, 4096, 4097, 9000])
+    @pytest.mark.parametrize("p", [1, 2, 11])
+    def test_each_item_of_a_stack_gets_its_own_bits(self, n, p):
+        a = np.random.default_rng(n * p).standard_normal((2, 3, n, p))
+        r = linalg.tsqr_r(a)
+        assert r.shape == (2, 3, p, p)
+        for i in np.ndindex(2, 3):
+            assert r[i].tobytes() == linalg.tsqr_r(a[i]).tobytes()
+
 
 class TestEigSymExtremes:
     def test_diagonal(self):

@@ -579,8 +579,10 @@ class TestRunCoverage:
 
     def test_derived_fields_keep_their_bits(self):
         # literal values of a report that kept one entry per replication and averaged
-        # by np.mean; the tallies' sum / count must give the same doubles (at R=47,
-        # multiplying by 1/R in place of dividing would change three of them)
+        # by np.mean (the widths: np.mean over the 47 replications' 2 z se, from
+        # sandwich_avar and classical_avar, and 2 half_widths, from region_rectangle,
+        # each fitted alone); the tallies' sum / count must give the same doubles (at
+        # R=47, multiplying by 1/R in place of dividing would change three of them)
         rep = run_coverage(
             Dgp("heteroscedastic_iid"), n=60, replications=47, methods=simlab.COVERAGE_METHODS,
             alpha=0.1, seed=5, b=100, weight_dist="rademacher",
@@ -598,8 +600,8 @@ class TestRunCoverage:
         }
         assert rep.mean_width == {
             "classical_normal": [0.4015849096088345, 0.6882833449501133],
-            "sandwich_normal": [0.4579910402477269, 0.8165538882711206],
-            "bootstrap_rectangle": [0.4918960597056947, 0.8768973721586536],
+            "sandwich_normal": [0.4579910402477268, 0.816553888271121],
+            "bootstrap_rectangle": [0.4918960597056947, 0.8768973721586535],
         }
         assert rep.rejection_rate == {"max_t_bootstrap": 0.1276595744680851}
         assert rep.rejection_se == {"max_t_bootstrap": 0.04867665951114658}
@@ -785,28 +787,34 @@ class TestStackedReplications:
 
 
 class TestFactorizationCounts:
-    """Each SPD matrix is factored once, by the code that builds it."""
+    """Each SPD matrix is factored once, by the code that builds it; a fit's scores are too."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
         # a call on a stack of matrices counts each of them
         counts = collections.Counter()
-        real_cholesky, real_k_check = np.linalg.cholesky, leanreg.variance._k_check
+        real_cholesky, real_qr = np.linalg.cholesky, np.linalg.qr
+        real_k_check = leanreg.variance._k_check
 
         def cholesky(a, *args, **kwargs):
             counts["cholesky"] += np.asarray(a)[..., 0, 0].size
             return real_cholesky(a, *args, **kwargs)
 
-        def k_check(x, residuals):
-            counts["k_check"] += np.asarray(residuals)[..., 0].size
-            return real_k_check(x, residuals)
+        def qr(a, *args, **kwargs):
+            counts["qr"] += np.asarray(a)[..., 0, 0].size
+            return real_qr(a, *args, **kwargs)
+
+        def k_check(r_s, n):
+            counts["k_check"] += np.asarray(r_s)[..., 0, 0].size
+            return real_k_check(r_s, n)
 
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        monkeypatch.setattr(np.linalg, "qr", qr)
         for module in (leanreg.variance, simlab):
             monkeypatch.setattr(module, "_k_check", k_check)
         return counts
 
-    def test_all_methods_replication_factors_sigma_hat_and_k_check_once(self, counts):
+    def test_all_methods_replication_factors_sigma_hat_and_scores_once(self, counts):
         def run(replications):
             counts.clear()
             run_coverage(
@@ -816,13 +824,17 @@ class TestFactorizationCounts:
             return dict(counts)
 
         one, three = run(1), run(3)
-        # two more replications: sigma_hat and k_check factored, k_check built, once each
-        assert three["cholesky"] - one["cholesky"] == 2 * 2
+        # two more replications: sigma_hat and the scores factored, k_check built, once each;
+        # the bootstrap draws and the ellipsoid read the scores' factor, so k_check is never
+        # factored
+        assert three["cholesky"] - one["cholesky"] == 2 * 1
+        assert three["qr"] - one["qr"] == 2 * 1
         assert three["k_check"] - one["k_check"] == 2 * 1
         # run_coverage takes beta_n from the exact targets and factors no sigma_n
-        assert one == {"cholesky": 2, "k_check": 1}
+        assert one == {"cholesky": 1, "qr": 1, "k_check": 1}
 
-    # one stack of 6: a failed LAPACK call on it, then each item alone; or one call
+    # one stack of 6: a failed LAPACK call on it, then each item alone; or one call. The
+    # scores are factored in one call on the stack, the singular replication's included
     @pytest.mark.parametrize("step, stack_factors", [(0.0, 6 + 6), (2.0**-24, 6)],
                              ids=["factorization", "pivot-gate"])
     def test_singular_replication_is_factored_only_in_its_stack(self, counts, monkeypatch, step,
@@ -834,12 +846,14 @@ class TestFactorizationCounts:
         )
         assert rep.excluded == 1
         assert counts["cholesky"] == stack_factors
+        assert counts["qr"] == 6
 
     @pytest.mark.parametrize("kind", ["quadratic_mean_iid", "fixed_x_nonidentical_mean"])
     def test_consistency_run_factors_only_its_fits(self, counts, kind):
         # beta_n comes from the exact targets, with no sigma_n factor per grid point
         run_consistency(Dgp(kind), [20, 40, 80], replications=5, seed=3)
         assert counts["cholesky"] == 3 * 5
+        assert counts["qr"] == 3 * 5
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_population_targets_factors_sigma_n_at_most_once(self, counts, kind):
@@ -849,10 +863,12 @@ class TestFactorizationCounts:
     @pytest.mark.parametrize("kind", ["quadratic_mean_iid", "fixed_x_nonidentical_mean"])
     def test_check_command_factors_four_matrices(self, counts, kind, capsys):
         # sigma_n once (the targets carry it), sigma_hat once (the fit carries
-        # it), and det_inequality_check's own pair; influence_remainder none
+        # it), and det_inequality_check's own pair; influence_remainder none.
+        # The fit factors its scores once
         assert main(["check", "--dgp", kind, "--n", "200", "--seed", "3"]) == 0
         capsys.readouterr()
         assert counts["cholesky"] == 4
+        assert counts["qr"] == 1
 
 
 class TestRunConsistency:
@@ -952,7 +968,7 @@ class TestExactLawOracles:
         x = np.column_stack([np.ones(n), rng.random((n, p - 1))])
         y = x @ np.ones(p) + s * rng.standard_normal((replications, n))
         fits = _fit_stack(np.broadcast_to(x, (replications, n, p)), y)
-        meat, flags = leanreg.variance._k_check(x, fits.residuals)
+        meat, flags = leanreg.variance._k_check(fits.r_s, n)
         assert not (fits.failed | flags).any()
         h = np.einsum("ij,ji->i", x, np.linalg.solve(x.T @ x, x.T))
         exact = s**2 * (x.T * (1.0 - h)) @ x / n

@@ -13,10 +13,13 @@ from leanreg import (
     fit_ols,
     hc1_avar,
     k_check,
+    region_ellipsoid,
+    run_bootstrap,
     sample,
     sandwich_avar,
 )
-from leanreg.variance import residual_variance
+from leanreg.ols import _fit_stack
+from leanreg.variance import _sandwich_avar, residual_variance
 
 
 @pytest.fixture
@@ -140,3 +143,39 @@ class TestClassicalAvar:
         classical = classical_avar(fit).avar
         sandwich = sandwich_avar(fit).avar
         np.testing.assert_allclose(sandwich, classical, rtol=0.10)
+
+
+def het_stack(shape, n, p, seed):
+    """Heteroscedastic designs (..., n, p) with a ones column, and their responses (..., n)."""
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([np.ones(shape + (n, 1)), rng.random(shape + (n, p - 1))], axis=-1)
+    y = x.sum(axis=-1) + (0.2 + x[..., -1]) * rng.standard_normal(shape + (n,))
+    return x, y
+
+
+class TestSymmetricByConstruction:
+    """The sandwich C C' / n and the ellipsoid's D'D equal their transposes bit for bit."""
+
+    @pytest.mark.parametrize("p", [1, 2, 11, 41])
+    def test_one_fit(self, p):
+        x, y = het_stack((), 5 * p + 20, p, seed=p)
+        fit = fit_ols(Dataset(x=x, y=y))
+        var = sandwich_avar(fit)
+        quad_form = region_ellipsoid(fit, run_bootstrap(fit, b=50, seed=p), var, 0.1).quad_form
+        for a in (var.avar, hc1_avar(fit, var).avar, quad_form):
+            assert a.tobytes() == a.T.tobytes()
+
+    @pytest.mark.parametrize("p", [1, 2, 11, 41])
+    def test_stack(self, p):
+        n = 5 * p + 20
+        x, y = het_stack((2, 3), n, p, seed=p)
+        fits = _fit_stack(x, y)
+        assert not fits.failed.any()
+        avar = _sandwich_avar(fits.solve, fits.r_s, n)
+        assert avar.tobytes() == avar.swapaxes(-1, -2).tobytes()
+        for i in np.ndindex(2, 3):
+            fit = fits.fit(i, Dataset(x=x[i], y=y[i]))
+            var = sandwich_avar(fit)
+            assert var.avar.tobytes() == avar[i].tobytes()
+            quad_form = region_ellipsoid(fit, run_bootstrap(fit, b=50, seed=p), var, 0.1).quad_form
+            assert quad_form.tobytes() == quad_form.T.tobytes()
