@@ -20,6 +20,11 @@ bootstrap with gaussian or rademacher weights, an integer m the m-of-n
 resampling bootstrap, whose counts follow no weight law. Each run draws all
 its replicates, in order, from one generator keyed by the seed, so results
 depend only on the seed.
+
+The gaussian draws, the studentizer, the max-|t| reference, both regions and
+the memberships each have one implementation, a kernel over leading stack
+axes that reports its gates: the one-fit functions call it with no stack
+axis, and ``simlab.run_coverage`` on a stack of replications.
 """
 
 from __future__ import annotations
@@ -83,20 +88,19 @@ def run_bootstrap(
 
     All replicates come, in order, from one ``np.random.default_rng(seed)``, so
     the output depends only on the seed, and fewer replicates are a prefix of
-    more. Gaussian multiplier draws are Z @ R_s / sqrt(n), with Z the
-    generator's B x p standard normals, row-major, and R_s the fit's
-    triangular factor of scores_hat, ``fit.r_s``: the product is p elementwise
-    multiply-adds of Z's columns into R_s's rows, in order, with no BLAS
-    call. The other draws are filled in blocks of rows as W @ scores_hat /
-    sqrt(scale): W holds rademacher weights (scale n) or, for the m-of-n
-    bootstrap, how often each score row is among m rows drawn with
-    replacement (scale m). The rademacher weights are the B x n sign matrix
-    unpacked, most significant bit first and row-major, from the generator's
-    first ceil(B*n/8) bytes: bit 1 is +1 and bit 0 is -1. Each block's product
-    adds, in a fixed order, GEMM calls of 16 rows by 2**18 // (16 p)
-    observations, which OpenBLAS runs on one thread; p = 1 scores get a zero
-    column, as numpy sends one column to GEMV or DOT, which thread sooner. So
-    no draw depends on the BLAS thread count.
+    more. Gaussian multiplier draws are Z @ R_s / sqrt(n) (``_gaussian_draws``),
+    with Z the generator's B x p standard normals, row-major, and R_s the
+    fit's triangular factor of scores_hat, ``fit.r_s``. The other draws are
+    filled in blocks of rows as W @ scores_hat / sqrt(scale): W holds
+    rademacher weights (scale n) or, for the m-of-n bootstrap, how often each
+    score row is among m rows drawn with replacement (scale m). The
+    rademacher weights are the B x n sign matrix unpacked, most significant
+    bit first and row-major, from the generator's first ceil(B*n/8) bytes: bit
+    1 is +1 and bit 0 is -1. Each block's product adds, in a fixed order, GEMM
+    calls of 16 rows by 2**18 // (16 p) observations, which OpenBLAS runs on
+    one thread; p = 1 scores get a zero column, as numpy sends one column to
+    GEMV or DOT, which thread sooner. So no draw depends on the BLAS thread
+    count.
     ``m=None`` runs the multiplier bootstrap with weight law ``dist``; an
     integer ``m`` runs the m-of-n bootstrap, which ignores ``dist`` and
     records ``dist=None``. m below n weakens the normal approximation.
@@ -112,24 +116,36 @@ def run_bootstrap(
 
     rng = np.random.default_rng(seed)
     if dist == "gaussian":
-        z = rng.standard_normal((b, fit.p))
-        draws_t = np.zeros((b, fit.p))
-        for j in range(fit.p):
-            draws_t += z[:, j : j + 1] * fit.r_s[j]
-        draws_t /= math.sqrt(fit.n)
+        draws_t = _gaussian_draws(rng.standard_normal((b, fit.p)), fit.r_s, fit.n)
     else:
-        draws_t = _weighted_draws(fit, b, m, rng)
+        draws_t = _weighted_draws(fit.scores_hat, b, m, rng)
     draws_u = fit.solve(draws_t.T).T
     return BootstrapDraws(b=b, m=m, dist=dist, draws_t=draws_t, draws_u=draws_u)
 
 
-def _weighted_draws(fit: OlsFit, b: int, m: int | None, rng: np.random.Generator) -> np.ndarray:
-    """B draws W @ scores_hat / sqrt(m or n): rademacher weights for m=None, else m-of-n counts."""
-    n = fit.n
+def _gaussian_draws(z: np.ndarray, r_s: np.ndarray, n: int) -> np.ndarray:
+    """Z R_s / sqrt(n) over leading stack axes of z (..., B, p) and r_s (..., p, p), with no BLAS call.
+
+    Column k is sum_j Z[:, j] R_s[j, k], added from zero over j in order: p
+    multiply-adds of B-long rows of a (..., p, B) array, so that numpy's inner
+    loops run over the B draws, not over p. Its transpose is returned in C
+    order: a reduction over the draws, such as the CLI's draws_mean, sums in
+    memory order.
+    """
+    draws = np.zeros(z.shape[:-2] + (z.shape[-1], z.shape[-2]))
+    for j in range(r_s.shape[-1]):
+        draws += z[..., None, :, j] * r_s[..., j, :, None]
+    draws /= math.sqrt(n)
+    return draws.swapaxes(-1, -2).copy()
+
+
+def _weighted_draws(scores: np.ndarray, b: int, m: int | None, rng: np.random.Generator) -> np.ndarray:
+    """B draws W @ scores / sqrt(m or n) of (n, p) scores: rademacher weights for m=None, else m-of-n."""
+    n, p = scores.shape
     rows = max(1, _BLOCK_ENTRIES // max(n, m or n))
     if m is None:
         rows = -(-rows // _SIGN_BLOCK_ROWS) * _SIGN_BLOCK_ROWS
-    scores = fit.scores_hat if fit.p > 1 else np.column_stack([fit.scores_hat, np.zeros(n)])
+    scores = scores if p > 1 else np.column_stack([scores, np.zeros(n)])
     cols = max(1, _CALL_MACS // (_CALL_ROWS * scores.shape[1]))
     draws_t = np.zeros((b, scores.shape[1]))
     for start in range(0, b, rows):
@@ -148,7 +164,7 @@ def _weighted_draws(fit: OlsFit, b: int, m: int | None, rng: np.random.Generator
         for r in range(0, k, _CALL_ROWS):
             for o in range(0, n, cols):
                 block[r : r + _CALL_ROWS] += w[r : r + _CALL_ROWS, o : o + cols] @ scores[o : o + cols]
-    return draws_t[:, : fit.p] / math.sqrt(m or n)
+    return draws_t[:, :p] / math.sqrt(m or n)
 
 
 def _quantile_rank(b: int, alpha: float) -> int:
@@ -172,8 +188,8 @@ def clamped_quantile_warnings(b: int, alpha: float) -> list[str]:
     ]
 
 
-def _order_stat_quantile(values: np.ndarray, alpha: float) -> float:
-    """Empirical (1-alpha) quantile as the ceil((1-alpha)(B+1)) order statistic.
+def _order_stat_quantile(values: np.ndarray, alpha: float) -> np.ndarray:
+    """Empirical (1-alpha) quantile as the ceil((1-alpha)(B+1)) order statistic, over leading stack axes.
 
     The index is clamped to B, so alpha near zero returns the largest draw
     (``clamped_quantile_warnings`` reports when). This leans conservative
@@ -181,24 +197,30 @@ def _order_stat_quantile(values: np.ndarray, alpha: float) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    b = values.shape[0]
+    b = values.shape[-1]
     k = min(_quantile_rank(b, alpha), b)
-    return float(np.sort(values)[k - 1])
+    return np.partition(values, k - 1, axis=-1)[..., k - 1]
+
+
+def _studentizer(avar: np.ndarray, coords=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sqrt(diag(avar)[coords]) over leading stack axes, and per item: is one non-finite, is one <= 0."""
+    d2 = np.diagonal(avar, axis1=-2, axis2=-1)[..., coords]
+    return np.sqrt(d2), ~np.isfinite(d2).all(axis=-1), (d2 <= 0.0).any(axis=-1)
 
 
 def studentizer(var: VarianceEstimate, coords=slice(None)) -> np.ndarray:
     """Scales d = sqrt(diag(avar)[coords]); the one gate on zero and non-finite variances."""
-    d2 = np.diag(var.avar)[coords]
-    if not np.all(np.isfinite(d2)):
+    d, non_finite, zero = _studentizer(var.avar, coords)
+    if non_finite:
         raise NonFiniteValue("a coordinate's estimated variance is infinite or NaN")
-    if np.any(d2 <= 0.0):
+    if zero:
         raise ZeroVariance("a coordinate has zero estimated variance")
-    return np.sqrt(d2)
+    return d
 
 
 def max_abs_t(u: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Per-replicate max_j |u[b, j]| / d[j] over columns of ``draws_u``: the max-|t| reference."""
-    return np.abs(u / d).max(axis=1)
+    """max_j |u[..., j]| / d[j] over the last axis: of draws_u's rows, the max-|t| reference."""
+    return np.abs(u / d).max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -222,10 +244,14 @@ class ConfidenceRegion:
         beta = np.asarray(beta, dtype=float).ravel()
         if beta.shape != self.center.shape:
             raise DimensionMismatch(f"beta has shape {beta.shape}, expected {self.center.shape}")
-        delta = self.center - beta
-        if self.shape == "rectangle":
-            return bool(np.all(np.abs(delta) <= self.half_widths))
-        return bool(self.n * delta @ self.quad_form @ delta <= self.radius)
+        return bool(_contains(self.center - beta, self.n, self.half_widths, self.quad_form, self.radius))
+
+
+def _contains(delta: np.ndarray, n: int, half_widths=None, quad_form=None, radius=None) -> np.ndarray:
+    """Whether beta = center - delta is in each rectangle, else each ellipsoid, over leading stack axes."""
+    if half_widths is not None:
+        return np.all(np.abs(delta) <= half_widths, axis=-1)
+    return ((n * delta)[..., None, :] @ quad_form @ delta[..., None])[..., 0, 0] <= radius
 
 
 def region_rectangle(
@@ -240,7 +266,7 @@ def region_rectangle(
     if not var.is_sandwich():
         raise ValueError("rectangle regions studentize with a sandwich variance estimate")
     d = studentizer(var)
-    crit = _order_stat_quantile(max_abs_t(draws.draws_u, d), alpha)
+    crit, half_widths = _rectangle(max_abs_t(draws.draws_u, d), d, fit.n, alpha)
     if crit == 0.0:
         raise ZeroVariance("all bootstrap draws are zero; the region is degenerate")
     return ConfidenceRegion(
@@ -248,8 +274,14 @@ def region_rectangle(
         level=1.0 - alpha,
         center=fit.beta_hat,
         n=fit.n,
-        half_widths=crit * d / math.sqrt(fit.n),
+        half_widths=half_widths,
     )
+
+
+def _rectangle(ref: np.ndarray, d: np.ndarray, n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The critical value crit of the max-|t| reference and half widths crit * d / sqrt(n), over stacks."""
+    crit = _order_stat_quantile(ref, alpha)
+    return crit, crit[..., None] * d / math.sqrt(n)
 
 
 def region_ellipsoid(
@@ -265,16 +297,24 @@ def region_ellipsoid(
     """
     if not var.is_sandwich():
         raise ValueError("ellipsoid regions are built on the sandwich meat k_check")
-    pivot = linalg._first_low_pivot(np.diagonal(fit.r_s) ** 2, (fit.r_s**2).sum(axis=0))
+    pivot, quad_form, radius = _ellipsoid(fit.r_s, draws.draws_t, fit.sigma_hat, fit.n, alpha)
     if pivot >= 0:
         raise linalg._not_positive_definite(int(pivot), fit.p)
-    w = linalg._apply_factor(fit.r_s.T, draws.draws_t.T, forward_only=True)
-    d = math.sqrt(fit.n) * linalg._apply_factor(fit.r_s.T, fit.sigma_hat, forward_only=True)
     return ConfidenceRegion(
         shape="ellipsoid",
         level=1.0 - alpha,
         center=fit.beta_hat,
         n=fit.n,
-        quad_form=d.T @ d,
-        radius=_order_stat_quantile(fit.n * (w * w).sum(axis=0), alpha),
+        quad_form=quad_form,
+        radius=float(radius),
     )
+
+
+def _ellipsoid(r_s, draws_t, sigma_hat, n: int, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``region_ellipsoid`` over leading stack axes: R_s's gate pivot (-1 passes), quad_form, radius."""
+    pivot = linalg._first_low_pivot(np.diagonal(r_s, axis1=-2, axis2=-1) ** 2, (r_s**2).sum(axis=-2))
+    r_t = r_s.swapaxes(-1, -2)
+    with np.errstate(all="ignore"):  # a factor that fails the gate gives placeholders; its caller raises
+        w = linalg._apply_factor(r_t, draws_t.swapaxes(-1, -2), forward_only=True)
+        d = math.sqrt(n) * linalg._apply_factor(r_t, sigma_hat, forward_only=True)
+        return pivot, d.swapaxes(-1, -2) @ d, _order_stat_quantile(n * (w * w).sum(axis=-2), alpha)

@@ -57,16 +57,14 @@ def _max_t(fit: OlsFit, var: VarianceEstimate, coords, beta0, reference: str, dr
     if not np.all(np.isfinite(beta0)):
         raise ValueError(f"null value must be finite, got {beta0!r}")
     d = studentizer(var, coords)
-    t = np.sqrt(fit.n) * (fit.beta_hat[coords] - beta0) / d
-    stat = float(np.abs(t).max())
+    diff = np.sqrt(fit.n) * (fit.beta_hat[coords] - beta0)
+    stat = float(max_abs_t(diff, d))
 
     df = b = None
     if reference == "bootstrap":
         if draws is None:
             raise ValueError("bootstrap reference requires precomputed draws")
-        ref = max_abs_t(draws.draws_u[:, coords], d)
-        # add-one smoothing keeps bootstrap p-values off exact zero
-        p_value = float((1 + np.sum(ref >= stat)) / (draws.b + 1))
+        p_value = float(_bootstrap_p_value(stat, max_abs_t(draws.draws_u[:, coords], d)))
         b = draws.b
     else:
         if reference == "std_normal":
@@ -79,10 +77,10 @@ def _max_t(fit: OlsFit, var: VarianceEstimate, coords, beta0, reference: str, dr
             from scipy.special import stdtr
 
             tail = stdtr(df, -stat)
-        p_value = min(1.0, t.size * 2.0 * float(tail))
+        p_value = min(1.0, diff.size * 2.0 * float(tail))
     whole = isinstance(coords, slice)
     return TestResult(
-        statistic=stat if whole else float(t[0]),
+        statistic=stat if whole else float(diff[0] / d[0]),
         reference=reference,
         p_value=p_value,
         conservative=var.is_sandwich(),
@@ -91,6 +89,11 @@ def _max_t(fit: OlsFit, var: VarianceEstimate, coords, beta0, reference: str, dr
         df=df,
         b=b,
     )
+
+
+def _bootstrap_p_value(stat, ref: np.ndarray) -> np.ndarray:
+    """(1 + #{b : ref_b >= stat}) / (B + 1) over leading stack axes; the add-one keeps it off zero."""
+    return (1 + (ref >= np.asarray(stat)[..., None]).sum(axis=-1)) / (ref.shape[-1] + 1)
 
 
 def t_test(

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -82,7 +81,8 @@ class OlsFit:
     r_s: np.ndarray = field(repr=False)
 
 
-class _Fits(NamedTuple):
+@dataclass(frozen=True)
+class _Fits:
     """Normal-equation fits over leading stack axes, from ``_fit_stack``.
 
     ``out_of_range`` and ``pivot`` hold the fit's two gates per item: x'x
@@ -97,9 +97,13 @@ class _Fits(NamedTuple):
     beta_hat: np.ndarray
     residuals: np.ndarray
     scores: np.ndarray
-    r_s: np.ndarray
     out_of_range: np.ndarray
     pivot: np.ndarray
+
+    @functools.cached_property
+    def r_s(self) -> np.ndarray:
+        """The scores' factors R_s, by one ``linalg.tsqr_r`` call on first read: no read, no QR."""
+        return linalg.tsqr_r(self.scores)
 
     @property
     def failed(self) -> np.ndarray:
@@ -153,8 +157,7 @@ def _fit_stack(x: np.ndarray, y: np.ndarray) -> _Fits:
         beta_hat = linalg._apply_factor(lower, gamma_hat[..., None])[..., 0]
         residuals = y - (x @ beta_hat[..., None])[..., 0]
         scores = x * residuals[..., None]
-        r_s = linalg.tsqr_r(scores)
-    return _Fits(sigma_hat, gamma_hat, lower, beta_hat, residuals, scores, r_s, out_of_range, pivot)
+    return _Fits(sigma_hat, gamma_hat, lower, beta_hat, residuals, scores, out_of_range, pivot)
 
 
 def fit_ols(data: Dataset) -> OlsFit:

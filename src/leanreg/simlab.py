@@ -35,10 +35,14 @@ for one key function of r, (seed, r) or (seed, grid-index, r), so reports
 depend only on the seed. The runs draw and fit replications in stacks, each
 a range of r of about STACK_ENTRIES design entries (n * p): each generator
 draws into its rows of the stack's buffers; the responses are formed, and the
-fit, meat and sandwich kernels called, once for the stack. That gives each
-item the bits of one replication on its own, and a loop adds the tally rows
-in replication order, so a report keeps its bits whatever the stack size; the
-budget only bounds the buffers' memory.
+fit, meat and sandwich kernels called, once for the stack. A run with
+bootstrap methods also holds at most DRAW_ENTRIES draw entries (B * p) per
+stack: the (seed, r, 1) generators draw into one draw buffer, and the
+bootstrap kernels, which the one-fit functions call too, form the draws, the
+one max-|t| reference, both regions and the test once for the stack. That
+gives each item the bits of one replication on its own, and a loop adds the
+tally rows in replication order, so a report keeps its bits whatever the
+stack size; the budgets only bound the buffers' memory.
 """
 
 from __future__ import annotations
@@ -53,21 +57,19 @@ from math import comb
 
 import numpy as np
 
-from . import linalg
-from .bootstrap import WEIGHT_DISTS, region_ellipsoid, region_rectangle, run_bootstrap
+from . import bootstrap, linalg
+from .bootstrap import WEIGHT_DISTS, max_abs_t, region_ellipsoid, region_rectangle, run_bootstrap
 from .exceptions import DimensionMismatch, SingularDesign
-from .inference import max_t_test
+from .inference import _bootstrap_p_value, max_t_test
 from .ols import Dataset, _fit_stack, scores_at
 from .variance import (
-    SANDWICH_HC0,
-    VarianceEstimate,
     _classical_avar,
     _k_check,
     _residual_variance,
     _sandwich_avar,
     _se,
-    k_check,
     residual_variance,
+    sandwich_avar,
 )
 
 _DEFAULT_NOISE = {
@@ -83,6 +85,9 @@ DGP_KINDS = tuple(_DEFAULT_NOISE)
 # design entries (n * p) per stack of Monte Carlo replications: 16 replications at n=500, p=2;
 # the stack's buffers and temporaries grow with it, and the reports do not depend on it
 STACK_ENTRIES = 1 << 14
+# bootstrap draw entries (B * p) per stack of replications: 16 replications at B=1000, p=2; a stack's
+# draw buffers and their temporaries grow with it, so this, not B, bounds their memory
+DRAW_ENTRIES = 1 << 15
 
 # each Monte Carlo method's kind: per-coordinate intervals, a joint region, or a test of the
 # true null; the kind fixes a method's tallies and whether it needs bootstrap draws
@@ -358,22 +363,23 @@ def _tally_layout(methods, p: int) -> dict:
     return layout
 
 
-def _sample_stacks(dgp: Dgp, n: int, count: int, key: Callable):
+def _sample_stacks(dgp: Dgp, n: int, count: int, key: Callable, most: int | None = None):
     """Draw replications 0 to count - 1 in order, and yield them a stack at a time.
 
     Yields ``(reps, x, y)``: the stack's replications as a ``range(start,
     stop)``, and their designs and responses as (m, n, p) and (m, n) views
     of buffers reused from stack to stack. A stack holds about STACK_ENTRIES
-    design entries. Replication r's ``np.random.default_rng(key(r))`` draws
-    the covariates (random-x kinds) and then the noise into its own rows; the
-    design and the responses are then formed once for the stack, each row
-    with the bits of a draw on its own. A non-finite response ends the
-    stacks: the replications before it are yielded first and the
-    ``ValueError`` raised after, as a loop over r would reach it.
+    design entries, and at most ``most`` replications. Replication r's
+    ``np.random.default_rng(key(r))`` draws the covariates (random-x kinds)
+    and then the noise into its own rows; the design and the responses are
+    then formed once for the stack, each row with the bits of a draw on its
+    own. A non-finite response ends the stacks: the replications before it
+    are yielded first and the ``ValueError`` raised after, as a loop over r
+    would reach it.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    size = max(1, min(count, STACK_ENTRIES // (n * dgp.p)))
+    size = max(1, min(count, most or count, STACK_ENTRIES // (n * dgp.p)))
     x, y = np.empty((size, n, dgp.p)), np.empty((size, n))
     x[..., 0] = 1.0
     if dgp.is_fixed_design:
@@ -425,11 +431,13 @@ def run_coverage(
 
     The replications are fitted a stack at a time (see ``_sample_stacks``),
     with each one's bits; replication r's bootstrap draws from the (seed, r,
-    1) key. Each stack fills one tally row per replication, the interval
-    methods all at once and the bootstrap ones row by row, and a loop adds
-    its kept rows in order, so the report does not depend on the stack
-    size. A replication that fails a gate is excluded for a singular design
-    or raises the error that fitting it alone raises.
+    1) key. Each stack fills one tally row per replication, every method for
+    the whole stack at once, and a loop adds its kept rows in order, so the
+    report does not depend on the stack size. Only a replication that fails
+    a gate (the fit's, the meat's, the RSS's, a zero or non-finite
+    studentizer, a zero critical value, or the ellipsoid's pivot) goes
+    through the one-fit functions: it is excluded for a singular design or
+    raises the error that fitting it alone raises.
     """
     methods = tuple(methods)
     for m in methods:
@@ -446,52 +454,78 @@ def run_coverage(
     z = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
     needs_boot = any(METHOD_KINDS[m] != "interval" for m in methods)
     needs_sandwich = needs_boot or "sandwich_normal" in methods
+    most = max(1, DRAW_ENTRIES // (b * dgp.p)) if needs_boot else None
 
     # per distinct method, summed over kept replications: covered coordinates (or the joint
     # region, or a rejection of the true null), then interval widths
     layout = _tally_layout(methods, dgp.p)
     tallies = np.zeros(max((width.stop for _, width in layout.values()), default=0))
     excluded = 0
-    for reps, x, y in _sample_stacks(dgp, n, replications, lambda r: (seed, r)):
+    for reps, x, y in _sample_stacks(dgp, n, replications, lambda r: (seed, r), most):
         fits = _fit_stack(x, y)
-        meat_flag = rss_flag = np.zeros(len(y), dtype=bool)
+        meat_flag = rss_flag = boot_flag = np.zeros(len(y), dtype=bool)
         rows = np.zeros((len(y), tallies.size))
         # an item that fails a gate carries placeholder values on, so its numpy warnings are dropped
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
+            delta = fits.beta_hat - beta_n
             if needs_sandwich:
-                meat, meat_flag = _k_check(fits.r_s, n)
+                _, meat_flag = _k_check(fits.r_s, n)
                 avar_s = _sandwich_avar(fits.solve, fits.r_s, n)
                 se_s = _se(avar_s, n)
             if "classical_normal" in layout:
                 sigma2, rss_flag = _residual_variance(fits.residuals, dgp.p)
                 se_c = _se(_classical_avar(fits.solve, sigma2, dgp.p), n)
+            if needs_boot:
+                # each replication's (seed, r, 1) generator draws into its rows, as run_bootstrap draws
+                draws_t = np.empty((len(y), b, dgp.p))
+                for i, r in enumerate(reps):
+                    rng = np.random.default_rng((seed, r, 1))
+                    if weight_dist == "gaussian":
+                        rng.standard_normal(out=draws_t[i])
+                    else:
+                        draws_t[i] = bootstrap._weighted_draws(fits.scores[i], b, None, rng)
+                if weight_dist == "gaussian":
+                    draws_t = bootstrap._gaussian_draws(draws_t, fits.r_s, n)
+                d, non_finite, zero = bootstrap._studentizer(avar_s)
+                # the max-|t| reference, read by the rectangle and the test alike
+                ref = max_abs_t(fits.solve(draws_t.swapaxes(-1, -2)).swapaxes(-1, -2), d[:, None, :])
+                boot_flag = non_finite | zero
             for m, (hit, width) in layout.items():
                 if METHOD_KINDS[m] == "interval":
                     se = se_c if m == "classical_normal" else se_s
-                    rows[:, hit] = np.abs(fits.beta_hat - beta_n) <= z * se
+                    rows[:, hit] = np.abs(delta) <= z * se
                     rows[:, width] = 2.0 * z * se
-        for i in np.flatnonzero(fits.failed | meat_flag | rss_flag | needs_boot).tolist():
+                elif METHOD_KINDS[m] == "rectangle":
+                    crit, half_widths = bootstrap._rectangle(ref, d, n, alpha)
+                    rows[:, hit.start] = bootstrap._contains(delta, n, half_widths)
+                    rows[:, width] = 2.0 * half_widths
+                    boot_flag = boot_flag | (crit == 0.0)
+                elif METHOD_KINDS[m] == "ellipsoid":
+                    pivot, quad, radius = bootstrap._ellipsoid(fits.r_s, draws_t, fits.sigma_hat, n, alpha)
+                    rows[:, hit.start] = bootstrap._contains(delta, n, quad_form=quad, radius=radius)
+                    boot_flag = boot_flag | (pivot >= 0)
+                elif METHOD_KINDS[m] == "test":
+                    rows[:, hit.start] = _bootstrap_p_value(max_abs_t(np.sqrt(n) * delta, d), ref) <= alpha
+        # a replication that fails a gate runs through the one-fit functions, which raise its error
+        for i in np.flatnonzero(fits.failed | meat_flag | rss_flag | boot_flag).tolist():
             try:
                 fit = fits.fit(i, Dataset(x=x[i], y=y[i]))
             except SingularDesign:
                 excluded += 1
                 continue
-            if meat_flag[i]:
-                k_check(fit)
+            if needs_sandwich:
+                var_s = sandwich_avar(fit)
             if needs_boot:
-                var_s = VarianceEstimate(SANDWICH_HC0, avar_s[i], se_s[i], meat[i])
                 draws = run_bootstrap(fit, b=b, dist=weight_dist, seed=(seed, reps[i], 1))
-            for m, (hit, width) in layout.items():
+            for m in layout:
                 if m == "classical_normal" and rss_flag[i]:
                     residual_variance(fit)
                 elif METHOD_KINDS[m] == "rectangle":
-                    reg = region_rectangle(fit, draws, var_s, alpha)
-                    rows[i, hit], rows[i, width] = reg.contains(beta_n), 2.0 * reg.half_widths
+                    region_rectangle(fit, draws, var_s, alpha)
                 elif METHOD_KINDS[m] == "ellipsoid":
-                    rows[i, hit] = region_ellipsoid(fit, draws, var_s, alpha).contains(beta_n)
+                    region_ellipsoid(fit, draws, var_s, alpha)
                 elif METHOD_KINDS[m] == "test":
-                    res = max_t_test(fit, var_s, beta_n, reference="bootstrap", draws=draws)
-                    rows[i, hit] = res.p_value <= alpha
+                    max_t_test(fit, var_s, beta_n, reference="bootstrap", draws=draws)
         for row in rows[~fits.failed]:
             tallies += row
     if excluded == replications:

@@ -73,6 +73,11 @@ class TestMultiplierDraw:
         r_s = np.linalg.qr(het_fit.scores_hat, mode="r")
         np.testing.assert_allclose(draws.draws_t * np.sqrt(het_fit.n), normals(b, 2, 77) @ r_s, rtol=1e-12)
 
+    @pytest.mark.parametrize("dist", ["gaussian", "rademacher"])
+    def test_draws_are_c_ordered(self, het_fit, dist):
+        # a reduction over the draws, such as the CLI's draws_mean and draws_cov, sums in memory order
+        assert run_bootstrap(het_fit, b=300, dist=dist, seed=77).draws_t.flags.c_contiguous
+
     def test_gaussian_prefix_is_exact(self, het_fit, tall_fit):
         # replicate b is row b of Z times R_s, whatever B is
         for fit in (het_fit, tall_fit):

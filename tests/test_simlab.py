@@ -9,15 +9,21 @@ import pytest
 from scipy import integrate, stats
 
 import leanreg.bootstrap
+import leanreg.inference
 import leanreg.simlab as simlab
 import leanreg.variance
 from leanreg import (
+    BootstrapDraws,
+    ConfidenceRegion,
     Dataset,
     DegenerateDof,
     DimensionMismatch,
     Dgp,
     NonFiniteValue,
+    NotPositiveDefinite,
+    OlsFit,
     SingularDesign,
+    ZeroVariance,
     classical_avar,
     eig_sym_extremes,
     fit_ols,
@@ -50,8 +56,8 @@ def edit_draws(monkeypatch, edit):
     """
     real_stacks = simlab._sample_stacks
 
-    def stacks(dgp, n, count, key):
-        for reps, x, y in real_stacks(dgp, n, count, key):
+    def stacks(dgp, n, count, key, *most):
+        for reps, x, y in real_stacks(dgp, n, count, key, *most):
             x, y = x.copy(), y.copy()
             for i, r in enumerate(reps):
                 edited = edit(key(r), x[i], y[i])
@@ -669,7 +675,17 @@ INTERVALS = ("classical_normal", "sandwich_normal")
 SINGULAR = {"x": lambda d: np.column_stack([np.ones(d.n), np.full(d.n, 0.5)])}
 BIG_X = {"x": lambda d: d.x * 1e200}
 BIG_Y = {"y": lambda d: d.y * 1e300}
+# all-zero residuals (y = 0 fits beta_hat = 0 exactly): R_s = 0, so every studentizer is zero
+ZERO_RESIDUALS = {"y": lambda d: np.zeros(d.n)}
+# residuals +1 and -1 on two equal design rows and exactly zero elsewhere, the fewest that the
+# normal equations x'e = 0 allow: the scores have rank one, so R_s fails the ellipsoid's pivot
+# gate while every studentizer and critical value passes
+RANK_ONE_SCORES = {
+    "x": lambda d: np.vstack([d.x[:1], d.x[:1], d.x[2:]]),
+    "y": lambda d: np.concatenate([[1.0, -1.0], np.zeros(d.n - 2)]),
+}
 TWICE = simlab.COVERAGE_METHODS + simlab.COVERAGE_METHODS[::-1]
+BOOTSTRAP_METHODS = ("bootstrap_rectangle", "max_t_bootstrap", "bootstrap_ellipsoid")
 NON_FINITE = "dataset contains non-finite entries"
 
 
@@ -690,15 +706,20 @@ class TestStackedReplications:
         assert coverage_stacked(*args, b=60) == expected
 
     @pytest.mark.parametrize("kind", ["heteroscedastic_iid", "fixed_x_nonidentical_mean"])
-    def test_reports_do_not_depend_on_the_stack_size(self, monkeypatch, kind):
+    @pytest.mark.parametrize("weight_dist", leanreg.bootstrap.WEIGHT_DISTS)
+    def test_reports_do_not_depend_on_the_stack_size(self, monkeypatch, kind, weight_dist):
+        # R = 37 fills two bootstrap stacks of 16 replications and part of a third
+        args = (Dgp(kind), 40, 37, TWICE, 0.1, 4)
         default = simlab.STACK_ENTRIES
         coverage, consistency = set(), []
         for size in (1, 3, None):
             monkeypatch.setattr(simlab, "STACK_ENTRIES", default if size is None else size * 40 * 2)
-            rep = run_coverage(Dgp(kind), 40, 11, TWICE, 0.1, seed=4, b=50, weight_dist="rademacher")
-            coverage.add((rep.tallies.tobytes(), rep.excluded))
+            # draw budgets of 1, 2 and 16 replications of B = 50 draws at p = 2
+            for draws in (1, 2, 16):
+                monkeypatch.setattr(simlab, "DRAW_ENTRIES", draws * 50 * 2)
+                coverage.add(coverage_stacked(*args, b=50, weight_dist=weight_dist))
             consistency.append(run_consistency(Dgp(kind), [40, 80], 11, seed=4))
-        assert len(coverage) == 1
+        assert coverage == {coverage_one_at_a_time(*args, b=50, weight_dist=weight_dist)}
         assert consistency[0] == consistency[1] == consistency[2]
 
     def test_memory_does_not_grow_with_the_replications(self):
@@ -715,6 +736,23 @@ class TestStackedReplications:
         peak(1)  # first-call caches
         assert peak(2000) - peak(500) < 0.03e6
 
+    def test_bootstrap_memory_does_not_grow_with_the_draws(self):
+        # at B=2000 and B=4000, p=2, the draw budget holds 8 and 4 of the 16 replications a
+        # bootstrap-free stack holds at n=500, so a stack's draw buffers are the same size, and
+        # their peak may move by less than one buffer of the budget's doubles
+        def peak(b):
+            tracemalloc.start()
+            try:
+                run_coverage(Dgp("fixed_x_nonidentical_mean"), n=500, replications=16,
+                             methods=BOOTSTRAP_METHODS, alpha=0.05, seed=1, b=b)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert simlab.DRAW_ENTRIES // (4000 * 2) >= 1
+        peak(10)  # first-call caches
+        assert peak(4000) - peak(2000) < 8 * simlab.DRAW_ENTRIES
+
     @pytest.mark.parametrize("edits, methods", [
         ({5: BIG_X}, TWICE),
         ({5: BIG_Y}, TWICE),
@@ -724,10 +762,16 @@ class TestStackedReplications:
         ({1: BIG_X, 4: None}, INTERVALS),
         ({0: None}, INTERVALS),
         (dict.fromkeys(range(7), SINGULAR), TWICE),
+        ({4: ZERO_RESIDUALS, 5: BIG_Y}, TWICE),
+        ({4: BIG_Y, 5: ZERO_RESIDUALS}, TWICE),
+        ({4: ZERO_RESIDUALS, 5: BIG_Y}, BOOTSTRAP_METHODS[1:]),
+        ({4: RANK_ONE_SCORES, 5: BIG_Y}, TWICE),
+        ({4: BIG_Y, 5: RANK_ONE_SCORES}, TWICE),
     ], ids=[
         "design-overflow", "meat-overflow", "rss-overflow", "earlier-overflow-first",
         "sample-error-after-singular", "overflow-before-sample-error", "sample-error-first",
-        "all-singular",
+        "all-singular", "zero-studentizer-first", "meat-overflow-before-zero-studentizer",
+        "zero-studentizer-in-the-test", "score-pivot-first", "meat-overflow-before-score-pivot",
     ])
     @pytest.mark.parametrize("size", [3, None], ids=["stacks-of-3", "one-stack"])
     @pytest.mark.filterwarnings("error")
@@ -748,7 +792,8 @@ class TestStackedReplications:
         args = (Dgp("heteroscedastic_iid"), 30, 7, methods, 0.1, 2)
         expected = outcome(coverage_one_at_a_time, *args, b=40)
         # every case raises, so edits that never reach the draws show up as a report
-        assert expected[0] in (ValueError, NonFiniteValue, SingularDesign)
+        gate_errors = (ValueError, NonFiniteValue, SingularDesign, ZeroVariance, NotPositiveDefinite)
+        assert expected[0] in gate_errors
         assert outcome(coverage_stacked, *args, b=40) == expected
 
     # y = 1e308 (1 + u) + eps overflows where u > 0.8: at n=1, whose designs are all singular, seed 3
@@ -765,6 +810,31 @@ class TestStackedReplications:
         args = (dgp, n, 6, INTERVALS, 0.1, seed)
         assert outcome(coverage_one_at_a_time, *args) == expected
         assert outcome(coverage_stacked, *args) == expected
+
+    def test_one_fit_objects_only_for_a_flagged_replication(self, monkeypatch):
+        counts = collections.Counter()
+        for cls in (Dataset, OlsFit, BootstrapDraws, ConfidenceRegion, leanreg.inference.TestResult):
+            def init(self, *args, _init=cls.__init__, **kwargs):
+                counts[type(self).__name__] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", init)
+        args = (Dgp("heteroscedastic_iid"), 30, 7, BOOTSTRAP_METHODS, 0.1, 2)
+        run_coverage(*args, b=40)
+        assert counts == {}
+        # replication 3, edited as RANK_ONE_SCORES edits, passes the rectangle and the test, each
+        # built from its own objects, and then fails the ellipsoid's gate; no other builds any
+        def edit(key, x, y):
+            if key[1] == 3:
+                x[1], y[:] = x[0], 0.0
+                y[:2] = 1.0, -1.0
+            return x, y
+
+        edit_draws(monkeypatch, edit)
+        with pytest.raises(NotPositiveDefinite, match="Cholesky pivot 1 at or below"):
+            run_coverage(*args, b=40)
+        assert counts == dict.fromkeys(["Dataset", "OlsFit", "BootstrapDraws", "ConfidenceRegion",
+                                        "TestResult"], 1)
 
     def test_degenerate_dof_matches_one_replication_at_a_time(self):
         # n = p = 2 on a fixed design: the fit is exact and the classical variance has no dof
@@ -850,10 +920,17 @@ class TestFactorizationCounts:
 
     @pytest.mark.parametrize("kind", ["quadratic_mean_iid", "fixed_x_nonidentical_mean"])
     def test_consistency_run_factors_only_its_fits(self, counts, kind):
-        # beta_n comes from the exact targets, with no sigma_n factor per grid point
+        # beta_n comes from the exact targets, with no sigma_n factor per grid point; nothing
+        # reads the scores' factor, so they are not factored
         run_consistency(Dgp(kind), [20, 40, 80], replications=5, seed=3)
         assert counts["cholesky"] == 3 * 5
-        assert counts["qr"] == 3 * 5
+        assert counts["qr"] == 0
+
+    def test_classical_run_factors_no_scores(self, counts):
+        # nothing reads the scores' factor, or k_check
+        run_coverage(Dgp("heteroscedastic_iid"), n=60, replications=5, methods=("classical_normal",),
+                     alpha=0.05, seed=5)
+        assert counts == {"cholesky": 5}
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_population_targets_factors_sigma_n_at_most_once(self, counts, kind):

@@ -1,12 +1,12 @@
 """Byte-identity corpus for the leanreg CLI.
 
-    python tools/cli_digest.py > digest.txt
+    python tools/cli_digest.py [--blas-threads N] > digest.txt
 
 Writes fixed-seed CSVs to a temporary directory, runs a fixed list of
 ``--help``, ``fit``, ``test``, ``bootstrap``, ``simulate`` and ``check``
 commands as ``python -m leanreg`` against this checkout's ``src/`` with BLAS
-pinned to one thread and the help wrapped at 80 columns, and prints one line
-per command:
+pinned to N threads (``OPENBLAS_NUM_THREADS``, 1 by default) and the help
+wrapped at 80 columns, and prints one line per command:
 
     <exit code> <sha256 of stdout> <command>
 
@@ -17,12 +17,14 @@ Commands run inside the temporary directory and name the CSVs by relative
 path, so the echoed configs, and so the digests, do not depend on where the
 directory is. A command that ends in ``< name`` gets that CSV's bytes on
 stdin, through a pipe. Compare the output of two checkouts with ``diff``: a
-changed line is a command whose exit code or stdout bytes changed. Uses only
-the standard library and numpy.
+changed line is a command whose exit code or stdout bytes changed; so is the
+diff of one checkout's output at two thread counts, which the determinism
+contract asks to be empty. Uses only the standard library and numpy.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import pathlib
@@ -284,9 +286,15 @@ def commands() -> list[list[str]]:
     return cmds
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Digest the stdout of a fixed list of leanreg commands.")
+    parser.add_argument("--blas-threads", type=int, default=1, metavar="N",
+                        help="OPENBLAS_NUM_THREADS for every command (default 1)")
+    threads = parser.parse_args(argv).blas_threads
+    if threads < 1:
+        parser.error("--blas-threads must be at least 1")
     # argparse wraps help to the terminal width, which COLUMNS sets
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC), COLUMNS="80")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=str(SRC), COLUMNS="80")
     env.pop("LEANREG_SEED", None)
     with tempfile.TemporaryDirectory() as tmp:
         write_csvs(pathlib.Path(tmp))
