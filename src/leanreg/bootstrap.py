@@ -21,10 +21,10 @@ resampling bootstrap, whose counts follow no weight law. Each run draws all
 its replicates, in order, from one generator keyed by the seed, so results
 depend only on the seed.
 
-The gaussian draws, the studentizer, the max-|t| reference, both regions and
-the memberships each have one implementation, a kernel over leading stack
-axes that reports its gates: the one-fit functions call it with no stack
-axis, and ``simlab.run_coverage`` on a stack of replications.
+Each function here takes a fit, its draws and its variance estimate with
+any leading stack axes, as ``simlab.run_coverage`` passes a stack of
+replications: each item gets the bits it gets alone, and the error raised is
+that of the first item that fails a gate.
 """
 
 from __future__ import annotations
@@ -55,14 +55,14 @@ _CALL_MACS = 2**18
 
 @dataclass(frozen=True)
 class BootstrapDraws:
-    """B bootstrap replicates of the score statistic.
+    """B bootstrap replicates of the score statistic, for each item of a fit.
 
-    ``draws_t`` holds the raw statistics (rows t_star_b); ``draws_u`` holds
-    sigma_hat^-1 @ t_star_b, the same draws moved to the coefficient scale,
-    which is what confidence regions for the target are built from. ``m`` is
-    the resample size of an m-of-n run and None for a multiplier run, whose
-    weight law ``dist`` names; ``method`` is derived from ``m``. The caller
-    keeps the seed.
+    ``draws_t`` holds the raw statistics (rows t_star_b, (..., B, p));
+    ``draws_u`` holds sigma_hat^-1 @ t_star_b, the same draws moved to the
+    coefficient scale, which is what confidence regions for the target are
+    built from. ``m`` is the resample size of an m-of-n run and None for a
+    multiplier run, whose weight law ``dist`` names; ``method`` is derived
+    from ``m``. The caller keeps the seed.
     """
 
     b: int
@@ -88,19 +88,21 @@ def run_bootstrap(
 
     All replicates come, in order, from one ``np.random.default_rng(seed)``, so
     the output depends only on the seed, and fewer replicates are a prefix of
-    more. Gaussian multiplier draws are Z @ R_s / sqrt(n) (``_gaussian_draws``),
-    with Z the generator's B x p standard normals, row-major, and R_s the
-    fit's triangular factor of scores_hat, ``fit.r_s``. The other draws are
-    filled in blocks of rows as W @ scores_hat / sqrt(scale): W holds
-    rademacher weights (scale n) or, for the m-of-n bootstrap, how often each
-    score row is among m rows drawn with replacement (scale m). The
-    rademacher weights are the B x n sign matrix unpacked, most significant
-    bit first and row-major, from the generator's first ceil(B*n/8) bytes: bit
-    1 is +1 and bit 0 is -1. Each block's product adds, in a fixed order, GEMM
-    calls of 16 rows by 2**18 // (16 p) observations, which OpenBLAS runs on
-    one thread; p = 1 scores get a zero column, as numpy sends one column to
-    GEMV or DOT, which thread sooner. So no draw depends on the BLAS thread
-    count.
+    more. A stacked fit takes one key per item, in C order, in ``seed``, and
+    each item's draws come from its own key's generator, with the bits of a
+    run on that item alone. Gaussian multiplier draws are Z @ R_s / sqrt(n)
+    (``_gaussian_draws``), with Z the generator's B x p standard normals,
+    row-major, and R_s the fit's triangular factor of scores_hat, ``fit.r_s``.
+    The other draws are filled in blocks of rows as W @ scores_hat /
+    sqrt(scale): W holds rademacher weights (scale n) or, for the m-of-n
+    bootstrap, how often each score row is among m rows drawn with
+    replacement (scale m). The rademacher weights are the B x n sign matrix
+    unpacked, most significant bit first and row-major, from the generator's
+    first ceil(B*n/8) bytes: bit 1 is +1 and bit 0 is -1. Each block's
+    product adds, in a fixed order, GEMM calls of 16 rows by 2**18 // (16 p)
+    observations, which OpenBLAS runs on one thread; p = 1 scores get a zero
+    column, as numpy sends one column to GEMV or DOT, which thread sooner. So
+    no draw depends on the BLAS thread count.
     ``m=None`` runs the multiplier bootstrap with weight law ``dist``; an
     integer ``m`` runs the m-of-n bootstrap, which ignores ``dist`` and
     records ``dist=None``. m below n weakens the normal approximation.
@@ -113,13 +115,21 @@ def run_bootstrap(
         m, dist = int(m), None
         if m < 1:
             raise ValueError("resample size m must be >= 1")
+    stack, n, p = fit.beta_hat.shape[:-1], fit.n, fit.p
+    keys = list(seed) if stack and np.iterable(seed) else [seed]
+    if len(keys) != math.prod(stack):
+        raise DimensionMismatch(f"a fit of {math.prod(stack)} items needs as many seeds, got {len(keys)}")
 
-    rng = np.random.default_rng(seed)
+    draws_t = np.empty(stack + (b, p))
+    for key, out, scores in zip(keys, draws_t.reshape(-1, b, p), fit.scores_hat.reshape(-1, n, p)):
+        rng = np.random.default_rng(key)
+        if dist == "gaussian":
+            rng.standard_normal(out=out)
+        else:
+            out[...] = _weighted_draws(scores, b, m, rng)
     if dist == "gaussian":
-        draws_t = _gaussian_draws(rng.standard_normal((b, fit.p)), fit.r_s, fit.n)
-    else:
-        draws_t = _weighted_draws(fit.scores_hat, b, m, rng)
-    draws_u = fit.solve(draws_t.T).T
+        draws_t = _gaussian_draws(draws_t, fit.r_s, n)
+    draws_u = fit.solve(draws_t.swapaxes(-1, -2)).swapaxes(-1, -2)
     return BootstrapDraws(b=b, m=m, dist=dist, draws_t=draws_t, draws_u=draws_u)
 
 
@@ -202,20 +212,19 @@ def _order_stat_quantile(values: np.ndarray, alpha: float) -> np.ndarray:
     return np.partition(values, k - 1, axis=-1)[..., k - 1]
 
 
-def _studentizer(avar: np.ndarray, coords=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sqrt(diag(avar)[coords]) over leading stack axes, and per item: is one non-finite, is one <= 0."""
-    d2 = np.diagonal(avar, axis1=-2, axis2=-1)[..., coords]
-    return np.sqrt(d2), ~np.isfinite(d2).all(axis=-1), (d2 <= 0.0).any(axis=-1)
+def _studentizer_gates(d2: np.ndarray) -> tuple:
+    """The gates on the variances d2 (..., k) that the studentizer checks, in its order."""
+    return (
+        (~np.isfinite(d2).all(axis=-1), NonFiniteValue("a coordinate's estimated variance is infinite or NaN")),
+        ((d2 <= 0.0).any(axis=-1), ZeroVariance("a coordinate has zero estimated variance")),
+    )
 
 
 def studentizer(var: VarianceEstimate, coords=slice(None)) -> np.ndarray:
     """Scales d = sqrt(diag(avar)[coords]); the one gate on zero and non-finite variances."""
-    d, non_finite, zero = _studentizer(var.avar, coords)
-    if non_finite:
-        raise NonFiniteValue("a coordinate's estimated variance is infinite or NaN")
-    if zero:
-        raise ZeroVariance("a coordinate has zero estimated variance")
-    return d
+    d2 = np.diagonal(var.avar, axis1=-2, axis2=-1)[..., coords]
+    linalg._raise_first(*_studentizer_gates(d2))
+    return np.sqrt(d2)
 
 
 def max_abs_t(u: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -230,6 +239,8 @@ class ConfidenceRegion:
     Rectangles are products of per-coordinate intervals
     center[j] +/- half_widths[j]. Ellipsoids are
     {beta : n * (center - beta)' quad_form (center - beta) <= radius}.
+    The regions of a stacked fit hold one center, and one set of half widths
+    or one quad_form and radius, per item, over the leading axes.
     """
 
     shape: str
@@ -238,20 +249,19 @@ class ConfidenceRegion:
     n: int
     half_widths: np.ndarray | None = None
     quad_form: np.ndarray | None = None
-    radius: float | None = None
+    radius: float | np.ndarray | None = None
 
-    def contains(self, beta) -> bool:
+    def contains(self, beta) -> bool | np.ndarray:
+        """Whether beta is in the region: a bool, or an array over the stack axes of stacked regions."""
         beta = np.asarray(beta, dtype=float).ravel()
-        if beta.shape != self.center.shape:
-            raise DimensionMismatch(f"beta has shape {beta.shape}, expected {self.center.shape}")
-        return bool(_contains(self.center - beta, self.n, self.half_widths, self.quad_form, self.radius))
-
-
-def _contains(delta: np.ndarray, n: int, half_widths=None, quad_form=None, radius=None) -> np.ndarray:
-    """Whether beta = center - delta is in each rectangle, else each ellipsoid, over leading stack axes."""
-    if half_widths is not None:
-        return np.all(np.abs(delta) <= half_widths, axis=-1)
-    return ((n * delta)[..., None, :] @ quad_form @ delta[..., None])[..., 0, 0] <= radius
+        if beta.shape != self.center.shape[-1:]:
+            raise DimensionMismatch(f"beta has shape {beta.shape}, expected {self.center.shape[-1:]}")
+        delta = self.center - beta
+        if self.half_widths is not None:
+            inside = (np.abs(delta) <= self.half_widths).all(axis=-1)
+        else:
+            inside = ((self.n * delta)[..., None, :] @ self.quad_form @ delta[..., None])[..., 0, 0] <= self.radius
+        return bool(inside) if inside.ndim == 0 else inside
 
 
 def region_rectangle(
@@ -265,23 +275,19 @@ def region_rectangle(
     """
     if not var.is_sandwich():
         raise ValueError("rectangle regions studentize with a sandwich variance estimate")
-    d = studentizer(var)
-    crit, half_widths = _rectangle(max_abs_t(draws.draws_u, d), d, fit.n, alpha)
-    if crit == 0.0:
-        raise ZeroVariance("all bootstrap draws are zero; the region is degenerate")
+    d2 = np.diagonal(var.avar, axis1=-2, axis2=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # an item that fails a gate raises below
+        d = np.sqrt(d2)
+        crit = _order_stat_quantile(max_abs_t(draws.draws_u, d[..., None, :]), alpha)
+    degenerate = ZeroVariance("all bootstrap draws are zero; the region is degenerate")
+    linalg._raise_first(*_studentizer_gates(d2), (crit == 0.0, degenerate))
     return ConfidenceRegion(
         shape="rectangle",
         level=1.0 - alpha,
         center=fit.beta_hat,
         n=fit.n,
-        half_widths=half_widths,
+        half_widths=crit[..., None] * d / math.sqrt(fit.n),
     )
-
-
-def _rectangle(ref: np.ndarray, d: np.ndarray, n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """The critical value crit of the max-|t| reference and half widths crit * d / sqrt(n), over stacks."""
-    crit = _order_stat_quantile(ref, alpha)
-    return crit, crit[..., None] * d / math.sqrt(n)
 
 
 def region_ellipsoid(
@@ -297,24 +303,19 @@ def region_ellipsoid(
     """
     if not var.is_sandwich():
         raise ValueError("ellipsoid regions are built on the sandwich meat k_check")
-    pivot, quad_form, radius = _ellipsoid(fit.r_s, draws.draws_t, fit.sigma_hat, fit.n, alpha)
-    if pivot >= 0:
-        raise linalg._not_positive_definite(int(pivot), fit.p)
+    r_s, n = fit.r_s, fit.n
+    pivot = linalg._first_low_pivot(np.diagonal(r_s, axis1=-2, axis2=-1) ** 2, (r_s**2).sum(axis=-2))
+    r_t = r_s.swapaxes(-1, -2)
+    with np.errstate(all="ignore"):  # a factor that fails the gate gives placeholders; it raises below
+        w = linalg._apply_factor(r_t, draws.draws_t.swapaxes(-1, -2), forward_only=True)
+        d = math.sqrt(n) * linalg._apply_factor(r_t, fit.sigma_hat, forward_only=True)
+        radius = _order_stat_quantile(n * (w * w).sum(axis=-2), alpha)
+    linalg._raise_first((pivot >= 0, lambda k: linalg._not_positive_definite(int(np.ravel(pivot)[k]), fit.p)))
     return ConfidenceRegion(
         shape="ellipsoid",
         level=1.0 - alpha,
         center=fit.beta_hat,
-        n=fit.n,
-        quad_form=quad_form,
-        radius=float(radius),
+        n=n,
+        quad_form=d.swapaxes(-1, -2) @ d,
+        radius=float(radius) if radius.ndim == 0 else radius,
     )
-
-
-def _ellipsoid(r_s, draws_t, sigma_hat, n: int, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``region_ellipsoid`` over leading stack axes: R_s's gate pivot (-1 passes), quad_form, radius."""
-    pivot = linalg._first_low_pivot(np.diagonal(r_s, axis1=-2, axis2=-1) ** 2, (r_s**2).sum(axis=-2))
-    r_t = r_s.swapaxes(-1, -2)
-    with np.errstate(all="ignore"):  # a factor that fails the gate gives placeholders; its caller raises
-        w = linalg._apply_factor(r_t, draws_t.swapaxes(-1, -2), forward_only=True)
-        d = math.sqrt(n) * linalg._apply_factor(r_t, sigma_hat, forward_only=True)
-        return pivot, d.swapaxes(-1, -2) @ d, _order_stat_quantile(n * (w * w).sum(axis=-2), alpha)

@@ -15,6 +15,9 @@ single-coefficient test is the same max-|t| test over the coordinates {j}.
 
 Asymptotically conservative does not mean conservative at every finite n;
 the normal approximation error can push finite-sample size above nominal.
+
+Both tests take inputs with any leading stack axes, give each item the
+statistic and p-value it gets alone, and raise for the first failing item.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ REFERENCES = ("std_normal", "student_t", "bootstrap")
 
 @dataclass(frozen=True)
 class TestResult:
-    statistic: float
+    statistic: float | np.ndarray
     reference: str
-    p_value: float
+    p_value: float | np.ndarray
     conservative: bool
     null_value: object
     target_coord: int | None = None
@@ -57,18 +60,20 @@ def _max_t(fit: OlsFit, var: VarianceEstimate, coords, beta0, reference: str, dr
     if not np.all(np.isfinite(beta0)):
         raise ValueError(f"null value must be finite, got {beta0!r}")
     d = studentizer(var, coords)
-    diff = np.sqrt(fit.n) * (fit.beta_hat[coords] - beta0)
-    stat = float(max_abs_t(diff, d))
+    diff = np.sqrt(fit.n) * (fit.beta_hat[..., coords] - beta0)
+    stat = max_abs_t(diff, d)
 
     df = b = None
     if reference == "bootstrap":
         if draws is None:
             raise ValueError("bootstrap reference requires precomputed draws")
-        p_value = float(_bootstrap_p_value(stat, max_abs_t(draws.draws_u[:, coords], d)))
+        ref = max_abs_t(draws.draws_u[..., coords], d[..., None, :])
+        # (1 + #{b : ref_b >= stat}) / (B + 1); the add-one keeps it off zero
+        p_value = (1 + (ref >= stat[..., None]).sum(axis=-1)) / (ref.shape[-1] + 1)
         b = draws.b
     else:
         if reference == "std_normal":
-            tail = 0.5 * math.erfc(stat / math.sqrt(2.0))
+            tail = 0.5 * np.vectorize(math.erfc, otypes=[float])(stat / math.sqrt(2.0))
         else:
             df = fit.n - fit.p
             if df < 1:
@@ -77,23 +82,19 @@ def _max_t(fit: OlsFit, var: VarianceEstimate, coords, beta0, reference: str, dr
             from scipy.special import stdtr
 
             tail = stdtr(df, -stat)
-        p_value = min(1.0, diff.size * 2.0 * float(tail))
+        p_value = np.fmin(1.0, diff.shape[-1] * 2.0 * tail)  # fmin, like min(1.0, .), takes 1 over a NaN
     whole = isinstance(coords, slice)
+    statistic = stat if whole else diff[..., 0] / d[..., 0]
     return TestResult(
-        statistic=stat if whole else float(diff[0] / d[0]),
+        statistic=float(statistic) if statistic.ndim == 0 else statistic,
         reference=reference,
-        p_value=p_value,
+        p_value=float(p_value) if p_value.ndim == 0 else p_value,
         conservative=var.is_sandwich(),
         null_value=beta0,
         target_coord=None if whole else coords[0],
         df=df,
         b=b,
     )
-
-
-def _bootstrap_p_value(stat, ref: np.ndarray) -> np.ndarray:
-    """(1 + #{b : ref_b >= stat}) / (B + 1) over leading stack axes; the add-one keeps it off zero."""
-    return (1 + (ref >= np.asarray(stat)[..., None]).sum(axis=-1)) / (ref.shape[-1] + 1)
 
 
 def t_test(

@@ -81,6 +81,23 @@ def _not_positive_definite(pivot: int, p: int) -> NotPositiveDefinite:
     return NotPositiveDefinite(f"Cholesky pivot {pivot} at or below p * eps times its diagonal entry")
 
 
+def _raise_first(*gates) -> None:
+    """Raise the error of the first stack item, in C order, that fails a gate; return if none does.
+
+    Each gate is ``(failed, error)``: ``failed`` marks the items that fail it,
+    over the stack axes (0-d for one item), and ``error`` is the error to
+    raise, or a function of the item's flat index that makes it. An item that
+    fails several gates raises for the first, as a call on that item alone
+    checks them in order.
+    """
+    if not any(np.count_nonzero(flags) for flags, _ in gates):
+        return
+    failed = [np.ravel(flags) for flags, _ in gates]
+    k = int(np.flatnonzero(functools.reduce(np.logical_or, failed))[0])
+    error = next(error for flags, (_, error) in zip(failed, gates) if flags[k])
+    raise error if isinstance(error, Exception) else error(k)
+
+
 def spd_solver(a):
     """Factor symmetric positive definite ``a`` once; return ``b -> a^-1 b``.
 

@@ -6,6 +6,9 @@ averages (1/n) sum x_i x_i' and (1/n) sum x_i y_i. Keeping these two moment
 statistics explicit is what the rest of the library (variance estimation,
 score bootstrap, diagnostics) builds on.
 
+``OlsFit`` holds one fit or a stack of them over leading axes, with each
+item's gates; ``fit_ols`` is the one-dataset case.
+
 No intercept is ever added implicitly; callers who want one prepend a ones
 column themselves (the CLI offers a flag for this).
 """
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,126 +53,120 @@ class Dataset:
         return self.x.shape[1]
 
 
-@dataclass(frozen=True)
 class OlsFit:
-    """A fitted least squares regression plus the moment statistics behind it.
+    """Least squares fits over leading stack axes, plus the moment statistics behind them.
+
+    ``OlsFit(x, y)`` solves the empirical normal equations for designs x
+    (..., n, p) and responses y (..., n), giving each item the matmul,
+    factorization and substitution calls, and so the bits, it gets alone.
+    The two gates, x'x outside double range and ``linalg._cholesky_spd``'s
+    pivot of sigma_hat, are kept per item: a failing item holds placeholder
+    values. Indexing, ``fit[i]``, ``fit[:]`` or ``fit[()]``, returns the
+    selected items, or raises the error of the first selected item, in stack
+    order, that fails a gate. The functions that take a fit take an indexed
+    one, with any leading axes, and raise for its first failing item.
 
     Attributes
     ----------
-    beta_hat : (p,) solution of the empirical normal equations.
-    sigma_hat : (p, p) average outer product of covariate rows.
-    gamma_hat : (p,) average covariate-response cross moment.
-    residuals : (n,) y minus fitted values.
-    scores_hat : (n, p) estimated score rows x_i * residual_i; these sum to
-        zero coordinate-wise (the normal equations) and feed every bootstrap
-        and variance routine.
-    data : the dataset the fit was computed from.
+    beta_hat : (..., p) solution of the empirical normal equations.
+    sigma_hat : (..., p, p) average outer product of covariate rows.
+    gamma_hat : (..., p) average covariate-response cross moment.
+    residuals : (..., n) y minus fitted values.
+    scores_hat : (..., n, p) estimated score rows x_i * residual_i; these sum
+        to zero coordinate-wise (the normal equations) and feed every
+        bootstrap and variance routine.
+    data : the dataset a one-item fit was computed from, if its caller gave
+        one (``fit_ols`` does); else None.
+    n, p : the sample size and the number of covariates, from the shapes.
     solve : b -> sigma_hat^-1 b through the one factorization of sigma_hat;
         the variance estimates and the bootstrap draws reuse it.
-    r_s : (p, p) triangular factor of scores_hat = Q r_s; k_check is r_s' r_s / n.
+    r_s : (..., p, p) triangular factor of scores_hat = Q r_s; k_check is
+        r_s' r_s / n. It is computed on first read, once for a whole stack,
+        whose indexed items read theirs from it.
     """
 
-    beta_hat: np.ndarray
-    sigma_hat: np.ndarray
-    gamma_hat: np.ndarray
-    residuals: np.ndarray
-    scores_hat: np.ndarray
-    n: int
-    p: int
-    data: Dataset = field(repr=False)
-    solve: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    r_s: np.ndarray = field(repr=False)
+    __slots__ = (
+        "beta_hat", "sigma_hat", "gamma_hat", "residuals", "scores_hat", "n", "p", "data",
+        "_lower", "_out_of_range", "_pivot", "_r_s", "_source",
+    )
 
+    def __init__(self, x, y, data: Dataset | None = None):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if x.ndim < 2 or x.shape[:-1] != y.shape:
+            raise DimensionMismatch(f"x of shape {x.shape} needs y of shape {x.shape[:-1]}, got {y.shape}")
+        self.n, self.p = x.shape[-2:]
+        xt = x.swapaxes(-1, -2)
+        # an item that fails a gate carries placeholder values on, so its numpy warnings are dropped
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.sigma_hat = sigma_hat = xt @ x / self.n
+            tiny = np.diagonal(sigma_hat, axis1=-2, axis2=-1) < np.finfo(float).tiny
+            self._out_of_range = ~np.isfinite(sigma_hat).all(axis=(-2, -1))
+            if tiny.any():
+                self._out_of_range |= (tiny[..., None, :] & (x != 0.0)).any(axis=(-2, -1))
+            self.gamma_hat = (xt @ y[..., None])[..., 0] / self.n
+            self._lower, self._pivot = linalg._cholesky_spd(sigma_hat)
+            self.beta_hat = linalg._apply_factor(self._lower, self.gamma_hat[..., None])[..., 0]
+            self.residuals = y - (x @ self.beta_hat[..., None])[..., 0]
+            self.scores_hat = x * self.residuals[..., None]
+        self.data = data
+        self._r_s = self._source = None
 
-@dataclass(frozen=True)
-class _Fits:
-    """Normal-equation fits over leading stack axes, from ``_fit_stack``.
+    def __getitem__(self, index) -> OlsFit:
+        """The selected items, with every array computed so far; or the first failing item's error."""
+        pivot = self._pivot[index]
 
-    ``out_of_range`` and ``pivot`` hold the fit's two gates per item: x'x
-    outside double range, and ``linalg._cholesky_spd``'s pivot of sigma_hat
-    (-1 where it passes). An item that fails either carries placeholder
-    values in the other fields, and ``fit`` raises for it.
-    """
+        def singular(k):
+            error = SingularDesign("design second-moment matrix is not positive definite")
+            error.__cause__ = linalg._not_positive_definite(int(np.ravel(pivot)[k]), self.p)
+            return error
 
-    sigma_hat: np.ndarray
-    gamma_hat: np.ndarray
-    lower: np.ndarray
-    beta_hat: np.ndarray
-    residuals: np.ndarray
-    scores: np.ndarray
-    out_of_range: np.ndarray
-    pivot: np.ndarray
-
-    @functools.cached_property
-    def r_s(self) -> np.ndarray:
-        """The scores' factors R_s, by one ``linalg.tsqr_r`` call on first read: no read, no QR."""
-        return linalg.tsqr_r(self.scores)
-
-    @property
-    def failed(self) -> np.ndarray:
-        """Whether each item fails a gate, so that ``fit`` raises for it."""
-        return self.out_of_range | (self.pivot >= 0)
+        linalg._raise_first(
+            (self._out_of_range[index], NonFiniteValue("design second-moment matrix is outside double range")),
+            (pivot >= 0, singular),
+        )
+        fit = object.__new__(OlsFit)
+        for name in ("beta_hat", "sigma_hat", "gamma_hat", "residuals", "scores_hat", "_lower",
+                     "_out_of_range", "_pivot"):
+            setattr(fit, name, getattr(self, name)[index])
+        fit.n, fit.p, fit.data = self.n, self.p, self.data
+        if self.beta_hat.ndim > 1:
+            # a stack's scores are factored by one call on the whole stack, whichever item reads first
+            fit._r_s, fit._source = None, (self, index)
+        else:
+            fit._r_s, fit._source = self._r_s, None
+        return fit
 
     @property
     def solve(self) -> Callable[[np.ndarray], np.ndarray]:
-        """b -> sigma_hat^-1 b, with b of shape (..., p, k) over the stack."""
-        return functools.partial(linalg._apply_factor, self.lower)
+        """b -> sigma_hat^-1 b: b (p,) or (p, k) for one item, (..., p, k) over a stack."""
+        # a partial of a module function, unlike a closure, pickles with the fit
+        return functools.partial(linalg._apply_factor, self._lower)
 
-    def fit(self, index, data: Dataset) -> OlsFit:
-        """The OlsFit of item ``index``, whose dataset is ``data``; or the error of a gate it fails."""
-        if self.out_of_range[index]:
-            raise NonFiniteValue("design second-moment matrix is outside double range")
-        if self.pivot[index] >= 0:
-            cause = linalg._not_positive_definite(int(self.pivot[index]), data.p)
-            raise SingularDesign("design second-moment matrix is not positive definite") from cause
-        return OlsFit(
-            beta_hat=self.beta_hat[index],
-            sigma_hat=self.sigma_hat[index],
-            gamma_hat=self.gamma_hat[index],
-            residuals=self.residuals[index],
-            scores_hat=self.scores[index],
-            n=data.n,
-            p=data.p,
-            data=data,
-            solve=functools.partial(linalg._apply_factor, self.lower[index]),
-            r_s=self.r_s[index],
-        )
+    @property
+    def r_s(self) -> np.ndarray:
+        """The scores' factors R_s, by one ``linalg.tsqr_r`` call on first read: no read, no QR.
 
-
-def _fit_stack(x: np.ndarray, y: np.ndarray) -> _Fits:
-    """Solve the empirical normal equations for x (..., n, p) and y (..., n).
-
-    Every item gets the matmul, factorization and substitution calls it gets
-    alone, so its bits do not depend on the stack. The gates are reported,
-    not raised.
-    """
-    n = x.shape[-2]
-    xt = x.swapaxes(-1, -2)
-    # an item that fails a gate carries placeholder values on, so its numpy warnings are dropped
-    with np.errstate(over="ignore", invalid="ignore"):
-        sigma_hat = xt @ x / n
-        tiny = np.diagonal(sigma_hat, axis1=-2, axis2=-1) < np.finfo(float).tiny
-        out_of_range = ~np.isfinite(sigma_hat).all(axis=(-2, -1))
-        if tiny.any():
-            out_of_range |= (tiny[..., None, :] & (x != 0.0)).any(axis=(-2, -1))
-        gamma_hat = (xt @ y[..., None])[..., 0] / n
-        lower, pivot = linalg._cholesky_spd(sigma_hat)
-        beta_hat = linalg._apply_factor(lower, gamma_hat[..., None])[..., 0]
-        residuals = y - (x @ beta_hat[..., None])[..., 0]
-        scores = x * residuals[..., None]
-    return _Fits(sigma_hat, gamma_hat, lower, beta_hat, residuals, scores, out_of_range, pivot)
+        Items indexed from a stack read theirs from the stack's, so no item is factored twice.
+        """
+        if self._r_s is None:
+            if self._source is None:
+                self._r_s = linalg.tsqr_r(self.scores_hat)
+            else:
+                stack, index = self._source
+                self._r_s = stack.r_s[index]
+        return self._r_s
 
 
 def fit_ols(data: Dataset) -> OlsFit:
-    """Fit OLS by solving the empirical normal equations.
+    """Fit OLS by solving the empirical normal equations: ``OlsFit(data.x, data.y, data)[()]``.
 
     Requires sigma_hat to be positive definite (hence n >= p); otherwise
     raises SingularDesign, or NonFiniteValue when x'x overflows or a column
     that is not all zero has a mean square below the smallest normal double,
     where its bits are lost. No rank-deficient fallback is attempted. A stack
-    item has the same bits and errors, from the same ``_Fits.fit``.
+    item has the same bits and errors, from the same indexing.
     """
-    return _fit_stack(data.x, data.y).fit((), data)
+    return OlsFit(data.x, data.y, data)[()]
 
 
 def scores_at(data: Dataset, beta) -> np.ndarray:

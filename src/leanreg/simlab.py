@@ -34,15 +34,15 @@ Replication r of a Monte Carlo run draws from ``np.random.default_rng(key(r))``
 for one key function of r, (seed, r) or (seed, grid-index, r), so reports
 depend only on the seed. The runs draw and fit replications in stacks, each
 a range of r of about STACK_ENTRIES design entries (n * p): each generator
-draws into its rows of the stack's buffers; the responses are formed, and the
-fit, meat and sandwich kernels called, once for the stack. A run with
-bootstrap methods also holds at most DRAW_ENTRIES draw entries (B * p) per
-stack: the (seed, r, 1) generators draw into one draw buffer, and the
-bootstrap kernels, which the one-fit functions call too, form the draws, the
-one max-|t| reference, both regions and the test once for the stack. That
-gives each item the bits of one replication on its own, and a loop adds the
-tally rows in replication order, so a report keeps its bits whatever the
-stack size; the budgets only bound the buffers' memory.
+draws into its rows of the stack's buffers, and the responses are formed
+once for the stack. A run with bootstrap methods also holds at most
+DRAW_ENTRIES draw entries (B * p) per stack. The stack is then fitted as one
+``OlsFit``, with no ``Dataset``, and run through the same public functions a
+caller runs on one fit (the sandwich, the draws from the (seed, r, 1) keys,
+the regions and the test), which give each item the bits of one replication
+on its own. A loop adds the tally rows in replication order, so a report
+keeps its bits whatever the stack size; the budgets only bound the buffers'
+memory.
 """
 
 from __future__ import annotations
@@ -57,20 +57,12 @@ from math import comb
 
 import numpy as np
 
-from . import bootstrap, linalg
-from .bootstrap import WEIGHT_DISTS, max_abs_t, region_ellipsoid, region_rectangle, run_bootstrap
-from .exceptions import DimensionMismatch, SingularDesign
-from .inference import _bootstrap_p_value, max_t_test
-from .ols import Dataset, _fit_stack, scores_at
-from .variance import (
-    _classical_avar,
-    _k_check,
-    _residual_variance,
-    _sandwich_avar,
-    _se,
-    residual_variance,
-    sandwich_avar,
-)
+from . import linalg
+from .bootstrap import WEIGHT_DISTS, region_ellipsoid, region_rectangle, run_bootstrap
+from .exceptions import DimensionMismatch, LeanRegError, SingularDesign
+from .inference import max_t_test
+from .ols import Dataset, OlsFit, scores_at
+from .variance import classical_avar, sandwich_avar
 
 _DEFAULT_NOISE = {
     "linear_homoscedastic": 1.0,
@@ -431,13 +423,13 @@ def run_coverage(
 
     The replications are fitted a stack at a time (see ``_sample_stacks``),
     with each one's bits; replication r's bootstrap draws from the (seed, r,
-    1) key. Each stack fills one tally row per replication, every method for
-    the whole stack at once, and a loop adds its kept rows in order, so the
-    report does not depend on the stack size. Only a replication that fails
-    a gate (the fit's, the meat's, the RSS's, a zero or non-finite
-    studentizer, a zero critical value, or the ellipsoid's pivot) goes
-    through the one-fit functions: it is excluded for a singular design or
-    raises the error that fitting it alone raises.
+    1) key. A stack runs through the same calls that one replication runs
+    through alone, which fill one tally row per replication, and a loop adds
+    the rows in order, so the report does not depend on the stack size. If
+    one of those calls raises a ``LeanRegError``, the stack is replayed one
+    replication at a time through the same calls, on items indexed from the
+    stack's own fit: a singular design excludes its replication, and any
+    other error propagates, as in a loop over r.
     """
     methods = tuple(methods)
     for m in methods:
@@ -460,73 +452,44 @@ def run_coverage(
     # region, or a rejection of the true null), then interval widths
     layout = _tally_layout(methods, dgp.p)
     tallies = np.zeros(max((width.stop for _, width in layout.values()), default=0))
+
+    def tally_rows(fit: OlsFit, keys) -> np.ndarray:
+        """The tally rows of ``fit``'s items, whose bootstrap keys are ``keys``: one per item."""
+        var_s = sandwich_avar(fit) if needs_sandwich else None
+        draws = run_bootstrap(fit, b=b, dist=weight_dist, seed=keys) if needs_boot else None
+        rows = np.zeros(fit.beta_hat.shape[:-1] + tallies.shape)
+        for m, (hit, width) in layout.items():
+            if METHOD_KINDS[m] == "interval":
+                se = (classical_avar(fit) if m == "classical_normal" else var_s).se
+                rows[..., hit] = np.abs(fit.beta_hat - beta_n) <= z * se
+                rows[..., width] = 2.0 * z * se
+            elif METHOD_KINDS[m] == "rectangle":
+                region = region_rectangle(fit, draws, var_s, alpha)
+                rows[..., hit.start] = region.contains(beta_n)
+                rows[..., width] = 2.0 * region.half_widths
+            elif METHOD_KINDS[m] == "ellipsoid":
+                rows[..., hit.start] = region_ellipsoid(fit, draws, var_s, alpha).contains(beta_n)
+            elif METHOD_KINDS[m] == "test":
+                test = max_t_test(fit, var_s, beta_n, reference="bootstrap", draws=draws)
+                rows[..., hit.start] = test.p_value <= alpha
+        return rows
+
     excluded = 0
     for reps, x, y in _sample_stacks(dgp, n, replications, lambda r: (seed, r), most):
-        fits = _fit_stack(x, y)
-        meat_flag = rss_flag = boot_flag = np.zeros(len(y), dtype=bool)
-        rows = np.zeros((len(y), tallies.size))
-        # an item that fails a gate carries placeholder values on, so its numpy warnings are dropped
-        with np.errstate(all="ignore"):
-            delta = fits.beta_hat - beta_n
-            if needs_sandwich:
-                _, meat_flag = _k_check(fits.r_s, n)
-                avar_s = _sandwich_avar(fits.solve, fits.r_s, n)
-                se_s = _se(avar_s, n)
-            if "classical_normal" in layout:
-                sigma2, rss_flag = _residual_variance(fits.residuals, dgp.p)
-                se_c = _se(_classical_avar(fits.solve, sigma2, dgp.p), n)
-            if needs_boot:
-                # each replication's (seed, r, 1) generator draws into its rows, as run_bootstrap draws
-                draws_t = np.empty((len(y), b, dgp.p))
-                for i, r in enumerate(reps):
-                    rng = np.random.default_rng((seed, r, 1))
-                    if weight_dist == "gaussian":
-                        rng.standard_normal(out=draws_t[i])
-                    else:
-                        draws_t[i] = bootstrap._weighted_draws(fits.scores[i], b, None, rng)
-                if weight_dist == "gaussian":
-                    draws_t = bootstrap._gaussian_draws(draws_t, fits.r_s, n)
-                d, non_finite, zero = bootstrap._studentizer(avar_s)
-                # the max-|t| reference, read by the rectangle and the test alike
-                ref = max_abs_t(fits.solve(draws_t.swapaxes(-1, -2)).swapaxes(-1, -2), d[:, None, :])
-                boot_flag = non_finite | zero
-            for m, (hit, width) in layout.items():
-                if METHOD_KINDS[m] == "interval":
-                    se = se_c if m == "classical_normal" else se_s
-                    rows[:, hit] = np.abs(delta) <= z * se
-                    rows[:, width] = 2.0 * z * se
-                elif METHOD_KINDS[m] == "rectangle":
-                    crit, half_widths = bootstrap._rectangle(ref, d, n, alpha)
-                    rows[:, hit.start] = bootstrap._contains(delta, n, half_widths)
-                    rows[:, width] = 2.0 * half_widths
-                    boot_flag = boot_flag | (crit == 0.0)
-                elif METHOD_KINDS[m] == "ellipsoid":
-                    pivot, quad, radius = bootstrap._ellipsoid(fits.r_s, draws_t, fits.sigma_hat, n, alpha)
-                    rows[:, hit.start] = bootstrap._contains(delta, n, quad_form=quad, radius=radius)
-                    boot_flag = boot_flag | (pivot >= 0)
-                elif METHOD_KINDS[m] == "test":
-                    rows[:, hit.start] = _bootstrap_p_value(max_abs_t(np.sqrt(n) * delta, d), ref) <= alpha
-        # a replication that fails a gate runs through the one-fit functions, which raise its error
-        for i in np.flatnonzero(fits.failed | meat_flag | rss_flag | boot_flag).tolist():
-            try:
-                fit = fits.fit(i, Dataset(x=x[i], y=y[i]))
-            except SingularDesign:
-                excluded += 1
-                continue
-            if needs_sandwich:
-                var_s = sandwich_avar(fit)
-            if needs_boot:
-                draws = run_bootstrap(fit, b=b, dist=weight_dist, seed=(seed, reps[i], 1))
-            for m in layout:
-                if m == "classical_normal" and rss_flag[i]:
-                    residual_variance(fit)
-                elif METHOD_KINDS[m] == "rectangle":
-                    region_rectangle(fit, draws, var_s, alpha)
-                elif METHOD_KINDS[m] == "ellipsoid":
-                    region_ellipsoid(fit, draws, var_s, alpha)
-                elif METHOD_KINDS[m] == "test":
-                    max_t_test(fit, var_s, beta_n, reference="bootstrap", draws=draws)
-        for row in rows[~fits.failed]:
+        fits = OlsFit(x, y)
+        try:
+            rows = tally_rows(fits[:], [(seed, r, 1) for r in reps])
+        except LeanRegError:
+            # replay the stack one replication at a time, as a loop over r meets its errors
+            rows = []
+            for i, r in enumerate(reps):
+                try:
+                    fit = fits[i]
+                except SingularDesign:
+                    excluded += 1
+                    continue
+                rows.append(tally_rows(fit, (seed, r, 1)))
+        for row in rows:
             tallies += row
     if excluded == replications:
         raise SingularDesign("every replication produced a singular design")
@@ -561,10 +524,7 @@ def run_consistency(dgp: Dgp, n_grid, replications: int, seed: int) -> dict:
         beta_n = _targets(dgp, n)[0]
         errs = np.empty(replications)
         for reps, x, y in _sample_stacks(dgp, n, replications, lambda r: (seed, i, r)):
-            fits = _fit_stack(x, y)
-            for j in np.flatnonzero(fits.failed).tolist():
-                fits.fit(j, Dataset(x=x[j], y=y[j]))  # raises this replication's gate error
-            d = fits.beta_hat - beta_n
+            d = OlsFit(x, y)[:].beta_hat - beta_n  # raises the first failing replication's gate error
             # the Euclidean norm as np.linalg.norm takes it of one vector: sqrt of a BLAS dot
             errs[reps.start : reps.stop] = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
         medians.append(float(np.median(errs)))

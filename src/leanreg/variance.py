@@ -13,6 +13,9 @@ non-identically distributed observations no consistent estimator of the true
 score covariance exists at all (the per-observation score means are not
 identifiable), so only this conservative version is exposed: it converges to
 an upper bound of the target in the PSD order, never below it.
+
+Each estimator takes a fit with any leading stack axes, gives each item the
+bits it gets alone, and raises the error of its first failing item.
 """
 
 from __future__ import annotations
@@ -49,21 +52,16 @@ class VarianceEstimate:
         return self.method in (SANDWICH_HC0, SANDWICH_HC1)
 
 
-def _k_check(r_s: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """R_s' R_s / n over leading stack axes of r_s (..., p, p), and per item whether it overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by the flag
-        meat = r_s.swapaxes(-1, -2) @ r_s / n
-    return meat, ~np.isfinite(meat).all(axis=(-2, -1))
-
-
 def k_check(fit: OlsFit) -> np.ndarray:
-    """Conservative meat matrix (1/n) sum x_i x_i' e_i^2.
+    """Conservative meat matrix (1/n) sum x_i x_i' e_i^2, for each item of the fit.
 
     Computed as R_s' R_s / n from the fit's factor of the score rows, so equal
-    to scores_hat.T @ scores_hat / n. Raises NonFiniteValue when it overflows.
+    to scores_hat.T @ scores_hat / n. Raises NonFiniteValue when one overflows.
     """
-    meat, out_of_range = _k_check(fit.r_s, fit.n)
-    if out_of_range:
+    r_s = fit.r_s
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        meat = r_s.swapaxes(-1, -2) @ r_s / fit.n
+    if not np.isfinite(meat).all():
         raise NonFiniteValue("k_check, the sandwich meat matrix, is outside double range")
     return meat
 
@@ -73,21 +71,17 @@ def _se(avar: np.ndarray, n: int) -> np.ndarray:
     return np.sqrt(np.diagonal(avar, axis1=-2, axis2=-1) / n)
 
 
-def _sandwich_avar(solve, r_s: np.ndarray, n: int) -> np.ndarray:
-    """sigma_hat^-1 k_check sigma_hat^-1 = C C' / n, C = sigma_hat^-1 R_s', over leading stack axes."""
-    c = solve(r_s.swapaxes(-1, -2))
-    return c @ c.swapaxes(-1, -2) / n
-
-
 def sandwich_avar(fit: OlsFit) -> VarianceEstimate:
-    """Sandwich estimate sigma_hat^-1 @ k_check @ sigma_hat^-1 (HC0).
+    """Sandwich estimate sigma_hat^-1 @ k_check @ sigma_hat^-1 (HC0), for each item of the fit.
 
+    It is C C' / n with C = sigma_hat^-1 R_s', so symmetric by construction.
     This is the plain 1/n average the conservative guarantee is stated for;
     ``hc1_avar`` rescales it to HC1. Leverage-based corrections (HC2/HC3)
     are deliberately not offered.
     """
     meat = k_check(fit)
-    avar = _sandwich_avar(fit.solve, fit.r_s, fit.n)
+    c = fit.solve(fit.r_s.swapaxes(-1, -2))
+    avar = c @ c.swapaxes(-1, -2) / fit.n
     return VarianceEstimate(SANDWICH_HC0, avar, _se(avar, fit.n), meat)
 
 
@@ -101,41 +95,29 @@ def hc1_avar(fit: OlsFit, hc0: VarianceEstimate) -> VarianceEstimate:
     return VarianceEstimate(SANDWICH_HC1, avar, _se(avar, fit.n), hc0.meat)
 
 
-def _residual_variance(residuals: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """RSS/(n-p) over leading stack axes of residuals (..., n).
+def residual_variance(fit: OlsFit) -> float | np.ndarray:
+    """The classical error-variance estimator sigma2 = RSS/(n-p); needs n > p and a finite RSS.
 
-    Returns the estimates and, per item, whether residual_variance would
-    raise for it: n <= p, or an RSS outside double range. A flagged
-    estimate is a placeholder.
+    A float for one fit, and an array over the stack axes of a stacked one.
     """
-    n = residuals.shape[-1]
-    with np.errstate(over="ignore"):  # reported by the flag
-        rss = (residuals[..., None, :] @ residuals[..., :, None])[..., 0, 0]
-    return rss / max(n - p, 1), ~np.isfinite(rss) | (n <= p)
-
-
-def residual_variance(fit: OlsFit) -> float:
-    """The classical error-variance estimator sigma2 = RSS/(n-p); needs n > p and a finite RSS."""
     if fit.n <= fit.p:
         raise DegenerateDof(f"classical variance needs n > p, got n={fit.n}, p={fit.p}")
-    sigma2, out_of_range = _residual_variance(fit.residuals, fit.p)
-    if out_of_range:
+    e = fit.residuals
+    with np.errstate(over="ignore"):  # an overflow raises below
+        rss = (e[..., None, :] @ e[..., :, None])[..., 0, 0]
+    if not np.isfinite(rss).all():
         raise NonFiniteValue("residual sum of squares is outside double range")
-    return float(sigma2)
-
-
-def _classical_avar(solve, sigma2, p: int) -> np.ndarray:
-    """sigma2 * sigma_hat^-1, symmetrized, over the leading stack axes of sigma2."""
-    inv = solve(np.broadcast_to(np.eye(p), np.shape(sigma2) + (p, p)))
-    return np.asarray(sigma2)[..., None, None] * (inv + inv.swapaxes(-1, -2)) / 2.0
+    sigma2 = rss / (fit.n - fit.p)
+    return float(sigma2) if sigma2.ndim == 0 else sigma2
 
 
 def classical_avar(fit: OlsFit) -> VarianceEstimate:
-    """Homoscedastic estimate sigma2 * sigma_hat^-1 with sigma2 = RSS/(n-p).
+    """Homoscedastic estimate sigma2 * sigma_hat^-1 with sigma2 = RSS/(n-p), symmetrized.
 
     This is what conventional regression output reports; it is wrong whenever
     the error variance depends on the covariates or the mean is nonlinear.
     """
-    sigma2 = residual_variance(fit)
-    avar = _classical_avar(fit.solve, sigma2, fit.p)
+    sigma2 = np.asarray(residual_variance(fit))[..., None, None]
+    inv = fit.solve(np.broadcast_to(np.eye(fit.p), fit.sigma_hat.shape))
+    avar = sigma2 * (inv + inv.swapaxes(-1, -2)) / 2.0
     return VarianceEstimate(method=CLASSICAL, avar=avar, se=_se(avar, fit.n), meat=sigma2 * fit.sigma_hat)

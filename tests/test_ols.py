@@ -8,11 +8,11 @@ from leanreg import (
     Dataset,
     DimensionMismatch,
     NonFiniteValue,
+    OlsFit,
     SingularDesign,
     fit_ols,
     scores_at,
 )
-from leanreg.ols import _fit_stack
 
 
 @pytest.fixture
@@ -202,28 +202,42 @@ class TestStackedFit:
         x = np.column_stack([np.ones(20), rng.random(20)])
         xs = np.stack([x, x * 1e200, np.column_stack([np.ones(20), np.full(20, 0.5)])])
         ys = rng.standard_normal((3, 20))
-        return _fit_stack(xs, ys), [Dataset(x=x, y=y) for x, y in zip(xs, ys)]
+        return OlsFit(xs, ys), [Dataset(x=x, y=y) for x, y in zip(xs, ys)]
 
-    @pytest.mark.parametrize("i, error", [(1, NonFiniteValue), (2, SingularDesign)])
-    def test_an_item_raises_what_fit_ols_raises_for_it(self, stack, i, error):
+    @pytest.mark.parametrize("index, i, error", [
+        (1, 1, NonFiniteValue), (2, 2, SingularDesign), (slice(None), 1, NonFiniteValue),
+        (slice(2, None), 2, SingularDesign), (slice(None, None, -1), 2, SingularDesign),
+    ])
+    def test_indexing_raises_what_fit_ols_raises_for_the_first_failing_item(self, stack, index, i, error):
         fits, datasets = stack
         with pytest.raises(error) as alone:
             fit_ols(datasets[i])
         with pytest.raises(error) as stacked:
-            fits.fit(i, datasets[i])
+            fits[index]
         assert type(stacked.value) is type(alone.value)
         assert str(stacked.value) == str(alone.value)
         assert repr(stacked.value.__cause__) == repr(alone.value.__cause__)
 
-    def test_a_clean_item_has_the_bits_of_fit_ols(self, stack):
+    @pytest.mark.parametrize("index", [0, slice(0, 1)])
+    def test_a_clean_item_has_the_bits_of_fit_ols(self, stack, index):
         fits, datasets = stack
-        stacked, alone = fits.fit(0, datasets[0]), fit_ols(datasets[0])
-        for name in ("beta_hat", "sigma_hat", "gamma_hat", "residuals", "scores_hat"):
+        stacked, alone = fits[index], fit_ols(datasets[0])
+        for name in ("beta_hat", "sigma_hat", "gamma_hat", "residuals", "scores_hat", "r_s"):
             assert getattr(stacked, name).tobytes() == getattr(alone, name).tobytes(), name
         assert (stacked.n, stacked.p) == (alone.n, alone.p)
-        assert stacked.data is alone.data is datasets[0]
-        b = np.array([1.0, -2.0])
-        assert stacked.solve(b).tobytes() == alone.solve(b).tobytes()
+        assert stacked.data is None and alone.data is datasets[0]
+        b = np.array([1.0, -2.0])[:, None]
+        assert stacked.solve(b if index == 0 else b[None]).tobytes() == alone.solve(b).tobytes()
+
+    def test_items_read_the_stacks_one_factor_of_the_scores(self, stack):
+        fits, _ = stack
+        item = fits[0]
+        assert np.shares_memory(item.r_s, fits.r_s)
+        assert fits[0:1][0].r_s.tobytes() == item.r_s.tobytes()
+
+    def test_shapes_must_agree(self):
+        with pytest.raises(DimensionMismatch):
+            OlsFit(np.ones((2, 5, 2)), np.ones((2, 4)))
 
 
 class TestScoresAt:

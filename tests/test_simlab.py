@@ -1,6 +1,9 @@
+import ast
 import collections
 import dataclasses
+import pathlib
 import statistics
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -19,6 +22,7 @@ from leanreg import (
     DegenerateDof,
     DimensionMismatch,
     Dgp,
+    LeanRegError,
     NonFiniteValue,
     NotPositiveDefinite,
     OlsFit,
@@ -27,6 +31,7 @@ from leanreg import (
     classical_avar,
     eig_sym_extremes,
     fit_ols,
+    k_check,
     max_t_test,
     population_score_means,
     population_targets,
@@ -39,8 +44,10 @@ from leanreg import (
     sample,
     sandwich_avar,
 )
+from leanreg.bootstrap import studentizer
 from leanreg.cli import main
-from leanreg.ols import _fit_stack
+from leanreg.inference import REFERENCES
+from leanreg.variance import VarianceEstimate, residual_variance
 
 ALL_KINDS = simlab.DGP_KINDS
 P2_KINDS = tuple(k for k in ALL_KINDS if k != "linear_homoscedastic")
@@ -811,19 +818,45 @@ class TestStackedReplications:
         assert outcome(coverage_one_at_a_time, *args) == expected
         assert outcome(coverage_stacked, *args) == expected
 
-    def test_one_fit_objects_only_for_a_flagged_replication(self, monkeypatch):
+    def test_objects_once_per_stack_and_a_flagged_stack_replays_from_its_own_fit(self, monkeypatch):
         counts = collections.Counter()
-        for cls in (Dataset, OlsFit, BootstrapDraws, ConfidenceRegion, leanreg.inference.TestResult):
+        for cls in (Dataset, VarianceEstimate, BootstrapDraws, ConfidenceRegion, leanreg.inference.TestResult):
             def init(self, *args, _init=cls.__init__, **kwargs):
                 counts[type(self).__name__] += 1
                 _init(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__init__", init)
+        for name in ("__init__", "__getitem__"):
+            def method(self, *args, _real=getattr(OlsFit, name), _name=name):
+                counts[f"OlsFit.{_name}"] += 1
+                return _real(self, *args)
+
+            monkeypatch.setattr(OlsFit, name, method)
+        real_cholesky, real_qr = np.linalg.cholesky, np.linalg.qr
+
+        def cholesky(a, *args, **kwargs):
+            counts["cholesky"] += np.asarray(a)[..., 0, 0].size
+            return real_cholesky(a, *args, **kwargs)
+
+        def qr(a, *args, **kwargs):
+            counts["qr"] += np.asarray(a)[..., 0, 0].size
+            return real_qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        # the 7 replications are one stack, fitted, factored and indexed once, with one of each
+        # object for the sandwich, the draws, the test and each of the two regions; no Dataset
         args = (Dgp("heteroscedastic_iid"), 30, 7, BOOTSTRAP_METHODS, 0.1, 2)
         run_coverage(*args, b=40)
-        assert counts == {}
-        # replication 3, edited as RANK_ONE_SCORES edits, passes the rectangle and the test, each
-        # built from its own objects, and then fails the ellipsoid's gate; no other builds any
+        once = {"OlsFit.__init__": 1, "OlsFit.__getitem__": 1, "cholesky": 7, "qr": 7,
+                "VarianceEstimate": 1, "BootstrapDraws": 1, "ConfidenceRegion": 2, "TestResult": 1}
+        assert counts == once
+        # replication 3, edited as RANK_ONE_SCORES edits, passes the rectangle and the test and
+        # fails the ellipsoid's gate. The stack gets that far; then replications 0 to 3 are
+        # indexed from its fit, with no fit or factorization of their own, and run alone until
+        # replication 3 raises: 3 full replications and one that stops at the ellipsoid
+        counts.clear()
+
         def edit(key, x, y):
             if key[1] == 3:
                 x[1], y[:] = x[0], 0.0
@@ -833,8 +866,9 @@ class TestStackedReplications:
         edit_draws(monkeypatch, edit)
         with pytest.raises(NotPositiveDefinite, match="Cholesky pivot 1 at or below"):
             run_coverage(*args, b=40)
-        assert counts == dict.fromkeys(["Dataset", "OlsFit", "BootstrapDraws", "ConfidenceRegion",
-                                        "TestResult"], 1)
+        assert counts == {"OlsFit.__init__": 1, "OlsFit.__getitem__": 1 + 4, "cholesky": 7, "qr": 7,
+                          "VarianceEstimate": 1 + 4, "BootstrapDraws": 1 + 4,
+                          "ConfidenceRegion": 1 + 3 * 2 + 1, "TestResult": 1 + 4}
 
     def test_degenerate_dof_matches_one_replication_at_a_time(self):
         # n = p = 2 on a fixed design: the fit is exact and the classical variance has no dof
@@ -856,6 +890,129 @@ class TestStackedReplications:
             run_consistency(Dgp("quadratic_mean_iid"), [30], 8, seed=1)
 
 
+def public_results(make_fit, keys, beta0) -> dict:
+    """Each public function of a fit, by name: its result, the LeanRegError it raised, or None
+    where one of its inputs raised. ``keys`` seed the draws, one per item of a stacked fit."""
+    out = {}
+
+    def run(name, call, *needs):
+        if all(isinstance(out[need], (OlsFit, VarianceEstimate, BootstrapDraws, ConfidenceRegion))
+               for need in needs):
+            try:
+                out[name] = call(*(out[need] for need in needs))
+            except LeanRegError as exc:
+                out[name] = exc
+        else:
+            out[name] = None
+
+    run("fit", make_fit)
+    run("k_check", k_check, "fit")
+    run("sandwich_avar", sandwich_avar, "fit")
+    run("residual_variance", residual_variance, "fit")
+    run("classical_avar", classical_avar, "fit")
+    run("run_bootstrap", lambda fit: run_bootstrap(fit, b=40, seed=keys), "fit")
+    run("run_bootstrap/rademacher", lambda fit: run_bootstrap(fit, b=40, dist="rademacher", seed=keys), "fit")
+    run("run_bootstrap/m-of-n", lambda fit: run_bootstrap(fit, b=40, m=20, seed=keys), "fit")
+    run("studentizer", studentizer, "sandwich_avar")
+    run("region_rectangle", lambda *a: region_rectangle(*a, 0.1), "fit", "run_bootstrap", "sandwich_avar")
+    run("region_ellipsoid", lambda *a: region_ellipsoid(*a, 0.1), "fit", "run_bootstrap", "sandwich_avar")
+    for region in ("region_rectangle", "region_ellipsoid"):
+        run(f"{region}.contains", lambda r: r.contains(beta0), region)
+    for reference in REFERENCES:
+        run(f"max_t_test/{reference}",
+            lambda fit, var, draws, ref=reference: max_t_test(fit, var, beta0, ref, draws=draws),
+            "fit", "sandwich_avar", "run_bootstrap")
+    return out
+
+
+def result_fields(result) -> dict:
+    """A result's values by field: an OlsFit's arrays, a dataclass's fields, or the value itself."""
+    if isinstance(result, OlsFit):
+        names = ("beta_hat", "sigma_hat", "gamma_hat", "residuals", "scores_hat", "r_s", "n", "p")
+        return {name: getattr(result, name) for name in names}
+    if dataclasses.is_dataclass(result):
+        return {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    return {"": result}
+
+
+class TestStackedPublicApi:
+    """Each public function of a fit, on a 3-item stack: each item's bits, or the error of its
+    first failing item, with that item's message and cause."""
+
+    @pytest.mark.parametrize("edits", [
+        {}, *({i: edit} for edit in (SINGULAR, BIG_X, BIG_Y, ZERO_RESIDUALS, RANK_ONE_SCORES)
+                 for i in range(3)),
+        {1: ZERO_RESIDUALS, 2: RANK_ONE_SCORES}, {1: RANK_ONE_SCORES, 2: ZERO_RESIDUALS},
+        {0: BIG_Y, 2: SINGULAR}, {1: BIG_X, 2: SINGULAR}, {1: SINGULAR, 2: BIG_X},
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_each_item_as_alone(self, edits):
+        xs, ys = [], []
+        for i in range(3):
+            data = sample(Dgp("heteroscedastic_iid"), 30, (9, i))
+            fields = {"x": data.x, "y": data.y}
+            fields.update({name: change(data) for name, change in edits.get(i, {}).items()})
+            xs.append(fields["x"])
+            ys.append(fields["y"])
+        x, y, keys, beta0 = np.stack(xs), np.stack(ys), [(9, i, 1) for i in range(3)], np.ones(2)
+        stacked = public_results(lambda: OlsFit(x, y)[:], keys, beta0)
+        alone = [public_results(lambda i=i: fit_ols(Dataset(x=x[i], y=y[i])), keys[i], beta0)
+                 for i in range(3)]
+        assert stacked["fit"] is not None
+        for name, result in stacked.items():
+            if result is None:
+                continue
+            if isinstance(result, LeanRegError):
+                first = next(a[name] for a in alone if isinstance(a[name], LeanRegError))
+                assert type(result) is type(first), name
+                assert str(result) == str(first), name
+                assert repr(result.__cause__) == repr(first.__cause__), name
+                continue
+            assert not any(isinstance(a[name], LeanRegError) for a in alone), name
+            for i, one in enumerate(alone):
+                for field, value in result_fields(one[name]).items():
+                    s, a = np.asarray(result_fields(result)[field]), np.asarray(value)
+                    s = s[i] if s.shape == (3,) + a.shape else s
+                    assert (s.shape, s.tobytes()) == (a.shape, a.tobytes()), (name, field, i)
+        assert bool(edits) == any(isinstance(r, LeanRegError) for r in stacked.values())
+
+
+    @pytest.mark.parametrize("seed", [3, [(9, 0, 1), (9, 1, 1)], [(9, i, 1) for i in range(4)]])
+    def test_a_stacked_bootstrap_takes_one_key_per_item(self, seed):
+        data = sample(Dgp("heteroscedastic_iid"), 30, (9, 0))
+        fits = OlsFit(np.stack([data.x] * 3), np.stack([data.y] * 3))[:]
+        with pytest.raises(DimensionMismatch, match="a fit of 3 items needs as many seeds"):
+            run_bootstrap(fits, b=10, seed=seed)
+
+
+def test_simlab_reads_no_private_name_of_the_inference_modules():
+    # simlab runs the same public functions as a caller; a private name would be a second path
+    start = time.perf_counter()
+    path = pathlib.Path(simlab.__file__)
+    guarded = {"ols", "variance", "bootstrap", "inference"}
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = set()  # the names simlab binds to the guarded modules
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = (node.module or "").rpartition(".")[2]
+            for alias in node.names:
+                if source in guarded and alias.name.startswith("_"):
+                    found.append(f"from {node.module} import {alias.name}")
+                if node.module in (None, "leanreg") and alias.name in guarded:
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.rpartition(".")[2] in guarded:
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            if ast.unparse(node.value) in modules or ast.unparse(node.value).rpartition(".")[2] in guarded:
+                found.append(ast.unparse(node))
+    assert found == []
+    assert time.perf_counter() - start < 0.1
+
+
 class TestFactorizationCounts:
     """Each SPD matrix is factored once, by the code that builds it; a fit's scores are too."""
 
@@ -864,7 +1021,7 @@ class TestFactorizationCounts:
         # a call on a stack of matrices counts each of them
         counts = collections.Counter()
         real_cholesky, real_qr = np.linalg.cholesky, np.linalg.qr
-        real_k_check = leanreg.variance._k_check
+        real_k_check = leanreg.variance.k_check
 
         def cholesky(a, *args, **kwargs):
             counts["cholesky"] += np.asarray(a)[..., 0, 0].size
@@ -874,14 +1031,14 @@ class TestFactorizationCounts:
             counts["qr"] += np.asarray(a)[..., 0, 0].size
             return real_qr(a, *args, **kwargs)
 
-        def k_check(r_s, n):
-            counts["k_check"] += np.asarray(r_s)[..., 0, 0].size
-            return real_k_check(r_s, n)
+        def k_check(fit):
+            counts["k_check"] += fit.beta_hat[..., 0].size
+            return real_k_check(fit)
 
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
         monkeypatch.setattr(np.linalg, "qr", qr)
-        for module in (leanreg.variance, simlab):
-            monkeypatch.setattr(module, "_k_check", k_check)
+        # sandwich_avar, the one caller of k_check, looks it up in its module
+        monkeypatch.setattr(leanreg.variance, "k_check", k_check)
         return counts
 
     def test_all_methods_replication_factors_sigma_hat_and_scores_once(self, counts):
@@ -904,7 +1061,8 @@ class TestFactorizationCounts:
         assert one == {"cholesky": 1, "qr": 1, "k_check": 1}
 
     # one stack of 6: a failed LAPACK call on it, then each item alone; or one call. The
-    # scores are factored in one call on the stack, the singular replication's included
+    # replay after the singular replication reads the scores' factors from one call on the
+    # stack, the singular replication's included
     @pytest.mark.parametrize("step, stack_factors", [(0.0, 6 + 6), (2.0**-24, 6)],
                              ids=["factorization", "pivot-gate"])
     def test_singular_replication_is_factored_only_in_its_stack(self, counts, monkeypatch, step,
@@ -941,11 +1099,11 @@ class TestFactorizationCounts:
     def test_check_command_factors_four_matrices(self, counts, kind, capsys):
         # sigma_n once (the targets carry it), sigma_hat once (the fit carries
         # it), and det_inequality_check's own pair; influence_remainder none.
-        # The fit factors its scores once
+        # Nothing reads the scores' factor, so they are not factored
         assert main(["check", "--dgp", kind, "--n", "200", "--seed", "3"]) == 0
         capsys.readouterr()
         assert counts["cholesky"] == 4
-        assert counts["qr"] == 1
+        assert counts["qr"] == 0
 
 
 class TestRunConsistency:
@@ -1023,8 +1181,7 @@ class TestExactLawOracles:
         pop = population_targets(dgp, n)
         errors = np.empty((replications, dgp.p))
         for reps, x, y in simlab._sample_stacks(dgp, n, replications, lambda r: (16, r)):
-            fits = _fit_stack(x, y)
-            assert not fits.failed.any()
+            fits = OlsFit(x, y)[:]  # raises if a replication fails a gate
             errors[reps.start : reps.stop] = fits.beta_hat - pop.beta_n
 
         def form(avar):
@@ -1044,9 +1201,8 @@ class TestExactLawOracles:
         rng = np.random.default_rng(13)
         x = np.column_stack([np.ones(n), rng.random((n, p - 1))])
         y = x @ np.ones(p) + s * rng.standard_normal((replications, n))
-        fits = _fit_stack(np.broadcast_to(x, (replications, n, p)), y)
-        meat, flags = leanreg.variance._k_check(fits.r_s, n)
-        assert not (fits.failed | flags).any()
+        # indexing raises if a replication fails the fit's gates, and k_check if one overflows
+        meat = k_check(OlsFit(np.broadcast_to(x, (replications, n, p)), y)[:])
         h = np.einsum("ij,ji->i", x, np.linalg.solve(x.T @ x, x.T))
         exact = s**2 * (x.T * (1.0 - h)) @ x / n
         se = meat.std(axis=0) / np.sqrt(replications)

@@ -9,6 +9,7 @@ from leanreg import (
     DegenerateDof,
     Dgp,
     NonFiniteValue,
+    OlsFit,
     classical_avar,
     fit_ols,
     hc1_avar,
@@ -18,8 +19,7 @@ from leanreg import (
     sample,
     sandwich_avar,
 )
-from leanreg.ols import _fit_stack
-from leanreg.variance import _sandwich_avar, residual_variance
+from leanreg.variance import residual_variance
 
 
 @pytest.fixture
@@ -169,13 +169,15 @@ class TestSymmetricByConstruction:
     def test_stack(self, p):
         n = 5 * p + 20
         x, y = het_stack((2, 3), n, p, seed=p)
-        fits = _fit_stack(x, y)
-        assert not fits.failed.any()
-        avar = _sandwich_avar(fits.solve, fits.r_s, n)
+        fits = OlsFit(x, y)[:]  # raises if an item fails a gate
+        avar = sandwich_avar(fits).avar
         assert avar.tobytes() == avar.swapaxes(-1, -2).tobytes()
+        draws = run_bootstrap(fits, b=50, seed=[p] * 6)
+        quad_forms = region_ellipsoid(fits, draws, sandwich_avar(fits), 0.1).quad_form
+        assert quad_forms.tobytes() == quad_forms.swapaxes(-1, -2).tobytes()
         for i in np.ndindex(2, 3):
-            fit = fits.fit(i, Dataset(x=x[i], y=y[i]))
+            fit = fit_ols(Dataset(x=x[i], y=y[i]))
             var = sandwich_avar(fit)
             assert var.avar.tobytes() == avar[i].tobytes()
             quad_form = region_ellipsoid(fit, run_bootstrap(fit, b=50, seed=p), var, 0.1).quad_form
-            assert quad_form.tobytes() == quad_form.T.tobytes()
+            assert quad_form.tobytes() == quad_form.T.tobytes() == quad_forms[i].tobytes()
