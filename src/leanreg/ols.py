@@ -6,8 +6,8 @@ averages (1/n) sum x_i x_i' and (1/n) sum x_i y_i. Keeping these two moment
 statistics explicit is what the rest of the library (variance estimation,
 score bootstrap, diagnostics) builds on.
 
-``OlsFit`` holds one fit or a stack of them over leading axes, with each
-item's gates; ``fit_ols`` is the one-dataset case.
+``OlsFit`` holds one fit or a stack of them over leading axes, and raises
+for the first item that fails a gate; ``fit_ols`` is the one-dataset case.
 
 No intercept is ever added implicitly; callers who want one prepend a ones
 column themselves (the CLI offers a flag for this).
@@ -59,12 +59,12 @@ class OlsFit:
     ``OlsFit(x, y)`` solves the empirical normal equations for designs x
     (..., n, p) and responses y (..., n), giving each item the matmul,
     factorization and substitution calls, and so the bits, it gets alone.
-    The two gates, x'x outside double range and ``linalg._cholesky_spd``'s
-    pivot of sigma_hat, are kept per item: a failing item holds placeholder
-    values. Indexing, ``fit[i]``, ``fit[:]`` or ``fit[()]``, returns the
-    selected items, or raises the error of the first selected item, in stack
-    order, that fails a gate. The functions that take a fit take an indexed
-    one, with any leading axes, and raise for its first failing item.
+    An ``OlsFit`` that exists holds only fits: the constructor raises the
+    error of the first item, in C order, that fails a gate, for the first
+    gate it fails. The gates are a non-finite entry of x or y
+    (NonFiniteValue), x'x outside double range (NonFiniteValue), and
+    ``linalg._cholesky_spd``'s pivot of sigma_hat (SingularDesign). The
+    functions that take a fit take one with any leading axes.
 
     Attributes
     ----------
@@ -81,60 +81,47 @@ class OlsFit:
     solve : b -> sigma_hat^-1 b through the one factorization of sigma_hat;
         the variance estimates and the bootstrap draws reuse it.
     r_s : (..., p, p) triangular factor of scores_hat = Q r_s; k_check is
-        r_s' r_s / n. It is computed on first read, once for a whole stack,
-        whose indexed items read theirs from it.
+        r_s' r_s / n. It is computed on first read, once for the whole fit.
     """
 
-    __slots__ = (
-        "beta_hat", "sigma_hat", "gamma_hat", "residuals", "scores_hat", "n", "p", "data",
-        "_lower", "_out_of_range", "_pivot", "_r_s", "_source",
-    )
+    __slots__ = ("beta_hat", "sigma_hat", "gamma_hat", "residuals", "scores_hat", "n", "p", "data",
+                 "_lower", "_r_s")
 
     def __init__(self, x, y, data: Dataset | None = None):
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         if x.ndim < 2 or x.shape[:-1] != y.shape:
             raise DimensionMismatch(f"x of shape {x.shape} needs y of shape {x.shape[:-1]}, got {y.shape}")
         self.n, self.p = x.shape[-2:]
+        if self.n < 1 or self.p < 1:
+            raise DimensionMismatch("need at least one observation and one covariate")
         xt = x.swapaxes(-1, -2)
-        # an item that fails a gate carries placeholder values on, so its numpy warnings are dropped
+        # an item that fails a gate raises below, and an overflow past the gates raises in the
+        # variance estimates, so their numpy warnings are dropped
         with np.errstate(over="ignore", invalid="ignore"):
+            non_finite = ~(np.isfinite(x).all(axis=(-2, -1)) & np.isfinite(y).all(axis=-1))
             self.sigma_hat = sigma_hat = xt @ x / self.n
             tiny = np.diagonal(sigma_hat, axis1=-2, axis2=-1) < np.finfo(float).tiny
-            self._out_of_range = ~np.isfinite(sigma_hat).all(axis=(-2, -1))
+            out_of_range = ~np.isfinite(sigma_hat).all(axis=(-2, -1))
             if tiny.any():
-                self._out_of_range |= (tiny[..., None, :] & (x != 0.0)).any(axis=(-2, -1))
+                out_of_range |= (tiny[..., None, :] & (x != 0.0)).any(axis=(-2, -1))
+            self._lower, pivot = linalg._cholesky_spd(sigma_hat)
+
+            def singular(k):
+                error = SingularDesign("design second-moment matrix is not positive definite")
+                error.__cause__ = linalg._not_positive_definite(int(np.ravel(pivot)[k]), self.p)
+                return error
+
+            linalg._raise_first(
+                (non_finite, NonFiniteValue("design or response contains non-finite entries")),
+                (out_of_range, NonFiniteValue("design second-moment matrix is outside double range")),
+                (pivot >= 0, singular),
+            )
             self.gamma_hat = (xt @ y[..., None])[..., 0] / self.n
-            self._lower, self._pivot = linalg._cholesky_spd(sigma_hat)
             self.beta_hat = linalg._apply_factor(self._lower, self.gamma_hat[..., None])[..., 0]
             self.residuals = y - (x @ self.beta_hat[..., None])[..., 0]
             self.scores_hat = x * self.residuals[..., None]
         self.data = data
-        self._r_s = self._source = None
-
-    def __getitem__(self, index) -> OlsFit:
-        """The selected items, with every array computed so far; or the first failing item's error."""
-        pivot = self._pivot[index]
-
-        def singular(k):
-            error = SingularDesign("design second-moment matrix is not positive definite")
-            error.__cause__ = linalg._not_positive_definite(int(np.ravel(pivot)[k]), self.p)
-            return error
-
-        linalg._raise_first(
-            (self._out_of_range[index], NonFiniteValue("design second-moment matrix is outside double range")),
-            (pivot >= 0, singular),
-        )
-        fit = object.__new__(OlsFit)
-        for name in ("beta_hat", "sigma_hat", "gamma_hat", "residuals", "scores_hat", "_lower",
-                     "_out_of_range", "_pivot"):
-            setattr(fit, name, getattr(self, name)[index])
-        fit.n, fit.p, fit.data = self.n, self.p, self.data
-        if self.beta_hat.ndim > 1:
-            # a stack's scores are factored by one call on the whole stack, whichever item reads first
-            fit._r_s, fit._source = None, (self, index)
-        else:
-            fit._r_s, fit._source = self._r_s, None
-        return fit
+        self._r_s = None
 
     @property
     def solve(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -144,29 +131,22 @@ class OlsFit:
 
     @property
     def r_s(self) -> np.ndarray:
-        """The scores' factors R_s, by one ``linalg.tsqr_r`` call on first read: no read, no QR.
-
-        Items indexed from a stack read theirs from the stack's, so no item is factored twice.
-        """
+        """The scores' factors R_s, by one ``linalg.tsqr_r`` call on first read: no read, no QR."""
         if self._r_s is None:
-            if self._source is None:
-                self._r_s = linalg.tsqr_r(self.scores_hat)
-            else:
-                stack, index = self._source
-                self._r_s = stack.r_s[index]
+            self._r_s = linalg.tsqr_r(self.scores_hat)
         return self._r_s
 
 
 def fit_ols(data: Dataset) -> OlsFit:
-    """Fit OLS by solving the empirical normal equations: ``OlsFit(data.x, data.y, data)[()]``.
+    """Fit OLS by solving the empirical normal equations: ``OlsFit(data.x, data.y, data)``.
 
     Requires sigma_hat to be positive definite (hence n >= p); otherwise
     raises SingularDesign, or NonFiniteValue when x'x overflows or a column
     that is not all zero has a mean square below the smallest normal double,
     where its bits are lost. No rank-deficient fallback is attempted. A stack
-    item has the same bits and errors, from the same indexing.
+    item has the same bits, and a stack the error of its first failing item.
     """
-    return OlsFit(data.x, data.y, data)[()]
+    return OlsFit(data.x, data.y, data)
 
 
 def scores_at(data: Dataset, beta) -> np.ndarray:

@@ -40,9 +40,10 @@ DRAW_ENTRIES draw entries (B * p) per stack. The stack is then fitted as one
 ``OlsFit``, with no ``Dataset``, and run through the same public functions a
 caller runs on one fit (the sandwich, the draws from the (seed, r, 1) keys,
 the regions and the test), which give each item the bits of one replication
-on its own. A loop adds the tally rows in replication order, so a report
-keeps its bits whatever the stack size; the budgets only bound the buffers'
-memory.
+on its own. A stack whose fit or calls raise is replayed one replication at
+a time, each refitted alone. A loop adds the tally rows in replication
+order, so a report keeps its bits whatever the stack size; the budgets only
+bound the buffers' memory.
 """
 
 from __future__ import annotations
@@ -426,9 +427,9 @@ def run_coverage(
     1) key. A stack runs through the same calls that one replication runs
     through alone, which fill one tally row per replication, and a loop adds
     the rows in order, so the report does not depend on the stack size. If
-    one of those calls raises a ``LeanRegError``, the stack is replayed one
-    replication at a time through the same calls, on items indexed from the
-    stack's own fit: a singular design excludes its replication, and any
+    the stack's fit or one of those calls raises a ``LeanRegError``, each
+    replication is refitted alone, ``OlsFit(x[i], y[i])``, and run through
+    the same calls: a singular design excludes its replication, and any
     other error propagates, as in a loop over r.
     """
     methods = tuple(methods)
@@ -441,10 +442,15 @@ def run_coverage(
         raise ValueError("need at least one replication")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
+    needs_boot = any(METHOD_KINDS[m] != "interval" for m in methods)
+    if needs_boot and b < 1:
+        raise ValueError("need at least one replicate")
+    if any(METHOD_KINDS[m] == "interval" for m in methods):
+        if 1.0 - alpha / 2.0 == 1.0:
+            raise ValueError(f"alpha={alpha!r} is too small for a normal interval: 1 - alpha/2 rounds to 1")
+        z = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
     beta_n = _targets(dgp, n)[0]
-    z = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
-    needs_boot = any(METHOD_KINDS[m] != "interval" for m in methods)
     needs_sandwich = needs_boot or "sandwich_normal" in methods
     most = max(1, DRAW_ENTRIES // (b * dgp.p)) if needs_boot else None
 
@@ -476,15 +482,14 @@ def run_coverage(
 
     excluded = 0
     for reps, x, y in _sample_stacks(dgp, n, replications, lambda r: (seed, r), most):
-        fits = OlsFit(x, y)
         try:
-            rows = tally_rows(fits[:], [(seed, r, 1) for r in reps])
+            rows = tally_rows(OlsFit(x, y), [(seed, r, 1) for r in reps])
         except LeanRegError:
             # replay the stack one replication at a time, as a loop over r meets its errors
             rows = []
             for i, r in enumerate(reps):
                 try:
-                    fit = fits[i]
+                    fit = OlsFit(x[i], y[i])
                 except SingularDesign:
                     excluded += 1
                     continue
@@ -524,7 +529,7 @@ def run_consistency(dgp: Dgp, n_grid, replications: int, seed: int) -> dict:
         beta_n = _targets(dgp, n)[0]
         errs = np.empty(replications)
         for reps, x, y in _sample_stacks(dgp, n, replications, lambda r: (seed, i, r)):
-            d = OlsFit(x, y)[:].beta_hat - beta_n  # raises the first failing replication's gate error
+            d = OlsFit(x, y).beta_hat - beta_n  # raises the first failing replication's gate error
             # the Euclidean norm as np.linalg.norm takes it of one vector: sqrt of a BLAS dot
             errs[reps.start : reps.stop] = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
         medians.append(float(np.median(errs)))

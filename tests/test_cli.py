@@ -989,6 +989,34 @@ class TestCheckCommand:
         assert det["sandwich_ok"] and det["remainder_ok"]
 
 
+def test_every_numeric_flag_at_an_edge_exits_with_a_chosen_code(tmp_path, capsys):
+    # each command with each of its numeric flags at 0 and -1, and alpha at 0, 1 and where
+    # 1 - alpha/2 rounds to 1: main returns 0, 3 or 4 or exits 2, never 1, an uncaught error's
+    rng = np.random.default_rng(1)
+    path = tmp_path / "d.csv"
+    table = np.column_stack([np.ones(20), rng.random(20), rng.standard_normal(20)])
+    np.savetxt(path, table, delimiter=",", header="x0,x1,y", comments="")
+    data = ["--data", str(path), "--response", "y"]
+    boot = [*data, "--B", "20", "--seed", "1"]
+    dgp = ["--dgp", "heteroscedastic_iid", "--n", "20", "--seed", "1"]
+    base = {"fit": data, "test": [*boot, "--reference", "bootstrap"], "bootstrap": boot,
+            "simulate": [*dgp, "--reps", "2", "--B", "20"], "check": dgp}
+    edges = dict.fromkeys(("b", "m", "n", "reps", "coef", "threads", "seed"), ("0", "-1"))
+    edges["alpha"] = ("0", "1", "1e-17")
+    codes = {}
+    for command, (_, _, flags) in cli._COMMANDS.items():
+        for flag in flags:
+            for value in edges.get(flag, ()):
+                args = [command, *base[command], cli._FLAGS[flag][0], value]
+                try:
+                    codes[" ".join(args[-2:]), command] = main(args)
+                except SystemExit as exc:
+                    codes[" ".join(args[-2:]), command] = exc.code
+                capsys.readouterr()
+    assert len(codes) == 42
+    assert {key: code for key, code in codes.items() if code not in (0, 2, 3, 4)} == {}
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "leanreg", "--help"], capture_output=True, text=True

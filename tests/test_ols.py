@@ -11,6 +11,7 @@ from leanreg import (
     OlsFit,
     SingularDesign,
     fit_ols,
+    sandwich_avar,
     scores_at,
 )
 
@@ -201,39 +202,64 @@ class TestStackedFit:
         rng = np.random.default_rng(4)
         x = np.column_stack([np.ones(20), rng.random(20)])
         xs = np.stack([x, x * 1e200, np.column_stack([np.ones(20), np.full(20, 0.5)])])
-        ys = rng.standard_normal((3, 20))
-        return OlsFit(xs, ys), [Dataset(x=x, y=y) for x, y in zip(xs, ys)]
+        return xs, rng.standard_normal((3, 20))
 
     @pytest.mark.parametrize("index, i, error", [
         (1, 1, NonFiniteValue), (2, 2, SingularDesign), (slice(None), 1, NonFiniteValue),
         (slice(2, None), 2, SingularDesign), (slice(None, None, -1), 2, SingularDesign),
     ])
-    def test_indexing_raises_what_fit_ols_raises_for_the_first_failing_item(self, stack, index, i, error):
-        fits, datasets = stack
+    def test_the_constructor_raises_what_fit_ols_raises_for_the_first_failing_item(self, stack, index, i,
+                                                                                 error):
+        xs, ys = stack
         with pytest.raises(error) as alone:
-            fit_ols(datasets[i])
+            fit_ols(Dataset(x=xs[i], y=ys[i]))
         with pytest.raises(error) as stacked:
-            fits[index]
+            OlsFit(xs[index], ys[index])
         assert type(stacked.value) is type(alone.value)
         assert str(stacked.value) == str(alone.value)
         assert repr(stacked.value.__cause__) == repr(alone.value.__cause__)
 
-    @pytest.mark.parametrize("index", [0, slice(0, 1)])
-    def test_a_clean_item_has_the_bits_of_fit_ols(self, stack, index):
-        fits, datasets = stack
-        stacked, alone = fits[index], fit_ols(datasets[0])
-        for name in ("beta_hat", "sigma_hat", "gamma_hat", "residuals", "scores_hat", "r_s"):
-            assert getattr(stacked, name).tobytes() == getattr(alone, name).tobytes(), name
-        assert (stacked.n, stacked.p) == (alone.n, alone.p)
-        assert stacked.data is None and alone.data is datasets[0]
+    @pytest.mark.parametrize("shape", [(1,), (3,), (3, 1)])
+    def test_a_clean_stack_item_has_the_bits_of_fit_ols(self, shape):
+        rng = np.random.default_rng(5)
+        rows = 20 * np.prod(shape)
+        xs = np.column_stack([np.ones(rows), rng.random(rows)]).reshape(shape + (20, 2))
+        ys = rng.standard_normal(shape + (20,))
+        fits = OlsFit(xs, ys)
         b = np.array([1.0, -2.0])[:, None]
-        assert stacked.solve(b if index == 0 else b[None]).tobytes() == alone.solve(b).tobytes()
+        solved = fits.solve(np.broadcast_to(b, shape + b.shape))
+        for i in np.ndindex(shape):
+            alone = fit_ols(Dataset(x=xs[i], y=ys[i]))
+            for name in ("beta_hat", "sigma_hat", "gamma_hat", "residuals", "scores_hat", "r_s"):
+                assert getattr(fits, name)[i].tobytes() == getattr(alone, name).tobytes(), (name, i)
+            assert solved[i].tobytes() == alone.solve(b).tobytes()
+        assert (fits.n, fits.p, fits.data) == (20, 2, None)
 
-    def test_items_read_the_stacks_one_factor_of_the_scores(self, stack):
-        fits, _ = stack
-        item = fits[0]
-        assert np.shares_memory(item.r_s, fits.r_s)
-        assert fits[0:1][0].r_s.tobytes() == item.r_s.tobytes()
+    def test_a_failing_item_never_reaches_a_variance(self):
+        # the stack's fit raises for its constant covariate, so no placeholder value of that
+        # item reaches the sandwich, which would give it finite standard errors
+        rng = np.random.default_rng(6)
+        x = np.stack([np.column_stack([np.ones(20), rng.random(20)]),
+                      np.column_stack([np.ones(20), np.full(20, 0.5)])])
+        with pytest.raises(SingularDesign):
+            sandwich_avar(OlsFit(x, rng.standard_normal((2, 20))))
+
+    @pytest.mark.parametrize("array, entry", [("x", np.nan), ("x", -np.inf), ("y", np.nan), ("y", np.inf)])
+    def test_a_non_finite_entry_raises_before_the_other_gates(self, stack, array, entry):
+        # item 0 is otherwise clean and item 1 overflows, so item 0 comes first and raises for its entry
+        xs, ys = (a.copy() for a in stack)
+        (xs if array == "x" else ys)[0, 3, ...] = entry
+        with pytest.raises(NonFiniteValue, match="design or response contains non-finite entries"):
+            OlsFit(xs, ys)
+        # on item 1, which also overflows, the entry's gate comes first
+        (xs if array == "x" else ys)[1, 3, ...] = entry
+        with pytest.raises(NonFiniteValue, match="design or response contains non-finite entries"):
+            OlsFit(xs[1:], ys[1:])
+
+    @pytest.mark.parametrize("n, p", [(0, 2), (5, 0), (0, 0)])
+    def test_an_empty_design_is_a_dimension_mismatch(self, n, p):
+        with pytest.raises(DimensionMismatch, match="need at least one observation and one covariate"):
+            OlsFit(np.ones((2, n, p)), np.ones((2, n)))
 
     def test_shapes_must_agree(self):
         with pytest.raises(DimensionMismatch):

@@ -623,6 +623,20 @@ class TestRunCoverage:
         with pytest.raises(ValueError):
             run_coverage(Dgp("quadratic_mean_iid"), 50, 2, ("pairs_bootstrap",), 0.05, 0)
 
+    @pytest.mark.parametrize("b", [0, -1])
+    def test_a_bootstrap_method_needs_a_replicate(self, b):
+        # the draw budget divides by b, so the check comes first; an interval method takes no draws
+        with pytest.raises(ValueError, match="need at least one replicate"):
+            run_coverage(Dgp("quadratic_mean_iid"), 50, 2, ("bootstrap_ellipsoid",), 0.05, 0, b=b)
+        run_coverage(Dgp("quadratic_mean_iid"), 50, 2, ("classical_normal",), 0.05, 0, b=b)
+
+    def test_only_an_interval_method_needs_a_normal_quantile_of_alpha(self):
+        # 1 - 1e-17 / 2 rounds to 1, where the normal quantile is infinite
+        with pytest.raises(ValueError, match=r"alpha=1e-17 is too small for a normal interval"):
+            run_coverage(Dgp("quadratic_mean_iid"), 50, 2, ("sandwich_normal",), 1e-17, 0)
+        rep = run_coverage(Dgp("quadratic_mean_iid"), 50, 2, ("bootstrap_rectangle",), 1e-17, 0, b=20)
+        assert rep.coverage["bootstrap_rectangle"] == [1.0]
+
     def test_every_replication_singular_raises(self):
         # one observation never gives the two-covariate design full rank
         with pytest.raises(SingularDesign, match="every replication produced a singular design"):
@@ -783,7 +797,7 @@ class TestStackedReplications:
     @pytest.mark.parametrize("size", [3, None], ids=["stacks-of-3", "one-stack"])
     @pytest.mark.filterwarnings("error")
     def test_errors_match_one_replication_at_a_time(self, monkeypatch, edits, methods, size):
-        # a replication mapped to None cannot be drawn; the stack's placeholder rows do not warn
+        # a replication mapped to None cannot be drawn; a stack's failing rows do not warn
         def edit(key, x, y):
             if key[1] not in edits:
                 return x, y
@@ -818,7 +832,7 @@ class TestStackedReplications:
         assert outcome(coverage_one_at_a_time, *args) == expected
         assert outcome(coverage_stacked, *args) == expected
 
-    def test_objects_once_per_stack_and_a_flagged_stack_replays_from_its_own_fit(self, monkeypatch):
+    def test_objects_once_per_stack_and_a_flagged_stack_replays_by_refitting(self, monkeypatch):
         counts = collections.Counter()
         for cls in (Dataset, VarianceEstimate, BootstrapDraws, ConfidenceRegion, leanreg.inference.TestResult):
             def init(self, *args, _init=cls.__init__, **kwargs):
@@ -826,12 +840,12 @@ class TestStackedReplications:
                 _init(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__init__", init)
-        for name in ("__init__", "__getitem__"):
-            def method(self, *args, _real=getattr(OlsFit, name), _name=name):
-                counts[f"OlsFit.{_name}"] += 1
-                return _real(self, *args)
 
-            monkeypatch.setattr(OlsFit, name, method)
+        def fit(self, *args, _init=OlsFit.__init__):
+            counts["OlsFit"] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(OlsFit, "__init__", fit)
         real_cholesky, real_qr = np.linalg.cholesky, np.linalg.qr
 
         def cholesky(a, *args, **kwargs):
@@ -844,17 +858,17 @@ class TestStackedReplications:
 
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
         monkeypatch.setattr(np.linalg, "qr", qr)
-        # the 7 replications are one stack, fitted, factored and indexed once, with one of each
-        # object for the sandwich, the draws, the test and each of the two regions; no Dataset
+        # the 7 replications are one stack, fitted and factored once, with one of each object
+        # for the sandwich, the draws, the test and each of the two regions; no Dataset
         args = (Dgp("heteroscedastic_iid"), 30, 7, BOOTSTRAP_METHODS, 0.1, 2)
         run_coverage(*args, b=40)
-        once = {"OlsFit.__init__": 1, "OlsFit.__getitem__": 1, "cholesky": 7, "qr": 7,
+        once = {"OlsFit": 1, "cholesky": 7, "qr": 7,
                 "VarianceEstimate": 1, "BootstrapDraws": 1, "ConfidenceRegion": 2, "TestResult": 1}
         assert counts == once
         # replication 3, edited as RANK_ONE_SCORES edits, passes the rectangle and the test and
         # fails the ellipsoid's gate. The stack gets that far; then replications 0 to 3 are
-        # indexed from its fit, with no fit or factorization of their own, and run alone until
-        # replication 3 raises: 3 full replications and one that stops at the ellipsoid
+        # refitted alone, each with its own sigma_hat and score factorization, and run alone
+        # until replication 3 raises: 3 full replications and one that stops at the ellipsoid
         counts.clear()
 
         def edit(key, x, y):
@@ -866,7 +880,7 @@ class TestStackedReplications:
         edit_draws(monkeypatch, edit)
         with pytest.raises(NotPositiveDefinite, match="Cholesky pivot 1 at or below"):
             run_coverage(*args, b=40)
-        assert counts == {"OlsFit.__init__": 1, "OlsFit.__getitem__": 1 + 4, "cholesky": 7, "qr": 7,
+        assert counts == {"OlsFit": 1 + 4, "cholesky": 7 + 4, "qr": 7 + 4,
                           "VarianceEstimate": 1 + 4, "BootstrapDraws": 1 + 4,
                           "ConfidenceRegion": 1 + 3 * 2 + 1, "TestResult": 1 + 4}
 
@@ -955,7 +969,7 @@ class TestStackedPublicApi:
             xs.append(fields["x"])
             ys.append(fields["y"])
         x, y, keys, beta0 = np.stack(xs), np.stack(ys), [(9, i, 1) for i in range(3)], np.ones(2)
-        stacked = public_results(lambda: OlsFit(x, y)[:], keys, beta0)
+        stacked = public_results(lambda: OlsFit(x, y), keys, beta0)
         alone = [public_results(lambda i=i: fit_ols(Dataset(x=x[i], y=y[i])), keys[i], beta0)
                  for i in range(3)]
         assert stacked["fit"] is not None
@@ -980,7 +994,7 @@ class TestStackedPublicApi:
     @pytest.mark.parametrize("seed", [3, [(9, 0, 1), (9, 1, 1)], [(9, i, 1) for i in range(4)]])
     def test_a_stacked_bootstrap_takes_one_key_per_item(self, seed):
         data = sample(Dgp("heteroscedastic_iid"), 30, (9, 0))
-        fits = OlsFit(np.stack([data.x] * 3), np.stack([data.y] * 3))[:]
+        fits = OlsFit(np.stack([data.x] * 3), np.stack([data.y] * 3))
         with pytest.raises(DimensionMismatch, match="a fit of 3 items needs as many seeds"):
             run_bootstrap(fits, b=10, seed=seed)
 
@@ -1060,21 +1074,23 @@ class TestFactorizationCounts:
         # run_coverage takes beta_n from the exact targets and factors no sigma_n
         assert one == {"cholesky": 1, "qr": 1, "k_check": 1}
 
-    # one stack of 6: a failed LAPACK call on it, then each item alone; or one call. The
-    # replay after the singular replication reads the scores' factors from one call on the
-    # stack, the singular replication's included
-    @pytest.mark.parametrize("step, stack_factors", [(0.0, 6 + 6), (2.0**-24, 6)],
+    # one stack of 6, whose fit raises for the singular replication before any score exists:
+    # a failed LAPACK call on the stack and then each item alone, or one call. The replay
+    # refits the 6 replications alone: the singular one again fails one LAPACK call and then
+    # its own matrix (2), or fails the pivot gate (1), and the 5 others factor sigma_hat once
+    # each and, for the sandwich, their scores once each
+    @pytest.mark.parametrize("step, factors", [(0.0, 6 + 6 + 2 + 5), (2.0**-24, 6 + 1 + 5)],
                              ids=["factorization", "pivot-gate"])
-    def test_singular_replication_is_factored_only_in_its_stack(self, counts, monkeypatch, step,
-                                                                stack_factors):
+    def test_a_singular_replication_replays_its_stack_one_fit_at_a_time(self, counts, monkeypatch, step,
+                                                                        factors):
         sample_one_singular(monkeypatch, 2, step)
         rep = run_coverage(
             Dgp("quadratic_mean_iid"), n=50, replications=6,
             methods=("sandwich_normal",), alpha=0.05, seed=8,
         )
         assert rep.excluded == 1
-        assert counts["cholesky"] == stack_factors
-        assert counts["qr"] == 6
+        assert counts["cholesky"] == factors
+        assert counts["qr"] == 5
 
     @pytest.mark.parametrize("kind", ["quadratic_mean_iid", "fixed_x_nonidentical_mean"])
     def test_consistency_run_factors_only_its_fits(self, counts, kind):
@@ -1181,7 +1197,7 @@ class TestExactLawOracles:
         pop = population_targets(dgp, n)
         errors = np.empty((replications, dgp.p))
         for reps, x, y in simlab._sample_stacks(dgp, n, replications, lambda r: (16, r)):
-            fits = OlsFit(x, y)[:]  # raises if a replication fails a gate
+            fits = OlsFit(x, y)  # raises if a replication fails a gate
             errors[reps.start : reps.stop] = fits.beta_hat - pop.beta_n
 
         def form(avar):
@@ -1201,8 +1217,8 @@ class TestExactLawOracles:
         rng = np.random.default_rng(13)
         x = np.column_stack([np.ones(n), rng.random((n, p - 1))])
         y = x @ np.ones(p) + s * rng.standard_normal((replications, n))
-        # indexing raises if a replication fails the fit's gates, and k_check if one overflows
-        meat = k_check(OlsFit(np.broadcast_to(x, (replications, n, p)), y)[:])
+        # the fit raises if a replication fails its gates, and k_check if one overflows
+        meat = k_check(OlsFit(np.broadcast_to(x, (replications, n, p)), y))
         h = np.einsum("ij,ji->i", x, np.linalg.solve(x.T @ x, x.T))
         exact = s**2 * (x.T * (1.0 - h)) @ x / n
         se = meat.std(axis=0) / np.sqrt(replications)
