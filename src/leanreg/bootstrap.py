@@ -12,8 +12,8 @@ row i was drawn. Conditional on the data, gaussian multiplier draws are
 exactly normal with covariance k_check = S'S/n, which is what makes them the
 default weight choice. That law is also how they are drawn: with S = QR_s,
 t_star = z' R_s / sqrt(n) for a standard normal p-vector z, at O(p^2) per
-replicate rather than O(np). Rademacher weights (bounded, kurtosis 1 against
-the gaussian's 3) are offered as the lighter-tailed alternative.
+replicate rather than O(np), all B in one matmul. Rademacher weights (bounded,
+kurtosis 1 against the gaussian's 3) are offered as the lighter-tailed alternative.
 
 The resample size m alone picks the scheme: ``m=None`` gives the multiplier
 bootstrap with gaussian or rademacher weights, an integer m the m-of-n
@@ -90,9 +90,10 @@ def run_bootstrap(
     the output depends only on the seed, and fewer replicates are a prefix of
     more. A stacked fit takes one key per item, in C order, in ``seed``, and
     each item's draws come from its own key's generator, with the bits of a
-    run on that item alone. Gaussian multiplier draws are Z @ R_s / sqrt(n)
-    (``_gaussian_draws``), with Z the generator's B x p standard normals,
-    row-major, and R_s the fit's triangular factor of scores_hat, ``fit.r_s``.
+    run on that item alone. Gaussian multiplier draws are Z @ R_s / sqrt(n),
+    C-ordered as the CLI's draws_mean sums in memory order, with Z the
+    generator's B x p standard normals, row-major, and R_s the fit's
+    triangular factor of scores_hat, ``fit.r_s``.
     The other draws are filled in blocks of rows as W @ scores_hat /
     sqrt(scale): W holds rademacher weights (scale n) or, for the m-of-n
     bootstrap, how often each score row is among m rows drawn with
@@ -128,25 +129,9 @@ def run_bootstrap(
         else:
             out[...] = _weighted_draws(scores, b, m, rng)
     if dist == "gaussian":
-        draws_t = _gaussian_draws(draws_t, fit.r_s, n)
+        draws_t = draws_t @ fit.r_s / math.sqrt(n)
     draws_u = fit.solve(draws_t.swapaxes(-1, -2)).swapaxes(-1, -2)
     return BootstrapDraws(b=b, m=m, dist=dist, draws_t=draws_t, draws_u=draws_u)
-
-
-def _gaussian_draws(z: np.ndarray, r_s: np.ndarray, n: int) -> np.ndarray:
-    """Z R_s / sqrt(n) over leading stack axes of z (..., B, p) and r_s (..., p, p), with no BLAS call.
-
-    Column k is sum_j Z[:, j] R_s[j, k], added from zero over j in order: p
-    multiply-adds of B-long rows of a (..., p, B) array, so that numpy's inner
-    loops run over the B draws, not over p. Its transpose is returned in C
-    order: a reduction over the draws, such as the CLI's draws_mean, sums in
-    memory order.
-    """
-    draws = np.zeros(z.shape[:-2] + (z.shape[-1], z.shape[-2]))
-    for j in range(r_s.shape[-1]):
-        draws += z[..., None, :, j] * r_s[..., j, :, None]
-    draws /= math.sqrt(n)
-    return draws.swapaxes(-1, -2).copy()
 
 
 def _weighted_draws(scores: np.ndarray, b: int, m: int | None, rng: np.random.Generator) -> np.ndarray:
@@ -300,15 +285,17 @@ def region_ellipsoid(
     statistic is n ||R_s^-T t_star||^2 and the quadratic form on coefficients
     sigma_hat k_check^-1 sigma_hat = D'D, D = sqrt(n) R_s^-T sigma_hat, so beta is
     inside iff sqrt(n) sigma_hat (beta_hat - beta) is inside the k_check ellipsoid.
+    R_s^-T is formed once, by a forward pass on the identity, for both products.
     """
     if not var.is_sandwich():
         raise ValueError("ellipsoid regions are built on the sandwich meat k_check")
     r_s, n = fit.r_s, fit.n
     pivot = linalg._first_low_pivot(np.diagonal(r_s, axis1=-2, axis2=-1) ** 2, (r_s**2).sum(axis=-2))
-    r_t = r_s.swapaxes(-1, -2)
+    eye = np.broadcast_to(np.eye(fit.p), r_s.shape)
     with np.errstate(all="ignore"):  # a factor that fails the gate gives placeholders; it raises below
-        w = linalg._apply_factor(r_t, draws.draws_t.swapaxes(-1, -2), forward_only=True)
-        d = math.sqrt(n) * linalg._apply_factor(r_t, fit.sigma_hat, forward_only=True)
+        r_inv_t = linalg._apply_factor(r_s.swapaxes(-1, -2), eye, forward_only=True)
+        w = r_inv_t @ draws.draws_t.swapaxes(-1, -2)
+        d = math.sqrt(n) * (r_inv_t @ fit.sigma_hat)
         radius = _order_stat_quantile(n * (w * w).sum(axis=-2), alpha)
     linalg._raise_first((pivot >= 0, lambda k: linalg._not_positive_definite(int(np.ravel(pivot)[k]), fit.p)))
     return ConfidenceRegion(

@@ -57,11 +57,13 @@ def _leq_with_slack(lhs: float, rhs: float) -> bool:
 def det_inequality_check(sigma_hat, gamma_hat, sigma_pop, gamma_pop) -> DetCheckReport:
     """Evaluate the deterministic sandwich and remainder inequalities.
 
-    Solves both normal-equation systems, so both sigma arguments must be SPD;
-    raw pairs, not a fit and its targets, let it check pairs no fit produced.
+    Solves both normal-equation systems, so both sigmas must be SPD, of one
+    shape; raw pairs, not a fit and its targets, let it check pairs no fit produced.
     """
     sigma_hat = np.asarray(sigma_hat, dtype=float)
     sigma_pop = np.asarray(sigma_pop, dtype=float)
+    if sigma_hat.shape != sigma_pop.shape:
+        raise DimensionMismatch(f"sigma_hat has shape {sigma_hat.shape} but sigma_pop {sigma_pop.shape}")
     gamma_hat = np.asarray(gamma_hat, dtype=float).ravel()
     gamma_pop = np.asarray(gamma_pop, dtype=float).ravel()
 

@@ -5,9 +5,9 @@ over speed, and refuse bad input loudly: asymmetric matrices are rejected
 rather than symmetrized, and near-singular SPD factorizations raise instead
 of falling back to a pseudo-inverse. Everything is numpy: an SPD solve is a
 Cholesky factorization followed by a p-step forward and back substitution
-over all right-hand-side columns at once. The factorization and the
-substitution also run on stacks (..., p, p) of matrices, with the gates
-reported per matrix; each matrix of a stack gets the bits it gets alone.
+over all right-hand-side columns at once; the forward pass alone, on the
+identity, inverts a factor. Both also run on stacks (..., p, p) of matrices,
+with the gates reported per matrix; each matrix gets the bits it gets alone.
 The one routine for a tall n x p matrix, ``tsqr_r``, reduces it, or each of
 a stack, to its p x p triangular factor: a fit's one factor of its scores.
 """
@@ -29,12 +29,11 @@ TSQR_ROWS = 4096
 
 def _as_square_symmetric(a, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise DimensionMismatch(f"{name} must be square and non-empty, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NonFiniteValue(f"{name} contains non-finite entries")
-    scale = np.abs(a).max() if a.size else 0.0
-    if np.abs(a - a.T).max(initial=0.0) > SYM_RTOL * scale:
+    if np.abs(a - a.T).max() > SYM_RTOL * np.abs(a).max():
         raise NotSymmetric(f"{name} is not symmetric within {SYM_RTOL:g} relative")
     return a
 
@@ -119,7 +118,7 @@ def spd_solver(a):
     lower, pivot = _cholesky_spd(a)
     if pivot >= 0:
         raise _not_positive_definite(int(pivot), a.shape[0])
-    # a partial of a module function, unlike a closure, pickles with the fit
+    # a partial of a module function, unlike a closure, pickles
     return functools.partial(_apply_factor, lower)
 
 
@@ -128,7 +127,7 @@ def _apply_factor(lower: np.ndarray, b, forward_only: bool = False) -> np.ndarra
 
     With one factor, ``b`` is a vector or a matrix of right-hand-side columns
     with leading dimension p; with a stack, ``b`` is (..., p, k), one matrix
-    of columns per factor; ``forward_only`` returns z with lower z = b.
+    of columns per factor; ``forward_only`` returns lower^-1 b, run on b = I only.
     """
     # forward substitution lower z = b, then back substitution lower' x = z,
     # one row of every right-hand-side column per step; the C-order copy keeps

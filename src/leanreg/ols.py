@@ -8,6 +8,7 @@ score bootstrap, diagnostics) builds on.
 
 ``OlsFit`` holds one fit or a stack of them over leading axes, and raises
 for the first item that fails a gate; ``fit_ols`` is the one-dataset case.
+A fit keeps the inverse of sigma_hat's Cholesky factor for its later solves.
 
 No intercept is ever added implicitly; callers who want one prepend a ones
 column themselves (the CLI offers a flag for this).
@@ -15,8 +16,6 @@ column themselves (the CLI offers a flag for this).
 
 from __future__ import annotations
 
-import functools
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,14 +77,14 @@ class OlsFit:
     data : the dataset a one-item fit was computed from, if its caller gave
         one (``fit_ols`` does); else None.
     n, p : the sample size and the number of covariates, from the shapes.
-    solve : b -> sigma_hat^-1 b through the one factorization of sigma_hat;
-        the variance estimates and the bootstrap draws reuse it.
+    solve : b -> sigma_hat^-1 b = L^-T (L^-1 b), two matmuls through the inverse
+        of sigma_hat's one Cholesky factor L; the sandwich and the draws reuse it.
     r_s : (..., p, p) triangular factor of scores_hat = Q r_s; k_check is
         r_s' r_s / n. It is computed on first read, once for the whole fit.
     """
 
     __slots__ = ("beta_hat", "sigma_hat", "gamma_hat", "residuals", "scores_hat", "n", "p", "data",
-                 "_lower", "_r_s")
+                 "_l_inv", "_r_s")
 
     def __init__(self, x, y, data: Dataset | None = None):
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -104,7 +103,7 @@ class OlsFit:
             out_of_range = ~np.isfinite(sigma_hat).all(axis=(-2, -1))
             if tiny.any():
                 out_of_range |= (tiny[..., None, :] & (x != 0.0)).any(axis=(-2, -1))
-            self._lower, pivot = linalg._cholesky_spd(sigma_hat)
+            lower, pivot = linalg._cholesky_spd(sigma_hat)
 
             def singular(k):
                 error = SingularDesign("design second-moment matrix is not positive definite")
@@ -117,17 +116,20 @@ class OlsFit:
                 (pivot >= 0, singular),
             )
             self.gamma_hat = (xt @ y[..., None])[..., 0] / self.n
-            self.beta_hat = linalg._apply_factor(self._lower, self.gamma_hat[..., None])[..., 0]
+            self.beta_hat = linalg._apply_factor(lower, self.gamma_hat[..., None])[..., 0]
+            eye = np.broadcast_to(np.eye(self.p), lower.shape)
+            self._l_inv = linalg._apply_factor(lower, eye, forward_only=True)
             self.residuals = y - (x @ self.beta_hat[..., None])[..., 0]
             self.scores_hat = x * self.residuals[..., None]
         self.data = data
         self._r_s = None
 
-    @property
-    def solve(self) -> Callable[[np.ndarray], np.ndarray]:
-        """b -> sigma_hat^-1 b: b (p,) or (p, k) for one item, (..., p, k) over a stack."""
-        # a partial of a module function, unlike a closure, pickles with the fit
-        return functools.partial(linalg._apply_factor, self._lower)
+    def solve(self, b) -> np.ndarray:
+        """sigma_hat^-1 b = L^-T (L^-1 b): b (p,) or (p, k) for one item, (..., p, k) over a stack."""
+        rows = np.shape(b)[0] if self._l_inv.ndim == 2 else np.shape(b)[-2]
+        if rows != self.p:
+            raise DimensionMismatch(f"b has leading dimension {rows}, expected {self.p}")
+        return self._l_inv.swapaxes(-1, -2) @ (self._l_inv @ b)
 
     @property
     def r_s(self) -> np.ndarray:

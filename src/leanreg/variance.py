@@ -112,12 +112,12 @@ def residual_variance(fit: OlsFit) -> float | np.ndarray:
 
 
 def classical_avar(fit: OlsFit) -> VarianceEstimate:
-    """Homoscedastic estimate sigma2 * sigma_hat^-1 with sigma2 = RSS/(n-p), symmetrized.
+    """Homoscedastic estimate sigma2 * sigma_hat^-1 with sigma2 = RSS/(n-p).
 
     This is what conventional regression output reports; it is wrong whenever
     the error variance depends on the covariates or the mean is nonlinear.
     """
     sigma2 = np.asarray(residual_variance(fit))[..., None, None]
-    inv = fit.solve(np.broadcast_to(np.eye(fit.p), fit.sigma_hat.shape))
-    avar = sigma2 * (inv + inv.swapaxes(-1, -2)) / 2.0
+    # sigma_hat^-1 = G'G with G = L^-1, one product of G with its own transpose: symmetric
+    avar = sigma2 * (fit._l_inv.swapaxes(-1, -2) @ fit._l_inv)
     return VarianceEstimate(method=CLASSICAL, avar=avar, se=_se(avar, fit.n), meat=sigma2 * fit.sigma_hat)

@@ -79,6 +79,12 @@ class TestDetInequalityCheck:
         with pytest.raises(NotPositiveDefinite):
             det_inequality_check(np.eye(2), [1.0, 1.0], np.diag([1.0, -1.0]), [1.0, 1.0])
 
+    def test_rejects_empty_or_mismatched_moments(self):
+        with pytest.raises(DimensionMismatch, match="non-empty"):
+            det_inequality_check(np.zeros((0, 0)), [], np.zeros((0, 0)), [])
+        with pytest.raises(DimensionMismatch, match="sigma_hat has shape"):
+            det_inequality_check(np.eye(1), np.ones(1), np.eye(2), np.ones(2))
+
 
 class TestInfluenceRemainder:
     def test_exact_when_design_moments_match_population(self):

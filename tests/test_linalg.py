@@ -71,6 +71,8 @@ class TestSolveSpd:
             spd_solver(np.ones((2, 3)))([1.0, 1.0])
         with pytest.raises(DimensionMismatch):
             spd_solver(np.eye(2))([1.0, 1.0, 1.0])
+        with pytest.raises(DimensionMismatch, match="non-empty"):
+            spd_solver(np.zeros((0, 0)))
 
     def test_fuzz_residual_bound(self):
         # post-condition ||a x - b|| <= 1e-8 (||a||_op ||x|| + ||b||) on random SPD
@@ -263,6 +265,10 @@ class TestEigSymExtremes:
         with pytest.raises(NotSymmetric):
             eig_sym_extremes(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_an_empty_matrix(self):
+        with pytest.raises(DimensionMismatch, match="non-empty"):
+            eig_sym_extremes(np.zeros((0, 0)))
+
 
 class TestOpNorm:
     def test_zero(self):
@@ -301,6 +307,8 @@ class TestPsdLeq:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             psd_leq(np.eye(2), np.eye(3), 0.0)
+        with pytest.raises(DimensionMismatch, match="non-empty"):
+            psd_leq(np.zeros((0, 0)), np.zeros((0, 0)), 0.0)
 
     @given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
     @settings(max_examples=60, deadline=None)

@@ -594,7 +594,8 @@ class TestRunCoverage:
         # literal values of a report that kept one entry per replication and averaged
         # by np.mean (the widths: np.mean over the 47 replications' 2 z se, from
         # sandwich_avar and classical_avar, and 2 half_widths, from region_rectangle,
-        # each fitted alone); the tallies' sum / count must give the same doubles (at
+        # each fitted alone as OlsFit(x[i], y[i]) on sample(dgp, 60, (5, r)), its draws
+        # keyed (5, r, 1)); the tallies' sum / count must give the same doubles (at
         # R=47, multiplying by 1/R in place of dividing would change three of them)
         rep = run_coverage(
             Dgp("heteroscedastic_iid"), n=60, replications=47, methods=simlab.COVERAGE_METHODS,
@@ -613,7 +614,7 @@ class TestRunCoverage:
         }
         assert rep.mean_width == {
             "classical_normal": [0.4015849096088345, 0.6882833449501133],
-            "sandwich_normal": [0.4579910402477268, 0.816553888271121],
+            "sandwich_normal": [0.45799104024772697, 0.816553888271121],
             "bootstrap_rectangle": [0.4918960597056947, 0.8768973721586535],
         }
         assert rep.rejection_rate == {"max_t_bootstrap": 0.1276595744680851}

@@ -46,14 +46,15 @@ DGPS = (
 
 
 def write_csvs(directory: pathlib.Path) -> None:
-    """Five seeded CSVs plus twenty-four tiny, late, wide or huge edge cases: 29 files in all."""
+    """Six seeded CSVs plus twenty-four tiny, late, wide or huge edge cases: 30 files in all."""
     # small, wide and tall grow in size; resid is one where RSS / (n - p) and a
     # value decoded from the classical meat matrix differ in the last bit; spans
     # (about 10 MB) is over two of read_csv's 4 MiB span minimums, so a machine
-    # with two or more usable cores parses it in line-aligned spans
+    # with two or more usable cores parses it in line-aligned spans; p40 has 40
+    # covariates, so the matmuls with the fit's inverse factors have inner dimension 40
     shapes = {
         "small": (300, 2, 1), "wide": (1000, 4, 2), "tall": (20000, 10, 3), "resid": (300, 2, 11),
-        "spans": (50000, 10, 4),
+        "spans": (50000, 10, 4), "p40": (1000, 40, 5),
     }
     for name, (n, p, seed) in shapes.items():
         rng = np.random.default_rng(seed)
@@ -283,6 +284,10 @@ def commands() -> list[list[str]]:
         ["fit", "--data", "twoline.csv", "--response", "y"],
         ["test", "--data", "tinyse.csv", "--response", "y", "--coef", "0"],
     ]
+    # products with inner dimension p = 40 in the fit, the sandwich and 2000 gaussian draws,
+    # which the diff at two BLAS threads covers
+    p40 = ["--data", "p40.csv", "--response", "y"]
+    cmds += [["fit", *p40], ["bootstrap", *p40, "--B", "2000", "--seed", "15"]]
     return cmds
 
 
