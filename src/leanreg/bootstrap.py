@@ -40,9 +40,9 @@ from .ols import OlsFit
 from .variance import VarianceEstimate
 
 WEIGHT_DISTS = ("gaussian", "rademacher")
-# Each block of rademacher or m-of-n replicates holds at most about this many
-# weight or index entries, so peak memory does not grow with B on tall data;
-# gaussian draws take no weights and no blocks.
+# Each block of m-of-n replicates holds at most about this many index entries, and each block of
+# rademacher replicates the bytes of about this many signs, unpacked one 16-row call group at a time,
+# so peak memory does not grow with B on tall data; gaussian draws take no weights and no blocks.
 _BLOCK_ENTRIES = 2**20
 # A block of rademacher replicates is rounded up to a multiple of this many
 # rows: 32 * n bits is a whole number of the generator's 32-bit words at
@@ -151,14 +151,20 @@ def _weighted_draws(scores: np.ndarray, b: int, m: int | None, rng: np.random.Ge
             idx += n * np.arange(k)[:, None]
             w = np.bincount(idx.ravel(), minlength=k * n).reshape(k, n)
         else:
-            bits = np.unpackbits(np.frombuffer(rng.bytes(-(-k * n // 8)), np.uint8), count=k * n)
-            w = bits.reshape(k, n).view(np.int8)  # 0 and 1, mapped in place to -1 and +1
-            w *= 2
-            w -= 1
+            packed = np.frombuffer(rng.bytes(-(-k * n // 8)), np.uint8)
         block = draws_t[start : start + k]
         for r in range(0, k, _CALL_ROWS):
+            if m is None:
+                # one call group's signs at a time, from byte r * n / 8 = 2 n (r / 16), released below
+                rows_w = np.unpackbits(packed[r * n // 8 :], count=min(_CALL_ROWS, k - r) * n)
+                rows_w = rows_w.reshape(-1, n).view(np.int8)
+                rows_w *= 2  # 0 and 1, mapped in place to -1 and +1
+                rows_w -= 1
+            else:
+                rows_w = w[r : r + _CALL_ROWS]
             for o in range(0, n, cols):
-                block[r : r + _CALL_ROWS] += w[r : r + _CALL_ROWS, o : o + cols] @ scores[o : o + cols]
+                block[r : r + _CALL_ROWS] += rows_w[:, o : o + cols] @ scores[o : o + cols]
+            del rows_w  # before the next group's signs are unpacked
     return draws_t[:, :p] / math.sqrt(m or n)
 
 
@@ -197,24 +203,35 @@ def _order_stat_quantile(values: np.ndarray, alpha: float) -> np.ndarray:
     return np.partition(values, k - 1, axis=-1)[..., k - 1]
 
 
-def _studentizer_gates(d2: np.ndarray) -> tuple:
-    """The gates on the variances d2 (..., k) that the studentizer checks, in its order."""
-    return (
+@dataclass(frozen=True)
+class Studentized:
+    """Each item's scales d, the max-|t| reference ref over its draws, and ref's critical value crit."""
+
+    d: np.ndarray
+    ref: np.ndarray | None
+    crit: np.ndarray | None
+
+
+def studentizer(
+    var: VarianceEstimate, draws: BootstrapDraws | None = None, coords=slice(None), alpha: float | None = None
+) -> Studentized:
+    """The one gate on zero and non-finite variances, and the one place the max-|t| reference is formed.
+
+    d = sqrt(diag(avar)[coords]); given draws, ref_b = max_j |u_star_b[j]| / d[j] for each draw; given
+    alpha, crit is ref's (1-alpha) order statistic, gated off zero in the same pass as the variances.
+    """
+    d2 = np.diagonal(var.avar, axis1=-2, axis2=-1)[..., coords]
+    with np.errstate(divide="ignore", invalid="ignore"):  # an item that fails a gate raises below
+        d = np.sqrt(d2)
+        ref = None if draws is None else np.abs(draws.draws_u[..., coords] / d[..., None, :]).max(axis=-1)
+        crit = None if alpha is None else _order_stat_quantile(ref, alpha)
+    linalg._raise_first(
         (~np.isfinite(d2).all(axis=-1), NonFiniteValue("a coordinate's estimated variance is infinite or NaN")),
         ((d2 <= 0.0).any(axis=-1), ZeroVariance("a coordinate has zero estimated variance")),
+        # without alpha, None == 0.0 fails no item
+        (crit == 0.0, ZeroVariance("all bootstrap draws are zero; the region is degenerate")),
     )
-
-
-def studentizer(var: VarianceEstimate, coords=slice(None)) -> np.ndarray:
-    """Scales d = sqrt(diag(avar)[coords]); the one gate on zero and non-finite variances."""
-    d2 = np.diagonal(var.avar, axis1=-2, axis2=-1)[..., coords]
-    linalg._raise_first(*_studentizer_gates(d2))
-    return np.sqrt(d2)
-
-
-def max_abs_t(u: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """max_j |u[..., j]| / d[j] over the last axis: of draws_u's rows, the max-|t| reference."""
-    return np.abs(u / d).max(axis=-1)
+    return Studentized(d=d, ref=ref, crit=crit)
 
 
 @dataclass(frozen=True)
@@ -250,28 +267,27 @@ class ConfidenceRegion:
 
 
 def region_rectangle(
-    fit: OlsFit, draws: BootstrapDraws, var: VarianceEstimate, alpha: float
+    fit: OlsFit, draws: BootstrapDraws, var: VarianceEstimate, alpha: float, studentized: Studentized | None = None
 ) -> ConfidenceRegion:
     """Simultaneous studentized rectangle from max-|t| bootstrap quantiles.
 
-    The critical value is the (1-alpha) order-statistic quantile of
-    max_j |u_star_b[j]| / sqrt(avar[j, j]) over replicates, and the interval
-    half width for coordinate j is that critical value times se[j].
+    The critical value is the ceil((1-alpha)(B+1)) order statistic of the
+    reference max_j |u_star_b[j]| / sqrt(avar[j, j]) over replicates, and the
+    interval half width for coordinate j is that critical value times se[j].
+    So for ceil((1-alpha)(B+1)) <= B, beta0 is outside iff the bootstrap
+    ``max_t_test`` on the same draws rejects it at alpha; for fewer draws the
+    largest draw stands in, and that test, whose p-value is at least 1/(B+1),
+    never rejects. ``studentized`` is ``studentizer(var, draws, alpha=alpha)``.
     """
     if not var.is_sandwich():
         raise ValueError("rectangle regions studentize with a sandwich variance estimate")
-    d2 = np.diagonal(var.avar, axis1=-2, axis2=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # an item that fails a gate raises below
-        d = np.sqrt(d2)
-        crit = _order_stat_quantile(max_abs_t(draws.draws_u, d[..., None, :]), alpha)
-    degenerate = ZeroVariance("all bootstrap draws are zero; the region is degenerate")
-    linalg._raise_first(*_studentizer_gates(d2), (crit == 0.0, degenerate))
+    studentized = studentized or studentizer(var, draws, alpha=alpha)
     return ConfidenceRegion(
         shape="rectangle",
         level=1.0 - alpha,
         center=fit.beta_hat,
         n=fit.n,
-        half_widths=crit[..., None] * d / math.sqrt(fit.n),
+        half_widths=studentized.crit[..., None] * studentized.d / math.sqrt(fit.n),
     )
 
 

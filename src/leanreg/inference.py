@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import BootstrapDraws, max_abs_t, studentizer
+from .bootstrap import BootstrapDraws, Studentized, studentizer
 from .exceptions import BadCoordinate, DegenerateDof, DimensionMismatch
 from .ols import OlsFit
 from .variance import VarianceEstimate
@@ -47,7 +47,7 @@ class TestResult:
     b: int | None = None
 
 
-def _max_t(fit: OlsFit, var: VarianceEstimate, coords, beta0, reference: str, draws) -> TestResult:
+def _max_t(fit: OlsFit, var: VarianceEstimate, coords, beta0, reference: str, draws, studentized) -> TestResult:
     """The max-|t| test over ``coords`` for one reference law.
 
     ``coords`` is either ``[j]``, which reports the signed t_j and
@@ -59,17 +59,16 @@ def _max_t(fit: OlsFit, var: VarianceEstimate, coords, beta0, reference: str, dr
         raise ValueError(f"unknown reference {reference!r}; choose from {REFERENCES}")
     if not np.all(np.isfinite(beta0)):
         raise ValueError(f"null value must be finite, got {beta0!r}")
-    d = studentizer(var, coords)
+    s = studentized or studentizer(var, draws if reference == "bootstrap" else None, coords)
     diff = np.sqrt(fit.n) * (fit.beta_hat[..., coords] - beta0)
-    stat = max_abs_t(diff, d)
+    stat = np.abs(diff / s.d).max(axis=-1)
 
     df = b = None
     if reference == "bootstrap":
         if draws is None:
             raise ValueError("bootstrap reference requires precomputed draws")
-        ref = max_abs_t(draws.draws_u[..., coords], d[..., None, :])
-        # (1 + #{b : ref_b >= stat}) / (B + 1); the add-one keeps it off zero
-        p_value = (1 + (ref >= stat[..., None]).sum(axis=-1)) / (ref.shape[-1] + 1)
+        # (1 + #{b : ref_b >= stat}) / (B + 1); the add-one keeps it at or above 1/(B+1)
+        p_value = (1 + (s.ref >= stat[..., None]).sum(axis=-1)) / (s.ref.shape[-1] + 1)
         b = draws.b
     else:
         if reference == "std_normal":
@@ -84,7 +83,7 @@ def _max_t(fit: OlsFit, var: VarianceEstimate, coords, beta0, reference: str, dr
             tail = stdtr(df, -stat)
         p_value = np.fmin(1.0, diff.shape[-1] * 2.0 * tail)  # fmin, like min(1.0, .), takes 1 over a NaN
     whole = isinstance(coords, slice)
-    statistic = stat if whole else diff[..., 0] / d[..., 0]
+    statistic = stat if whole else diff[..., 0] / s.d[..., 0]
     return TestResult(
         statistic=float(statistic) if statistic.ndim == 0 else statistic,
         reference=reference,
@@ -114,7 +113,7 @@ def t_test(
     """
     if not 0 <= j < fit.p:
         raise BadCoordinate(f"coordinate {j} out of range for p={fit.p}")
-    return _max_t(fit, var, [j], float(beta0), reference, draws)
+    return _max_t(fit, var, [j], float(beta0), reference, draws, None)
 
 
 def max_t_test(
@@ -123,11 +122,14 @@ def max_t_test(
     beta0,
     reference: str = "bootstrap",
     draws: BootstrapDraws | None = None,
+    studentized: Studentized | None = None,
 ) -> TestResult:
     """Simultaneous test of the full vector via the max-|t| statistic.
 
     The bootstrap reference compares against max_j |u_star_b[j]| / se-scale
-    over replicates with add-one smoothing. Normal and student-t references
+    over replicates with add-one smoothing, (1 + #{ref_b >= stat}) / (B + 1),
+    never below 1/(B+1); see ``region_rectangle`` for the decision the two
+    share and for ``studentized``. Normal and student-t references
     fall back to a Bonferroni bound p = min(1, p_dim * two-sided tail), which
     is conservative but ignores cross-coordinate dependence; the bootstrap
     reference is the recommended path.
@@ -135,4 +137,4 @@ def max_t_test(
     beta0 = np.asarray(beta0, dtype=float).ravel()
     if beta0.shape[0] != fit.p:
         raise DimensionMismatch(f"beta0 has length {beta0.shape[0]}, expected {fit.p}")
-    return _max_t(fit, var, slice(None), beta0, reference, draws)
+    return _max_t(fit, var, slice(None), beta0, reference, draws, studentized)

@@ -59,7 +59,7 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .bootstrap import WEIGHT_DISTS, region_ellipsoid, region_rectangle, run_bootstrap
+from .bootstrap import WEIGHT_DISTS, region_ellipsoid, region_rectangle, run_bootstrap, studentizer
 from .exceptions import DimensionMismatch, LeanRegError, SingularDesign
 from .inference import max_t_test
 from .ols import Dataset, OlsFit, scores_at
@@ -426,7 +426,8 @@ def run_coverage(
     with each one's bits; replication r's bootstrap draws from the (seed, r,
     1) key. A stack runs through the same calls that one replication runs
     through alone, which fill one tally row per replication, and a loop adds
-    the rows in order, so the report does not depend on the stack size. If
+    the rows in order, so the report does not depend on the stack size. A
+    test after the rectangle reads the rectangle's max-|t| reference. If
     the stack's fit or one of those calls raises a ``LeanRegError``, each
     replication is refitted alone, ``OlsFit(x[i], y[i])``, and run through
     the same calls: a singular design excludes its replication, and any
@@ -464,19 +465,21 @@ def run_coverage(
         var_s = sandwich_avar(fit) if needs_sandwich else None
         draws = run_bootstrap(fit, b=b, dist=weight_dist, seed=keys) if needs_boot else None
         rows = np.zeros(fit.beta_hat.shape[:-1] + tallies.shape)
+        studentized = None  # the rectangle's, which a test after it reads
         for m, (hit, width) in layout.items():
             if METHOD_KINDS[m] == "interval":
                 se = (classical_avar(fit) if m == "classical_normal" else var_s).se
                 rows[..., hit] = np.abs(fit.beta_hat - beta_n) <= z * se
                 rows[..., width] = 2.0 * z * se
             elif METHOD_KINDS[m] == "rectangle":
-                region = region_rectangle(fit, draws, var_s, alpha)
+                studentized = studentizer(var_s, draws, alpha=alpha)
+                region = region_rectangle(fit, draws, var_s, alpha, studentized)
                 rows[..., hit.start] = region.contains(beta_n)
                 rows[..., width] = 2.0 * region.half_widths
             elif METHOD_KINDS[m] == "ellipsoid":
                 rows[..., hit.start] = region_ellipsoid(fit, draws, var_s, alpha).contains(beta_n)
             elif METHOD_KINDS[m] == "test":
-                test = max_t_test(fit, var_s, beta_n, reference="bootstrap", draws=draws)
+                test = max_t_test(fit, var_s, beta_n, "bootstrap", draws, studentized)
                 rows[..., hit.start] = test.p_value <= alpha
         return rows
 

@@ -1,6 +1,7 @@
 import math
 import pickle
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,22 @@ class TestMultiplierDraw:
             np.testing.assert_allclose(
                 draws.draws_t, w @ fit.scores_hat / np.sqrt(n), rtol=1e-10, atol=1e-12
             )
+
+    def test_rademacher_signs_are_unpacked_one_call_group_at_a_time(self):
+        # at n = 2**17 a block is 32 rows: its 4 n packed bytes are drawn at once, but only one
+        # 16-row call group's 16 n signs is unpacked at a time, so the peak stays below 32 n
+        # bytes, the signs of one whole block, with 1 MiB for the products' own buffers
+        n = 131_072
+        rng = np.random.default_rng(52)
+        x = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+        fit = fit_ols(Dataset(x=x, y=x[:, 1] + (1.0 + np.abs(x[:, 2])) * rng.standard_normal(n)))
+        tracemalloc.start()
+        try:
+            run_bootstrap(fit, b=64, dist="rademacher", seed=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * n + 2**20
 
 
 def test_tall_draws_do_not_depend_on_blas_threads(tmp_path, blas_thread_stdouts):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from statistics import NormalDist
 
 import numpy as np
@@ -11,6 +12,7 @@ from leanreg import (
     DegenerateDof,
     DimensionMismatch,
     Dgp,
+    OlsFit,
     ZeroVariance,
     classical_avar,
     fit_ols,
@@ -220,6 +222,56 @@ class TestMaxTTest:
         fit, var = het
         with pytest.raises(ValueError):
             max_t_test(fit, var, [0.0, 0.0], "bootstrap")
+
+
+class TestRectangleTestDuality:
+    """For ceil((1-alpha)(B+1)) <= B, the bootstrap max-|t| test rejects beta0 exactly when
+    the studentized bootstrap rectangle on the same draws excludes it."""
+
+    @staticmethod
+    def stacked(p, seed, items=6, n=60):
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([np.ones((items, n, 1)), rng.standard_normal((items, n, p - 1))], axis=-1)
+        y = x.sum(axis=-1) + (1.0 + np.abs(x[..., -1])) * rng.standard_normal((items, n))
+        fit = OlsFit(x, y)
+        return fit, sandwich_avar(fit)
+
+    @pytest.mark.parametrize("dist", ["gaussian", "rademacher"])
+    def test_one_decision_on_both_sides_of_the_edge(self, dist):
+        for alpha, b, p in [(a, b, p) for a in (0.05, 0.1, 0.2) for b in (19, 99, 500) for p in (1, 3, 11)]:
+            assert math.ceil((1.0 - alpha) * (b + 1)) <= b
+            fit, var = self.stacked(p, (b, p))
+            draws = run_bootstrap(fit, b=b, dist=dist, seed=[(b, p, i) for i in range(6)])
+            region = region_rectangle(fit, draws, var, alpha)
+            signs = np.where(np.random.default_rng((b, p, 1)).random(p) < 0.5, -1.0, 1.0)
+            seen = set()
+            # item i's edge, along every coordinate and along its first one alone, read by every item
+            for i in range(6):
+                for f in (0.5, 1.0 - 1e-6, 1.0 + 1e-6, 2.0):
+                    for step in (signs, np.eye(p)[0]):
+                        beta0 = region.center[i] - f * step * region.half_widths[i]
+                        rejects = max_t_test(fit, var, beta0, "bootstrap", draws=draws).p_value <= alpha
+                        excluded = ~region.contains(beta0)
+                        assert (rejects == excluded).all(), (dist, alpha, b, p, i, f)
+                        seen.update(excluded.tolist())
+            assert seen == {False, True}
+
+    @pytest.mark.parametrize("dist", ["gaussian", "rademacher"])
+    def test_too_few_draws_clamp_the_rectangle_and_the_test_never_rejects(self, dist):
+        # B=9 at alpha=0.05: rank 10 > B, so the rectangle takes the largest draw, and every
+        # p-value is at least 1/(B+1) = 0.1 > alpha
+        fit, var = self.stacked(3, 9)
+        draws = run_bootstrap(fit, b=9, dist=dist, seed=[(9, i) for i in range(6)])
+        region = region_rectangle(fit, draws, var, 0.05)
+        d = np.sqrt(np.diagonal(var.avar, axis1=-2, axis2=-1))
+        largest = (np.abs(draws.draws_u) / d[:, None, :]).max(axis=(-2, -1))
+        assert (region.half_widths == largest[:, None] * d / math.sqrt(fit.n)).all()
+        for i in range(6):
+            for f in (0.5, 2.0, 100.0):
+                beta0 = region.center[i] - f * region.half_widths[i]
+                p_value = max_t_test(fit, var, beta0, "bootstrap", draws=draws).p_value
+                assert (p_value >= 1 / 10).all() and not (p_value <= 0.05).any()
+                assert region.contains(beta0)[i] == (f < 1.0)
 
 
 class TestHc1Rescale:

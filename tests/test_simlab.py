@@ -44,7 +44,7 @@ from leanreg import (
     sample,
     sandwich_avar,
 )
-from leanreg.bootstrap import studentizer
+from leanreg.bootstrap import Studentized, studentizer
 from leanreg.cli import main
 from leanreg.inference import REFERENCES
 from leanreg.variance import VarianceEstimate, residual_variance
@@ -835,7 +835,8 @@ class TestStackedReplications:
 
     def test_objects_once_per_stack_and_a_flagged_stack_replays_by_refitting(self, monkeypatch):
         counts = collections.Counter()
-        for cls in (Dataset, VarianceEstimate, BootstrapDraws, ConfidenceRegion, leanreg.inference.TestResult):
+        for cls in (Dataset, VarianceEstimate, BootstrapDraws, Studentized, ConfidenceRegion,
+                    leanreg.inference.TestResult):
             def init(self, *args, _init=cls.__init__, **kwargs):
                 counts[type(self).__name__] += 1
                 _init(self, *args, **kwargs)
@@ -860,11 +861,12 @@ class TestStackedReplications:
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
         monkeypatch.setattr(np.linalg, "qr", qr)
         # the 7 replications are one stack, fitted and factored once, with one of each object
-        # for the sandwich, the draws, the test and each of the two regions; no Dataset
+        # for the sandwich, the draws, the max-|t| reference the rectangle and the test share,
+        # the test and each of the two regions; no Dataset
         args = (Dgp("heteroscedastic_iid"), 30, 7, BOOTSTRAP_METHODS, 0.1, 2)
         run_coverage(*args, b=40)
-        once = {"OlsFit": 1, "cholesky": 7, "qr": 7,
-                "VarianceEstimate": 1, "BootstrapDraws": 1, "ConfidenceRegion": 2, "TestResult": 1}
+        once = {"OlsFit": 1, "cholesky": 7, "qr": 7, "VarianceEstimate": 1, "BootstrapDraws": 1,
+                "Studentized": 1, "ConfidenceRegion": 2, "TestResult": 1}
         assert counts == once
         # replication 3, edited as RANK_ONE_SCORES edits, passes the rectangle and the test and
         # fails the ellipsoid's gate. The stack gets that far; then replications 0 to 3 are
@@ -882,7 +884,7 @@ class TestStackedReplications:
         with pytest.raises(NotPositiveDefinite, match="Cholesky pivot 1 at or below"):
             run_coverage(*args, b=40)
         assert counts == {"OlsFit": 1 + 4, "cholesky": 7 + 4, "qr": 7 + 4,
-                          "VarianceEstimate": 1 + 4, "BootstrapDraws": 1 + 4,
+                          "VarianceEstimate": 1 + 4, "BootstrapDraws": 1 + 4, "Studentized": 1 + 4,
                           "ConfidenceRegion": 1 + 3 * 2 + 1, "TestResult": 1 + 4}
 
     def test_degenerate_dof_matches_one_replication_at_a_time(self):

@@ -288,6 +288,12 @@ def commands() -> list[list[str]]:
     # which the diff at two BLAS threads covers
     p40 = ["--data", "p40.csv", "--response", "y"]
     cmds += [["fit", *p40], ["bootstrap", *p40, "--B", "2000", "--seed", "15"]]
+    # B=9 draws at alpha=0.05, too few to rank the quantile: the test's p-value is at least its
+    # floor 1/(B+1) > alpha, and the rectangle takes the largest draw and warns
+    cmds += [
+        ["test", *small, "--reference", "bootstrap", "--B", "9", "--seed", "7"],
+        ["bootstrap", *small, "--B", "9", "--seed", "7"],
+    ]
     return cmds
 
 
