@@ -301,15 +301,15 @@ def region_ellipsoid(
     statistic is n ||R_s^-T t_star||^2 and the quadratic form on coefficients
     sigma_hat k_check^-1 sigma_hat = D'D, D = sqrt(n) R_s^-T sigma_hat, so beta is
     inside iff sqrt(n) sigma_hat (beta_hat - beta) is inside the k_check ellipsoid.
-    R_s^-T is formed once, by a forward pass on the identity, for both products.
+    R_s^-T is formed once, by one LAPACK inverse over the stack, for both products.
     """
     if not var.is_sandwich():
         raise ValueError("ellipsoid regions are built on the sandwich meat k_check")
     r_s, n = fit.r_s, fit.n
     pivot = linalg._first_low_pivot(np.diagonal(r_s, axis1=-2, axis2=-1) ** 2, (r_s**2).sum(axis=-2))
-    eye = np.broadcast_to(np.eye(fit.p), r_s.shape)
-    with np.errstate(all="ignore"):  # a factor that fails the gate gives placeholders; it raises below
-        r_inv_t = linalg._apply_factor(r_s.swapaxes(-1, -2), eye, forward_only=True)
+    # an item that fails the gate is inverted as the identity, so LAPACK inverts the rest; it raises below
+    r_inv_t = np.linalg.inv(np.where((pivot >= 0)[..., None, None], np.eye(fit.p), r_s.swapaxes(-1, -2)))
+    with np.errstate(all="ignore"):  # a near-singular factor's products may overflow
         w = r_inv_t @ draws.draws_t.swapaxes(-1, -2)
         d = math.sqrt(n) * (r_inv_t @ fit.sigma_hat)
         radius = _order_stat_quantile(n * (w * w).sum(axis=-2), alpha)

@@ -5,9 +5,10 @@ over speed, and refuse bad input loudly: asymmetric matrices are rejected
 rather than symmetrized, and near-singular SPD factorizations raise instead
 of falling back to a pseudo-inverse. Everything is numpy: an SPD solve is a
 Cholesky factorization followed by a p-step forward and back substitution
-over all right-hand-side columns at once; the forward pass alone, on the
-identity, inverts a factor. Both also run on stacks (..., p, p) of matrices,
-with the gates reported per matrix; each matrix gets the bits it gets alone.
+over all right-hand-side columns at once. Both also run on stacks
+(..., p, p) of matrices, with the gates reported per matrix; each matrix
+gets the bits it gets alone. A triangular factor is inverted by one
+``np.linalg.inv`` call over the stack, which LAPACK runs on each matrix alone.
 The one routine for a tall n x p matrix, ``tsqr_r``, reduces it, or each of
 a stack, to its p x p triangular factor: a fit's one factor of its scores.
 """
@@ -122,12 +123,12 @@ def spd_solver(a):
     return functools.partial(_apply_factor, lower)
 
 
-def _apply_factor(lower: np.ndarray, b, forward_only: bool = False) -> np.ndarray:
+def _apply_factor(lower: np.ndarray, b) -> np.ndarray:
     """x with lower lower' x = b, for one factor (p, p) or a stack of them (..., p, p).
 
     With one factor, ``b`` is a vector or a matrix of right-hand-side columns
     with leading dimension p; with a stack, ``b`` is (..., p, k), one matrix
-    of columns per factor; ``forward_only`` returns lower^-1 b, run on b = I only.
+    of columns per factor.
     """
     # forward substitution lower z = b, then back substitution lower' x = z,
     # one row of every right-hand-side column per step; the C-order copy keeps
@@ -146,8 +147,6 @@ def _apply_factor(lower: np.ndarray, b, forward_only: bool = False) -> np.ndarra
         if j > 0:
             row -= lower[..., j : j + 1, :j] @ xs[..., :j, :]
         row /= lower[..., j : j + 1, j : j + 1]
-    if forward_only:
-        return x
     for j in reversed(range(p)):
         row = xs[..., j : j + 1, :]
         if j < p - 1:

@@ -104,7 +104,8 @@ def residual_variance(fit: OlsFit) -> float | np.ndarray:
         raise DegenerateDof(f"classical variance needs n > p, got n={fit.n}, p={fit.p}")
     e = fit.residuals
     with np.errstate(over="ignore"):  # an overflow raises below
-        rss = (e[..., None, :] @ e[..., :, None])[..., 0, 0]
+        # a fixed-order numpy sum, unlike a BLAS dot, does not depend on the thread count
+        rss = (e * e).sum(axis=-1)
     if not np.isfinite(rss).all():
         raise NonFiniteValue("residual sum of squares is outside double range")
     sigma2 = rss / (fit.n - fit.p)
@@ -118,6 +119,5 @@ def classical_avar(fit: OlsFit) -> VarianceEstimate:
     the error variance depends on the covariates or the mean is nonlinear.
     """
     sigma2 = np.asarray(residual_variance(fit))[..., None, None]
-    # sigma_hat^-1 = G'G with G = L^-1, one product of G with its own transpose: symmetric
-    avar = sigma2 * (fit._l_inv.swapaxes(-1, -2) @ fit._l_inv)
+    avar = sigma2 * fit._sigma_inv
     return VarianceEstimate(method=CLASSICAL, avar=avar, se=_se(avar, fit.n), meat=sigma2 * fit.sigma_hat)

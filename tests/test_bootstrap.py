@@ -193,7 +193,7 @@ def test_tall_draws_do_not_depend_on_blas_threads(tmp_path, blas_thread_stdouts)
     # would thread, and at p=1, which would go to GEMV or DOT without its zero column.
     # Gaussian draws are 4096-row QR blocks (two passes at 2e5 rows) and one matmul Z @ R_s;
     # it, draws_u, both variance estimates and the ellipsoid are matmuls with inner
-    # dimension p, at any B, and each of them is hashed too
+    # dimension p, at any B, sigma2 is a fixed-order numpy sum, and each of them is hashed too
     runs = []
     shapes = ((200_000, 11), (1000, 5), (3000, 13), (2000, 40), (20_000, 1), (20_000, 40), (205, 41))
     for n, p in shapes:
@@ -223,10 +223,6 @@ def test_tall_draws_do_not_depend_on_blas_threads(tmp_path, blas_thread_stdouts)
     ones, twos = ([line.split() for line in out.splitlines()] for out in stdouts)
     assert len(ones) == len(runs)
     for (fit, kw), one, two in zip(runs, ones, twos):
-        if fit.n == 200_000:
-            # sigma2 sums the 2e5 squared residuals by a BLAS dot, which moves with the
-            # thread count (ROADMAP item 3), so that fit's classical estimate is left out
-            del one[3], two[3]
         assert one == two, (fit.n, fit.p, kw)
 
 

@@ -1082,23 +1082,32 @@ def test_stacked_simulate_does_not_depend_on_blas_threads(blas_thread_stdouts):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable cores")
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 3: the fit's x.T @ y is a GEMV and y @ y a DOT, "
-    "which OpenBLAS splits by its thread count",
-)
-def test_tall_fit_does_not_depend_on_blas_threads(tmp_path, blas_thread_stdouts):
-    # the CLI byte-identity corpus's tall.csv (tools/cli_digest.py)
-    rng = np.random.default_rng(3)
-    x = rng.random((20000, 10))
-    noise = (0.2 + x[:, 0]) * rng.standard_normal(20000)
+def _fit_stdouts_at_blas_threads(path, n, seed, blas_thread_stdouts):
+    # a CSV of the CLI byte-identity corpus (tools/cli_digest.py), n rows of 10 covariates
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, 10))
+    noise = (0.2 + x[:, 0]) * rng.standard_normal(n)
     y = 1.0 + x @ np.linspace(1.0, -1.0, 10) + x[:, 0] ** 2 + noise
-    path = tmp_path / "tall.csv"
     header = ",".join([f"x{j}" for j in range(10)] + ["y"])
     np.savetxt(path, np.column_stack([x, y]), delimiter=",", header=header, comments="",
                fmt="%.17g")
     command = [sys.executable, "-m", "leanreg", "fit", "--data", str(path), "--response", "y",
                "--add-intercept"]
-    outputs = blas_thread_stdouts(command)
+    return blas_thread_stdouts(command)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable cores")
+def test_tall_fit_does_not_depend_on_blas_threads(tmp_path, blas_thread_stdouts):
+    # tall.csv: its RSS is a fixed-order numpy sum, and x.T @ y happens not to move at this shape
+    outputs = _fit_stdouts_at_blas_threads(tmp_path / "tall.csv", 20000, 3, blas_thread_stdouts)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable cores")
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: the fit's x.T @ y is a GEMV, which OpenBLAS splits by its thread count",
+)
+def test_spans_fit_does_not_depend_on_blas_threads(tmp_path, blas_thread_stdouts):
+    outputs = _fit_stdouts_at_blas_threads(tmp_path / "spans.csv", 50000, 4, blas_thread_stdouts)
     assert outputs[0] == outputs[1]

@@ -8,15 +8,17 @@ lie within C * kappa * eps of its exact value, normwise and relative, where
 kappa is the output's condition number (``error_ratios``).
 
 The designs are small and badly scaled: column scales 2^k, near-collinear
-columns, and tiny or huge responses. Power-of-two scales change no rounding,
-so the errors are measured on the outputs rescaled by the power of two nearest
-each column's root mean square, where sigma_hat has a unit-order diagonal.
+columns, and tiny or huge responses, plus one offset design on which the
+LAPACK inverse of the fit's Cholesky factor pivots. Power-of-two scales
+change no rounding, so the errors are measured on the outputs rescaled by
+the power of two nearest each column's root mean square, where sigma_hat has
+a unit-order diagonal.
 """
 
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leanreg import NotPositiveDefinite, OlsFit, classical_avar, region_ellipsoid, run_bootstrap, sandwich_avar
@@ -27,6 +29,12 @@ EPS = np.finfo(float).eps
 # form), all at p = 1, where kappa is 1 and the error is a few roundings; 0.61 (solve) where
 # the column-scaled condition number exceeds 1e4. A solve that squared kappa reads about kappa
 C = 8.0
+
+
+# x = (1, 50 + u): the Cholesky factor's L[1, 0] is about 50 L[0, 0], so np.linalg.inv's LU
+# pivots, which leaves rounding residue above the diagonal of the fit's inverse factor
+_U = np.random.default_rng(0).random(40)
+OFFSET_DESIGN = (np.column_stack([np.ones(40), 50.0 + _U]), 2.0 * _U + np.cos(np.arange(40)))
 
 
 @st.composite
@@ -138,7 +146,13 @@ def error_ratios(fit: OlsFit) -> dict:
     return ratios
 
 
+def test_the_offset_design_makes_lapack_pivot():
+    lower = np.linalg.cholesky(OlsFit(*OFFSET_DESIGN).sigma_hat)
+    assert abs(lower[1, 0]) > lower[0, 0]
+
+
 @given(small_designs())
+@example(OFFSET_DESIGN)
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_outputs_are_within_c_kappa_eps_of_the_exact_values(design):
     fit = OlsFit(*design)
@@ -147,6 +161,7 @@ def test_outputs_are_within_c_kappa_eps_of_the_exact_values(design):
 
 
 @given(small_designs())
+@example(OFFSET_DESIGN)
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_variance_estimates_are_bitwise_symmetric(design):
     fit = OlsFit(*design)

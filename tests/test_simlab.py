@@ -614,7 +614,7 @@ class TestRunCoverage:
         }
         assert rep.mean_width == {
             "classical_normal": [0.4015849096088345, 0.6882833449501133],
-            "sandwich_normal": [0.45799104024772697, 0.816553888271121],
+            "sandwich_normal": [0.4579910402477269, 0.816553888271121],
             "bootstrap_rectangle": [0.4918960597056947, 0.8768973721586535],
         }
         assert rep.rejection_rate == {"max_t_bootstrap": 0.1276595744680851}

@@ -51,7 +51,7 @@ def write_csvs(directory: pathlib.Path) -> None:
     # value decoded from the classical meat matrix differ in the last bit; spans
     # (about 10 MB) is over two of read_csv's 4 MiB span minimums, so a machine
     # with two or more usable cores parses it in line-aligned spans; p40 has 40
-    # covariates, so the matmuls with the fit's inverse factors have inner dimension 40
+    # covariates, so the matmuls with sigma_hat^-1 and R_s^-T have inner dimension 40
     shapes = {
         "small": (300, 2, 1), "wide": (1000, 4, 2), "tall": (20000, 10, 3), "resid": (300, 2, 11),
         "spans": (50000, 10, 4), "p40": (1000, 40, 5),
