@@ -52,7 +52,7 @@ beta_wrong = beta_true + 0.5
 
 def remainder(n, r, beta, means):
     fit = fit_ols(sample(dgp, n, np.random.default_rng((78, n, r))))
-    return influence_remainder(fit, population_targets(dgp, n).solve, beta, means)
+    return influence_remainder(fit, population_targets(dgp, n).sigma_n_inv, beta, means)
 
 
 print("influence-representation remainder (median over 100 replications):")

@@ -130,7 +130,7 @@ def run_bootstrap(
             out[...] = _weighted_draws(scores, b, m, rng)
     if dist == "gaussian":
         draws_t = draws_t @ fit.r_s / math.sqrt(n)
-    draws_u = fit.solve(draws_t.swapaxes(-1, -2)).swapaxes(-1, -2)
+    draws_u = (fit.sigma_hat_inv @ draws_t.swapaxes(-1, -2)).swapaxes(-1, -2)
     return BootstrapDraws(b=b, m=m, dist=dist, draws_t=draws_t, draws_u=draws_u)
 
 
@@ -277,17 +277,24 @@ def region_rectangle(
     So for ceil((1-alpha)(B+1)) <= B, beta0 is outside iff the bootstrap
     ``max_t_test`` on the same draws rejects it at alpha; for fewer draws the
     largest draw stands in, and that test, whose p-value is at least 1/(B+1),
-    never rejects. ``studentized`` is ``studentizer(var, draws, alpha=alpha)``.
+    never rejects. The critical value of a given ``studentizer(var, draws)``
+    comes from its reference at this alpha; without one, ``studentizer(var,
+    draws, alpha=alpha)`` gates it with the variances, as a stack needs.
     """
     if not var.is_sandwich():
         raise ValueError("rectangle regions studentize with a sandwich variance estimate")
-    studentized = studentized or studentizer(var, draws, alpha=alpha)
+    if studentized is None:
+        studentized = studentizer(var, draws, alpha=alpha)
+        crit = studentized.crit
+    else:
+        crit = _order_stat_quantile(studentized.ref, alpha)
+        linalg._raise_first((crit == 0.0, ZeroVariance("all bootstrap draws are zero; the region is degenerate")))
     return ConfidenceRegion(
         shape="rectangle",
         level=1.0 - alpha,
         center=fit.beta_hat,
         n=fit.n,
-        half_widths=studentized.crit[..., None] * studentized.d / math.sqrt(fit.n),
+        half_widths=crit[..., None] * studentized.d / math.sqrt(fit.n),
     )
 
 

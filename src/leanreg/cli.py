@@ -532,7 +532,7 @@ def _cmd_check(config: RunConfig) -> tuple[dict, list]:
     data = sample(dgp, config.n, config.seed)
     fit = fit_ols(data)
     det = det_inequality_check(fit.sigma_hat, fit.gamma_hat, pop.sigma_n, pop.gamma_n)
-    remainder = influence_remainder(fit, pop.solve, pop.beta_n, pop.score_means)
+    remainder = influence_remainder(fit, pop.sigma_n_inv, pop.beta_n, pop.score_means)
     results = {
         "beta_hat": fit.beta_hat,
         "beta_n": pop.beta_n,

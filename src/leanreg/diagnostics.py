@@ -95,7 +95,7 @@ def det_inequality_check(sigma_hat, gamma_hat, sigma_pop, gamma_pop) -> DetCheck
     )
 
 
-def influence_remainder(fit: OlsFit, solve_pop, beta_pop, score_means=None) -> float:
+def influence_remainder(fit: OlsFit, sigma_inv_pop, beta_pop, score_means=None) -> float:
     """Norm of the remainder in the linear representation of the error.
 
     Returns
@@ -103,8 +103,8 @@ def influence_remainder(fit: OlsFit, solve_pop, beta_pop, score_means=None) -> f
         || sqrt(n)(beta_hat - beta) - n^{-1/2} sum_i sigma^-1 (s_i - mu_i) ||
 
     where s_i = x_i (y_i - x_i' beta) are the raw scores at ``beta_pop`` and
-    mu_i are their expectations (``score_means`` rows); ``solve_pop`` is
-    b -> sigma^-1 b, the factor a PopulationTargets carries. Pass None for the
+    mu_i are their expectations (``score_means`` rows); ``sigma_inv_pop`` is
+    the matrix sigma^-1, as ``PopulationTargets.sigma_n_inv``. Pass None for the
     iid / random-covariate convention mu_i = 0; fixed-design scenarios have
     nonzero rows whose average vanishes. Any efficient regular estimator of
     the moment-defined target must make this remainder vanish in probability;
@@ -119,6 +119,6 @@ def influence_remainder(fit: OlsFit, solve_pop, beta_pop, score_means=None) -> f
                 f"score_means has shape {score_means.shape}, expected {raw.shape}"
             )
         raw = raw - score_means
-    lin = solve_pop(raw.sum(axis=0) / np.sqrt(fit.n))
+    lin = sigma_inv_pop @ (raw.sum(axis=0) / np.sqrt(fit.n))
     left = np.sqrt(fit.n) * (fit.beta_hat - beta_pop)
     return float(np.linalg.norm(left - lin))

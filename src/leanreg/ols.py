@@ -7,8 +7,8 @@ statistics explicit is what the rest of the library (variance estimation,
 score bootstrap, diagnostics) builds on.
 
 ``OlsFit`` holds one fit or a stack of them over leading axes, raising for
-the first item that fails a gate; ``fit_ols`` is the one-dataset case. Its
-solves use sigma_hat^-1 = G'G, G the LAPACK inverse of its Cholesky factor.
+the first item that fails a gate; ``fit_ols`` is the one-dataset case. It
+keeps sigma_hat^-1 = G'G, G the LAPACK inverse of its Cholesky factor.
 
 No intercept is ever added implicitly; callers who want one prepend a ones
 column themselves (the CLI offers a flag for this).
@@ -77,14 +77,15 @@ class OlsFit:
     data : the dataset a one-item fit was computed from, if its caller gave
         one (``fit_ols`` does); else None.
     n, p : the sample size and the number of covariates, from the shapes.
-    solve : b -> sigma_hat^-1 b, one matmul with the kept G'G, G = L^-1 the inverse
-        of sigma_hat's one Cholesky factor L; the sandwich and the draws reuse it.
+    sigma_hat_inv : (..., p, p) sigma_hat^-1 as G'G, G = L^-1 the LAPACK inverse of
+        sigma_hat's one Cholesky factor L, so symmetric to the bit; the sandwich,
+        the classical estimate and the draws multiply by it.
     r_s : (..., p, p) triangular factor of scores_hat = Q r_s; k_check is
         r_s' r_s / n. It is computed on first read, once for the whole fit.
     """
 
     __slots__ = ("beta_hat", "sigma_hat", "gamma_hat", "residuals", "scores_hat", "n", "p", "data",
-                 "_sigma_inv", "_r_s")
+                 "sigma_hat_inv", "_r_s")
 
     def __init__(self, x, y, data: Dataset | None = None):
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -118,18 +119,11 @@ class OlsFit:
             self.gamma_hat = (xt @ y[..., None])[..., 0] / self.n
             self.beta_hat = linalg._apply_factor(lower, self.gamma_hat[..., None])[..., 0]
             l_inv = np.linalg.inv(lower)
-            self._sigma_inv = l_inv.swapaxes(-1, -2) @ l_inv  # G'G, so symmetric to the bit
+            self.sigma_hat_inv = l_inv.swapaxes(-1, -2) @ l_inv
             self.residuals = y - (x @ self.beta_hat[..., None])[..., 0]
             self.scores_hat = x * self.residuals[..., None]
         self.data = data
         self._r_s = None
-
-    def solve(self, b) -> np.ndarray:
-        """sigma_hat^-1 b: b (p,) or (p, k) for one item, (..., p, k) over a stack."""
-        rows = np.shape(b)[0] if self._sigma_inv.ndim == 2 else np.shape(b)[-2]
-        if rows != self.p:
-            raise DimensionMismatch(f"b has leading dimension {rows}, expected {self.p}")
-        return self._sigma_inv @ b
 
     @property
     def r_s(self) -> np.ndarray:

@@ -3,10 +3,10 @@ targets, and a Monte Carlo engine for coverage, type-I error and rate studies.
 
 Every shipped DGP has computable population quantities: the target
 coefficients beta_n, the moment matrices sigma_n and gamma_n, the true score
-covariance k_n, its estimable upper bound k_n_star, and the corresponding
-coefficient-scale variances av_n and av_n_star. Random-covariate kinds keep
-all covariates supported on [0, 1], so every moment needed anywhere (sixth
-moments included) is finite by construction.
+covariance k_n, its estimable upper bound k_n_star, the corresponding
+coefficient-scale variances av_n and av_n_star, and sigma_n^-1. Random-x
+kinds keep all covariates supported on [0, 1], so every moment needed
+anywhere (sixth moments included) is finite by construction.
 
 Canonical parameterizations (fixed so the acceptance numbers are stable):
 
@@ -52,13 +52,12 @@ import array
 import functools
 import statistics
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 
-from . import linalg
 from .bootstrap import WEIGHT_DISTS, region_ellipsoid, region_rectangle, run_bootstrap, studentizer
 from .exceptions import DimensionMismatch, LeanRegError, SingularDesign
 from .inference import max_t_test
@@ -132,10 +131,9 @@ class Dgp:
 class PopulationTargets:
     """Exact population quantities for one (dgp, n) scenario.
 
-    beta_n to av_n_star are exact rationals, each rounded once to float.
+    beta_n to sigma_n_inv are exact rationals, each rounded once to float.
     ``score_means`` is zero for an iid kind; for a fixed design it is a float
-    evaluation at the rounded beta_n. ``solve`` is b -> sigma_n^-1 b through
-    the one factorization of sigma_n.
+    evaluation at the rounded beta_n.
     """
 
     beta_n: np.ndarray
@@ -145,8 +143,8 @@ class PopulationTargets:
     k_n_star: np.ndarray
     av_n: np.ndarray
     av_n_star: np.ndarray
+    sigma_n_inv: np.ndarray
     score_means: np.ndarray
-    solve: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
 
 def _profile(dgp: Dgp, num=float):
@@ -191,7 +189,7 @@ def _bordered(p: int, corner, edge, diag, off) -> np.ndarray:
 
 @functools.cache
 def _exact_targets(dgp: Dgp, n: int | None) -> tuple[np.ndarray, ...]:
-    """PopulationTargets' fields beta_n to av_n_star, in order: exact rationals, each rounded once.
+    """PopulationTargets' fields beta_n to sigma_n_inv, in order: exact rationals, each rounded once.
 
     ``n`` is the size of a fixed design and None for an iid kind, whose
     targets do not depend on it. The arrays are shared by every caller.
@@ -209,7 +207,7 @@ def _exact_targets(dgp: Dgp, n: int | None) -> tuple[np.ndarray, ...]:
         # correctly specified and homoscedastic: k_n = k_n_star = s^2 sigma_n, av_n = s^2 sigma_n^-1
         beta = np.array([Fraction(b) for b in dgp.beta])
         k, av = s2 * sigma, s2 * inv
-        exact = beta, sigma, sigma @ beta, k, k, av, av
+        exact = beta, sigma, sigma @ beta, k, k, av, av, inv
     else:
         # Fraction(float) is exact: these are the moments of the DGP that sample draws from
         mu, sd = _profile(dgp, Fraction)
@@ -220,7 +218,7 @@ def _exact_targets(dgp: Dgp, n: int | None) -> tuple[np.ndarray, ...]:
         # under iid sampling the mean's misfit is score noise too; a fixed design's is a score mean
         k_n = noise if dgp.is_fixed_design else k_star
         k_n, k_star = (np.array([[k[0], k[1]], [k[1], k[2]]]) for k in (k_n, k_star))
-        exact = beta, sigma, gamma, k_n, k_star, inv @ k_n @ inv, inv @ k_star @ inv
+        exact = beta, sigma, gamma, k_n, k_star, inv @ k_n @ inv, inv @ k_star @ inv, inv
     try:
         return tuple(np.array(t, dtype=float) for t in exact)
     except OverflowError:
@@ -243,9 +241,8 @@ def population_targets(dgp: Dgp, n: int) -> PopulationTargets:
     x_i (mu_i - x_i' beta_n), evaluated in floats at the rounded beta_n.
     """
     targets = [t.copy() for t in _targets(dgp, n)]
-    beta, sigma = targets[:2]
-    score_means = population_score_means(dgp, n, beta) if dgp.is_fixed_design else np.zeros((n, dgp.p))
-    return PopulationTargets(*targets, score_means=score_means, solve=linalg.spd_solver(sigma))
+    score_means = population_score_means(dgp, n, targets[0]) if dgp.is_fixed_design else np.zeros((n, dgp.p))
+    return PopulationTargets(*targets, score_means=score_means)
 
 
 def population_score_means(dgp: Dgp, n: int, beta) -> np.ndarray:
@@ -426,8 +423,8 @@ def run_coverage(
     with each one's bits; replication r's bootstrap draws from the (seed, r,
     1) key. A stack runs through the same calls that one replication runs
     through alone, which fill one tally row per replication, and a loop adds
-    the rows in order, so the report does not depend on the stack size. A
-    test after the rectangle reads the rectangle's max-|t| reference. If
+    the rows in order, so the report does not depend on the stack size. The
+    rectangle and the test read one max-|t| reference, in either order. If
     the stack's fit or one of those calls raises a ``LeanRegError``, each
     replication is refitted alone, ``OlsFit(x[i], y[i])``, and run through
     the same calls: a singular design excludes its replication, and any
@@ -465,20 +462,21 @@ def run_coverage(
         var_s = sandwich_avar(fit) if needs_sandwich else None
         draws = run_bootstrap(fit, b=b, dist=weight_dist, seed=keys) if needs_boot else None
         rows = np.zeros(fit.beta_hat.shape[:-1] + tallies.shape)
-        studentized = None  # the rectangle's, which a test after it reads
+        studentized = None  # formed once, by the first of the rectangle and the test, for both
         for m, (hit, width) in layout.items():
             if METHOD_KINDS[m] == "interval":
                 se = (classical_avar(fit) if m == "classical_normal" else var_s).se
                 rows[..., hit] = np.abs(fit.beta_hat - beta_n) <= z * se
                 rows[..., width] = 2.0 * z * se
             elif METHOD_KINDS[m] == "rectangle":
-                studentized = studentizer(var_s, draws, alpha=alpha)
+                studentized = studentized or studentizer(var_s, draws)
                 region = region_rectangle(fit, draws, var_s, alpha, studentized)
                 rows[..., hit.start] = region.contains(beta_n)
                 rows[..., width] = 2.0 * region.half_widths
             elif METHOD_KINDS[m] == "ellipsoid":
                 rows[..., hit.start] = region_ellipsoid(fit, draws, var_s, alpha).contains(beta_n)
             elif METHOD_KINDS[m] == "test":
+                studentized = studentized or studentizer(var_s, draws)
                 test = max_t_test(fit, var_s, beta_n, "bootstrap", draws, studentized)
                 rows[..., hit.start] = test.p_value <= alpha
         return rows

@@ -80,7 +80,7 @@ def sandwich_avar(fit: OlsFit) -> VarianceEstimate:
     are deliberately not offered.
     """
     meat = k_check(fit)
-    c = fit.solve(fit.r_s.swapaxes(-1, -2))
+    c = fit.sigma_hat_inv @ fit.r_s.swapaxes(-1, -2)
     avar = c @ c.swapaxes(-1, -2) / fit.n
     return VarianceEstimate(SANDWICH_HC0, avar, _se(avar, fit.n), meat)
 
@@ -119,5 +119,5 @@ def classical_avar(fit: OlsFit) -> VarianceEstimate:
     the error variance depends on the covariates or the mean is nonlinear.
     """
     sigma2 = np.asarray(residual_variance(fit))[..., None, None]
-    avar = sigma2 * fit._sigma_inv
+    avar = sigma2 * fit.sigma_hat_inv
     return VarianceEstimate(method=CLASSICAL, avar=avar, se=_se(avar, fit.n), meat=sigma2 * fit.sigma_hat)

@@ -168,11 +168,11 @@ def test_criterion_8_influence_representation():
     dgp = Dgp("quadratic_mean_iid")
 
     def median_remainder(n: int, beta, score_means) -> float:
-        solve = population_targets(dgp, n).solve
+        sigma_inv = population_targets(dgp, n).sigma_n_inv
         vals = [
             influence_remainder(
                 fit_ols(sample(dgp, n, np.random.default_rng((SEED, 8, n, r)))),
-                solve,
+                sigma_inv,
                 beta,
                 score_means,
             )

@@ -13,6 +13,7 @@ from leanreg import (
     DimensionMismatch,
     NonFiniteValue,
     NotPositiveDefinite,
+    OlsFit,
     ZeroVariance,
     fit_ols,
     k_check,
@@ -24,6 +25,7 @@ from leanreg import (
     sandwich_avar,
     spd_solver,
 )
+from leanreg.bootstrap import studentizer
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +47,17 @@ def perfect_fit():
     # y = 0 keeps the solve and the residuals exactly zero in floating point
     x = np.column_stack([np.ones(10), np.arange(10.0)])
     return fit_ols(Dataset(x=x, y=np.zeros(10)))
+
+
+def rank_one_scores():
+    """(x, y) at n=30: x = (1, u) with row 1 equal to row 0, and y = (1, -1, 0, ...).
+
+    The residuals are y, so the scores are x_0, -x_0 and zeros: a rademacher
+    draw is zero exactly when its first two signs agree.
+    """
+    x = np.column_stack([np.ones(30), np.random.default_rng(0).random(30)])
+    x[1] = x[0]
+    return x, np.concatenate([[1.0, -1.0], np.zeros(28)])
 
 
 def packed_signs(rng, k, n):
@@ -362,6 +375,45 @@ class TestRegionRectangle:
         draws = run_bootstrap(fit, b=20, seed=0)
         with pytest.raises(ZeroVariance):
             region_rectangle(fit, draws, sandwich_avar(fit), alpha=0.05)
+
+    # at B=1 and alpha=0.5 the critical value is the one draw's max-|t|, zero for a zero draw
+    @pytest.mark.parametrize("seed, degenerate", [(0, False), (1, True), (2, True), (3, True), (4, False),
+                                                  (5, False)])
+    def test_all_zero_draws_make_the_region_degenerate(self, seed, degenerate):
+        fit = OlsFit(*rank_one_scores())
+        var, draws = sandwich_avar(fit), run_bootstrap(fit, b=1, dist="rademacher", seed=seed)
+        assert draws.draws_t.any() != degenerate
+        for studentized in (None, studentizer(var, draws)):
+            try:
+                region_rectangle(fit, draws, var, 0.5, studentized)
+            except ZeroVariance as exc:
+                assert degenerate and str(exc) == "all bootstrap draws are zero; the region is degenerate"
+            else:
+                assert not degenerate
+
+    def test_a_stack_gates_the_critical_value_with_the_variances(self):
+        # item 0 (key 1) has all-zero draws and item 1 zero residuals: the stack raises item 0's
+        # error, as a loop over its items does, not item 1's zero variance
+        x, y = rank_one_scores()
+        fit = OlsFit(np.stack([x, x]), np.stack([y, np.zeros(30)]))
+        var, draws = sandwich_avar(fit), run_bootstrap(fit, b=1, dist="rademacher", seed=[1, 0])
+        with pytest.raises(ZeroVariance, match="all bootstrap draws are zero; the region is degenerate"):
+            region_rectangle(fit, draws, var, 0.5)
+        alone = OlsFit(x, np.zeros(30))
+        draws = run_bootstrap(alone, b=1, dist="rademacher", seed=0)
+        with pytest.raises(ZeroVariance, match="a coordinate has zero estimated variance"):
+            region_rectangle(alone, draws, sandwich_avar(alone), 0.5)
+
+    def test_a_given_reference_gives_the_critical_value_of_the_regions_alpha(self):
+        # a reference formed at another alpha, or at none, as a max-|t| test forms it
+        fit = fit_ols(sample(Dgp("heteroscedastic_iid"), 200, np.random.default_rng(3)))
+        var, draws = sandwich_avar(fit), run_bootstrap(fit, b=999, seed=4)
+        expected = region_rectangle(fit, draws, var, 0.05)
+        for alpha in (0.2, None):
+            region = region_rectangle(fit, draws, var, 0.05, studentizer(var, draws, alpha=alpha))
+            assert region.level == 0.95
+            assert region.half_widths.tobytes() == expected.half_widths.tobytes()
+        assert (region_rectangle(fit, draws, var, 0.2).half_widths < expected.half_widths).all()
 
     def test_non_finite_variance_is_named(self):
         # x near 1e-150 and y near 1e6: the sandwich overflows to an infinite variance

@@ -94,7 +94,7 @@ class TestInfluenceRemainder:
         n = 60
         pop = population_targets(dgp, n)
         fit = fit_ols(sample(dgp, n, np.random.default_rng(3)))
-        rem = influence_remainder(fit, pop.solve, pop.beta_n, pop.score_means)
+        rem = influence_remainder(fit, pop.sigma_n_inv, pop.beta_n, pop.score_means)
         assert rem <= 1e-9
 
     def test_shrinks_at_root_n_rate(self):
@@ -107,7 +107,7 @@ class TestInfluenceRemainder:
             vals = []
             for r in range(60):
                 fit = fit_ols(sample(dgp, n, np.random.default_rng((42, n, r))))
-                vals.append(influence_remainder(fit, pop.solve, beta, means))
+                vals.append(influence_remainder(fit, pop.sigma_n_inv, beta, means))
             return float(np.median(vals))
 
         m1, m4 = median_remainder(1000), median_remainder(4000)
@@ -129,7 +129,7 @@ class TestInfluenceRemainder:
         fit = fit_ols(sample(dgp, n, np.random.default_rng(9)))
         c = np.array([0.7, -1.3])
         shifted = pop.score_means + c
-        got = influence_remainder(fit, pop.solve, pop.beta_n, shifted)
+        got = influence_remainder(fit, pop.sigma_n_inv, pop.beta_n, shifted)
 
         from leanreg import scores_at
 
@@ -143,4 +143,4 @@ class TestInfluenceRemainder:
         fit = fit_ols(sample(dgp, 50, np.random.default_rng(1)))
         pop = population_targets(dgp, 50)
         with pytest.raises(DimensionMismatch):
-            influence_remainder(fit, pop.solve, pop.beta_n, np.zeros((49, 2)))
+            influence_remainder(fit, pop.sigma_n_inv, pop.beta_n, np.zeros((49, 2)))

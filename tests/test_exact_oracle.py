@@ -1,4 +1,4 @@
-"""Exact rational oracles for the fit's solve, both variance estimates and the ellipsoid's quadratic form.
+"""Exact rational oracles for the fit's sigma_hat^-1, both variance estimates and the ellipsoid's quadratic form.
 
 The oracle takes the fit's own float sigma_hat, scores_hat and residuals as
 exact rationals and forms, with ``Fraction`` arithmetic, sigma_hat^-1, the
@@ -25,9 +25,9 @@ from leanreg import NotPositiveDefinite, OlsFit, classical_avar, region_ellipsoi
 
 EPS = np.finfo(float).eps
 # the largest ratio of error to kappa * eps allowed. Over 5000 designs of the strategy the
-# worst ratios were 1.63 (solve), 5.16 (sandwich), 3.23 (classical) and 3.85 (quadratic
-# form), all at p = 1, where kappa is 1 and the error is a few roundings; 0.61 (solve) where
-# the column-scaled condition number exceeds 1e4. A solve that squared kappa reads about kappa
+# worst ratios were 1.63 (sigma_hat_inv), 5.16 (sandwich), 3.23 (classical) and 3.85 (quadratic
+# form), all at p = 1, where kappa is 1 and the error is a few roundings; 0.61 (sigma_hat_inv) where
+# the column-scaled condition number exceeds 1e4. An inverse that squared kappa reads about kappa
 C = 8.0
 
 
@@ -97,7 +97,7 @@ def exact_outputs(fit: OlsFit) -> dict:
     s_inv = _inverse(s)
     sigma2 = sum(Fraction(e) ** 2 for e in fit.residuals.tolist()) / (n - p)
     return {
-        "solve": s_inv,
+        "sigma_hat_inv": s_inv,
         "sandwich": _matmul(_matmul(s_inv, k), s_inv),
         "classical": [[sigma2 * v for v in row] for row in s_inv],
         "quad_form": _matmul(_matmul(s, _inverse(k)), s),
@@ -107,7 +107,7 @@ def exact_outputs(fit: OlsFit) -> dict:
 
 def float_outputs(fit: OlsFit) -> dict:
     var_s = sandwich_avar(fit)
-    out = {"solve": fit.solve(np.eye(fit.p)), "sandwich": var_s.avar, "classical": classical_avar(fit).avar}
+    out = {"sigma_hat_inv": fit.sigma_hat_inv, "sandwich": var_s.avar, "classical": classical_avar(fit).avar}
     try:
         out["quad_form"] = region_ellipsoid(fit, run_bootstrap(fit, b=1, seed=0), var_s, 0.5).quad_form
     except NotPositiveDefinite:  # k_check failed its pivot gate, so no ellipsoid exists
@@ -121,7 +121,7 @@ def error_ratios(fit: OlsFit) -> dict:
     With D the powers of two that bring sigma_hat to H = D^-1 sigma_hat D^-1,
     of unit-order diagonal, the inverse-like outputs A are compared as D A D,
     and the quadratic form Q as D^-1 Q D^-1. Their kappas: cond(H) for the
-    solve and the classical estimate; cond(H) times ||H^-1||^2 ||K|| / ||A||
+    sigma_hat^-1 and the classical estimate; cond(H) times ||H^-1||^2 ||K|| / ||A||
     for the sandwich, whose meat K (k_check, scaled alike) is formed apart from
     H; and cond(K) times ||H||^2 ||K^-1|| / ||Q|| for the quadratic form.
     """

@@ -51,7 +51,7 @@ from leanreg.variance import VarianceEstimate, residual_variance
 
 ALL_KINDS = simlab.DGP_KINDS
 P2_KINDS = tuple(k for k in ALL_KINDS if k != "linear_homoscedastic")
-TARGET_FIELDS = ("beta_n", "sigma_n", "gamma_n", "k_n", "k_n_star", "av_n", "av_n_star")
+TARGET_FIELDS = ("beta_n", "sigma_n", "gamma_n", "k_n", "k_n_star", "av_n", "av_n_star", "sigma_n_inv")
 
 
 def edit_draws(monkeypatch, edit):
@@ -145,7 +145,7 @@ def _rounded(m):
 
 
 def _exact_oracle(dgp, n):
-    """The seven exact targets by brute force: moments from their definitions,
+    """The eight exact targets by brute force: moments from their definitions,
     normal equations and sandwiches solved in Fractions in the test."""
     s = Fraction(dgp.noise_scale)
     if dgp.kind == "linear_homoscedastic":
@@ -194,7 +194,7 @@ def _exact_oracle(dgp, n):
     inv = _inverse(sigma)
     return {
         "beta_n": inv @ gamma, "sigma_n": sigma, "gamma_n": gamma, "k_n": k_n, "k_n_star": k_star,
-        "av_n": inv @ k_n @ inv, "av_n_star": inv @ k_star @ inv,
+        "av_n": inv @ k_n @ inv, "av_n_star": inv @ k_star @ inv, "sigma_n_inv": inv,
     }
 
 
@@ -382,12 +382,12 @@ class TestPopulationTargets:
         assert means.tobytes() == population_score_means(Dgp(kind), 3, [0.3, -0.2]).tobytes()
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_solve_is_the_sigma_n_solve(self, kind):
+    def test_sigma_n_inv_is_the_sigma_n_solve(self, kind):
         pop = population_targets(Dgp(kind), 200)
         rhs = np.random.default_rng(8).standard_normal((2, 3))
-        # oracle: numpy's general solver on sigma_n, for a vector and a matrix
-        np.testing.assert_allclose(pop.solve(rhs[:, 0]), np.linalg.solve(pop.sigma_n, rhs[:, 0]))
-        np.testing.assert_allclose(pop.solve(rhs), np.linalg.solve(pop.sigma_n, rhs))
+        # oracle: numpy's general solver on sigma_n; the exact inverse is symmetric, and so is its rounding
+        np.testing.assert_allclose(pop.sigma_n_inv @ rhs, np.linalg.solve(pop.sigma_n, rhs))
+        assert np.array_equal(pop.sigma_n_inv, pop.sigma_n_inv.T)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_editing_a_returned_target_does_not_reach_the_next_call(self, kind):
@@ -708,6 +708,7 @@ RANK_ONE_SCORES = {
 }
 TWICE = simlab.COVERAGE_METHODS + simlab.COVERAGE_METHODS[::-1]
 BOOTSTRAP_METHODS = ("bootstrap_rectangle", "max_t_bootstrap", "bootstrap_ellipsoid")
+TEST_FIRST = ("max_t_bootstrap", "bootstrap_ellipsoid", "bootstrap_rectangle")
 NON_FINITE = "dataset contains non-finite entries"
 
 
@@ -719,7 +720,8 @@ class TestStackedReplications:
         ("linear_homoscedastic", 5, 200), ("linear_homoscedastic", 11, 100),
         ("linear_homoscedastic", 21, 60),
     ])
-    @pytest.mark.parametrize("methods", [INTERVALS + INTERVALS[::-1], TWICE], ids=["intervals", "all"])
+    @pytest.mark.parametrize("methods", [INTERVALS + INTERVALS[::-1], TWICE, TEST_FIRST],
+                             ids=["intervals", "all", "test-first"])
     def test_report_equals_one_replication_at_a_time(self, kind, p, n, methods):
         size = simlab.STACK_ENTRIES // (n * p)
         assert 2 * size < 37 and 37 % size
@@ -787,13 +789,15 @@ class TestStackedReplications:
         ({4: ZERO_RESIDUALS, 5: BIG_Y}, TWICE),
         ({4: BIG_Y, 5: ZERO_RESIDUALS}, TWICE),
         ({4: ZERO_RESIDUALS, 5: BIG_Y}, BOOTSTRAP_METHODS[1:]),
+        ({4: ZERO_RESIDUALS, 5: BIG_Y}, TEST_FIRST),
         ({4: RANK_ONE_SCORES, 5: BIG_Y}, TWICE),
         ({4: BIG_Y, 5: RANK_ONE_SCORES}, TWICE),
     ], ids=[
         "design-overflow", "meat-overflow", "rss-overflow", "earlier-overflow-first",
         "sample-error-after-singular", "overflow-before-sample-error", "sample-error-first",
         "all-singular", "zero-studentizer-first", "meat-overflow-before-zero-studentizer",
-        "zero-studentizer-in-the-test", "score-pivot-first", "meat-overflow-before-score-pivot",
+        "zero-studentizer-in-the-test", "zero-studentizer-test-first", "score-pivot-first",
+        "meat-overflow-before-score-pivot",
     ])
     @pytest.mark.parametrize("size", [3, None], ids=["stacks-of-3", "one-stack"])
     @pytest.mark.filterwarnings("error")
@@ -861,13 +865,15 @@ class TestStackedReplications:
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
         monkeypatch.setattr(np.linalg, "qr", qr)
         # the 7 replications are one stack, fitted and factored once, with one of each object
-        # for the sandwich, the draws, the max-|t| reference the rectangle and the test share,
-        # the test and each of the two regions; no Dataset
+        # for the sandwich, the draws, the max-|t| reference the rectangle and the test share
+        # in either order, the test and each of the two regions; no Dataset
         args = (Dgp("heteroscedastic_iid"), 30, 7, BOOTSTRAP_METHODS, 0.1, 2)
-        run_coverage(*args, b=40)
         once = {"OlsFit": 1, "cholesky": 7, "qr": 7, "VarianceEstimate": 1, "BootstrapDraws": 1,
                 "Studentized": 1, "ConfidenceRegion": 2, "TestResult": 1}
-        assert counts == once
+        for methods in (BOOTSTRAP_METHODS, TEST_FIRST):
+            counts.clear()
+            run_coverage(*args[:3], methods, *args[4:], b=40)
+            assert counts == once, methods
         # replication 3, edited as RANK_ONE_SCORES edits, passes the rectangle and the test and
         # fails the ellipsoid's gate. The stack gets that far; then replications 0 to 3 are
         # refitted alone, each with its own sigma_hat and score factorization, and run alone
@@ -1111,17 +1117,18 @@ class TestFactorizationCounts:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_population_targets_factors_sigma_n_at_most_once(self, counts, kind):
+        # not even once: sigma_n^-1 is an exact target, rounded once
         population_targets(Dgp(kind), 50)
-        assert counts["cholesky"] <= 1
+        assert counts["cholesky"] == 0
 
     @pytest.mark.parametrize("kind", ["quadratic_mean_iid", "fixed_x_nonidentical_mean"])
-    def test_check_command_factors_four_matrices(self, counts, kind, capsys):
-        # sigma_n once (the targets carry it), sigma_hat once (the fit carries
-        # it), and det_inequality_check's own pair; influence_remainder none.
-        # Nothing reads the scores' factor, so they are not factored
+    def test_check_command_factors_three_matrices(self, counts, kind, capsys):
+        # sigma_hat once (the fit carries it) and det_inequality_check's own
+        # pair; the targets carry sigma_n^-1, so they and influence_remainder
+        # factor none. Nothing reads the scores' factor, so they are not factored
         assert main(["check", "--dgp", kind, "--n", "200", "--seed", "3"]) == 0
         capsys.readouterr()
-        assert counts["cholesky"] == 4
+        assert counts["cholesky"] == 3
         assert counts["qr"] == 0
 
 

@@ -186,6 +186,10 @@ def commands() -> list[list[str]]:
         ]
     cmds.append(["simulate", "--dgp", "heteroscedastic_iid", "--n", "80", "--reps", "10",
                  "--B", "100", "--seed", "6", "--weights", "rademacher"])
+    # the test listed before the rectangle, which then reads the test's max-|t| reference
+    cmds.append(["simulate", "--dgp", "heteroscedastic_iid", "--n", "80", "--reps", "10", "--B", "100",
+                 "--seed", "6", "--weights", "rademacher",
+                 "--methods", "max_t_bootstrap,bootstrap_ellipsoid,bootstrap_rectangle"])
     # non-default noise scales reach the population moments of the random-x kinds
     cmds += [
         ["check", "--dgp", "heteroscedastic_iid", "--noise-scale", "0.3", "--n", "500", "--seed", "3"],
