@@ -30,20 +30,21 @@ for a fixed one, and forms both sandwiches from the closed-form inverse of
 sigma_n. Each target is rounded to float once. A fixed design's k_n is its
 noise alone; k_n_star adds the mean's misfit to the linear target.
 
-Replication r of a Monte Carlo run draws from ``np.random.default_rng(key(r))``
-for one key function of r, (seed, r) or (seed, grid-index, r), so reports
-depend only on the seed. The runs draw and fit replications in stacks, each
-a range of r of about STACK_ENTRIES design entries (n * p): each generator
-draws into its rows of the stack's buffers, and the responses are formed
-once for the stack. A run with bootstrap methods also holds at most
-DRAW_ENTRIES draw entries (B * p) per stack. The stack is then fitted as one
-``OlsFit``, with no ``Dataset``, and run through the same public functions a
-caller runs on one fit (the sandwich, the draws from the (seed, r, 1) keys,
-the regions and the test), which give each item the bits of one replication
-on its own. A stack whose fit or calls raise is replayed one replication at
-a time, each refitted alone. A loop adds the tally rows in replication
-order, so a report keeps its bits whatever the stack size; the budgets only
-bound the buffers' memory.
+Replication r of a Monte Carlo run draws the stream of
+``np.random.default_rng(key(r))`` for one key of r, (seed, r) or (seed,
+grid-index, r), so reports depend only on the seed. The keys are seeded
+_SEED_BATCH = 256 at a time, so a run holds one batch of them whatever R is.
+The runs draw and fit replications in stacks, each a range of r of about
+STACK_ENTRIES design entries (n * p): each generator draws into its rows of
+the stack's buffers, and the responses are formed once for the stack. A run
+with bootstrap methods also holds at most DRAW_ENTRIES draw entries (B * p)
+per stack. The stack is then fitted as one ``OlsFit``, with no ``Dataset``,
+and run through the same public functions a caller runs on one fit (the
+sandwich, the draws from the (seed, r, 1) keys, the regions and the test),
+which give each item the bits of one replication on its own. A stack whose fit
+or calls raise is replayed one replication at a time, each refitted alone. A
+loop adds the tally rows in replication order, so a report keeps its bits
+whatever the stack size; the budgets only bound the buffers' memory.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from __future__ import annotations
 import array
 import functools
 import statistics
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
@@ -80,6 +80,9 @@ STACK_ENTRIES = 1 << 14
 # bootstrap draw entries (B * p) per stack of replications: 16 replications at B=1000, p=2; a stack's
 # draw buffers and their temporaries grow with it, so this, not B, bounds their memory
 DRAW_ENTRIES = 1 << 15
+
+# keys seeded at once, which bounds the seeding's memory, and the fewest that beat one default_rng each
+_SEED_BATCH, _SEED_BREAK_EVEN = 256, 10
 
 # each Monte Carlo method's kind: per-coordinate intervals, a joint region, or a test of the
 # true null; the kind fixes a method's tallies and whether it needs bootstrap draws
@@ -274,7 +277,7 @@ def sample(dgp: Dgp, n: int, rng_state) -> Dataset:
     are drawn before noise, so the covariate stream of a random-x kind is
     reproducible on its own.
     """
-    _, x, y = next(_sample_stacks(dgp, n, 1, lambda r: rng_state))
+    _, x, y = next(_sample_stacks(dgp, n, 1, np.random.default_rng(rng_state)))
     return Dataset(x=x[0], y=y[0])
 
 
@@ -353,19 +356,66 @@ def _tally_layout(methods, p: int) -> dict:
     return layout
 
 
-def _sample_stacks(dgp: Dgp, n: int, count: int, key: Callable, most: int | None = None):
+@functools.cache
+def _hash_constants(h: int, mult: int, steps: int) -> np.ndarray:  # SeedSequence's, from h: (2, steps)
+    return np.array([[h * pow(mult, k, 2**32) % 2**32 for k in range(j, steps + j)] for j in (0, 1)], np.uint32)
+
+
+def _keyed_generators(prefix: tuple, reps: range):
+    """Yield, for each r in ``reps``, a generator in the state of ``np.random.default_rng(prefix + (r,))``.
+
+    One reused ``Generator`` holds each state until the next is taken. numpy's ``SeedSequence``
+    hashes a key's little-endian uint32 words into a pool of 4 and 4 uint64 from it, which PCG64's
+    ``srandom`` steps into its state: 32- and 128-bit arithmetic, run here on _SEED_BATCH keys at
+    once. Shorter batches, r past 2**32 - 1 and prefixes of other than ints keep ``default_rng``.
+    """
+
+    def hashmix(v, c):  # c: each step's xor and multiplier
+        return (w := (v ^ c[0]) * c[1]) ^ w >> 16
+
+    def mix(x, v, c):  # SeedSequence's mix(x, hashmix(v))
+        return (z := x * np.uint32(0xCA01F9DD) - hashmix(v, c) * np.uint32(0x4973F715)) ^ z >> 16
+
+    rng, ints = None, all(isinstance(v, (int, np.integer)) for v in prefix)
+    for start in range(0, len(reps), _SEED_BATCH):
+        keys = reps[start : start + _SEED_BATCH]
+        if len(keys) < _SEED_BREAK_EVEN or keys[-1] >> 32 or not ints:
+            yield from (np.random.default_rng(prefix + (r,)) for r in keys)
+            continue
+        rng = rng or np.random.default_rng(prefix + (keys[0],))  # raises for a negative prefix
+        words = [int(v) >> s & 0xFFFFFFFF for v in prefix for s in range(0, max(int(v).bit_length(), 1), 32)]
+        e = np.zeros((len(keys), max(len(words) + 1, 4)), np.uint32)
+        e[:, : len(words)], e[:, len(words)] = words, np.arange(keys.start, keys.stop, keys.step)
+        a = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * e.shape[1])
+        pool = hashmix(e[:, :4], a[:, :4])
+        for src in range(4):
+            dst = [d for d in range(4) if d != src]
+            pool[:, dst] = mix(pool[:, dst], pool[:, src, None], a[:, 3 * src + 4 : 3 * src + 7])
+        for src in range(4, e.shape[1]):
+            pool = mix(pool, e[:, src, None], a[:, 4 * src : 4 * src + 4])
+        state = hashmix(np.concatenate((pool, pool), 1), _hash_constants(0x8B51F9DD, 0x58F38DED, 8))
+        for w0, w1, w2, w3 in state.astype("<u4").view("<u8").tolist():
+            inc = ((w2 << 64 | w3) << 1 | 1) % 2**128
+            s = (((w0 << 64 | w1) + inc) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) % 2**128
+            rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": s, "inc": inc},
+                                       "has_uint32": 0, "uinteger": 0}
+            yield rng
+
+
+def _sample_stacks(dgp: Dgp, n: int, count: int, prefix, most: int | None = None):
     """Draw replications 0 to count - 1 in order, and yield them a stack at a time.
 
     Yields ``(reps, x, y)``: the stack's replications as a ``range(start,
     stop)``, and their designs and responses as (m, n, p) and (m, n) views
     of buffers reused from stack to stack. A stack holds about STACK_ENTRIES
     design entries, and at most ``most`` replications. Replication r's
-    ``np.random.default_rng(key(r))`` draws the covariates (random-x kinds)
-    and then the noise into its own rows; the design and the responses are
-    then formed once for the stack, each row with the bits of a draw on its
-    own. A non-finite response ends the stacks: the replications before it
-    are yielded first and the ``ValueError`` raised after, as a loop over r
-    would reach it.
+    ``np.random.default_rng(prefix + (r,))``, seeded by ``_keyed_generators``
+    in batches of _SEED_BATCH keys that span stacks (``sample`` passes one
+    ``Generator``), draws the covariates (random-x kinds) and then the noise
+    into its own rows; the design and the responses are then formed once for
+    the stack, each row with the bits of a draw on its own. A non-finite
+    response ends the stacks: the replications before it are yielded first
+    and the ``ValueError`` raised after, as a loop over r would reach it.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -376,10 +426,10 @@ def _sample_stacks(dgp: Dgp, n: int, count: int, key: Callable, most: int | None
         u = x[..., 1] = np.arange(1, n + 1) / n
     else:
         u = np.empty((size, n, dgp.p - 1))
+    rngs = iter([prefix]) if isinstance(prefix, np.random.Generator) else _keyed_generators(prefix, range(count))
     for start in range(0, count, size):
         stack = range(start, min(start + size, count))
-        for i, r in enumerate(stack):
-            rng = np.random.default_rng(key(r))
+        for i, rng in zip(range(len(stack)), rngs):
             if not dgp.is_fixed_design:
                 rng.random(out=u[i])
             rng.standard_normal(out=y[i])
@@ -482,7 +532,7 @@ def run_coverage(
         return rows
 
     excluded = 0
-    for reps, x, y in _sample_stacks(dgp, n, replications, lambda r: (seed, r), most):
+    for reps, x, y in _sample_stacks(dgp, n, replications, (seed,), most):
         try:
             rows = tally_rows(OlsFit(x, y), [(seed, r, 1) for r in reps])
         except LeanRegError:
@@ -529,7 +579,7 @@ def run_consistency(dgp: Dgp, n_grid, replications: int, seed: int) -> dict:
     for i, n in enumerate(n_grid):
         beta_n = _targets(dgp, n)[0]
         errs = np.empty(replications)
-        for reps, x, y in _sample_stacks(dgp, n, replications, lambda r: (seed, i, r)):
+        for reps, x, y in _sample_stacks(dgp, n, replications, (seed, i)):
             d = OlsFit(x, y).beta_hat - beta_n  # raises the first failing replication's gate error
             # the Euclidean norm as np.linalg.norm takes it of one vector: sqrt of a BLAS dot
             errs[reps.start : reps.stop] = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])

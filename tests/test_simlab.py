@@ -57,25 +57,33 @@ TARGET_FIELDS = ("beta_n", "sigma_n", "gamma_n", "k_n", "k_n_star", "av_n", "av_
 def edit_draws(monkeypatch, edit):
     """Pass every drawn replication, in stacks and in ``sample``, through ``edit(key, x, y)``.
 
-    ``edit`` gets copies of a replication's design and responses and returns
-    them, edited or not, or None for a replication that cannot be drawn: its
-    stack stops there, with the replications before it, and raises.
+    A stack's replication r has the key ``prefix + (r,)``, and ``sample``'s
+    draw its ``rng_state``. ``edit`` gets copies of a replication's design and
+    responses and returns them, edited or not, or None for a replication that
+    cannot be drawn: its stack stops there, with the replications before it,
+    and raises.
     """
     real_stacks = simlab._sample_stacks
 
-    def stacks(dgp, n, count, key, *most):
-        for reps, x, y in real_stacks(dgp, n, count, key, *most):
+    def stacks(dgp, n, count, prefix, *most, key=None):
+        for reps, x, y in real_stacks(dgp, n, count, prefix, *most):
             x, y = x.copy(), y.copy()
             for i, r in enumerate(reps):
-                edited = edit(key(r), x[i], y[i])
+                edited = edit(key or prefix + (r,), x[i], y[i])
                 if edited is None:
                     if i:
                         yield reps[:i], x[:i], y[:i]
-                    raise ValueError(f"no sample for replication {key(r)[-1]}")
+                    raise ValueError(f"no sample for replication {(key or prefix + (r,))[-1]}")
                 x[i], y[i] = edited
             yield reps, x, y
 
+    def sample(dgp, n, rng_state):
+        # simlab.sample's one-replication stack, drawn by its own generator and keyed by its state
+        _, x, y = next(stacks(dgp, n, 1, np.random.default_rng(rng_state), key=rng_state))
+        return Dataset(x=x[0], y=y[0])
+
     monkeypatch.setattr(simlab, "_sample_stacks", stacks)
+    monkeypatch.setattr(simlab, "sample", sample)
 
 
 def sample_one_singular(monkeypatch, singular: int, step: float):
@@ -516,17 +524,71 @@ class TestDrawOracle:
 
     @pytest.mark.parametrize("size", [1, 3, None], ids=["stacks-of-1", "stacks-of-3", "default"])
     def test_every_stack_row(self, monkeypatch, dgp, size):
+        # a two-word seed, and 300 replications: one full seeding batch and a partial one, both
+        # seeded at once, whose keys the stacks take across their bounds
+        seed, count = 2**32 + 5, 300
+        assert simlab._SEED_BATCH + simlab._SEED_BREAK_EVEN <= count < 2 * simlab._SEED_BATCH
         if size is not None:
             monkeypatch.setattr(simlab, "STACK_ENTRIES", size * 60 * dgp.p)
         drawn = 0
-        for reps, xs, ys in simlab._sample_stacks(dgp, 60, 8, lambda r: (5, r)):
-            assert reps == range(drawn, drawn + len(ys)) and len(xs) == len(ys) <= (size or 8)
+        for reps, xs, ys in simlab._sample_stacks(dgp, 60, count, (seed,)):
+            assert reps == range(drawn, drawn + len(ys)) and len(xs) == len(ys) <= (size or count)
             for i, r in enumerate(reps):
-                x, y = explicit_draw(dgp, 60, np.random.default_rng((5, r)))
+                x, y = explicit_draw(dgp, 60, np.random.default_rng((seed, r)))
                 np.testing.assert_array_equal(xs[i], x)
                 np.testing.assert_array_equal(ys[i], y)
             drawn += len(ys)
-        assert drawn == 8
+        assert drawn == count
+
+
+EVEN, BATCH = simlab._SEED_BREAK_EVEN, simlab._SEED_BATCH
+
+
+class TestKeyedGenerators:
+    """Each generator ``_keyed_generators`` yields is ``np.random.default_rng(prefix + (r,))``."""
+
+    # prefixes of 0 to 6 uint32 words, so keys of 1 to 7: past 4 words the pool takes extra
+    # rounds; and a prefix numpy reads from a string and a list, which keeps default_rng
+    @pytest.mark.parametrize("prefix", [
+        (), (0,), (1,), (2**32 - 1,), (2**32,), (2**64 + 5,), (2**96 + 7,), (2**128 + 3, 12),
+        ("0x10", [3, 2**33]),
+    ], ids=repr)
+    @pytest.mark.parametrize("reps", [
+        range(EVEN - 1), range(EVEN), range(BATCH), range(BATCH + 1),
+        range(2**31 - 100, 2**31 + 100), range(2**32 - 300, 2**32), range(2**32 - 20, 2**32 + 20),
+    ], ids=lambda reps: f"{reps.start}-{reps.stop}")
+    def test_state_and_first_draws(self, prefix, reps):
+        # strict: the helper yields one generator per r, no more
+        for r, rng in zip(reps, simlab._keyed_generators(prefix, reps), strict=True):
+            reference = np.random.default_rng(prefix + (r,))
+            assert rng.bit_generator.state == reference.bit_generator.state, r
+            assert rng.random() == reference.random()
+            assert rng.standard_normal() == reference.standard_normal()
+
+    # a batch below the break-even, or one whose r would take a second word, builds a
+    # generator per key; a batch seeded at once builds the one it reuses
+    @pytest.mark.parametrize("reps, built", [
+        (range(1), 1), (range(EVEN - 1), EVEN - 1), (range(EVEN), 1), (range(100), 1),
+        (range(BATCH + 1), 2), (range(BATCH + EVEN), 1), (range(2**32 - EVEN, 2**32 + 1), EVEN + 1),
+    ], ids=lambda v: f"{v.start}-{v.stop}" if isinstance(v, range) else str(v))
+    def test_generators_built(self, monkeypatch, reps, built):
+        calls, real = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda key: calls.append(key) or real(key))
+        assert len(list(simlab._keyed_generators((7,), reps))) == len(reps)
+        assert len(calls) == built
+
+    @pytest.mark.parametrize("seed", [-1, 1.5], ids=["negative", "float"])
+    def test_invalid_seed_raises_as_numpy_does(self, seed):
+        with pytest.raises((TypeError, ValueError)) as numpy_error:
+            np.random.default_rng((seed, 0))
+        for replications in (1, 100):
+            with pytest.raises(numpy_error.type) as run_error:
+                run_coverage(Dgp("heteroscedastic_iid"), n=20, replications=replications,
+                             methods=("classical_normal",), alpha=0.05, seed=seed)
+            assert type(run_error.value) is numpy_error.type
+            with pytest.raises(numpy_error.type) as run_error:
+                run_consistency(Dgp("heteroscedastic_iid"), [20], replications, seed=seed)
+            assert type(run_error.value) is numpy_error.type
 
 
 class TestRunCoverage:
@@ -1206,7 +1268,7 @@ class TestExactLawOracles:
         dgp, n, replications = Dgp("fixed_x_nonidentical_mean"), 40, 20000
         pop = population_targets(dgp, n)
         errors = np.empty((replications, dgp.p))
-        for reps, x, y in simlab._sample_stacks(dgp, n, replications, lambda r: (16, r)):
+        for reps, x, y in simlab._sample_stacks(dgp, n, replications, (16,)):
             fits = OlsFit(x, y)  # raises if a replication fails a gate
             errors[reps.start : reps.stop] = fits.beta_hat - pop.beta_n
 

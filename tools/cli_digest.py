@@ -298,6 +298,10 @@ def commands() -> list[list[str]]:
         ["test", *small, "--reference", "bootstrap", "--B", "9", "--seed", "7"],
         ["bootstrap", *small, "--B", "9", "--seed", "7"],
     ]
+    # a seed of 2**96 + 7, four uint32 words, so each (seed, r) key has five and takes the seeding's
+    # extra mixing round; 300 replications are a full batch of 256 seeded keys and a partial one
+    cmds.append(["simulate", "--dgp", "heteroscedastic_iid", "--n", "100", "--reps", "300",
+                 "--seed", str(2**96 + 7), "--methods", "classical_normal,sandwich_normal"])
     return cmds
 
 
