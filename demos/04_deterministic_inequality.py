@@ -26,15 +26,19 @@ def random_instance(rng, p, frac):
 
 rng = np.random.default_rng(4)
 cases = 5000
-failures = 0
-ratios = []
+fracs, instances = {}, {}
 for _ in range(cases):
     frac = float(rng.random())
-    rep = det_inequality_check(*random_instance(rng, int(rng.choice([2, 5, 10])), frac))
-    if not (rep.sandwich_ok and rep.remainder_ok):
-        failures += 1
-    if frac > 0.98 and rep.lin_term_norm > 0:
-        ratios.append(rep.err_norm / rep.lin_term_norm)
+    p = int(rng.choice([2, 5, 10]))
+    fracs.setdefault(p, []).append(frac)
+    instances.setdefault(p, []).append(random_instance(rng, p, frac))
+failures = 0
+ratios = []
+for p in instances:  # one check on the stack of each p's instances
+    rep = det_inequality_check(*(np.stack(arrays) for arrays in zip(*instances[p])))
+    failures += int(np.count_nonzero(~(rep.sandwich_ok & rep.remainder_ok)))
+    near = (np.array(fracs[p]) > 0.98) & (rep.lin_term_norm > 0)
+    ratios += list(rep.err_norm[near] / rep.lin_term_norm[near])
 
 print(f"fuzzed {cases} instances satisfying the precondition: {failures} failures")
 print(f"near the boundary, err/linearization stayed in "

@@ -15,7 +15,6 @@ from leanreg import (
     fit_ols,
     influence_remainder,
     k_check,
-    op_norm,
     population_score_means,
     population_targets,
     run_consistency,
@@ -39,7 +38,7 @@ def medians(n, reps, stat):
 
 def meat_error(n, r):
     fit = fit_ols(sample(dgp, n, np.random.default_rng((77, n, r))))
-    return op_norm(k_check(fit) - population_targets(dgp, n).k_n_star)
+    return np.linalg.norm(k_check(fit) - population_targets(dgp, n).k_n_star, 2)
 
 
 m1, m4 = medians(1000, 100, meat_error), medians(4000, 100, meat_error)

@@ -29,7 +29,6 @@ from .exceptions import (
     EmptyData,
     LeanRegError,
     MissingColumn,
-    NoConvergence,
     NonFiniteValue,
     NonNumericCell,
     NotPositiveDefinite,
@@ -38,7 +37,6 @@ from .exceptions import (
     ZeroVariance,
 )
 from .inference import TestResult, max_t_test, t_test
-from .linalg import eig_sym_extremes, op_norm, psd_leq, spd_solver
 from .ols import Dataset, OlsFit, fit_ols, scores_at
 from .simlab import (
     CoverageReport,
@@ -67,7 +65,6 @@ __all__ = [
     "EmptyData",
     "LeanRegError",
     "MissingColumn",
-    "NoConvergence",
     "NonFiniteValue",
     "NonNumericCell",
     "NotPositiveDefinite",
@@ -80,16 +77,13 @@ __all__ = [
     "ZeroVariance",
     "classical_avar",
     "det_inequality_check",
-    "eig_sym_extremes",
     "fit_ols",
     "hc1_avar",
     "influence_remainder",
     "k_check",
     "max_t_test",
-    "op_norm",
     "population_score_means",
     "population_targets",
-    "psd_leq",
     "region_ellipsoid",
     "region_rectangle",
     "run_bootstrap",
@@ -98,6 +92,5 @@ __all__ = [
     "sample",
     "sandwich_avar",
     "scores_at",
-    "spd_solver",
     "t_test",
 ]

@@ -27,10 +27,6 @@ class NonFiniteValue(LeanRegError, ValueError):
     """A matrix or result that must be finite holds an infinity or NaN (e.g. from overflow)."""
 
 
-class NoConvergence(LeanRegError):
-    """An iterative eigenvalue/SVD routine failed to converge."""
-
-
 class SingularDesign(LeanRegError):
     """The design second-moment matrix is not positive definite."""
 

@@ -1,16 +1,17 @@
-"""Dense symmetric linear algebra used throughout the library.
+"""Gated dense symmetric linear algebra, private to the library, plus ``tsqr_r``.
 
-All routines operate on small (p <= ~50) dense matrices, favour robustness
-over speed, and refuse bad input loudly: asymmetric matrices are rejected
-rather than symmetrized, and near-singular SPD factorizations raise instead
-of falling back to a pseudo-inverse. Everything is numpy: an SPD solve is a
-Cholesky factorization followed by a p-step forward and back substitution
-over all right-hand-side columns at once. Both also run on stacks
-(..., p, p) of matrices, with the gates reported per matrix; each matrix
-gets the bits it gets alone. A triangular factor is inverted by one
-``np.linalg.inv`` call over the stack, which LAPACK runs on each matrix alone.
-The one routine for a tall n x p matrix, ``tsqr_r``, reduces it, or each of
-a stack, to its p x p triangular factor: a fit's one factor of its scores.
+All routines operate on small (p <= ~50) dense matrices, one or a stack
+(..., p, p), favour robustness over speed, and refuse bad input loudly:
+near-singular SPD factorizations raise instead of falling back to a
+pseudo-inverse. Everything is numpy. ``_cholesky_spd`` factors each matrix of
+a stack and reports its pivot gate per matrix, ``_raise_first`` raises the
+error of a stack's first failing item, and ``_apply_factor`` solves by a
+p-step forward and back substitution over all right-hand-side columns at
+once; each matrix gets the bits it gets alone. A triangular factor is
+inverted by one ``np.linalg.inv`` call over the stack, which LAPACK runs on
+each matrix alone. The one public routine, ``tsqr_r``, reduces a tall n x p
+matrix, or each of a stack, to its p x p triangular factor: a fit's one
+factor of its scores.
 """
 
 from __future__ import annotations
@@ -19,24 +20,11 @@ import functools
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NoConvergence, NonFiniteValue, NotPositiveDefinite, NotSymmetric
+from .exceptions import DimensionMismatch, NotPositiveDefinite
 
-# Relative symmetry gate: |a - a.T| must not exceed SYM_RTOL * max|a|.
-SYM_RTOL = 1e-10
 # tsqr_r factors blocks of this many rows: LAPACK's QR of a block of 256 to 16384 rows gives the
 # same bits at any OpenBLAS thread count, while a whole tall matrix or a 65536-row block does not
 TSQR_ROWS = 4096
-
-
-def _as_square_symmetric(a, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
-        raise DimensionMismatch(f"{name} must be square and non-empty, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteValue(f"{name} contains non-finite entries")
-    if np.abs(a - a.T).max() > SYM_RTOL * np.abs(a).max():
-        raise NotSymmetric(f"{name} is not symmetric within {SYM_RTOL:g} relative")
-    return a
 
 
 def _cholesky_spd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,38 +86,8 @@ def _raise_first(*gates) -> None:
     raise error if isinstance(error, Exception) else error(k)
 
 
-def spd_solver(a):
-    """Factor symmetric positive definite ``a`` once; return ``b -> a^-1 b``.
-
-    The gates below run once, here; the solver takes a vector or a matrix of
-    stacked right-hand sides.
-
-    Raises
-    ------
-    NotSymmetric
-        If ``a`` fails the relative symmetry gate.
-    NotPositiveDefinite
-        If the factorization fails or a pivot falls at or below
-        p * eps times its own diagonal entry.
-    DimensionMismatch
-        If ``a`` is not square, or (from the solver) if the leading
-        dimension of ``b`` does not match.
-    """
-    a = _as_square_symmetric(a, "a")
-    lower, pivot = _cholesky_spd(a)
-    if pivot >= 0:
-        raise _not_positive_definite(int(pivot), a.shape[0])
-    # a partial of a module function, unlike a closure, pickles
-    return functools.partial(_apply_factor, lower)
-
-
 def _apply_factor(lower: np.ndarray, b) -> np.ndarray:
-    """x with lower lower' x = b, for one factor (p, p) or a stack of them (..., p, p).
-
-    With one factor, ``b`` is a vector or a matrix of right-hand-side columns
-    with leading dimension p; with a stack, ``b`` is (..., p, k), one matrix
-    of columns per factor.
-    """
+    """x with lower lower' x = b, for factors (..., p, p) and b (..., p, k), a matrix of columns per factor."""
     # forward substitution lower z = b, then back substitution lower' x = z,
     # one row of every right-hand-side column per step; the C-order copy keeps
     # b unmutated and makes the bits independent of its memory layout. Each
@@ -137,20 +95,18 @@ def _apply_factor(lower: np.ndarray, b) -> np.ndarray:
     # the first step of each pass has no sum, and x - 0 would be x
     x = np.array(b, dtype=float, order="C")
     p = lower.shape[-1]
-    rows = x.shape[0] if lower.ndim == 2 else x.shape[-2]
-    if rows != p:
-        raise DimensionMismatch(f"b has leading dimension {rows}, expected {p}")
-    xs = x.reshape(p, -1) if lower.ndim == 2 else x
+    if x.shape[-2:-1] != (p,):
+        raise DimensionMismatch(f"b has shape {x.shape}, expected (..., {p}, k)")
     upper = lower.swapaxes(-1, -2)
     for j in range(p):
-        row = xs[..., j : j + 1, :]
+        row = x[..., j : j + 1, :]
         if j > 0:
-            row -= lower[..., j : j + 1, :j] @ xs[..., :j, :]
+            row -= lower[..., j : j + 1, :j] @ x[..., :j, :]
         row /= lower[..., j : j + 1, j : j + 1]
     for j in reversed(range(p)):
-        row = xs[..., j : j + 1, :]
+        row = x[..., j : j + 1, :]
         if j < p - 1:
-            row -= upper[..., j : j + 1, j + 1 :] @ xs[..., j + 1 :, :]
+            row -= upper[..., j : j + 1, j + 1 :] @ x[..., j + 1 :, :]
         row /= lower[..., j : j + 1, j : j + 1]
     return x
 
@@ -170,36 +126,3 @@ def tsqr_r(a) -> np.ndarray:
         if len(rs) == 1:
             return rs[0]
         a = np.concatenate(rs, axis=-2)
-
-
-def eig_sym_extremes(a) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of a symmetric matrix."""
-    a = _as_square_symmetric(a, "a")
-    try:
-        w = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence("symmetric eigenvalue iteration did not converge") from exc
-    return float(w[0]), float(w[-1])
-
-
-def op_norm(a) -> float:
-    """Spectral (operator) norm, sqrt of the largest eigenvalue of a.T @ a."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteValue("matrix contains non-finite entries")
-    try:
-        return float(np.linalg.norm(a, 2))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence("SVD iteration did not converge") from exc
-
-
-def psd_leq(a, b, tol: float = 0.0) -> bool:
-    """True iff ``a`` precedes ``b`` in the PSD order: lambda_min(b - a) >= -tol."""
-    a = _as_square_symmetric(a, "a")
-    b = _as_square_symmetric(b, "b")
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
-    lo, _ = eig_sym_extremes(b - a)
-    return lo >= -tol

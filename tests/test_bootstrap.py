@@ -23,7 +23,6 @@ from leanreg import (
     run_bootstrap,
     sample,
     sandwich_avar,
-    spd_solver,
 )
 from leanreg.bootstrap import studentizer
 
@@ -456,7 +455,7 @@ class TestRegionEllipsoid:
         for fit in (het_fit, tall_fit):
             draws = run_bootstrap(fit, b=500, seed=25)
             var = sandwich_avar(fit)
-            q = np.einsum("bi,ib->b", draws.draws_t, spd_solver(var.meat)(draws.draws_t.T))
+            q = np.einsum("bi,ib->b", draws.draws_t, np.linalg.solve(var.meat, draws.draws_t.T))
             np.testing.assert_allclose(q, z2, rtol=1e-9)
             radius = region_ellipsoid(fit, draws, var, alpha=0.05).radius
             assert radius == pytest.approx(np.sort(z2)[math.ceil(0.95 * 501) - 1], rel=1e-9)
@@ -507,7 +506,7 @@ class TestRegionEllipsoid:
 
     @pytest.mark.parametrize("delta, one_minus_r2, raises", [(2e-10, 1e-20, True), (2e-5, 1e-10, False)])
     def test_meat_gate_is_the_column_scaled_pivot_gate(self, delta, one_minus_r2, raises):
-        # the gate spd_solver puts on a Cholesky factor of k_check: a score column whose
+        # the gate linalg._cholesky_spd puts on a Cholesky factor of k_check: a score column whose
         # 1 - R^2 on the earlier columns is at or below p * eps (4.4e-16) raises
         fit = self.near_collinear_scores_fit(delta)
         s = fit.scores_hat

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from leanreg import (
     Dgp,
     DimensionMismatch,
     NotPositiveDefinite,
+    NotSymmetric,
     det_inequality_check,
     fit_ols,
     influence_remainder,
@@ -29,6 +32,17 @@ def perturbed_instance(rng, p, frac):
     e *= frac * (lam / 2.0) / np.linalg.norm(e, 2)
     gamma_hat = gamma + 0.3 * rng.standard_normal(p)
     return sigma + e, gamma_hat, sigma, gamma
+
+
+def reports_by_p(cases):
+    """One ``det_inequality_check`` call per p over a list of instances: (case indices, report) pairs."""
+    by_p = {}
+    for i, case in enumerate(cases):
+        by_p.setdefault(len(case[1]), []).append(i)
+    return [
+        (np.array(idx), det_inequality_check(*(np.stack([cases[i][k] for i in idx]) for k in range(4))))
+        for idx in by_p.values()
+    ]
 
 
 class TestDetInequalityCheck:
@@ -56,24 +70,55 @@ class TestDetInequalityCheck:
 
     def test_fuzz_inequalities_never_fail(self):
         rng = np.random.default_rng(20260101)
-        for i in range(1000):
-            p = int(rng.choice([2, 5, 10]))
-            rep = det_inequality_check(*perturbed_instance(rng, p, float(rng.random())))
-            assert rep.precondition_holds
-            assert rep.sandwich_ok, f"sandwich inequality failed at case {i}"
-            assert rep.remainder_ok, f"remainder inequality failed at case {i}"
+        cases = [perturbed_instance(rng, int(rng.choice([2, 5, 10])), float(rng.random())) for _ in range(1000)]
+        for idx, rep in reports_by_p(cases):
+            assert rep.precondition_holds.all()
+            assert rep.sandwich_ok.all(), f"sandwich inequality failed at cases {idx[~rep.sandwich_ok]}"
+            assert rep.remainder_ok.all(), f"remainder inequality failed at cases {idx[~rep.remainder_ok]}"
 
     def test_sharpness_near_boundary(self):
         # perturbations just inside the precondition keep the error within
         # the two-sided factor-2 window
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            p = int(rng.choice([2, 5]))
-            frac = float(rng.uniform(0.98, 1.0))
-            rep = det_inequality_check(*perturbed_instance(rng, p, frac))
-            assert rep.precondition_holds
+        cases = [
+            perturbed_instance(rng, int(rng.choice([2, 5])), float(rng.uniform(0.98, 1.0))) for _ in range(200)
+        ]
+        for _, rep in reports_by_p(cases):
+            assert rep.precondition_holds.all()
             ratio = rep.err_norm / rep.lin_term_norm
-            assert 0.5 - 1e-9 <= ratio <= 2.0 + 1e-9
+            assert np.all((0.5 - 1e-9 <= ratio) & (ratio <= 2.0 + 1e-9))
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 21])
+    def test_stack_reports_each_item_as_a_single_call_does(self, p):
+        rng = np.random.default_rng(p)
+        # fracs above 1 break the precondition (below 2 sigma_hat stays SPD); the last pair is unrelated
+        cases = [perturbed_instance(rng, p, frac) for frac in (0.0, 0.3, 0.99, 1.5, 1.9)]
+        cases.append((random_spd(rng, p), rng.standard_normal(p), random_spd(rng, p), rng.standard_normal(p)))
+        stack = [np.stack(arrays).reshape(2, 3, *arrays[0].shape) for arrays in zip(*cases)]
+        rep = det_inequality_check(*stack)
+        for k, i in enumerate(np.ndindex(2, 3)):
+            alone = det_inequality_check(*cases[k])
+            for field in dataclasses.fields(alone):
+                got, want = getattr(rep, field.name)[i], getattr(alone, field.name)
+                assert type(want) is (bool if field.type == "bool" else float)
+                assert got.item() == want and got.tobytes() == np.asarray(want, dtype=got.dtype).tobytes()
+
+    def test_stack_raises_for_its_first_failing_item(self):
+        sigma, gamma = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1.0, -1.0])
+        asymmetric = np.array([[2.0, 0.5], [0.4, 1.0]])
+        indefinite = np.diag([1.0, -1.0])
+        gammas = np.stack([gamma] * 3)
+        # the indefinite sigma_pop of item 1 comes before the asymmetric sigma_hat of item 2
+        hats, pops = np.stack([sigma, sigma, asymmetric]), np.stack([sigma, indefinite, sigma])
+        with pytest.raises(NotPositiveDefinite, match="Cholesky factorization failed"):
+            det_inequality_check(hats, gammas, pops, gammas)
+        with pytest.raises(NotSymmetric, match="not symmetric"):
+            det_inequality_check(hats[::-1], gammas, pops[::-1], gammas)
+        # within one item, sigma_hat's gates come first, as in a single call
+        with pytest.raises(NotSymmetric):
+            det_inequality_check(hats[1:], gammas[:2], pops[:2], gammas[:2])
+        with pytest.raises(DimensionMismatch, match="b has shape"):
+            det_inequality_check(hats, gamma, pops, gammas)
 
     def test_rejects_indefinite_population(self):
         with pytest.raises(NotPositiveDefinite):

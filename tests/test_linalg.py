@@ -1,30 +1,43 @@
-import pickle
 import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+import leanreg
 from leanreg import (
     DimensionMismatch,
     NotPositiveDefinite,
     NotSymmetric,
-    eig_sym_extremes,
+    det_inequality_check,
     linalg,
-    op_norm,
-    psd_leq,
-    spd_solver,
 )
 
 
+def _solve(a, b) -> np.ndarray:
+    """a^-1 b for a vector b, by the gated path: ``_cholesky_spd``, then ``_apply_factor`` on one column."""
+    lower, pivot = linalg._cholesky_spd(np.asarray(a, dtype=float))
+    assert pivot == -1
+    return linalg._apply_factor(lower, np.asarray(b, dtype=float)[:, None])[:, 0]
+
+
+def test_package_exports_resolve_and_omit_the_deleted_linalg_surface():
+    assert [name for name in leanreg.__all__ if not hasattr(leanreg, name)] == []
+    for name in ("spd_solver", "eig_sym_extremes", "op_norm", "psd_leq", "NoConvergence"):
+        assert name not in leanreg.__all__
+        assert not hasattr(leanreg, name)
+
+
 class TestSolveSpd:
+    """The gated SPD solve, and the gates ``det_inequality_check`` puts on a raw moment pair."""
+
+    I2, G = np.eye(2), [1.0, 1.0]
+
     def test_identity(self):
-        np.testing.assert_allclose(spd_solver(np.eye(2))([3.0, -1.0]), [3.0, -1.0])
+        np.testing.assert_allclose(_solve(np.eye(2), [3.0, -1.0]), [3.0, -1.0])
 
     def test_diagonal(self):
-        np.testing.assert_allclose(spd_solver(np.diag([2.0, 4.0]))([2.0, 8.0]), [1.0, 2.0])
+        np.testing.assert_allclose(_solve(np.diag([2.0, 4.0]), [2.0, 8.0]), [1.0, 2.0])
 
     def test_2x2_cramer_oracle(self):
         a = np.array([[3.0, 3.0], [3.0, 5.0]])
@@ -38,41 +51,43 @@ class TestSolveSpd:
             ]
         )
         np.testing.assert_allclose(expected, [-1.0 / 3.0, 2.0])
-        np.testing.assert_allclose(spd_solver(a)(b), expected, atol=1e-12)
+        np.testing.assert_allclose(_solve(a, b), expected, atol=1e-12)
 
     def test_matrix_rhs(self):
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
         rhs = np.array([[1.0, 0.0], [0.0, 1.0]])
-        inv = spd_solver(a)(rhs)
+        inv = linalg._apply_factor(linalg._cholesky_spd(a)[0], rhs)
         np.testing.assert_allclose(a @ inv, np.eye(2), atol=1e-12)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
-            spd_solver(np.array([[1.0, 2.0], [0.0, 1.0]]))([1.0, 1.0])
+            det_inequality_check(np.array([[1.0, 2.0], [0.0, 1.0]]), self.G, self.I2, self.G)
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
-            spd_solver(np.array([[1.0, 0.0], [0.0, -1.0]]))([1.0, 1.0])
+            det_inequality_check(np.array([[1.0, 0.0], [0.0, -1.0]]), self.G, self.I2, self.G)
 
     def test_rejects_singular(self):
         with pytest.raises(NotPositiveDefinite):
-            spd_solver(np.array([[1.0, 1.0], [1.0, 1.0]]))([1.0, 1.0])
+            det_inequality_check(np.array([[1.0, 1.0], [1.0, 1.0]]), self.G, self.I2, self.G)
 
     def test_pivot_gate_is_relative_to_each_diagonal_entry(self):
-        # far apart diagonal entries are units, not singularity
-        np.testing.assert_array_equal(spd_solver(np.diag([1.0, 2.0**-100]))([1.0, 1.0]), [1.0, 2.0**100])
+        # far apart diagonal entries are units, not singularity: beta_hat is (1, 2**100) to the bit
+        a = np.diag([1.0, 2.0**-100])
+        rep = det_inequality_check(a, self.G, self.I2, [1.0, 2.0**100])
+        assert rep.err_norm == 0.0
         # numpy factors this one, with a last pivot of eps on a diagonal of 1 + eps
         eps = np.finfo(float).eps
         with pytest.raises(NotPositiveDefinite, match="pivot 1 at or below p \\* eps"):
-            spd_solver(np.array([[1.0, 1.0], [1.0, 1.0 + eps]]))
+            det_inequality_check(np.array([[1.0, 1.0], [1.0, 1.0 + eps]]), self.G, self.I2, self.G)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(DimensionMismatch):
-            spd_solver(np.ones((2, 3)))([1.0, 1.0])
+            det_inequality_check(np.ones((2, 3)), self.G, np.ones((2, 3)), self.G)
         with pytest.raises(DimensionMismatch):
-            spd_solver(np.eye(2))([1.0, 1.0, 1.0])
+            det_inequality_check(self.I2, [1.0, 1.0, 1.0], self.I2, self.G)
         with pytest.raises(DimensionMismatch, match="non-empty"):
-            spd_solver(np.zeros((0, 0)))
+            det_inequality_check(np.zeros((0, 0)), [], np.zeros((0, 0)), [])
 
     def test_fuzz_residual_bound(self):
         # post-condition ||a x - b|| <= 1e-8 (||a||_op ||x|| + ||b||) on random SPD
@@ -82,10 +97,9 @@ class TestSolveSpd:
             g = rng.standard_normal((p, p))
             a = g.T @ g + 0.1 * np.eye(p)
             b = rng.standard_normal(p)
-            x = spd_solver(a)(b)
-            bound = 1e-8 * (op_norm(a) * np.linalg.norm(x) + np.linalg.norm(b))
+            x = _solve(a, b)
+            bound = 1e-8 * (np.linalg.norm(a, 2) * np.linalg.norm(x) + np.linalg.norm(b))
             assert np.linalg.norm(a @ x - b) <= bound
-
 
 
 def _spd(p: int, cond: float, seed: int) -> np.ndarray:
@@ -97,56 +111,51 @@ def _spd(p: int, cond: float, seed: int) -> np.ndarray:
 
 def _rhs(p: int, shape: str, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    if shape == "vector":
-        return rng.standard_normal(p)
+    if shape == "column":
+        return rng.standard_normal((p, 1))
     if shape == "matrix":
         return rng.standard_normal((p, 7))
     return rng.standard_normal((7, p)).T  # a non-contiguous view
 
 
 class TestSpdSolverOracle:
-    """The substitution solve against scipy's LAPACK ``cho_solve`` (potrs)."""
+    """The substitution ``_apply_factor`` against scipy's LAPACK ``cho_solve`` (potrs)."""
 
     EPS = np.finfo(float).eps
 
-    @pytest.mark.parametrize("shape", ["vector", "matrix", "transposed"])
+    @pytest.mark.parametrize("shape", ["column", "matrix", "transposed"])
     @pytest.mark.parametrize("p", [1, 2, 11, 50])
     def test_matches_cho_solve(self, p, shape):
         a = _spd(p, 1e6, seed=p)
         b = _rhs(p, shape, seed=100 + p)
         b_before = b.copy()
-        x = spd_solver(a)(b)
+        x = linalg._apply_factor(linalg._cholesky_spd(a)[0], b)
         assert x.shape == b.shape
         np.testing.assert_array_equal(b, b_before)  # b is not mutated
         # normwise backward stability of Cholesky, column by column:
         # |a x - b| <= c p eps |a| |x|
-        x2, b2 = x.reshape(p, -1), b.reshape(p, -1)
         a_norm = np.linalg.norm(a, 2)
-        residual = np.linalg.norm(a @ x2 - b2, axis=0)
-        assert np.all(residual <= 4.0 * p * self.EPS * a_norm * np.linalg.norm(x2, axis=0))
+        residual = np.linalg.norm(a @ x - b, axis=0)
+        assert np.all(residual <= 4.0 * p * self.EPS * a_norm * np.linalg.norm(x, axis=0))
         # forward error against LAPACK, within cond(a) times the same factor
-        ref = scipy.linalg.cho_solve((np.linalg.cholesky(a), True), b).reshape(p, -1)
+        ref = scipy.linalg.cho_solve((np.linalg.cholesky(a), True), b)
         bound = 4.0 * p * self.EPS * np.linalg.cond(a) * np.linalg.norm(ref, axis=0)
-        assert np.all(np.linalg.norm(x2 - ref, axis=0) <= bound)
+        assert np.all(np.linalg.norm(x - ref, axis=0) <= bound)
 
     def test_layout_does_not_change_bits(self):
-        a = _spd(11, 1e3, seed=1)
+        lower, _ = linalg._cholesky_spd(_spd(11, 1e3, seed=1))
         b = _rhs(11, "transposed", seed=2)
-        solve = spd_solver(a)
-        assert solve(b).tobytes() == solve(np.ascontiguousarray(b)).tobytes()
-
-    def test_solver_pickles(self):
-        solve = spd_solver(_spd(5, 10.0, seed=3))
-        b = _rhs(5, "matrix", seed=4)
-        assert pickle.loads(pickle.dumps(solve))(b).tobytes() == solve(b).tobytes()
+        x = linalg._apply_factor(lower, b)
+        assert x.tobytes() == linalg._apply_factor(lower, np.ascontiguousarray(b)).tobytes()
 
     def test_bits_do_not_depend_on_blas_threads(self, blas_thread_stdouts):
         code = (
             "import hashlib, numpy as np\n"
-            "from leanreg import spd_solver\n"
+            "from leanreg import linalg\n"
             "rng = np.random.default_rng(13)\n"
             "g = rng.standard_normal((13, 13))\n"
-            "x = spd_solver(g @ g.T + 13 * np.eye(13))(rng.standard_normal((13, 2000)))\n"
+            "lower, _ = linalg._cholesky_spd(g @ g.T + 13 * np.eye(13))\n"
+            "x = linalg._apply_factor(lower, rng.standard_normal((13, 2000)))\n"
             "print(hashlib.sha256(x.tobytes()).hexdigest())\n"
         )
         stdouts = blas_thread_stdouts([sys.executable, "-c", code], text=True)
@@ -163,12 +172,12 @@ class TestStackedFactor:
         b = np.random.default_rng(p).standard_normal((2, 3, p, 4))
         lower, pivot = linalg._cholesky_spd(stack)
         np.testing.assert_array_equal(pivot, np.full((2, 3), -1))
-        # a one-column stack solves as a vector does alone (a BLAS dot, not a gemv, per row)
+        # a one-column stack solves as one column does alone (a BLAS dot, not a gemv, per row)
         x, column = linalg._apply_factor(lower, b), linalg._apply_factor(lower, b[..., :1])
         for i in np.ndindex(2, 3):
-            solve = spd_solver(stack[i])
-            assert x[i].tobytes() == solve(b[i]).tobytes()
-            assert column[i].tobytes() == solve(b[i][:, 0]).tobytes()
+            alone, _ = linalg._cholesky_spd(stack[i])
+            assert x[i].tobytes() == linalg._apply_factor(alone, b[i]).tobytes()
+            assert column[i].tobytes() == linalg._apply_factor(alone, b[i][:, :1]).tobytes()
 
     def test_gate_reports_each_item(self):
         eps = np.finfo(float).eps
@@ -184,7 +193,7 @@ class TestStackedFactor:
             assert lower[i].tobytes() == np.linalg.cholesky(good).tobytes()
         assert str(linalg._not_positive_definite(2, 2)) == "Cholesky factorization failed"
         with pytest.raises(NotPositiveDefinite, match="Cholesky factorization failed"):
-            spd_solver(stack[2])
+            det_inequality_check(np.eye(2), [1.0, 1.0], stack[2], [1.0, 1.0])
 
     def test_stack_rows_must_match(self):
         lower, _ = linalg._cholesky_spd(np.stack([np.eye(3)] * 2))
@@ -229,92 +238,3 @@ class TestTsqrR:
         assert r.shape == (2, 3, p, p)
         for i in np.ndindex(2, 3):
             assert r[i].tobytes() == linalg.tsqr_r(a[i]).tobytes()
-
-
-class TestEigSymExtremes:
-    def test_diagonal(self):
-        assert eig_sym_extremes(np.diag([1.0, 4.0])) == (1.0, 4.0)
-
-    def test_identity(self):
-        assert eig_sym_extremes(np.eye(3)) == (1.0, 1.0)
-
-    def test_2x2_characteristic_polynomial_oracle(self):
-        a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        # oracle: roots of (2 - lam)^2 - 1 = 0
-        tr, det = 4.0, 3.0
-        disc = np.sqrt(tr**2 - 4 * det)
-        lo_expect, hi_expect = (tr - disc) / 2, (tr + disc) / 2
-        lo, hi = eig_sym_extremes(a)
-        assert lo == pytest.approx(lo_expect, abs=1e-8)
-        assert hi == pytest.approx(hi_expect, abs=1e-8)
-
-    def test_rayleigh_quotient_bounds(self):
-        rng = np.random.default_rng(99)
-        for _ in range(20):
-            p = int(rng.integers(2, 8))
-            g = rng.standard_normal((p, p))
-            a = (g + g.T) / 2
-            lo, hi = eig_sym_extremes(a)
-            for _ in range(100):
-                v = rng.standard_normal(p)
-                v /= np.linalg.norm(v)
-                q = v @ a @ v
-                assert lo - 1e-8 <= q <= hi + 1e-8
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(NotSymmetric):
-            eig_sym_extremes(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_an_empty_matrix(self):
-        with pytest.raises(DimensionMismatch, match="non-empty"):
-            eig_sym_extremes(np.zeros((0, 0)))
-
-
-class TestOpNorm:
-    def test_zero(self):
-        assert op_norm(np.zeros((3, 2))) == 0.0
-
-    def test_symmetric_max_abs_eigenvalue(self):
-        assert op_norm(np.diag([-3.0, 2.0])) == pytest.approx(3.0, abs=1e-8)
-
-    def test_nilpotent_oracle(self):
-        a = np.array([[0.0, 2.0], [0.0, 0.0]])
-        # oracle: eigenvalues of a.T a = diag(0, 4), so the norm is 2
-        w = np.linalg.eigvalsh(a.T @ a)
-        assert op_norm(a) == pytest.approx(np.sqrt(w[-1]), abs=1e-8)
-        assert op_norm(a) == pytest.approx(2.0, abs=1e-8)
-
-    def test_matches_svd_on_random(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            a = rng.standard_normal((int(rng.integers(1, 7)), int(rng.integers(1, 7))))
-            assert op_norm(a) == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], rel=1e-10)
-
-
-class TestPsdLeq:
-    def test_zero_below_identity(self):
-        assert psd_leq(np.zeros((2, 2)), np.eye(2), 0.0)
-
-    def test_identity_not_below_zero(self):
-        assert not psd_leq(np.eye(2), np.zeros((2, 2)), 0.0)
-
-    def test_2x2_eigen_oracle(self):
-        a = np.eye(2)
-        b = np.array([[2.0, 1.0], [1.0, 2.0]])
-        # b - a has eigenvalues {0, 2}
-        assert psd_leq(a, b, 0.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            psd_leq(np.eye(2), np.eye(3), 0.0)
-        with pytest.raises(DimensionMismatch, match="non-empty"):
-            psd_leq(np.zeros((0, 0)), np.zeros((0, 0)), 0.0)
-
-    @given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
-    @settings(max_examples=60, deadline=None)
-    def test_transitive_on_integer_diagonals(self, d1, d2, d3):
-        # exact-arithmetic-safe chain: diagonal integer matrices ordered entrywise
-        lo, mid, hi = sorted([d1, d2, d3])
-        a, b, c = (np.diag([float(v), 0.0]) for v in (lo, mid, hi))
-        if psd_leq(a, b, 0.0) and psd_leq(b, c, 0.0):
-            assert psd_leq(a, c, 0.0)
