@@ -131,6 +131,79 @@ class TestDetInequalityCheck:
             det_inequality_check(np.eye(1), np.ones(1), np.eye(2), np.ones(2))
 
 
+class TestDetInequalitySpectra:
+    """The report's lambda_n, the least eigenvalue of sigma_pop, and d2n, the operator norm of sigma_hat - sigma_pop."""
+
+    G2 = [1.0, -1.0]
+
+    def test_lambda_n_of_a_diagonal_population_is_its_least_entry(self):
+        rep = det_inequality_check(np.eye(2), self.G2, np.diag([4.0, 1.0]), self.G2)
+        assert rep.lambda_n == 1.0
+
+    def test_identity_population(self):
+        rep = det_inequality_check(np.eye(3), np.ones(3), np.eye(3), np.ones(3))
+        assert (rep.lambda_n, rep.d2n) == (1.0, 0.0)
+
+    def test_lambda_n_matches_the_2x2_characteristic_polynomial(self):
+        sigma = np.array([[2.0, 1.0], [1.0, 2.0]])
+        # oracle: the lesser root of (2 - lam)^2 - 1 = 0
+        tr, det = 4.0, 3.0
+        expected = (tr - np.sqrt(tr**2 - 4 * det)) / 2
+        rep = det_inequality_check(np.eye(2), self.G2, sigma, self.G2)
+        assert rep.lambda_n == pytest.approx(expected, abs=1e-12)
+
+    def test_one_by_one_moments(self):
+        rep = det_inequality_check([[3.0]], [1.0], [[5.0]], [2.0])
+        assert (rep.lambda_n, rep.d2n) == (5.0, 2.0)
+        assert rep.precondition_holds
+
+    @pytest.mark.parametrize("p", [2, 5, 10])
+    def test_lambda_n_bounds_every_rayleigh_quotient_of_a_stack(self, p):
+        rng = np.random.default_rng(99 + p)
+        pops = np.stack([random_spd(rng, p) for _ in range(20)])
+        gammas = rng.standard_normal((20, p))
+        rep = det_inequality_check(pops, gammas, pops, gammas)
+        assert rep.lambda_n.shape == (20,)
+        v = rng.standard_normal((20, 100, p))
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        quotients = np.einsum("rkp,rpq,rkq->rk", v, pops, v)
+        assert np.all(rep.lambda_n[:, None] <= quotients + 1e-8 * np.abs(quotients))
+        # the least eigenvector attains it
+        vecs = np.linalg.eigh(pops)[1][..., 0]
+        least = np.einsum("rp,rpq,rq->r", vecs, pops, vecs)
+        np.testing.assert_allclose(rep.lambda_n, least, rtol=1e-10)
+
+    def test_d2n_is_the_largest_absolute_eigenvalue_of_the_difference(self):
+        # sigma_hat - sigma_pop = diag(-3, 2): the negative eigenvalue sets the norm
+        rep = det_inequality_check(np.diag([1.0, 6.0]), self.G2, np.diag([4.0, 4.0]), self.G2)
+        assert rep.d2n == pytest.approx(3.0, abs=1e-12)
+        assert not rep.precondition_holds
+
+    def test_d2n_matches_the_largest_singular_value_over_stack_axes(self):
+        rng = np.random.default_rng(5)
+        hats = np.stack([random_spd(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+        pops = np.stack([random_spd(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+        gammas = rng.standard_normal((2, 3, 4))
+        rep = det_inequality_check(hats, gammas, pops, gammas)
+        assert rep.d2n.shape == (2, 3)
+        for i in np.ndindex(2, 3):
+            top = np.linalg.svd(hats[i] - pops[i], compute_uv=False)[0]
+            assert rep.d2n[i] == pytest.approx(top, rel=1e-10)
+
+    def test_precondition_is_inclusive_at_its_boundary(self):
+        pop = np.diag([2.0, 4.0])
+        at = det_inequality_check(np.diag([3.0, 4.0]), self.G2, pop, self.G2)
+        assert (at.d2n, at.lambda_n) == (1.0, 2.0)
+        assert at.precondition_holds
+        past = det_inequality_check(np.diag([3.0, 5.5]), self.G2, pop, self.G2)
+        assert past.d2n == pytest.approx(1.5, abs=1e-12)
+        assert not past.precondition_holds
+
+    def test_rejects_an_asymmetric_population(self):
+        with pytest.raises(NotSymmetric):
+            det_inequality_check(np.eye(2), self.G2, np.array([[1.0, 0.5], [0.0, 1.0]]), self.G2)
+
+
 class TestInfluenceRemainder:
     def test_exact_when_design_moments_match_population(self):
         # fixed designs have sigma_hat = sigma_n identically, so the linear
