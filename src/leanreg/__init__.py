@@ -12,85 +12,47 @@ perturbation inequality and the linear-representation remainder make the
 structure checkable without asymptotics (``diagnostics``); and ``simlab``
 measures coverage, size and rates on scenarios with exact population
 targets.
+
+Each public name resolves on first use from one table of home modules, and
+is then bound here, so ``import leanreg`` loads no submodule (and no numpy);
+``leanreg.simlab`` and the other submodules resolve the same way.
 """
 
-from .bootstrap import (
-    BootstrapDraws,
-    ConfidenceRegion,
-    region_ellipsoid,
-    region_rectangle,
-    run_bootstrap,
-)
-from .diagnostics import DetCheckReport, det_inequality_check, influence_remainder
-from .exceptions import (
-    BadCoordinate,
-    DegenerateDof,
-    DimensionMismatch,
-    EmptyData,
-    LeanRegError,
-    MissingColumn,
-    NonFiniteValue,
-    NonNumericCell,
-    NotPositiveDefinite,
-    NotSymmetric,
-    SingularDesign,
-    ZeroVariance,
-)
-from .inference import TestResult, max_t_test, t_test
-from .ols import Dataset, OlsFit, fit_ols, scores_at
-from .simlab import (
-    CoverageReport,
-    Dgp,
-    PopulationTargets,
-    population_score_means,
-    population_targets,
-    run_consistency,
-    run_coverage,
-    sample,
-)
-from .variance import VarianceEstimate, classical_avar, hc1_avar, k_check, sandwich_avar
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadCoordinate",
-    "BootstrapDraws",
-    "ConfidenceRegion",
-    "CoverageReport",
-    "Dataset",
-    "DegenerateDof",
-    "DetCheckReport",
-    "Dgp",
-    "DimensionMismatch",
-    "EmptyData",
-    "LeanRegError",
-    "MissingColumn",
-    "NonFiniteValue",
-    "NonNumericCell",
-    "NotPositiveDefinite",
-    "NotSymmetric",
-    "OlsFit",
-    "PopulationTargets",
-    "SingularDesign",
-    "TestResult",
-    "VarianceEstimate",
-    "ZeroVariance",
-    "classical_avar",
-    "det_inequality_check",
-    "fit_ols",
-    "hc1_avar",
-    "influence_remainder",
-    "k_check",
-    "max_t_test",
-    "population_score_means",
-    "population_targets",
-    "region_ellipsoid",
-    "region_rectangle",
-    "run_bootstrap",
-    "run_consistency",
-    "run_coverage",
-    "sample",
-    "sandwich_avar",
-    "scores_at",
-    "t_test",
-]
+# each home module and the public names it exports
+_EXPORTS = {
+    "bootstrap": ("BootstrapDraws", "ConfidenceRegion", "region_ellipsoid", "region_rectangle", "run_bootstrap"),
+    "diagnostics": ("DetCheckReport", "det_inequality_check", "influence_remainder"),
+    "exceptions": (
+        "BadCoordinate", "DegenerateDof", "DimensionMismatch", "EmptyData", "LeanRegError", "MissingColumn",
+        "NonFiniteValue", "NonNumericCell", "NotPositiveDefinite", "NotSymmetric", "SingularDesign", "ZeroVariance",
+    ),
+    "inference": ("TestResult", "max_t_test", "t_test"),
+    "ols": ("Dataset", "OlsFit", "fit_ols", "scores_at"),
+    "simlab": (
+        "CoverageReport", "Dgp", "PopulationTargets", "population_score_means", "population_targets",
+        "run_consistency", "run_coverage", "sample",
+    ),
+    "variance": ("VarianceEstimate", "classical_avar", "hc1_avar", "k_check", "sandwich_avar"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "linalg"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -7,7 +7,9 @@ library never adds one silently). Reports are JSON with the full config
 echoed, so any stochastic command can be replayed bit-exactly from its own
 output; coverage tables are additionally written as CSV for plotting.
 ``bootstrap`` runs the multiplier bootstrap unless ``--m`` is given, which
-alone switches to the m-of-n resampling bootstrap.
+alone switches to the m-of-n resampling bootstrap. ``test``, ``simulate`` and
+``check`` import ``inference``, the simulation lab and the diagnostics when
+they run, so ``fit`` and ``bootstrap`` never load them.
 
 Exit codes: 0 success, 2 usage or config error, 3 data error (including a
 missing, unreadable or non-UTF-8 data file), 4 numerical error (singular
@@ -37,7 +39,6 @@ from .bootstrap import (
     region_rectangle,
     run_bootstrap,
 )
-from .diagnostics import det_inequality_check, influence_remainder
 from .exceptions import (
     BadCoordinate,
     EmptyData,
@@ -46,9 +47,7 @@ from .exceptions import (
     NonFiniteValue,
     NonNumericCell,
 )
-from .inference import max_t_test, t_test
 from .ols import Dataset, fit_ols
-from .simlab import METHOD_KINDS, Dgp, population_targets, run_coverage, sample
 from .variance import classical_avar, hc1_avar, residual_variance, sandwich_avar
 
 SEED_ENV_VAR = "LEANREG_SEED"
@@ -423,6 +422,8 @@ def _cmd_fit(config: RunConfig) -> tuple[dict, list]:
 
 
 def _cmd_test(config: RunConfig) -> tuple[dict, list]:
+    from .inference import max_t_test, t_test
+
     fit = fit_ols(read_csv(config.data, config.response, config.add_intercept))
     var = _variance_for(fit, config.variance)
     reference = _REFERENCE_FLAG[config.reference]
@@ -470,6 +471,8 @@ def _cmd_bootstrap(config: RunConfig) -> tuple[dict, list]:
 
 
 def _cmd_simulate(config: RunConfig) -> tuple[dict, list]:
+    from .simlab import METHOD_KINDS, Dgp, run_coverage
+
     methods = (
         tuple(m.strip() for m in config.methods.split(","))
         if config.methods is not None
@@ -527,6 +530,9 @@ def _coverage_csv_rows(results: dict):
 
 
 def _cmd_check(config: RunConfig) -> tuple[dict, list]:
+    from .diagnostics import det_inequality_check, influence_remainder
+    from .simlab import Dgp, population_targets, sample
+
     dgp = Dgp(kind=config.dgp, noise_scale=config.noise_scale)
     pop = population_targets(dgp, config.n)
     data = sample(dgp, config.n, config.seed)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leanreg.simlab
 import leanreg.variance
 from leanreg import (
     Dataset,
@@ -806,7 +807,7 @@ class TestOutPath:
         self, example_csv, tmp_path, monkeypatch, capsys, command
     ):
         calls = []
-        monkeypatch.setattr(cli, "run_coverage", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(leanreg.simlab, "run_coverage", lambda *a, **k: calls.append(a))
         command = [example_csv if arg == "DATA" else arg for arg in command]
         before = sorted(tmp_path.rglob("*"))
         with pytest.raises(SystemExit) as exc:
@@ -827,7 +828,7 @@ class TestOutPath:
 
     def test_coverage_table_that_is_a_directory_is_a_config_error(self, tmp_path, monkeypatch, capsys):
         calls = []
-        monkeypatch.setattr(cli, "run_coverage", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(leanreg.simlab, "run_coverage", lambda *a, **k: calls.append(a))
         (tmp_path / "cov.csv").mkdir()
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--dgp", "quadratic_mean_iid", "--n", "50", "--reps", "2",
@@ -1026,24 +1027,46 @@ def test_module_entry_point_runs():
 
 
 def test_cli_import_skips_scipy_stats(tmp_path):
-    # no scipy module at all: not on import, and not on the default fit and bootstrap paths
+    # each step loads only what it runs: no scipy on import or on the default fit and
+    # bootstrap paths, and the lab, the diagnostics and inference only in their own commands
     path = tmp_path / "data.csv"
     path.write_text(EXAMPLE_CSV.replace("\n1,2,4\n", "\n1,2,4\n1,3,8\n1,4,17\n"))
     data = ["--data", str(path), "--response", "y"]
     code = (
-        "import contextlib, io, sys\n"
-        "import leanreg, leanreg.cli\n"
-        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print(loaded())\n"
+        "import contextlib, io, json, sys\n"
+        "def loaded(): return sorted({m if m.startswith('leanreg') else m.split('.')[0] for m in sys.modules})\n"
+        "import leanreg\n"
+        "print(json.dumps(loaded()))\n"
+        "import leanreg.cli\n"
+        "print(json.dumps(loaded()))\n"
         "for args in sys.argv[1:]:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert leanreg.cli.main(args.split('|')) == 0, args\n"
-        "    print(loaded())\n"
+        "    print(json.dumps(loaded()))\n"
     )
-    runs = ["|".join(["fit", *data]), "|".join(["bootstrap", *data, "--B", "50", "--seed", "1"])]
-    proc = subprocess.run([sys.executable, "-c", code, *runs], capture_output=True, text=True)
+    runs = [
+        ["fit", *data],
+        ["bootstrap", *data, "--B", "50", "--seed", "1"],
+        ["test", *data, "--coef", "1"],
+        ["simulate", "--dgp", "quadratic_mean_iid", "--n", "50", "--reps", "2",
+         "--methods", "sandwich_normal", "--seed", "3"],
+        ["check", "--dgp", "quadratic_mean_iid", "--n", "50", "--seed", "3"],
+    ]
+    proc = subprocess.run([sys.executable, "-c", code, *("|".join(run) for run in runs)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]"] * 3
+    root, cli_import, fit, boot, test, simulate, check = map(set, map(json.loads, proc.stdout.splitlines()))
+
+    def ours(modules):
+        return {m for m in modules if m.split(".")[0] == "leanreg"}
+
+    assert ours(root) == {"leanreg"} and "numpy" not in root
+    cli_modules = {"cli", "bootstrap", "variance", "ols", "linalg", "exceptions"}
+    assert ours(cli_import) == {"leanreg"} | {f"leanreg.{m}" for m in cli_modules}
+    assert not {"statistics", "fractions", "scipy"} & cli_import
+    assert not {"leanreg.simlab", "leanreg.diagnostics", "leanreg.inference", "scipy"} & (fit | boot)
+    assert "leanreg.inference" in test and "leanreg.simlab" not in test
+    assert "leanreg.simlab" in simulate and "leanreg.simlab" in check
 
 
 def test_student_t_reference_p_value_is_unchanged(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import subprocess
 import sys
 
 import numpy as np
@@ -23,9 +24,26 @@ def _solve(a, b) -> np.ndarray:
 
 def test_package_exports_resolve_and_omit_the_deleted_linalg_surface():
     assert [name for name in leanreg.__all__ if not hasattr(leanreg, name)] == []
+    for name in leanreg.__all__:
+        value = getattr(leanreg, name)
+        home = sys.modules[value.__module__]
+        assert home.__name__.startswith("leanreg.") and getattr(home, name) is value, name
     for name in ("spd_solver", "eig_sym_extremes", "op_norm", "psd_leq", "NoConvergence"):
         assert name not in leanreg.__all__
         assert not hasattr(leanreg, name)
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        leanreg.no_such_name
+    # a fresh interpreter, where no name has resolved yet: dir lists them, and * binds them
+    code = (
+        "import leanreg\n"
+        "assert set(leanreg.__all__) <= set(dir(leanreg))\n"
+        "names = {}\n"
+        "exec('from leanreg import *', names)\n"
+        "assert all(names[name] is getattr(leanreg, name) for name in leanreg.__all__)\n"
+        "assert leanreg.simlab.run_coverage is leanreg.run_coverage\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestSolveSpd:
